@@ -7,9 +7,8 @@ and Monte-Carlo achievable-rate estimation."""
 from .apps import AppMatrix, MultCounter
 from .channel import (Alphabet, Block, ChannelConfig, DiscreteChannel,
                       FiberParams, FirFilter, Identity, RappPA, SquareLaw,
-                      apply_nonlinearity, build_pulse, differential_decode,
-                      differential_precode, draw_symbols, make_channel,
-                      random_block, simulate_block, transmit_power)
+                      build_pulse, differential_decode, differential_precode,
+                      draw_symbols, make_channel, random_block, simulate_block)
 from .fba import (AuxChannel, build_aux_channel, count_fba_multiplications,
                   fba_app, fba_ub)
 from .gibbs import GibbsConfig, count_gs_multiplications, gibbs_app

@@ -106,11 +106,12 @@ class FirFilter:
         return replace(self, taps=self.taps * scale)
 
     def apply_same(self, x: np.ndarray) -> np.ndarray:
-        """Centered same-length convolution along the last axis."""
-        full = np.convolve(x, self.taps, mode="full") if x.ndim == 1 else None
-        if full is None:
-            raise ValueError("apply_same expects a 1-D signal")
-        return full[self.center:self.center + len(x)]
+        """Centered same-length convolution of a 1-D signal, or of each row
+        of a 2-D batch."""
+        rows = np.atleast_2d(x)
+        lo = self.center
+        out = np.array([np.convolve(r, self.taps)[lo:lo + rows.shape[1]] for r in rows])
+        return out.reshape(np.shape(x))
 
 
 # ---------------------------------------------------------------------------
@@ -154,13 +155,6 @@ class RappPA:
 
 
 Nonlinearity = Union[SquareLaw, Identity, RappPA]
-
-_NONLINEARITIES = {"square-law": SquareLaw, "identity": Identity, "rapp": RappPA}
-
-
-def apply_nonlinearity(z, kind: Nonlinearity):
-    """Apply a memoryless nonlinearity pointwise (total function)."""
-    return kind(np.asarray(z))
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +265,13 @@ def differential_precode(x: np.ndarray, alphabet: Alphabet) -> np.ndarray:
     """Encode sign bits into sign transitions; magnitudes pass through.
 
     The emitted sign at position k is the running product of data signs up
-    to k (reference sign +1 before the block).  No-op for unipolar PAM.
+    to k (reference sign +1 before the block), along the last axis.  No-op
+    for unipolar PAM.
     """
     x = np.asarray(x, dtype=np.float64)
-    if alphabet.kind != BIPOLAR_ASK or len(x) == 0:
+    if alphabet.kind != BIPOLAR_ASK:
         return x.copy()
-    return np.abs(x) * np.cumprod(np.sign(x))
+    return np.abs(x) * np.cumprod(np.sign(x), axis=-1)
 
 
 def differential_decode(e: np.ndarray, alphabet: Alphabet) -> np.ndarray:
@@ -384,21 +379,68 @@ def _output_grid_indices(n: int, chan: DiscreteChannel) -> np.ndarray:
     return cfg.n_sim * (g_sym - 1) + cfg.decimation * j
 
 
-def _take_grid(fine: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(idx), dtype=fine.dtype)
-    ok = (idx >= 0) & (idx < len(fine))
-    out[ok] = fine[idx[ok]]
-    return out
+def _simulate_rows(chan: DiscreteChannel, x_rows: np.ndarray,
+                   rng: Optional[np.random.Generator]):
+    """The channel pipeline on a batch of blocks, one block per row.
 
+    Precode, upsample into guard zeros, shape with g, apply the
+    nonlinearity, filter with h, take the output grid, then add noise.
+    With a single-tap receiver at the output rate the sampled noise is
+    white, so it is drawn there directly; otherwise white simulation-rate
+    noise passes through the (unit-energy) receiver filter.  The lag-0
+    variance is the configured one in both cases.
 
-def _shaped_waveform(chan: DiscreteChannel, x_emit: np.ndarray) -> np.ndarray:
-    """Guard-padded, upsampled, g-filtered waveform on the simulation grid."""
+    Returns (emitted symbol rows, observation rows, shaped waveform rows).
+    """
     cfg = chan.config
+    x_emit = (differential_precode(x_rows, cfg.alphabet)
+              if cfg.precoding == "differential-phase" else x_rows.copy())
+    b, n = x_emit.shape
     g_sym = chan.guard_symbols
-    padded = np.concatenate([np.zeros(g_sym), x_emit, np.zeros(g_sym)])
-    fine = np.zeros(len(padded) * cfg.n_sim, dtype=chan.g.taps.dtype)
-    fine[::cfg.n_sim] = padded
-    return chan.g.apply_same(fine)
+    fine = np.zeros((b, (n + 2 * g_sym) * cfg.n_sim), dtype=chan.g.taps.dtype)
+    fine[:, g_sym * cfg.n_sim:(g_sym + n) * cfg.n_sim:cfg.n_sim] = x_emit
+    shaped = chan.g.apply_same(fine)
+    z = chan.h.apply_same(cfg.nonlinearity(shaped))
+    if not np.all(np.isfinite(z)):
+        raise FloatingPointError("non-finite sample after filtering")
+
+    idx = _output_grid_indices(n, chan)
+    direct = len(chan.h) == 1 and cfg.decimation == 1
+    noisy = cfg.noise_variance > 0.0
+    if noisy:
+        if rng is None:
+            raise ValueError("rng required when noise variance > 0")
+        sigma = np.sqrt(cfg.noise_variance)
+        size = (b, len(idx) if direct else z.shape[1])
+        if cfg.noise_kind == "real":
+            w = sigma * rng.standard_normal(size)
+        else:
+            w = (sigma / np.sqrt(2.0)) * (rng.standard_normal(size)
+                                          + 1j * rng.standard_normal(size))
+        if not direct:
+            z = z + chan.h.apply_same(w)
+    # without guard symbols the first grid indices fall before the waveform
+    ok = idx >= 0
+    y = np.zeros((b, len(idx)), dtype=z.dtype)
+    y[:, ok] = z[:, idx[ok]]
+    if noisy and direct:
+        y = y + w * np.abs(chan.h.taps[0])
+    if np.iscomplexobj(y) and cfg.noise_kind == "real" and np.allclose(y.imag, 0.0):
+        y = y.real
+    return x_emit, y, shaped
+
+
+def simulate_batch(chan: DiscreteChannel, x_rows: np.ndarray,
+                   rng: Optional[np.random.Generator] = None):
+    """Simulate a batch of blocks, one per row of data symbol values; the
+    trainer's data producer.
+
+    Returns (emitted symbol rows, observation rows).  The rows follow the
+    same law as :func:`simulate_block`, and a one-row batch equals it bit
+    for bit under an equally seeded generator.
+    """
+    x_emit, y, _ = _simulate_rows(chan, np.asarray(x_rows, dtype=np.float64), rng)
+    return x_emit, y
 
 
 def simulate_block(chan: DiscreteChannel, x: np.ndarray,
@@ -408,56 +450,15 @@ def simulate_block(chan: DiscreteChannel, x: np.ndarray,
 
     `x` holds data symbol values at the channel's (scaled) levels; the
     configured precoding is applied internally and the returned block
-    records the emitted symbols, which are what detectors target.
+    records the emitted symbols, which are what detectors target, and the
+    average power of the shaped waveform on the simulation grid.
     """
-    cfg = chan.config
     x = np.asarray(x, dtype=np.float64)
     if len(x) == 0:
         raise ValueError("empty block")
-    if cfg.precoding == "differential-phase":
-        x_emit = differential_precode(x, cfg.alphabet)
-    else:
-        x_emit = x.copy()
-
-    shaped = _shaped_waveform(chan, x_emit)
-    p_tx = float(np.sum(np.abs(shaped) ** 2) / (len(x) * cfg.n_sim))
-
-    z = apply_nonlinearity(shaped, cfg.nonlinearity)
-    z = chan.h.apply_same(z)
-    if not np.all(np.isfinite(z)):
-        raise FloatingPointError("non-finite sample after filtering")
-
-    idx = _output_grid_indices(len(x), chan)
-    y = _take_grid(z, idx)
-
-    if cfg.noise_variance > 0.0:
-        if rng is None:
-            raise ValueError("rng required when noise variance > 0")
-        y = y + _sample_noise(chan, len(z), idx, rng)
-    if np.iscomplexobj(y) and cfg.noise_kind == "real" and np.allclose(y.imag, 0.0):
-        y = y.real
-    return Block(x=x_emit, y=y, seed=seed, p_tx=p_tx)
-
-
-def _sample_noise(chan: DiscreteChannel, n_fine: int, idx: np.ndarray,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Noise at the output grid.  With a single-tap receiver at the output
-    rate the sampled noise is white, so it is drawn there directly;
-    otherwise white simulation-rate noise is shaped by the (unit-energy)
-    receiver filter and decimated, giving lag-0 variance equal to the
-    configured value in both cases."""
-    cfg = chan.config
-    sigma = np.sqrt(cfg.noise_variance)
-    direct = len(chan.h) == 1 and cfg.decimation == 1
-    n_draw = len(idx) if direct else n_fine
-    if cfg.noise_kind == "real":
-        w = sigma * rng.standard_normal(n_draw)
-    else:
-        w = (sigma / np.sqrt(2.0)) * (rng.standard_normal(n_draw)
-                                      + 1j * rng.standard_normal(n_draw))
-    if direct:
-        return w * np.abs(chan.h.taps[0])
-    return _take_grid(chan.h.apply_same(w), idx)
+    x_emit, y, shaped = _simulate_rows(chan, x[None, :], rng)
+    p_tx = float(np.sum(np.abs(shaped[0]) ** 2) / (len(x) * chan.config.n_sim))
+    return Block(x=x_emit[0], y=y[0], seed=seed, p_tx=p_tx)
 
 
 def draw_symbols(chan: DiscreteChannel, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -480,58 +481,3 @@ def random_block(chan: DiscreteChannel, n: int,
         rng = np.random.default_rng(np.random.SeedSequence(entropy))
     x = draw_symbols(chan, n, rng)
     return simulate_block(chan, x, rng, seed=seed)
-
-
-def transmit_power(block: Block) -> float:
-    """Average power of the shaped waveform, measured on the simulation grid
-    at block creation.  With unit noise variance this equals the SNR."""
-    if len(block.x) == 0:
-        raise ValueError("empty block")
-    return block.p_tx
-
-
-def simulate_batch(chan: DiscreteChannel, x_rows: np.ndarray,
-                   rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Vectorized pipeline for a batch of blocks; the trainer's data producer.
-
-    Returns (emitted symbol rows, observation rows).  Row i equals
-    simulate_block on x_rows[i] up to the fp roundoff of FFT convolution.
-    """
-    from scipy.signal import fftconvolve
-
-    cfg = chan.config
-    x_rows = np.asarray(x_rows, dtype=np.float64)
-    b, n = x_rows.shape
-    if cfg.precoding == "differential-phase" and cfg.alphabet.kind == BIPOLAR_ASK:
-        x_rows = np.abs(x_rows) * np.cumprod(np.sign(x_rows), axis=1)
-    g_sym = chan.guard_symbols
-    padded = np.zeros((b, n + 2 * g_sym))
-    padded[:, g_sym:g_sym + n] = x_rows
-    fine = np.zeros((b, padded.shape[1] * cfg.n_sim), dtype=chan.g.taps.dtype)
-    fine[:, ::cfg.n_sim] = padded
-
-    full = fftconvolve(fine, chan.g.taps[None, :], mode="full", axes=1)
-    shaped = full[:, chan.g.center:chan.g.center + fine.shape[1]]
-    z = apply_nonlinearity(shaped, cfg.nonlinearity)
-    if len(chan.h) > 1:
-        zfull = fftconvolve(z, chan.h.taps[None, :], mode="full", axes=1)
-        z = zfull[:, chan.h.center:chan.h.center + z.shape[1]]
-    else:
-        z = z * chan.h.taps[0]
-
-    idx = _output_grid_indices(n, chan)
-    y = np.zeros((b, len(idx)), dtype=z.dtype)
-    ok = (idx >= 0) & (idx < z.shape[1])
-    y[:, ok] = z[:, idx[ok]]
-    if cfg.noise_variance > 0.0:
-        if rng is None:
-            raise ValueError("rng required when noise variance > 0")
-        sigma = np.sqrt(cfg.noise_variance)
-        if cfg.noise_kind == "real":
-            y = y + sigma * rng.standard_normal(y.shape)
-        else:
-            y = y + (sigma / np.sqrt(2.0)) * (rng.standard_normal(y.shape)
-                                              + 1j * rng.standard_normal(y.shape))
-    if np.iscomplexobj(y) and cfg.noise_kind == "real" and np.allclose(y.imag, 0.0):
-        y = np.asarray(y.real)
-    return x_rows, y

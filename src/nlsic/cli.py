@@ -16,10 +16,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -47,13 +45,6 @@ def _run_dir(cfg) -> Path:
         json.dump(cfgmod.resolved_dict(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return out
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("NLSIC_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def _manifest(run_dir: Path, cfg, artifacts, warnings, wall_seconds: float):
@@ -276,13 +267,7 @@ def cmd_evaluate(cfg) -> int:
     run_dir = _run_dir(cfg)
     base = cfgmod.build_channel(cfg)
     points = list(enumerate(cfg.sweep_p_tx_db))
-    workers = _workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda item: _evaluate_point(cfg, base, run_dir, *item), points))
-    else:
-        results = [_evaluate_point(cfg, base, run_dir, i, p) for i, p in points]
+    results = [_evaluate_point(cfg, base, run_dir, i, p) for i, p in points]
 
     rate_rows, summary = [], []
     complexity_rows = set()

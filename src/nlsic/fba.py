@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .apps import AppMatrix, MultCounter
-from .channel import DiscreteChannel, apply_nonlinearity
+from .channel import DiscreteChannel
 from .sic import StageView
 
 LOG2PI = np.log(2.0 * np.pi)
@@ -149,7 +149,7 @@ class AuxChannel:
         symbol first; the chunk belongs to the window's (future+1)-last slot."""
         contexts = np.atleast_2d(np.asarray(contexts, dtype=np.float64))
         s = contexts @ self._s_map.T
-        z = apply_nonlinearity(s, self.chan.config.nonlinearity)
+        z = self.chan.config.nonlinearity(s)
         mu = z @ self._h_map.T
         if counter is not None:
             c = contexts.shape[0]
@@ -275,8 +275,7 @@ def _forward(aux: AuxChannel, y: np.ndarray, n: int, pin: np.ndarray,
 def _pin_array(n: int, view: Optional[StageView], aux: AuxChannel) -> np.ndarray:
     pin = np.full(n, -1, dtype=int)
     if view is not None and len(view.known_idx) > 0:
-        digits = np.argmin(np.abs(view.known_val[:, None] - aux.levels[None, :]), axis=1)
-        pin[view.known_idx] = digits
+        pin[view.known_idx] = aux.chan.symbol_indices(view.known_val)
     return pin
 
 
@@ -353,8 +352,7 @@ def fba_ub(aux: AuxChannel, blocks, counter: Optional[MultCounter] = None):
     per_block = np.empty(len(blocks))
     for i, blk in enumerate(blocks):
         n = len(blk.x)
-        digits = np.argmin(
-            np.abs(np.asarray(blk.x)[:, None] - aux.levels[None, :]), axis=1)
+        digits = aux.chan.symbol_indices(blk.x)
         log_qxy = fba_logq(aux, blk.y, n, x_digits=digits, counter=counter)
         log_qy = fba_logq(aux, blk.y, n, x_digits=None, counter=counter)
         per_block[i] = (log_qxy - log_qy) / (n * np.log(2.0))

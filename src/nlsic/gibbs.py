@@ -149,9 +149,7 @@ def gibbs_app(aux: AuxChannel, y: np.ndarray, view: StageView, cfg: GibbsConfig,
     m_bits = int(np.log2(m_sym))
     pinned_mask = np.zeros(n, dtype=bool)
     pinned_mask[view.known_idx] = True
-    pinned_digits = np.argmin(
-        np.abs(view.known_val[:, None] - aux.levels[None, :]), axis=1) \
-        if len(view.known_idx) else np.empty(0, dtype=int)
+    pinned_digits = aux.chan.symbol_indices(view.known_val)
     unknown = np.flatnonzero(~pinned_mask)
 
     # per-chain streams: initial states and one uniform per (sweep, symbol, bit)

@@ -231,11 +231,14 @@ def assemble_inputs(y: np.ndarray, view: StageView, shape: RnnShape,
                     norm: Optional[Normalization] = None) -> np.ndarray:
     """Unrolled input sequence for one block given a stage view; decided
     symbols are read from the view, targets contribute nothing."""
-    norm = norm or Normalization()
     indexer = build_indexer(view.plan, view.s, shape)
+    return _view_inputs(indexer, y, view, norm or Normalization())
+
+
+def _view_inputs(indexer: InputIndexer, y: np.ndarray, view: StageView,
+                 norm: Normalization) -> np.ndarray:
     x_full = np.zeros(view.plan.n)
-    if len(view.known_idx):
-        x_full[view.known_idx] = view.known_val
+    x_full[view.known_idx] = view.known_val
     return gather_inputs(indexer, y, x_full, norm)
 
 
@@ -340,10 +343,7 @@ def rnn_app(model: RnnModel, y: np.ndarray, view: StageView,
             counter: Optional[MultCounter] = None) -> AppMatrix:
     """Detector-facing inference: APPs for the current stage's targets."""
     indexer = build_indexer(view.plan, view.s, model.shape)
-    x_full = np.zeros(view.plan.n)
-    if len(view.known_idx):
-        x_full[view.known_idx] = view.known_val
-    data = gather_inputs(indexer, y, x_full, model.norm)
+    data = _view_inputs(indexer, y, view, model.norm)
     logp, _ = forward(model, data, indexer.phase_idx, indexer.out_steps,
                       counter=counter)
     return AppMatrix(probs=np.exp(logp[0]), logp=logp[0],
@@ -351,9 +351,14 @@ def rnn_app(model: RnnModel, y: np.ndarray, view: StageView,
 
 
 def count_rnn_multiplications(shape: RnnShape) -> int:
-    """Real multiplications per input step (output cell charged once per
-    produced APP): sum of dims[i]*dims[i+1] + dims[i+1]^2/2 over recurrent
-    layers plus m_symbols*dims[-1]."""
+    """Closed-form real multiplications per input step: the sum of
+    dims[i]*dims[i+1] + dims[i+1]^2/2 over the recurrent layers plus
+    m_symbols*dims[-1] for the output cell.
+
+    The closed form charges the output cell at every input step.  A stage
+    with P phases reads out an APP only every P-th step, so a forward pass
+    executes m_symbols*dims[-1]*(1 - 1/P) fewer multiplications per step
+    than this count; the two agree when P = 1."""
     total = 0
     for i in range(shape.n_recurrent):
         total += shape.dims[i] * shape.dims[i + 1] + shape.dims[i + 1] ** 2 // 2

@@ -115,26 +115,18 @@ def ic_window(j: int, t: int, view: StageView, l_ic: int) -> np.ndarray:
     ascending serial order and zero-filled on the left when fewer than l_ic
     known symbols exist.
     """
-    if l_ic < 0:
-        raise ValueError("l_ic must be >= 0")
-    if l_ic == 0:
-        return np.empty(0, dtype=np.float64)
-    target = kappa(j, t, view.plan.n_stages) - 1
-    known = view.known_idx
-    if len(known) == 0:
-        return np.zeros(l_ic)
-    dist = np.abs(known - target)
-    order = np.lexsort((known, dist))[:min(l_ic, len(known))]
-    chosen = np.sort(known[order])
-    vals = view.known_val[np.searchsorted(view.known_idx, chosen)]
-    if len(vals) < l_ic:
-        vals = np.concatenate([np.zeros(l_ic - len(vals)), vals])
+    chosen = ic_window_indices(j, t, view, l_ic)
+    vals = np.zeros(l_ic)
+    filled = chosen >= 0
+    vals[filled] = view.known_val[np.searchsorted(view.known_idx, chosen[filled])]
     return vals
 
 
 def ic_window_indices(j: int, t: int, view: StageView, l_ic: int) -> np.ndarray:
     """Serial 0-based positions chosen by :func:`ic_window` (-1 marks a
     zero-filled slot)."""
+    if l_ic < 0:
+        raise ValueError("l_ic must be >= 0")
     if l_ic == 0:
         return np.empty(0, dtype=int)
     target = kappa(j, t, view.plan.n_stages) - 1

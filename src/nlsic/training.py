@@ -226,9 +226,7 @@ def make_batch(chan: ch.DiscreteChannel, indexer: InputIndexer, norm: Normalizat
     rows = chan.levels[rng.integers(0, m, size=(n_batch, plan.n))]
     x_emit, y = ch.simulate_batch(chan, rows, rng)
     inputs = gather_inputs(indexer, y, x_emit, norm)
-    targets = np.argmin(
-        np.abs(x_emit[:, indexer.target_serial][:, :, None]
-               - chan.levels[None, None, :]), axis=2)
+    targets = chan.symbol_indices(x_emit[:, indexer.target_serial])
     return Batch(inputs=inputs, targets=targets,
                  phase_idx=indexer.phase_idx, out_steps=indexer.out_steps)
 

@@ -3,6 +3,11 @@ guard handling, noise statistics, precoding and power accounting."""
 
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,23 +112,23 @@ class TestPulse:
 class TestNonlinearity:
     def test_square_law_values(self):
         sld = ch.SquareLaw()
-        assert ch.apply_nonlinearity(3.0, sld) == pytest.approx(9.0)
-        assert ch.apply_nonlinearity(1.0 + 1.0j, sld) == pytest.approx(2.0)
+        assert sld(np.float64(3.0)) == pytest.approx(9.0)
+        assert sld(np.complex128(1.0 + 1.0j)) == pytest.approx(2.0)
 
     def test_rapp_hard_limiter_limit(self):
         pa = ch.RappPA(p=400.0, x_sat=1.0)
         z = 2.0 * np.exp(1j * 0.7)
-        out = ch.apply_nonlinearity(z, pa)
+        out = pa(z)
         assert abs(out) == pytest.approx(1.0, rel=1e-3)
         assert np.angle(out) == pytest.approx(0.7)
 
     def test_rapp_small_signal_transparent(self):
         pa = ch.RappPA(p=3.0, x_sat=1.0)
-        assert ch.apply_nonlinearity(0.01, pa) == pytest.approx(0.01, rel=1e-6)
+        assert pa(np.float64(0.01)) == pytest.approx(0.01, rel=1e-6)
 
     def test_identity(self):
         z = np.array([1.0 + 2j, -3.0])
-        assert np.array_equal(ch.apply_nonlinearity(z, ch.Identity()), z)
+        assert np.array_equal(ch.Identity()(z), z)
 
 
 class TestSimulateBlock:
@@ -201,17 +206,56 @@ class TestSimulateBlock:
             ch.simulate_block(toy_linear_channel(0.0), np.array([]))
 
     def test_batch_matches_single(self):
-        cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(4), n_os=2, n_sim=2,
-                               nonlinearity=ch.SquareLaw(), noise_variance=0.0,
-                               precoding="differential-phase")
-        chan = ch.make_channel(cfg, k_g=7).with_transmit_power_db(3.0)
-        rng = np.random.default_rng(2)
-        rows = np.stack([ch.draw_symbols(chan, 10, rng) for _ in range(5)])
-        x_emit, y = ch.simulate_batch(chan, rows)
-        for i in range(5):
-            blk = ch.simulate_block(chan, rows[i])
-            assert np.allclose(x_emit[i], blk.x, atol=1e-12)
-            assert np.allclose(y[i], blk.y, atol=1e-9)
+        """Batch rows equal single blocks bit for bit, noise included: real
+        noise is drawn row after row, so a batch consumes the generator as
+        consecutive blocks do."""
+        for n_sim, k_h in [(2, 1), (4, 9)]:
+            cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(4), n_os=2,
+                                   n_sim=n_sim, nonlinearity=ch.SquareLaw(),
+                                   noise_variance=1.0, precoding="differential-phase")
+            chan = ch.make_channel(cfg, k_g=7, k_h=k_h).with_transmit_power_db(3.0)
+            rng = np.random.default_rng(2)
+            rows = np.stack([ch.draw_symbols(chan, 10, rng) for _ in range(5)])
+            x_emit, y = ch.simulate_batch(chan, rows, np.random.default_rng(8))
+            rng_single = np.random.default_rng(8)
+            for i in range(5):
+                blk = ch.simulate_block(chan, rows[i], rng_single)
+                assert np.array_equal(x_emit[i], blk.x)
+                assert np.array_equal(y[i], blk.y)
+
+    def test_one_row_batch_is_the_block(self):
+        """Fiber, complex noise and the Rapp amplifier: a one-row batch is
+        the block under an equally seeded generator."""
+        fiber = ch.FiberParams(length_km=20.0, beta2_s2_per_km=-1e-2)
+        cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(4), n_os=2, n_sim=4,
+                               nonlinearity=ch.RappPA(p=2.0, x_sat=1.5), fiber=fiber,
+                               noise_kind="complex", noise_variance=0.5)
+        chan = ch.make_channel(cfg, k_g=13, k_h=9).with_transmit_power_db(2.0)
+        x = ch.draw_symbols(chan, 24, np.random.default_rng(4))
+        blk = ch.simulate_block(chan, x, np.random.default_rng(5))
+        x_emit, y = ch.simulate_batch(chan, x[None], np.random.default_rng(5))
+        assert np.iscomplexobj(blk.y)
+        assert np.array_equal(x_emit[0], blk.x)
+        assert np.array_equal(y[0], blk.y)
+
+    def test_batch_leaves_scipy_unimported(self):
+        """The simulator runs on numpy alone; scipy is a test dependency."""
+        code = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from nlsic import channel as ch
+            cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(4), n_os=2,
+                                   n_sim=4, noise_variance=1.0)
+            chan = ch.make_channel(cfg, k_g=9, k_h=9)
+            ch.simulate_batch(chan, np.ones((3, 8)), np.random.default_rng(0))
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """)
+        src = str(Path(ch.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": path})
+        assert out.stdout.strip() == "[]"
 
 
 class TestSamplingExactness:
@@ -281,22 +325,35 @@ class TestNoise:
             acf = np.mean(w[:-lag] * w[lag:])
             assert abs(acf) < 3.0 * se, f"lag {lag}: {acf} vs 3se {3 * se}"
 
-    def test_filtered_noise_acf_follows_receiver(self):
+    @pytest.mark.parametrize("simulate", ["random_block", "simulate_batch"])
+    def test_filtered_noise_acf_follows_receiver(self, simulate):
         """Multi-tap receiver: ACF tracks the filter autocorrelation at the
-        decimated lags, lag 0 normalized to sigma^2."""
-        h = ch.FirFilter(taps=np.array([0.5, 1.0, 0.5]), rate=2)
-        cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(2), n_os=1, n_sim=2,
-                               nonlinearity=ch.Identity(), noise_variance=1.0)
-        chan = ch.make_channel(cfg, g=ch.FirFilter(taps=np.array([0.0, 1.0, 0.0]), rate=2),
-                               h=h).with_transmit_power(1e-12)
-        rng = np.random.default_rng(23)
-        y = np.concatenate([ch.random_block(chan, 20_000, rng).y for _ in range(10)])
-        y = y - np.mean(y)
-        hn = h.normalized(1.0).taps
-        # lags are in output samples = 2 fine samples here
-        expect1 = np.sum(hn[:-2] * hn[2:])
-        assert np.mean(y * y) == pytest.approx(1.0, rel=0.02)
-        assert np.mean(y[:-1] * y[1:]) == pytest.approx(expect1, abs=0.01)
+        decimated lags, lag 0 normalized to sigma^2, for evaluation blocks
+        and training batches alike."""
+        receivers = [(2, 1, ch.FirFilter(taps=np.array([0.5, 1.0, 0.5]), rate=2)),
+                     (4, 2, ch.brickwall_receiver(4, k_h=9))]
+        for n_sim, n_os, h in receivers:
+            cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(2), n_os=n_os,
+                                   n_sim=n_sim, nonlinearity=ch.Identity(),
+                                   noise_variance=1.0)
+            g = ch.FirFilter(taps=np.eye(1, n_sim + 1, n_sim // 2).ravel(), rate=n_sim)
+            chan = ch.make_channel(cfg, g=g, h=h).with_transmit_power(1e-12)
+            rng = np.random.default_rng(23)
+            n = 20_000 // n_os
+            if simulate == "random_block":
+                rows = [ch.random_block(chan, n, rng).y for _ in range(10)]
+            else:
+                rows = ch.simulate_batch(chan, ch.draw_symbols(chan, (10, n), rng), rng)[1]
+            y = np.concatenate(rows)
+            y = y - np.mean(y)
+            hn = h.normalized(1.0).taps
+            dec = cfg.decimation
+            assert np.mean(y * y) == pytest.approx(1.0, rel=0.02)
+            for lag in (1, 2):
+                # lags are in output samples, dec fine samples each
+                expect = np.sum(hn[:-lag * dec] * hn[lag * dec:])
+                got = np.mean(y[:-lag] * y[lag:])
+                assert got == pytest.approx(expect, abs=0.01), (n_sim, lag)
 
     def test_complex_noise_variance(self):
         cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(2), n_os=1, n_sim=1,
@@ -343,14 +400,14 @@ class TestPrecoding:
 class TestTransmitPower:
     def test_zero_input(self):
         blk = ch.simulate_block(toy_linear_channel(0.0), np.zeros(16))
-        assert ch.transmit_power(blk) == 0.0
+        assert blk.p_tx == 0.0
 
     def test_unit_variance_symbols(self):
         cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(2), n_os=2, n_sim=2,
                                nonlinearity=ch.Identity(), noise_variance=0.0)
         chan = ch.make_channel(cfg, k_g=41)
         rng = np.random.default_rng(37)
-        p = np.mean([ch.transmit_power(ch.random_block(chan, 400, rng)) for _ in range(20)])
+        p = np.mean([ch.random_block(chan, 400, rng).p_tx for _ in range(20)])
         assert p == pytest.approx(1.0, rel=0.02)
 
     def test_4ask_mean_power_five(self):
@@ -359,11 +416,11 @@ class TestTransmitPower:
                                nonlinearity=ch.Identity(), noise_variance=0.0)
         chan = ch.make_channel(cfg, k_g=41)
         rng = np.random.default_rng(41)
-        p = np.mean([ch.transmit_power(ch.random_block(chan, 400, rng)) for _ in range(20)])
+        p = np.mean([ch.random_block(chan, 400, rng).p_tx for _ in range(20)])
         assert p == pytest.approx(5.0, rel=0.03)
 
     def test_power_scaling_hits_target(self):
         chan = toy_linear_channel(0.0).with_transmit_power_db(7.0)
         rng = np.random.default_rng(43)
-        p = np.mean([ch.transmit_power(ch.random_block(chan, 500, rng)) for _ in range(20)])
+        p = np.mean([ch.random_block(chan, 500, rng).p_tx for _ in range(20)])
         assert 10 * np.log10(p) == pytest.approx(7.0, abs=0.15)

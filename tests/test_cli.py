@@ -115,13 +115,12 @@ class TestEvaluate:
         want = [round(sr.rate, 6) for sr in report.stage_rates]
         assert got == pytest.approx(want, abs=1e-6)
 
-    def test_byte_identical_across_runs_and_workers(self, tmp_path, monkeypatch):
+    def test_byte_identical_across_runs(self, tmp_path):
         path = toy_yaml(tmp_path, n_blk=4)
         cli.main(["evaluate", "-c", str(path)])
         run_dir = run_dir_for(path)
         first = {name: (run_dir / name).read_bytes()
                  for name in ("rates.csv", "complexity.csv", "summary.json")}
-        monkeypatch.setenv("NLSIC_WORKERS", "2")
         cli.main(["evaluate", "-c", str(path)])
         for name, blob in first.items():
             assert (run_dir / name).read_bytes() == blob
