@@ -10,14 +10,14 @@ from .channel import (Alphabet, Block, ChannelConfig, DiscreteChannel,
                       build_pulse, differential_decode, differential_precode,
                       draw_symbols, make_channel, random_block, simulate_block)
 from .fba import (AuxChannel, build_aux_channel, count_fba_multiplications,
-                  fba_app, fba_ub)
+                  fba_app, fba_apps, fba_ub)
 from .gibbs import GibbsConfig, count_gs_multiplications, gibbs_app
 from .rates import (FbaDetector, GibbsDetector, OracleDetector, RateReport,
                     RnnDetector, StageRate, UniformDetector, estimate_sic,
                     estimate_stage_rate)
 from .rnn import (Normalization, RnnModel, RnnShape, assemble_inputs,
                   count_rnn_multiplications, forward, init_model, load_model,
-                  rnn_app, save_model)
+                  rnn_app, rnn_apps, save_model)
 from .sic import SicPlan, StageView, ic_window, kappa, partition, stage_view
 from .training import (Adam, TrainConfig, TrainDivergence, TrainLog, backward,
                        loss, train_stage)

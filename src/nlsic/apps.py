@@ -12,6 +12,17 @@ import numpy as np
 
 LOG2 = np.log(2.0)
 
+# Bytes of working state that one detector pass over a slice of blocks may
+# hold.  A stage's blocks run slice by slice, so memory does not grow with
+# their number.
+SLICE_BYTES = 1 << 22
+
+
+def block_slices(n_blocks: int, bytes_per_block: int) -> list:
+    """(lo, hi) bounds of consecutive block slices within SLICE_BYTES."""
+    step = max(1, SLICE_BYTES // bytes_per_block)
+    return [(lo, min(lo + step, n_blocks)) for lo in range(0, n_blocks, step)]
+
 
 @dataclass
 class MultCounter:

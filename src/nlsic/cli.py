@@ -233,7 +233,10 @@ def _evaluate_point(cfg, base, run_dir, sweep_idx, p_tx_db):
     chan = base.with_transmit_power_db(p_tx_db)
     det, det_aux, counts = _detector_for(cfg, chan, run_dir, p_tx_db)
     ub_aux = det_aux
-    if cfg.ub_memory is not None:
+    # the detector's table serves the bound when both are built alike
+    if cfg.ub_memory is not None and (
+            det_aux is None or cfg.ub_memory != det_aux.memory
+            or cfg.fba.future is not None):
         ub_aux = fba.build_aux_channel(chan, cfg.ub_memory)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 3, sweep_idx]))
     plan = sic.SicPlan(cfg.stages, cfg.eval_n)

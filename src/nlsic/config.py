@@ -17,6 +17,9 @@ from typing import Optional
 import yaml
 
 from . import channel as ch
+from .fba import check_table_size
+from .gibbs import GibbsConfig
+from .rnn import RnnShape
 
 
 class ConfigError(ValueError):
@@ -228,7 +231,50 @@ def parse_config(data: dict) -> ExperimentConfig:
     if cfg.eval_n % cfg.stages != 0:
         raise ConfigError(f"eval.n={cfg.eval_n} not divisible by "
                           f"sic.stages={cfg.stages}")
+    for key, value in (("eval.n_blk", cfg.eval_n_blk), ("eval.n", cfg.eval_n)):
+        if value < 1:
+            raise ConfigError(f"{key}: must be >= 1")
+    _check_run_objects(cfg)
     return cfg
+
+
+def _domain_check(key: str, build):
+    try:
+        return build()
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
+def _check_run_objects(cfg: ExperimentConfig) -> None:
+    """Run the checks of the domain objects this run will build, so a value
+    they reject exits as a configuration error naming its key."""
+    alphabet = cfg.channel.alphabet
+    m_symbols = _domain_check("channel.alphabet",
+                              lambda: ch.Alphabet.from_name(alphabet).size)
+    n_os = cfg.channel.n_os
+    if cfg.detector_kind == "fba":
+        _domain_check("detector.fba.memory", lambda: check_table_size(
+            m_symbols, cfg.fba.memory, n_os))
+        if cfg.fba.future is not None and not 0 <= cfg.fba.future <= cfg.fba.memory:
+            raise ConfigError("detector.fba.future: must lie in 0..memory")
+    if cfg.ub_memory is not None:
+        _domain_check("eval.ub_memory", lambda: check_table_size(
+            m_symbols, cfg.ub_memory, n_os))
+    if cfg.detector_kind == "gibbs":
+        g = cfg.gibbs
+        if g.memory < 0:
+            raise ConfigError("detector.gibbs.memory: must be >= 0")
+        _domain_check("detector.gibbs", lambda: GibbsConfig(
+            memory=g.memory, n_iter=g.n_iter, n_par=g.n_par, burn_in=g.burn_in))
+    if cfg.detector_kind == "rnn":
+        r = cfg.rnn
+        _domain_check("detector.rnn.hidden", lambda: RnnShape(
+            dims=(r.l_y + r.l_ic,) + r.hidden, l_y=r.l_y, l_ic=r.l_ic,
+            n_stages=cfg.stages, s=1, m_symbols=m_symbols, n_os=n_os))
+        # stage s of S trains on sequences of S-s+1 interleaved phases
+        if any(r.t_rnn % p for p in range(1, cfg.stages + 1)):
+            raise ConfigError(f"detector.rnn.t_rnn: {r.t_rnn} is not divisible "
+                              f"by every phase count 1..{cfg.stages}")
 
 
 def load_config(path) -> ExperimentConfig:

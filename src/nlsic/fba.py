@@ -18,25 +18,39 @@ transmitted guard zeros exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .apps import AppMatrix, MultCounter
+from .apps import AppMatrix, MultCounter, block_slices
 from .channel import DiscreteChannel
-from .sic import StageView
+from .sic import StageView, shared_stage
 
 LOG2PI = np.log(2.0 * np.pi)
 
 
 def _lse(a: np.ndarray, axis: int) -> np.ndarray:
     """log-sum-exp with max-star stabilization; all -inf rows stay -inf."""
-    m = np.max(a, axis=axis, keepdims=True)
-    safe = np.where(np.isfinite(m), m, 0.0)
+    m = a.max(axis=axis, keepdims=True)
+    finite = np.isfinite(m)
+    safe = np.where(finite, m, 0.0)
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - safe), axis=axis)) + np.squeeze(safe, axis=axis)
-    return np.where(np.isfinite(np.squeeze(m, axis=axis)), out, -np.inf)
+        out = np.log(np.exp(a - safe).sum(axis=axis)) + safe.squeeze(axis)
+    return np.where(finite.squeeze(axis), out, -np.inf)
+
+
+TABLE_BUDGET = 1 << 22
+
+
+def check_table_size(m_symbols: int, memory: int, n_os: int,
+                     table_budget: int = TABLE_BUDGET) -> None:
+    """Raise ValueError unless a trellis of this memory is well formed and
+    its mean table (M^(memory+1) branches of n_os means) fits the budget."""
+    if memory < 0:
+        raise ValueError("memory must be >= 0")
+    entries = m_symbols ** (memory + 1) * n_os
+    if entries > table_budget:
+        raise ValueError(f"mean table needs {entries} entries, budget is {table_budget}")
 
 
 class AuxChannel:
@@ -50,7 +64,7 @@ class AuxChannel:
     """
 
     def __init__(self, chan: DiscreteChannel, memory: int,
-                 future: Optional[int] = None, table_budget: int = 1 << 22,
+                 future: Optional[int] = None, table_budget: int = TABLE_BUDGET,
                  build_table: bool = True):
         if memory < 0:
             raise ValueError("memory must be >= 0")
@@ -80,10 +94,7 @@ class AuxChannel:
         self._build_maps()
         self._edge_cache: dict = {}
         if build_table:
-            table_entries = self.m_symbols ** (memory + 1) * self.n_os
-            if table_entries > table_budget:
-                raise ValueError(
-                    f"mean table needs {table_entries} entries, budget is {table_budget}")
+            check_table_size(self.m_symbols, memory, self.n_os, table_budget)
             digits = self._all_digits()
             self.mu_table = self.mean_contexts(self.levels[digits]).reshape(
                 self.n_states, self.m_symbols, self.n_os)
@@ -187,7 +198,7 @@ class AuxChannel:
 
 def build_aux_channel(chan: DiscreteChannel, memory: int,
                       future: Optional[int] = None,
-                      table_budget: int = 1 << 22,
+                      table_budget: int = TABLE_BUDGET,
                       build_table: bool = True) -> AuxChannel:
     """Deterministic branch-mean table over the true pipeline; exact when the
     memory covers the combined filter span.  Table-free channels (for the
@@ -198,29 +209,7 @@ def build_aux_channel(chan: DiscreteChannel, memory: int,
 
 
 # ---------------------------------------------------------------------------
-# Forward/backward recursions
-
-
-@dataclass
-class _TrellisRun:
-    """Log-domain quantities of one pass over a block."""
-
-    log_alpha: list        # normalized log alpha after each step
-    alpha_offsets: np.ndarray
-    log_gamma: list        # per-step (n_states, M) branch metrics incl. priors
-    log_z: float           # total log likelihood of the pass
-
-
-def _priors_for_step(aux: AuxChannel, kappa: int, n: int, pin: np.ndarray) -> np.ndarray:
-    m = aux.m_symbols
-    lp = np.full(m, -np.inf)
-    if kappa > n:
-        lp[0] = 0.0           # guard-zero flush input, known with certainty
-    elif pin[kappa - 1] >= 0:
-        lp[pin[kappa - 1]] = 0.0
-    else:
-        lp[:] = -np.log(m)
-    return lp
+# Forward/backward recursions over a leading block axis
 
 
 def _step_mu(aux: AuxChannel, kappa: int, n: int) -> np.ndarray:
@@ -229,47 +218,99 @@ def _step_mu(aux: AuxChannel, kappa: int, n: int) -> np.ndarray:
     return aux.masked_mu(zl, zr, input_zeroed=kappa > n)
 
 
-def _forward(aux: AuxChannel, y: np.ndarray, n: int, pin: np.ndarray,
-             counter: Optional[MultCounter] = None,
-             keep_gamma: bool = False) -> _TrellisRun:
+def _priors(aux: AuxChannel, pin: np.ndarray) -> np.ndarray:
+    """(B, n+future, M) log priors: a pinned symbol is certain, a free one
+    uniform, and every flush input is the guard zero."""
+    b, n = pin.shape
+    m = aux.m_symbols
+    lp = np.full((b, n + aux.future, m), -np.inf)
+    lp[:, n:, 0] = 0.0
+    free = pin < 0
+    lp[:, :n][free] = -np.log(m)
+    rows, cols = np.nonzero(~free)
+    lp[rows, cols, pin[rows, cols]] = 0.0
+    return lp
+
+
+def _forward(aux: AuxChannel, y: np.ndarray, pin: np.ndarray,
+             counter: Optional[MultCounter] = None, keep: bool = False):
+    """Normalized forward recursion over B blocks at once.
+
+    y: (B, n_os*n) observations; pin: (B, n) symbol indices, -1 for free
+    positions.  Returns (log_z, log_alpha, log_gamma): the (B,) total log
+    likelihoods and, when `keep`, the per-step normalized log alpha
+    (steps, B, n_states) and branch metrics incl. priors
+    (steps, B, n_states, M); otherwise those two are None.
+    """
     if aux.mu_table is None:
         raise ValueError("auxiliary channel was built without the mean table")
+    b, n = pin.shape
     m, w = aux.m_symbols, aux.n_states
     n_os, f = aux.n_os, aux.future
     inv2s = 1.0 / (2.0 * aux.sigma2)
     const = -0.5 * n_os * (LOG2PI + np.log(aux.sigma2))
     steps = n + f
+    prior = _priors(aux, pin)
+    chunks = y.reshape(b, n, n_os)
 
-    log_alpha = np.full(w, -np.inf)
-    log_alpha[0] = 0.0
-    alphas, offsets, gammas = [], np.zeros(steps), []
-    log_z = 0.0
+    log_alpha = np.full((b, w), -np.inf)
+    log_alpha[:, 0] = 0.0
+    log_z = np.zeros(b)
+    alphas = np.empty((steps, b, w)) if keep else None
+    gammas = np.empty((steps, b, w, m)) if keep else None
     for kappa in range(1, steps + 1):
-        lg = np.broadcast_to(_priors_for_step(aux, kappa, n, pin), (w, m)).copy()
+        lg = prior[:, kappa - 1, None, :]
         if kappa > f:
-            q = kappa - f
-            ym = y[n_os * (q - 1):n_os * q]
-            mu = _step_mu(aux, kappa, n)
-            diff = ym[None, None, :] - mu
-            lg += -np.sum(diff * diff, axis=2) * inv2s + const
+            diff = chunks[:, kappa - f - 1, None, None, :] - _step_mu(aux, kappa, n)
+            lg = lg + (-(diff * diff).sum(axis=3) * inv2s + const)
             if counter is not None:
-                counter.add("metric", 2 * n_os * w * m)
-        trans = log_alpha[:, None] + lg
+                counter.add("metric", 2 * n_os * w * m * b)
+        trans = log_alpha[:, :, None] + lg
         if counter is not None:
-            counter.add("forward", w * m)
-        new_alpha = _lse(trans.reshape(m, w), axis=0)
-        peak = np.max(new_alpha)
-        if not np.isfinite(peak):
+            counter.add("forward", w * m * b)
+        new_alpha = _lse(trans.reshape(b, m, w), axis=1)
+        peak = new_alpha.max(axis=1)
+        if not np.all(np.isfinite(peak)):
             raise RuntimeError(f"inconsistent pinning: no surviving path at step {kappa}")
-        log_alpha = new_alpha - peak
+        log_alpha = new_alpha - peak[:, None]
         log_z += peak
-        offsets[kappa - 1] = peak
-        alphas.append(log_alpha)
-        if keep_gamma:
-            gammas.append(lg)
-    log_z += _lse(log_alpha[None, :], axis=1)[0]
-    return _TrellisRun(log_alpha=alphas, alpha_offsets=offsets,
-                       log_gamma=gammas, log_z=float(log_z))
+        if keep:
+            alphas[kappa - 1] = log_alpha
+            gammas[kappa - 1] = lg
+    log_z += _lse(log_alpha, axis=1)
+    return log_z, alphas, gammas
+
+
+def _backward_apps(log_alpha: np.ndarray, log_gamma: np.ndarray,
+                   positions: np.ndarray,
+                   counter: Optional[MultCounter] = None) -> np.ndarray:
+    """Backward recursion combined with the stored forward pass into
+    unnormalized log APPs (B, len(positions), M)."""
+    steps, b, w, m = log_gamma.shape
+    next_state = (np.arange(w)[:, None] * m + np.arange(m)[None, :]) % w
+    start = np.where(np.arange(w) == 0, 0.0, -np.inf)
+    want = {int(p) + 1 for p in positions}
+    log_beta = np.zeros((b, w))
+    app_rows = {}
+    for kappa in range(steps, 0, -1):
+        contrib = log_gamma[kappa - 1] + log_beta[:, next_state]
+        if kappa in want:
+            la_prev = log_alpha[kappa - 2] if kappa >= 2 else start[None, :]
+            app_rows[kappa] = _lse(la_prev[:, :, None] + contrib, axis=1)
+            if counter is not None:
+                counter.add("app", 2 * w * m * b)
+        log_beta = _lse(contrib, axis=2)
+        log_beta = log_beta - log_beta.max(axis=1, keepdims=True)
+        if counter is not None:
+            counter.add("backward", w * m * b)
+    logp = np.empty((b, len(positions), m))
+    for i, p in enumerate(positions):
+        logp[:, i] = app_rows[int(p) + 1]
+    empty = ~np.any(np.isfinite(logp), axis=2)
+    if np.any(empty):
+        p = positions[np.nonzero(empty)[1][0]]
+        raise RuntimeError(f"inconsistent pinning: empty posterior at position {p}")
+    return logp
 
 
 def _pin_array(n: int, view: Optional[StageView], aux: AuxChannel) -> np.ndarray:
@@ -279,83 +320,77 @@ def _pin_array(n: int, view: Optional[StageView], aux: AuxChannel) -> np.ndarray
     return pin
 
 
+def fba_apps(aux: AuxChannel, ys, views, positions: Optional[np.ndarray] = None,
+             counter: Optional[MultCounter] = None) -> list:
+    """Symbol-wise APPs of every block of one SIC stage by log-domain
+    forward-backward recursions run over all blocks at once.
+
+    ys[i] holds the observations of the block whose stage view is views[i];
+    the views share one plan and stage.  Known symbols of earlier stages are
+    pinned: trellis branches carrying a different value get -inf metric.
+    Rows are returned for `positions` (default: the stage's targets,
+    ascending); a pinned position yields an exact point mass.  Returns one
+    AppMatrix per block, in order.
+    """
+    views = list(views)
+    if not views:
+        return []
+    first = shared_stage(views)
+    n = first.plan.n
+    for y in ys:
+        if len(y) != aux.n_os * n:
+            raise ValueError(f"expected {aux.n_os * n} observations, got {len(y)}")
+    if positions is None:
+        positions = first.targets
+    positions = np.asarray(positions, dtype=int)
+    y_all = np.stack([np.asarray(y, dtype=np.float64) for y in ys])
+    pin_all = np.stack([_pin_array(n, v, aux) for v in views])
+
+    # per block: one step's metric differences, and the branch metrics and
+    # forward messages of all steps, kept for the backward pass
+    m, w = aux.m_symbols, aux.n_states
+    stored = 8 * w * (m * aux.n_os + (n + aux.future) * (m + 1))
+    apps = []
+    for lo, hi in block_slices(len(views), stored):
+        _, log_alpha, log_gamma = _forward(aux, y_all[lo:hi], pin_all[lo:hi],
+                                           counter=counter, keep=True)
+        logp = _backward_apps(log_alpha, log_gamma, positions, counter)
+        apps += [AppMatrix.from_logp(lp, positions) for lp in logp]
+    return apps
+
+
 def fba_app(aux: AuxChannel, y: np.ndarray, view: StageView,
             positions: Optional[np.ndarray] = None,
             counter: Optional[MultCounter] = None) -> AppMatrix:
-    """Symbol-wise APPs by log-domain forward-backward recursions.
-
-    Known symbols of earlier stages are pinned: trellis branches carrying a
-    different value get -inf metric.  Rows are returned for `positions`
-    (default: the current stage's targets, ascending); a pinned position
-    yields an exact point mass.
-    """
-    n = view.plan.n
-    if len(y) != aux.n_os * n:
-        raise ValueError(f"expected {aux.n_os * n} observations, got {len(y)}")
-    if positions is None:
-        positions = view.targets
-    positions = np.asarray(positions, dtype=int)
-    pin = _pin_array(n, view, aux)
-
-    run = _forward(aux, y, n, pin, counter=counter, keep_gamma=True)
-    m, w = aux.m_symbols, aux.n_states
-    steps = n + aux.future
-
-    next_state = (np.arange(w)[:, None] * m + np.arange(m)[None, :]) % w
-    want = {int(p) + 1 for p in positions}
-    log_beta = np.zeros(w)
-    app_rows = {}
-    for kappa in range(steps, 0, -1):
-        lg = run.log_gamma[kappa - 1]
-        contrib = lg + log_beta[next_state]
-        if kappa in want:
-            la_prev = run.log_alpha[kappa - 2] if kappa >= 2 else \
-                np.where(np.arange(w) == 0, 0.0, -np.inf)
-            app_rows[kappa] = _lse(la_prev[:, None] + contrib, axis=0)
-            if counter is not None:
-                counter.add("app", 2 * w * m)
-        log_beta = _lse(contrib, axis=1)
-        log_beta = log_beta - np.max(log_beta)
-        if counter is not None:
-            counter.add("backward", w * m)
-
-    logp = np.empty((len(positions), m))
-    for i, p in enumerate(positions):
-        row = app_rows[int(p) + 1]
-        if not np.any(np.isfinite(row)):
-            raise RuntimeError(f"inconsistent pinning: empty posterior at position {p}")
-        logp[i] = row
-    return AppMatrix.from_logp(logp, positions)
-
-
-def fba_logq(aux: AuxChannel, y: np.ndarray, n: int,
-             x_digits: Optional[np.ndarray] = None,
-             counter: Optional[MultCounter] = None) -> float:
-    """Total log q(y | x) (all symbols pinned) or log q(y) (x_digits=None,
-    uniform input marginalization) under the auxiliary channel, in nats."""
-    pin = np.full(n, -1, dtype=int)
-    if x_digits is not None:
-        pin[:] = np.asarray(x_digits, dtype=int)
-    run = _forward(aux, y, n, pin, counter=counter, keep_gamma=False)
-    return run.log_z
+    """APPs of one block: the one-block case of :func:`fba_apps`."""
+    return fba_apps(aux, [y], [view], positions=positions, counter=counter)[0]
 
 
 def fba_ub(aux: AuxChannel, blocks, counter: Optional[MultCounter] = None):
     """Monte-Carlo auxiliary-channel upper bound on the block information
-    rate: average of (log2 q(y|x) - log2 q(y)) / n over blocks.
+    rate: average of (log2 q(y|x) - log2 q(y)) / n over blocks of one length.
 
+    log q(y|x) pins every symbol, log q(y) marginalizes uniform inputs; a
+    slice of k blocks runs both as one 2k-row forward pass.
     Returns (bits per channel use, jackknife standard error).
     """
     blocks = list(blocks)
     if not blocks:
         raise ValueError("need at least one block")
+    n = len(blocks[0].x)
+    if any(len(blk.x) != n for blk in blocks):
+        raise ValueError("upper-bound blocks must share one length")
     per_block = np.empty(len(blocks))
-    for i, blk in enumerate(blocks):
-        n = len(blk.x)
-        digits = aux.chan.symbol_indices(blk.x)
-        log_qxy = fba_logq(aux, blk.y, n, x_digits=digits, counter=counter)
-        log_qy = fba_logq(aux, blk.y, n, x_digits=None, counter=counter)
-        per_block[i] = (log_qxy - log_qy) / (n * np.log(2.0))
+    # per block: one step's metric differences in its pinned and free rows
+    step_bytes = 2 * 8 * aux.n_states * aux.m_symbols * aux.n_os
+    for lo, hi in block_slices(len(blocks), step_bytes):
+        part = blocks[lo:hi]
+        k = len(part)
+        y = np.stack([blk.y for blk in part])
+        pin = np.full((2 * k, n), -1, dtype=int)
+        pin[:k] = aux.chan.symbol_indices(np.stack([blk.x for blk in part]))
+        log_z, _, _ = _forward(aux, np.concatenate([y, y]), pin, counter=counter)
+        per_block[lo:hi] = (log_z[:k] - log_z[k:]) / (n * np.log(2.0))
     return float(np.mean(per_block)), jackknife_stderr(per_block)
 
 

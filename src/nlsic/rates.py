@@ -18,16 +18,17 @@ import numpy as np
 
 from . import channel as ch
 from .apps import AppMatrix, MultCounter
-from .fba import AuxChannel, fba_app, fba_ub, jackknife_stderr
+from .fba import AuxChannel, fba_apps, fba_ub, jackknife_stderr
 from .gibbs import GibbsConfig, gibbs_app
-from .rnn import RnnModel, rnn_app
+from .rnn import rnn_apps
 from .sic import SicPlan, stage_view
 
 CLAMP_FLOOR = 1e-30
 
 
 # ---------------------------------------------------------------------------
-# Detector adaptors: one call signature for all APP engines
+# Detector adaptors: one call per SIC stage, over all of that stage's blocks.
+# apps(blocks, views, rng) returns one AppMatrix per block, in order.
 
 
 class FbaDetector:
@@ -37,8 +38,9 @@ class FbaDetector:
         self.aux = aux
         self.counter = counter
 
-    def app(self, block: ch.Block, view, rng) -> AppMatrix:
-        return fba_app(self.aux, block.y, view, counter=self.counter)
+    def apps(self, blocks, views, rng) -> list:
+        return fba_apps(self.aux, [blk.y for blk in blocks], views,
+                        counter=self.counter)
 
 
 class GibbsDetector:
@@ -50,9 +52,11 @@ class GibbsDetector:
         self.cfg = cfg
         self.counter = counter
 
-    def app(self, block: ch.Block, view, rng) -> AppMatrix:
-        return gibbs_app(self.aux, block.y, view, self.cfg, rng,
-                         counter=self.counter)
+    def apps(self, blocks, views, rng) -> list:
+        # block by block, so the chains draw from rng in block order
+        return [gibbs_app(self.aux, blk.y, view, self.cfg, rng,
+                          counter=self.counter)
+                for blk, view in zip(blocks, views)]
 
 
 class RnnDetector:
@@ -63,9 +67,10 @@ class RnnDetector:
         self.models = models
         self.counter = counter
 
-    def app(self, block: ch.Block, view, rng) -> AppMatrix:
-        model = self.models[view.s]
-        return rnn_app(model, block.y, view, counter=self.counter)
+    def apps(self, blocks, views, rng) -> list:
+        model = self.models[views[0].s]
+        return rnn_apps(model, [blk.y for blk in blocks], views,
+                        counter=self.counter)
 
 
 class UniformDetector:
@@ -76,9 +81,14 @@ class UniformDetector:
     def __init__(self, m_symbols: int):
         self.m_symbols = m_symbols
 
-    def app(self, block: ch.Block, view, rng) -> AppMatrix:
-        probs = np.full((len(view.targets), self.m_symbols), 1.0 / self.m_symbols)
-        return AppMatrix(probs=probs, logp=np.log(probs), positions=view.targets)
+    def apps(self, blocks, views, rng) -> list:
+        out = []
+        for view in views:
+            probs = np.full((len(view.targets), self.m_symbols),
+                            1.0 / self.m_symbols)
+            out.append(AppMatrix(probs=probs, logp=np.log(probs),
+                                 positions=view.targets))
+        return out
 
 
 class OracleDetector:
@@ -89,10 +99,11 @@ class OracleDetector:
     def __init__(self, chan: ch.DiscreteChannel):
         self.chan = chan
 
-    def app(self, block: ch.Block, view, rng) -> AppMatrix:
-        idx = self.chan.symbol_indices(block.x[view.targets])
-        return AppMatrix.point_masses(idx, self.chan.config.alphabet.size,
-                                      view.targets)
+    def apps(self, blocks, views, rng) -> list:
+        return [AppMatrix.point_masses(
+                    self.chan.symbol_indices(blk.x[view.targets]),
+                    self.chan.config.alphabet.size, view.targets)
+                for blk, view in zip(blocks, views)]
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +147,9 @@ def evaluate_stage_on_blocks(detector, chan: ch.DiscreteChannel, plan: SicPlan,
     per_block = np.empty(len(blocks))
     clamps = 0
     symbols = 0
-    for i, blk in enumerate(blocks):
-        view = stage_view(plan, s, blk.x)
-        app = detector.app(blk, view, rng)
+    views = [stage_view(plan, s, blk.x) for blk in blocks]
+    apps = detector.apps(blocks, views, rng)
+    for i, (blk, app) in enumerate(zip(blocks, apps)):
         truth = chan.symbol_indices(blk.x[app.positions])
         log2q = app.log2_prob_of(truth, floor=CLAMP_FLOOR)
         clamps += int(np.count_nonzero(log2q <= np.log2(CLAMP_FLOOR) + 1e-9))

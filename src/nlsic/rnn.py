@@ -26,8 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .apps import AppMatrix, MultCounter
-from .sic import SicPlan, StageView, ic_window_indices, kappa
+from .apps import AppMatrix, MultCounter, block_slices
+from .sic import SicPlan, StageView, ic_window_indices, kappa, shared_stage
 
 _MAGIC = b"NLSICRNN"
 _FORMAT_VERSION = 1
@@ -232,14 +232,17 @@ def assemble_inputs(y: np.ndarray, view: StageView, shape: RnnShape,
     """Unrolled input sequence for one block given a stage view; decided
     symbols are read from the view, targets contribute nothing."""
     indexer = build_indexer(view.plan, view.s, shape)
-    return _view_inputs(indexer, y, view, norm or Normalization())
+    return gather_inputs(indexer, y, _decided_symbols([view])[0],
+                         norm or Normalization())
 
 
-def _view_inputs(indexer: InputIndexer, y: np.ndarray, view: StageView,
-                 norm: Normalization) -> np.ndarray:
-    x_full = np.zeros(view.plan.n)
-    x_full[view.known_idx] = view.known_val
-    return gather_inputs(indexer, y, x_full, norm)
+def _decided_symbols(views) -> np.ndarray:
+    """(B, n) symbol vectors holding each view's decided symbols, zeros
+    elsewhere."""
+    x_full = np.zeros((len(views), views[0].plan.n))
+    for row, view in zip(x_full, views):
+        row[view.known_idx] = view.known_val
+    return x_full
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +316,8 @@ def forward(model: RnnModel, inputs: np.ndarray, phase_idx: np.ndarray,
 
         if counter is not None:
             d_in = shape.dims[i]
-            counter.add(f"layer{i}", t_steps * (d_in * 2 * half + 2 * half * half))
+            counter.add(f"layer{i}",
+                        b * t_steps * (d_in * 2 * half + 2 * half * half))
         _check_finite(pre_fw, i, "forward")
         _check_finite(pre_bw, i, "backward")
         if want_cache:
@@ -326,7 +330,7 @@ def forward(model: RnnModel, inputs: np.ndarray, phase_idx: np.ndarray,
 
     logits = r[:, out_steps] @ model.out_w.T + model.out_b
     if counter is not None:
-        counter.add("out", len(out_steps) * shape.m_symbols * shape.dims[-1])
+        counter.add("out", b * len(out_steps) * shape.m_symbols * shape.dims[-1])
     mx = logits.max(axis=2, keepdims=True)
     z = np.exp(logits - mx)
     denom = z.sum(axis=2, keepdims=True)
@@ -339,15 +343,34 @@ def forward(model: RnnModel, inputs: np.ndarray, phase_idx: np.ndarray,
     return logp, cache
 
 
+def rnn_apps(model: RnnModel, ys, views,
+             counter: Optional[MultCounter] = None) -> list:
+    """Detector-facing inference for every block of one SIC stage: the
+    blocks' input sequences go through one batched forward pass.  ys[i]
+    holds the observations of the block whose stage view is views[i]; the
+    views share one plan and stage.  Returns one AppMatrix per block."""
+    views = list(views)
+    if not views:
+        return []
+    first = shared_stage(views)
+    indexer = build_indexer(first.plan, first.s, model.shape)
+    # inputs plus the pre-activations, states and outputs of a layer
+    activations = 8 * indexer.n_steps * 3 * sum(model.shape.dims)
+    apps = []
+    for lo, hi in block_slices(len(views), activations):
+        data = gather_inputs(indexer, np.stack(ys[lo:hi]),
+                             _decided_symbols(views[lo:hi]), model.norm)
+        logp, _ = forward(model, data, indexer.phase_idx, indexer.out_steps,
+                          counter=counter)
+        apps += [AppMatrix(probs=np.exp(lp), logp=lp,
+                           positions=indexer.target_serial) for lp in logp]
+    return apps
+
+
 def rnn_app(model: RnnModel, y: np.ndarray, view: StageView,
             counter: Optional[MultCounter] = None) -> AppMatrix:
-    """Detector-facing inference: APPs for the current stage's targets."""
-    indexer = build_indexer(view.plan, view.s, model.shape)
-    data = _view_inputs(indexer, y, view, model.norm)
-    logp, _ = forward(model, data, indexer.phase_idx, indexer.out_steps,
-                      counter=counter)
-    return AppMatrix(probs=np.exp(logp[0]), logp=logp[0],
-                     positions=indexer.target_serial)
+    """APPs of one block: the one-block case of :func:`rnn_apps`."""
+    return rnn_apps(model, [y], [view], counter=counter)[0]
 
 
 def count_rnn_multiplications(shape: RnnShape) -> int:

@@ -108,6 +108,15 @@ def stage_view(plan: SicPlan, s: int, x: np.ndarray) -> StageView:
     return StageView(plan=plan, s=s, known_idx=idx, known_val=x[idx])
 
 
+def shared_stage(views) -> StageView:
+    """The first of `views`, after checking that all of them belong to one
+    plan and stage, as a detector call over a whole stage requires."""
+    first = views[0]
+    if any(v.plan != first.plan or v.s != first.s for v in views):
+        raise ValueError("views of one call must share the plan and stage")
+    return first
+
+
 def ic_window(j: int, t: int, view: StageView, l_ic: int) -> np.ndarray:
     """The l_ic known symbols closest (in serial index) to kappa(j,t).
 

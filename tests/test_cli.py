@@ -227,6 +227,27 @@ class TestExitCodes:
         path.write_text(text)
         assert cli.main(["train", "-c", str(path)]) == 3
 
+    @pytest.mark.parametrize("detector,old,new,key", [
+        ("fba", "fba: {memory: 3}", "fba: {memory: 12}", "detector.fba.memory"),
+        ("fba", "n: 24}", "n: 24, ub_memory: 12}", "eval.ub_memory"),
+        ("fba", "n_blk: 6", "n_blk: 0", "eval.n_blk"),
+        ("fba", "alphabet: 4-ASK", "alphabet: 5-ASK", "channel.alphabet"),
+        ("gibbs", "n_iter: 30, n_par: 2, burn_in: 5",
+         "n_iter: 10, n_par: 2, burn_in: 25", "detector.gibbs"),
+        ("rnn", "hidden: [16]", "hidden: [31]", "detector.rnn.hidden"),
+        ("rnn", "t_rnn: 8", "t_rnn: 9", "detector.rnn.t_rnn"),
+    ])
+    def test_values_rejected_by_run_objects(self, tmp_path, capsys, detector,
+                                            old, new, key):
+        """Values the schema accepts but the run's own objects reject exit 2
+        with the key named, before any work starts."""
+        path = toy_yaml(tmp_path, detector=detector, sweep=(4.0,))
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
+        assert cli.main(["sweep", "-c", str(path)]) == 2
+        assert key in capsys.readouterr().err
+
     def test_report_without_results(self, tmp_path):
         path = toy_yaml(tmp_path, sweep=(1.0,))
         assert cli.main(["report", "-c", str(path)]) == 2

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from nlsic import channel as ch
-from nlsic import fba, sic
+from nlsic import apps, fba, sic
 from nlsic.apps import MultCounter
 
 
@@ -216,6 +216,85 @@ class TestFbaApp:
         assert np.abs(app2.probs[inner + shift] - app1.probs[inner]).max() < 1e-9
 
 
+def square_law_4ask_channel(p_tx_db=4.0):
+    cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(4), n_os=2, n_sim=2,
+                           nonlinearity=ch.SquareLaw(), noise_variance=1.0,
+                           precoding="differential-phase")
+    return ch.make_channel(cfg, k_g=7).with_transmit_power_db(p_tx_db)
+
+
+class TestBatchedStage:
+    """A whole stage in one call gives each block's one-block result bit for
+    bit, also when the blocks run in several slices."""
+
+    @pytest.mark.parametrize("memory", [3, 1])
+    @pytest.mark.parametrize("slice_bytes", [apps.SLICE_BYTES, 1])
+    def test_stage_apps_equal_one_block_calls(self, monkeypatch, memory,
+                                              slice_bytes):
+        chan = square_law_4ask_channel()
+        aux = fba.build_aux_channel(chan, memory=memory)
+        assert aux.is_exact == (memory == chan.memory)
+        n = 24
+        plan = sic.SicPlan(4, n)
+        rng = np.random.default_rng(31)
+        blocks = [ch.random_block(chan, n, rng) for _ in range(3)]
+        single = {(s, i): fba.fba_app(aux, blk.y, sic.stage_view(plan, s, blk.x))
+                  for s in range(1, 5) for i, blk in enumerate(blocks)}
+        monkeypatch.setattr(apps, "SLICE_BYTES", slice_bytes)
+        for s in range(1, 5):
+            views = [sic.stage_view(plan, s, blk.x) for blk in blocks]
+            stage_apps = fba.fba_apps(aux, [blk.y for blk in blocks], views)
+            assert len(stage_apps) == len(blocks)
+            for i, app in enumerate(stage_apps):
+                assert np.array_equal(app.logp, single[s, i].logp)
+                assert np.array_equal(app.probs, single[s, i].probs)
+                assert np.array_equal(app.positions, views[i].targets)
+
+    @pytest.mark.parametrize("slice_bytes", [apps.SLICE_BYTES, 1])
+    def test_upper_bound_is_mean_of_block_terms(self, monkeypatch, slice_bytes):
+        chan = square_law_4ask_channel()
+        aux = fba.build_aux_channel(chan, memory=3)
+        rng = np.random.default_rng(33)
+        blocks = [ch.random_block(chan, 24, rng) for _ in range(5)]
+        # a one-block bound is that block's (log q(y|x) - log q(y)) / (n ln 2)
+        terms = np.array([fba.fba_ub(aux, [blk])[0] for blk in blocks])
+        monkeypatch.setattr(apps, "SLICE_BYTES", slice_bytes)
+        ub, se = fba.fba_ub(aux, blocks)
+        assert ub == np.mean(terms)
+        assert se == fba.jackknife_stderr(terms)
+
+    def test_inconsistent_pinning_in_one_block_raises(self):
+        """Noise-free memoryless channel with widely spaced levels: a wrong
+        pinned value has -inf metric, so that block has no surviving path."""
+        chan = memoryless_binary_channel(p_tx=1e10, noise=1e-300)
+        aux = fba.build_aux_channel(chan, memory=0)
+        n = 8
+        plan = sic.SicPlan(2, n)
+        rng = np.random.default_rng(35)
+        xs = [ch.draw_symbols(chan, n, rng) for _ in range(3)]
+        views = [sic.stage_view(plan, 2, x) for x in xs]
+        ys = [x.copy() for x in xs]      # y = x on this channel without noise
+        with np.errstate(over="ignore"):  # the metrics of wrong values
+            good = fba.fba_apps(aux, ys, views)
+        for app, x in zip(good, xs):
+            truth = chan.symbol_indices(x[views[0].targets])
+            assert np.array_equal(np.argmax(app.probs, axis=1), truth)
+        bad = dataclasses.replace(views[1], known_val=-views[1].known_val)
+        with pytest.raises(RuntimeError, match="inconsistent pinning"), \
+                np.errstate(over="ignore"):
+            fba.fba_apps(aux, ys, [views[0], bad, views[2]])
+
+    def test_views_must_share_the_stage(self):
+        chan = square_law_4ask_channel()
+        aux = fba.build_aux_channel(chan, memory=1)
+        plan = sic.SicPlan(2, 8)
+        rng = np.random.default_rng(37)
+        blocks = [ch.random_block(chan, 8, rng) for _ in range(2)]
+        views = [sic.stage_view(plan, s, blk.x) for s, blk in zip((1, 2), blocks)]
+        with pytest.raises(ValueError):
+            fba.fba_apps(aux, [blk.y for blk in blocks], views)
+
+
 class TestUpperBound:
     def test_invertible_channel_reaches_entropy(self):
         cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(4), n_os=1, n_sim=1,
@@ -289,6 +368,19 @@ class TestCounting:
             fba.fba_app(aux, blk.y, view, counter=counter)
         per_app = counter.total / n
         assert per_app == pytest.approx(fba.count_fba_multiplications(aux, n, s_stages))
+
+        # a whole stage in one call executes exactly the per-block counts
+        plan = sic.SicPlan(s_stages, n)
+        blocks = [blk] + [ch.random_block(chan, n, rng) for _ in range(2)]
+        per_block, batched = MultCounter(), MultCounter()
+        for s in range(1, s_stages + 1):
+            views = [sic.stage_view(plan, s, b.x) for b in blocks]
+            for block, view in zip(blocks, views):
+                fba.fba_app(aux, block.y, view, counter=per_block)
+            fba.fba_apps(aux, [b.y for b in blocks], views, counter=batched)
+        assert batched.by_kind == per_block.by_kind
+        closed = fba.count_fba_multiplications(aux, n, s_stages) * n
+        assert batched.total == per_block.total == pytest.approx(closed * len(blocks))
 
     def test_alphabet_scaling_is_exact(self):
         cfg4 = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(4), n_os=1, n_sim=1,

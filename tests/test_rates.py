@@ -67,9 +67,11 @@ class TestCeilings:
         class WrongOracle:
             name = "wrong"
 
-            def app(self, block, view, rng):
-                idx = (chan.symbol_indices(block.x[view.targets]) + 1) % 4
-                return AppMatrix.point_masses(idx, 4, view.targets)
+            def apps(self, blocks, views, rng):
+                return [AppMatrix.point_masses(
+                            (chan.symbol_indices(blk.x[view.targets]) + 1) % 4,
+                            4, view.targets)
+                        for blk, view in zip(blocks, views)]
 
         sr = rates.estimate_stage_rate(WrongOracle(), chan, sic.SicPlan(1, 16),
                                        1, 4, 16, np.random.default_rng(2))

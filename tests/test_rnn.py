@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from nlsic import channel as ch
-from nlsic import rnn, sic
+from nlsic import apps, rnn, sic
 from nlsic.apps import MultCounter
 
 
@@ -347,3 +347,26 @@ class TestDetectorApi:
         app = rnn.rnn_app(model, blk.y, view)
         assert np.array_equal(app.positions, view.targets)
         assert np.abs(app.probs.sum(axis=1) - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize("slice_bytes", [apps.SLICE_BYTES, 1])
+    def test_batched_apps_match_one_block_calls(self, monkeypatch, slice_bytes):
+        cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(4), n_os=2, n_sim=2,
+                               nonlinearity=ch.SquareLaw(), noise_variance=1.0)
+        chan = ch.make_channel(cfg, k_g=7).with_transmit_power_db(3.0)
+        plan = sic.SicPlan(2, 12)
+        rng = np.random.default_rng(11)
+        blocks = [ch.random_block(chan, 12, rng) for _ in range(4)]
+        for s in (1, 2):
+            shape = make_shape((8 + 4, 16), l_y=8, l_ic=4, n_stages=2, s=s,
+                               m_symbols=4, n_os=2)
+            model = rnn.init_model(shape, np.random.default_rng(12 + s))
+            views = [sic.stage_view(plan, s, blk.x) for blk in blocks]
+            monkeypatch.setattr(apps, "SLICE_BYTES", slice_bytes)
+            batched = rnn.rnn_apps(model, [blk.y for blk in blocks], views)
+            assert len(batched) == len(blocks)
+            monkeypatch.undo()
+            for blk, view, app in zip(blocks, views, batched):
+                one = rnn.rnn_app(model, blk.y, view)
+                assert np.array_equal(app.positions, one.positions)
+                assert np.abs(app.logp - one.logp).max() < 1e-12
+                assert np.abs(app.probs - one.probs).max() < 1e-12
