@@ -11,7 +11,7 @@ from .channel import (Alphabet, Block, ChannelConfig, DiscreteChannel,
                       draw_symbols, make_channel, random_block, simulate_block)
 from .fba import (AuxChannel, build_aux_channel, count_fba_multiplications,
                   fba_app, fba_apps, fba_ub)
-from .gibbs import GibbsConfig, count_gs_multiplications, gibbs_app
+from .gibbs import GibbsConfig, count_gs_multiplications, gibbs_app, gibbs_apps
 from .rates import (FbaDetector, GibbsDetector, OracleDetector, RateReport,
                     RnnDetector, StageRate, UniformDetector, estimate_sic,
                     estimate_stage_rate)

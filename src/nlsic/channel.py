@@ -170,6 +170,14 @@ class FiberParams:
     carrier_nm: float = 1550.0
 
 
+class ChannelConfigError(ValueError):
+    """A ChannelConfig value out of its domain; `field` names the attribute."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True, eq=False)
 class ChannelConfig:
     alphabet: Alphabet
@@ -183,13 +191,26 @@ class ChannelConfig:
     precoding: str = "none"
 
     def __post_init__(self):
+        if not 0.0 < self.symbol_rate < np.inf:
+            raise ChannelConfigError(
+                "symbol_rate",
+                f"symbol rate {self.symbol_rate} must be finite and positive")
+        if self.n_os < 1:
+            raise ChannelConfigError("n_os", f"n_os={self.n_os} must be >= 1")
         if self.n_sim % self.n_os != 0:
-            raise ValueError(
+            raise ChannelConfigError(
+                "n_sim",
                 f"n_sim={self.n_sim} must be an integer multiple of n_os={self.n_os}")
         if self.noise_kind not in ("real", "complex"):
-            raise ValueError(f"unknown noise kind {self.noise_kind!r}")
+            raise ChannelConfigError("noise_kind",
+                                     f"unknown noise kind {self.noise_kind!r}")
+        if not 0.0 <= self.noise_variance < np.inf:
+            raise ChannelConfigError(
+                "noise_variance",
+                f"noise variance {self.noise_variance} must be finite and >= 0")
         if self.precoding not in ("none", "differential-phase"):
-            raise ValueError(f"unknown precoding {self.precoding!r}")
+            raise ChannelConfigError("precoding",
+                                     f"unknown precoding {self.precoding!r}")
 
     @property
     def decimation(self) -> int:
@@ -205,8 +226,8 @@ def sinc_pulse(k_taps: int, n_sim: int) -> np.ndarray:
 
     No window is applied; the tap count alone fixes the symbol memory.
     """
-    if k_taps % 2 != 1:
-        raise ValueError(f"tap count {k_taps} must be odd")
+    if k_taps < 1 or k_taps % 2 != 1:
+        raise ValueError(f"tap count {k_taps} must be odd and positive")
     t = (np.arange(k_taps) - k_taps // 2) / n_sim
     return np.sinc(t)
 
@@ -250,8 +271,8 @@ def build_pulse(config: ChannelConfig, k_g: Optional[int] = None) -> FirFilter:
 def brickwall_receiver(n_sim: int, k_h: int = 1) -> FirFilter:
     """Receiver filter with twice the transmit bandwidth, sampled on the
     simulation grid.  At n_sim = 2 this collapses to a unit impulse."""
-    if k_h % 2 != 1:
-        raise ValueError(f"tap count {k_h} must be odd")
+    if k_h < 1 or k_h % 2 != 1:
+        raise ValueError(f"tap count {k_h} must be odd and positive")
     u = np.arange(k_h) - k_h // 2
     taps = np.sinc(2.0 * u / n_sim)
     return FirFilter(taps=taps, rate=n_sim)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -195,8 +196,9 @@ def parse_config(data: dict) -> ExperimentConfig:
     p_list = sweep.get("p_tx_db", [0.0])
     if not isinstance(p_list, (list, tuple)) or not p_list or \
             not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    for v in p_list):
-        raise ConfigError("sweep.p_tx_db: expected a non-empty list of numbers")
+                    and math.isfinite(v) for v in p_list):
+        raise ConfigError("sweep.p_tx_db: expected a non-empty list of "
+                          "finite numbers")
 
     evald = _require_mapping(data.get("eval"), "eval")
     _check_keys(evald, {"n_blk", "n", "ub_memory"}, "eval")
@@ -234,6 +236,8 @@ def parse_config(data: dict) -> ExperimentConfig:
     for key, value in (("eval.n_blk", cfg.eval_n_blk), ("eval.n", cfg.eval_n)):
         if value < 1:
             raise ConfigError(f"{key}: must be >= 1")
+    if cfg.seed < 0:
+        raise ConfigError("seed: must be >= 0")
     _check_run_objects(cfg)
     return cfg
 
@@ -251,6 +255,11 @@ def _check_run_objects(cfg: ExperimentConfig) -> None:
     alphabet = cfg.channel.alphabet
     m_symbols = _domain_check("channel.alphabet",
                               lambda: ch.Alphabet.from_name(alphabet).size)
+    _channel_config(cfg.channel)
+    if cfg.channel.noise_kind != "real" and (
+            cfg.detector_kind in ("fba", "gibbs") or cfg.ub_memory is not None):
+        raise ConfigError("channel.noise.kind: the fba and gibbs detectors and "
+                          "eval.ub_memory need real noise")
     n_os = cfg.channel.n_os
     if cfg.detector_kind == "fba":
         _domain_check("detector.fba.memory", lambda: check_table_size(
@@ -331,9 +340,15 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def build_channel(cfg: ExperimentConfig) -> ch.DiscreteChannel:
-    """Unscaled channel; sweep points apply with_transmit_power_db."""
-    c = cfg.channel
+# YAML key of each ChannelConfig field whose value its checks can reject
+_CHANNEL_KEYS = {"symbol_rate": "channel.symbol_rate",
+                 "n_os": "channel.n_os", "n_sim": "channel.n_sim",
+                 "noise_kind": "channel.noise.kind",
+                 "noise_variance": "channel.noise.variance",
+                 "precoding": "channel.precoding"}
+
+
+def _channel_config(c: ChannelSection) -> ch.ChannelConfig:
     if c.nonlinearity == "square-law":
         nonl = ch.SquareLaw()
     elif c.nonlinearity == "identity":
@@ -345,12 +360,20 @@ def build_channel(cfg: ExperimentConfig) -> ch.DiscreteChannel:
         fiber = ch.FiberParams(length_km=c.fiber_length_km,
                                beta2_s2_per_km=c.fiber_beta2_s2_per_km,
                                carrier_nm=c.fiber_carrier_nm)
-    chan_cfg = ch.ChannelConfig(
-        alphabet=ch.Alphabet.from_name(c.alphabet),
-        symbol_rate=c.symbol_rate, n_os=c.n_os, n_sim=c.n_sim,
-        nonlinearity=nonl, fiber=fiber, noise_kind=c.noise_kind,
-        noise_variance=c.noise_variance, precoding=c.precoding)
     try:
-        return ch.make_channel(chan_cfg, k_g=c.k_g, k_h=c.k_h)
+        return ch.ChannelConfig(
+            alphabet=ch.Alphabet.from_name(c.alphabet),
+            symbol_rate=c.symbol_rate, n_os=c.n_os, n_sim=c.n_sim,
+            nonlinearity=nonl, fiber=fiber, noise_kind=c.noise_kind,
+            noise_variance=c.noise_variance, precoding=c.precoding)
+    except ch.ChannelConfigError as exc:
+        raise ConfigError(f"{_CHANNEL_KEYS[exc.field]}: {exc}") from exc
+
+
+def build_channel(cfg: ExperimentConfig) -> ch.DiscreteChannel:
+    """Unscaled channel; sweep points apply with_transmit_power_db."""
+    c = cfg.channel
+    try:
+        return ch.make_channel(_channel_config(c), k_g=c.k_g, k_h=c.k_h)
     except ValueError as exc:
         raise ConfigError(f"channel: {exc}") from exc

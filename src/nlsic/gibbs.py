@@ -6,6 +6,12 @@ auxiliary likelihood; only the chunks whose windows contain the flipped
 symbol are re-evaluated, so the per-bit work stays local in the memory.
 Post-burn-in symbol frequencies across all chains, with add-one smoothing,
 form the APP estimate.  Pinned symbols are never resampled.
+
+One call covers every block of a SIC stage: the pinned positions are the
+same for all of them, so the chains of all blocks sweep in lockstep as the
+rows of one state array, in block slices of bounded memory.  Every chain
+owns a generator spawned in block order and draws its uniforms one sweep at
+a time, so a block's APPs do not depend on which blocks share its call.
 """
 
 from __future__ import annotations
@@ -15,9 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from .apps import AppMatrix, MultCounter
+from .apps import AppMatrix, MultCounter, block_slices
 from .fba import AuxChannel
-from .sic import StageView
+from .sic import StageView, shared_stage
 
 
 @dataclass(frozen=True)
@@ -59,123 +65,149 @@ def _chunk_windows(aux: AuxChannel, pos: int, n: int):
     return chunks, wpos - 1  # symbol positions 0-based, may be out of range
 
 
-def _context_values(values: np.ndarray, wpos: np.ndarray) -> np.ndarray:
-    """Gather per-chain symbol values into windows, zero outside the block.
+def _sites(aux: AuxChannel, ys: np.ndarray, unknown: np.ndarray) -> list:
+    """Loop invariants of each unknown position's bit updates: the clipped
+    window positions, the window slots outside the block, the flat offsets
+    of the target slot and the observation chunks of every block,
+    shaped (1, n_blk, 1, n_q, n_os) to broadcast over candidates and chains."""
+    n = ys.shape[1] // aux.n_os
+    sites = []
+    for pos in unknown:
+        chunks, wpos = _chunk_windows(aux, int(pos), n)
+        rows = (chunks[:, None] - 1) * aux.n_os + np.arange(aux.n_os)[None, :]
+        sites.append((int(pos), np.clip(wpos, 0, n - 1), (wpos < 0) | (wpos >= n),
+                      np.flatnonzero(wpos == pos), ys[None, :, None][..., rows]))
+    return sites
 
-    values: (n_chains, n).  wpos: (n_q, window) 0-based symbol positions.
-    Returns (n_chains, n_q, window).
+
+def _sweep_chains(aux: AuxChannel, ys: np.ndarray, pinned_mask: np.ndarray,
+                  states: np.ndarray, chain_rngs, n_iter: int, burn_in: int,
+                  counter: Optional[MultCounter] = None) -> np.ndarray:
+    """Sweep the chains of every block in lockstep; returns post-burn-in
+    counts, (n_blk, n, M).
+
+    ys: (n_blk, n_os * n) observations.  states: (n_blk * n_par, n) symbol
+    digits, block-major, pinned columns already correct; chain_rngs[c]
+    draws chain c's uniforms, one (n_unknown, m_bits) array per sweep.
     """
-    n = values.shape[1]
-    safe = np.clip(wpos, 0, n - 1)
-    out = values[:, safe]
-    out[:, wpos < 0] = 0.0
-    out[:, wpos >= n] = 0.0
-    return out
-
-
-def _run_chains(aux: AuxChannel, y: np.ndarray, n: int, pinned_mask: np.ndarray,
-                states: np.ndarray, uniforms: np.ndarray, burn_in: int,
-                counter: Optional[MultCounter] = None) -> np.ndarray:
-    """Sweep a batch of chains in lockstep; returns post-burn-in counts.
-
-    states: (n_chains, n) symbol digits, pinned columns already correct.
-    uniforms: (n_chains, n_iter, n_unknown, m_bits) pre-drawn per chain.
-    """
+    n_blk = len(ys)
+    n_chains, n = states.shape
+    n_par = n_chains // n_blk
     m_sym = aux.m_symbols
     m_bits = int(np.log2(m_sym))
-    n_os = aux.n_os
     inv2s = 1.0 / (2.0 * aux.sigma2)
     gray = gray_labels(m_sym)
     ungray = gray_to_index(m_sym)
+    label_level = aux.levels[ungray]
     unknown = np.flatnonzero(~pinned_mask)
-    n_chains, n_iter = uniforms.shape[0], uniforms.shape[1]
-
-    windows = [_chunk_windows(aux, int(pos), n) for pos in unknown]
-    counts = np.zeros((n, m_sym), dtype=np.int64)
+    sites = _sites(aux, ys, unknown)
     values = aux.levels[states]
+    # flat (block, position, symbol) bin of each chain's position
+    bins = ((np.arange(n_chains)[:, None] // n_par) * n + np.arange(n)) * m_sym
+    counts = np.zeros(n_blk * n * m_sym, dtype=np.int64)
+    uniforms = np.empty((n_chains, len(unknown), m_bits))
 
     for sweep in range(n_iter):
-        for k, pos in enumerate(unknown):
-            chunks, wpos = windows[k]
-            y_chunks = y[(chunks[:, None] - 1) * n_os + np.arange(n_os)[None, :]]
-            within = np.flatnonzero(wpos == pos)  # flat offsets of the target slot
+        for crng, u in zip(chain_rngs, uniforms):
+            crng.random(out=u)
+        for k, (pos, safe, outside, within, y_chunks) in enumerate(sites):
+            ctx = values[:, safe]                          # (C, n_q, W)
+            ctx[:, outside] = 0.0
+            # both candidates' windows; only the target slots change per bit
+            pair = np.stack([ctx, ctx]).reshape(2, n_chains, -1)
             cur_label = gray[states[:, pos]]
             for b in range(m_bits):
                 lab0 = cur_label & ~(1 << b)
                 lab1 = cur_label | (1 << b)
-                cand = np.stack([aux.levels[ungray[lab0]], aux.levels[ungray[lab1]]])
-                ctx = _context_values(values, wpos)        # (C, n_q, W)
-                ctx = np.broadcast_to(ctx, (2,) + ctx.shape).copy()
-                flat_ctx = ctx.reshape(2 * n_chains, -1)
-                flat_ctx[:, within] = cand.reshape(-1)[:, None]
-                mu = aux.mean_contexts(
-                    flat_ctx.reshape(-1, aux.window), counter=counter)
-                mu = mu.reshape(2, n_chains, len(chunks), n_os)
-                diff = y_chunks[None, None, :, :] - mu
-                metric = np.sum(diff * diff, axis=(2, 3)) * inv2s
+                pair[0][:, within] = label_level[lab0][:, None]
+                pair[1][:, within] = label_level[lab1][:, None]
+                mu = aux.mean_contexts(pair.reshape(-1, aux.window),
+                                       counter=counter)
+                diff = y_chunks - mu.reshape((2, n_blk, n_par) + y_chunks.shape[3:])
+                metric = np.sum(diff * diff, axis=(3, 4)).reshape(2, n_chains) * inv2s
                 if counter is not None:
-                    counter.add("gs-metric", 2 * n_chains * len(chunks) * n_os
+                    counter.add("gs-metric", 2 * n_chains * len(within) * aux.n_os
                                 + 2 * n_chains)
                 # stable sigmoid: 1/(1+e^d) = (1 - tanh(d/2))/2
                 p_one = 0.5 * (1.0 - np.tanh(0.5 * (metric[1] - metric[0])))
-                take_one = uniforms[:, sweep, k, b] < p_one
-                cur_label = np.where(take_one, lab1, lab0)
+                cur_label = np.where(uniforms[:, k, b] < p_one, lab1, lab0)
             states[:, pos] = ungray[cur_label]
             values[:, pos] = aux.levels[states[:, pos]]
         if sweep >= burn_in:
-            np.add.at(counts, (np.arange(n)[None, :].repeat(n_chains, 0), states), 1)
-    return counts
+            counts += np.bincount((bins + states).ravel(), minlength=counts.size)
+    return counts.reshape(n_blk, n, m_sym)
 
 
-def gibbs_app(aux: AuxChannel, y: np.ndarray, view: StageView, cfg: GibbsConfig,
-              rng: np.random.Generator, positions: Optional[np.ndarray] = None,
-              counter: Optional[MultCounter] = None) -> AppMatrix:
-    """Approximate symbol-wise APPs for the current stage by Gibbs sampling.
+def gibbs_apps(aux: AuxChannel, ys, views, cfg: GibbsConfig,
+               rng: np.random.Generator, positions: Optional[np.ndarray] = None,
+               counter: Optional[MultCounter] = None) -> list:
+    """Approximate symbol-wise APPs of every block of one SIC stage by Gibbs
+    sampling, the chains of all blocks sweeping in lockstep.
 
-    All not-yet-decided symbols (stages >= s) are resampled so later stages
-    are marginalized; decided symbols are pinned.  Requested rows at pinned
-    positions are exact point masses.
+    ys[i] holds the observations of the block whose stage view is views[i];
+    the views share one plan and stage.  All not-yet-decided symbols
+    (stages >= s) are resampled so later stages are marginalized; decided
+    symbols are pinned.  Each block spawns cfg.n_par chain generators from
+    `rng`, in block order; a chain draws its initial state, then one
+    uniform per (symbol, bit) at each sweep.  Rows are returned for
+    `positions` (default: the stage's targets); a pinned position yields an
+    exact point mass.  Returns one AppMatrix per block, in order.
     """
+    views = list(views)
+    if not views:
+        return []
     if cfg.memory != aux.memory:
         raise ValueError("sampler memory must match the auxiliary channel")
-    n = view.plan.n
-    if len(y) != aux.n_os * n:
-        raise ValueError(f"expected {aux.n_os * n} observations, got {len(y)}")
+    first = shared_stage(views)
+    n = first.plan.n
+    for y in ys:
+        if len(y) != aux.n_os * n:
+            raise ValueError(f"expected {aux.n_os * n} observations, got {len(y)}")
     if positions is None:
-        positions = view.targets
+        positions = first.targets
     positions = np.asarray(positions, dtype=int)
 
     m_sym = aux.m_symbols
     m_bits = int(np.log2(m_sym))
     pinned_mask = np.zeros(n, dtype=bool)
-    pinned_mask[view.known_idx] = True
-    pinned_digits = aux.chan.symbol_indices(view.known_val)
+    pinned_mask[first.known_idx] = True
     unknown = np.flatnonzero(~pinned_mask)
-
-    # per-chain streams: initial states and one uniform per (sweep, symbol, bit)
-    chain_rngs = rng.spawn(cfg.n_par)
-    states = np.zeros((cfg.n_par, n), dtype=int)
-    states[:, view.known_idx] = pinned_digits[None, :]
-    uniforms = np.empty((cfg.n_par, cfg.n_iter, len(unknown), m_bits))
-    for c, crng in enumerate(chain_rngs):
-        states[c, unknown] = crng.integers(0, m_sym, size=len(unknown))
-        uniforms[c] = crng.random((cfg.n_iter, len(unknown), m_bits))
-
-    counts = _run_chains(aux, y, n, pinned_mask, states, uniforms,
-                         cfg.burn_in, counter=counter)
-
+    y_all = np.stack([np.asarray(y, dtype=np.float64) for y in ys])
+    pinned_all = np.stack([aux.chan.symbol_indices(v.known_val) for v in views])
+    # requested rows at pinned positions, and the pinned slot each one reads
+    rows = np.flatnonzero(pinned_mask[positions])
+    slots = np.searchsorted(first.known_idx, positions[rows])
     total = (cfg.n_iter - cfg.burn_in) * cfg.n_par
-    probs = np.empty((len(positions), m_sym))
-    for i, p in enumerate(positions):
-        if pinned_mask[p]:
-            row = np.zeros(m_sym)
-            row[pinned_digits[np.searchsorted(view.known_idx, p)]] = 1.0
-        else:
-            row = (counts[p] + 1.0) / (total + m_sym)
-        probs[i] = row
-    with np.errstate(divide="ignore"):
-        logp = np.log(probs)
-    return AppMatrix(probs=probs, logp=logp, positions=positions)
+
+    # per block: chain states, values, count bins and one sweep's uniforms,
+    # plus its counts and the observation chunks of every position
+    stored = 8 * n * (cfg.n_par * (3 + m_bits) + m_sym + aux.window * aux.n_os)
+    apps = []
+    for lo, hi in block_slices(len(views), stored):
+        chain_rngs = rng.spawn((hi - lo) * cfg.n_par)
+        states = np.zeros((len(chain_rngs), n), dtype=int)
+        states[:, first.known_idx] = np.repeat(pinned_all[lo:hi], cfg.n_par, axis=0)
+        for c, crng in enumerate(chain_rngs):
+            states[c, unknown] = crng.integers(0, m_sym, size=len(unknown))
+        counts = _sweep_chains(aux, y_all[lo:hi], pinned_mask, states, chain_rngs,
+                               cfg.n_iter, cfg.burn_in, counter=counter)
+        probs = (counts[:, positions] + 1.0) / (total + m_sym)
+        probs[:, rows] = 0.0
+        probs[np.arange(hi - lo)[:, None], rows,
+              pinned_all[lo:hi][:, slots]] = 1.0
+        with np.errstate(divide="ignore"):
+            logp = np.log(probs)
+        apps += [AppMatrix(probs=p, logp=lp, positions=positions)
+                 for p, lp in zip(probs, logp)]
+    return apps
+
+
+def gibbs_app(aux: AuxChannel, y: np.ndarray, view: StageView, cfg: GibbsConfig,
+              rng: np.random.Generator, positions: Optional[np.ndarray] = None,
+              counter: Optional[MultCounter] = None) -> AppMatrix:
+    """APPs of one block: the one-block case of :func:`gibbs_apps`."""
+    return gibbs_apps(aux, [y], [view], cfg, rng, positions=positions,
+                      counter=counter)[0]
 
 
 def count_gs_multiplications(aux: AuxChannel, cfg: GibbsConfig, m_bits: int,

@@ -19,7 +19,7 @@ import numpy as np
 from . import channel as ch
 from .apps import AppMatrix, MultCounter
 from .fba import AuxChannel, fba_apps, fba_ub, jackknife_stderr
-from .gibbs import GibbsConfig, gibbs_app
+from .gibbs import GibbsConfig, gibbs_apps
 from .rnn import rnn_apps
 from .sic import SicPlan, stage_view
 
@@ -53,10 +53,8 @@ class GibbsDetector:
         self.counter = counter
 
     def apps(self, blocks, views, rng) -> list:
-        # block by block, so the chains draw from rng in block order
-        return [gibbs_app(self.aux, blk.y, view, self.cfg, rng,
-                          counter=self.counter)
-                for blk, view in zip(blocks, views)]
+        return gibbs_apps(self.aux, [blk.y for blk in blocks], views, self.cfg,
+                          rng, counter=self.counter)
 
 
 class RnnDetector:

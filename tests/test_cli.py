@@ -1,12 +1,15 @@
 """Experiment runner: artifact layout, golden CSV schema, byte determinism,
 warm-start chaining, and exit codes."""
 
+import copy
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlsic import channel as ch
 from nlsic import cli, fba, rates, sic
@@ -236,6 +239,12 @@ class TestExitCodes:
          "n_iter: 10, n_par: 2, burn_in: 25", "detector.gibbs"),
         ("rnn", "hidden: [16]", "hidden: [31]", "detector.rnn.hidden"),
         ("rnn", "t_rnn: 8", "t_rnn: 9", "detector.rnn.t_rnn"),
+        ("fba", "precoding: differential-phase", "precoding: foo",
+         "channel.precoding"),
+        ("fba", "kind: real", "kind: foo", "channel.noise.kind"),
+        ("fba", "n_sim: 2", "n_sim: 3", "channel.n_sim"),
+        ("fba", "n_os: 2", "n_os: 0", "channel.n_os"),
+        ("fba", "variance: 1.0", "variance: -1.0", "channel.noise.variance"),
     ])
     def test_values_rejected_by_run_objects(self, tmp_path, capsys, detector,
                                             old, new, key):
@@ -247,6 +256,27 @@ class TestExitCodes:
         path.write_text(text.replace(old, new))
         assert cli.main(["sweep", "-c", str(path)]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("detector,extra", [
+        ("fba", ""), ("gibbs", ""), ("uniform", ", ub_memory: 1")])
+    def test_complex_noise_needs_real_noise_detector(self, tmp_path, capsys,
+                                                     detector, extra):
+        """The trellis, the sampler and the upper bound model real noise
+        only: complex noise is a configuration error, not a numeric one."""
+        path = toy_yaml(tmp_path, detector=detector, sweep=(4.0,), extra=extra)
+        path.write_text(path.read_text().replace("kind: real", "kind: complex"))
+        assert cli.main(["evaluate", "-c", str(path)]) == 2
+        assert "channel.noise.kind" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("noise", ["{kind: complex, variance: 1.0}",
+                                       "{kind: real, variance: 0}"])
+    def test_noise_settings_that_run(self, tmp_path, noise):
+        """Complex noise with a detector that does not model it, and a
+        noiseless channel, stay valid."""
+        path = toy_yaml(tmp_path, detector="uniform", n_blk=2, sweep=(4.0,))
+        path.write_text(path.read_text().replace(
+            "{kind: real, variance: 1.0}", noise))
+        assert cli.main(["evaluate", "-c", str(path)]) == 0
 
     def test_report_without_results(self, tmp_path):
         path = toy_yaml(tmp_path, sweep=(1.0,))
@@ -265,3 +295,55 @@ class TestManifest:
         resolved = json.loads((run_dir_for(path) / "config.json").read_text())
         assert cfgmod.config_hash(cfgmod.parse_config(resolved)) == \
             manifest["config_hash"]
+
+
+TINY_CONFIG = {
+    "channel": {"alphabet": "4-ASK", "symbol_rate": 1.0, "n_os": 2, "n_sim": 2,
+                "nonlinearity": "square-law", "rapp": {"p": 3.0, "x_sat": 1.0},
+                "k_g": 3, "k_h": 1, "noise": {"kind": "real", "variance": 1.0},
+                "fiber": {"length_km": 1.0, "beta2_s2_per_km": -2.2e-26},
+                "precoding": "differential-phase"},
+    "sic": {"stages": 2},
+    "detector": {"kind": "gibbs", "fba": {"memory": 1},
+                 "gibbs": {"memory": 1, "n_iter": 2, "n_par": 2, "burn_in": 1}},
+    "sweep": {"p_tx_db": [3.0, 6.0]},
+    "eval": {"n_blk": 1, "n": 4, "ub_memory": 1},
+    "seed": 5,
+}
+
+
+def _leaf_paths(tree, prefix=()):
+    """Key paths of every scalar in a nested config, list items included."""
+    items = tree.items() if isinstance(tree, dict) else enumerate(tree)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _leaf_paths(value, prefix + (key,))
+
+
+# ints, floats, strings and empty values, mostly out of range; all small, so
+# an accepted mutation still runs in milliseconds
+MUTANTS = [-1, 0, 1, 12, -1.5, 0.5, float("inf"), float("nan"), "", "foo",
+           "fba", "uniform", "rnn", "complex", "identity", None, [], {}]
+
+
+class TestEveryConfigRunsOrExits:
+    @pytest.mark.parametrize("path", sorted(_leaf_paths(TINY_CONFIG), key=str),
+                             ids=lambda path: ".".join(map(str, path)))
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=len(MUTANTS))
+    @given(value=st.sampled_from(MUTANTS))
+    def test_one_mutated_key(self, tmp_path_factory, path, value):
+        """A tiny valid config with one key replaced runs (0), is refused
+        as a configuration error (2) or fails numerically (3); it never
+        ends in a traceback."""
+        data = copy.deepcopy(TINY_CONFIG)
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        out = tmp_path_factory.mktemp("mutant")
+        data["output_dir"] = str(out / "out")
+        config = out / "exp.yaml"
+        config.write_text(yaml.safe_dump(data))
+        assert cli.main(["evaluate", "-c", str(config)]) in (0, 2, 3)

@@ -1,11 +1,12 @@
 """Gibbs sampler: stationary distribution against closed-form posteriors,
-chain independence, pinning, and multiplication accounting."""
+chain independence, whole-stage calls, pinning, and multiplication
+accounting."""
 
 import numpy as np
 import pytest
 
 from nlsic import channel as ch
-from nlsic import fba, gibbs, sic
+from nlsic import apps, fba, gibbs, sic
 from nlsic.apps import MultCounter
 
 
@@ -147,28 +148,87 @@ class TestChainIndependence:
         n = 6
         blk = ch.random_block(chan, n, rng)
         n_par, n_iter, burn = 4, 80, 10
-        m_bits = 2
 
         def draws(seed):
             chain_rngs = np.random.default_rng(seed).spawn(n_par)
-            states = np.empty((n_par, n), dtype=int)
-            uniforms = np.empty((n_par, n_iter, n, m_bits))
-            for c, crng in enumerate(chain_rngs):
-                states[c] = crng.integers(0, 4, size=n)
-                uniforms[c] = crng.random((n_iter, n, m_bits))
-            return states, uniforms
+            states = np.array([crng.integers(0, 4, size=n) for crng in chain_rngs])
+            return states, chain_rngs
 
         pinned = np.zeros(n, dtype=bool)
-        states, uniforms = draws(99)
-        batched = gibbs._run_chains(aux, blk.y, n, pinned, states.copy(),
-                                    uniforms, burn)
-        states, uniforms = draws(99)
+        states, chain_rngs = draws(99)
+        batched = gibbs._sweep_chains(aux, blk.y[None], pinned, states,
+                                      chain_rngs, n_iter, burn)
+        states, chain_rngs = draws(99)
         serial = np.zeros_like(batched)
         for c in range(n_par):
-            serial += gibbs._run_chains(aux, blk.y, n, pinned,
-                                        states[c:c + 1].copy(),
-                                        uniforms[c:c + 1], burn)
+            serial += gibbs._sweep_chains(aux, blk.y[None], pinned,
+                                          states[c:c + 1], chain_rngs[c:c + 1],
+                                          n_iter, burn)
         assert np.array_equal(batched, serial)
+
+
+class TestBatchedStage:
+    """A whole stage in one call gives each block's one-block result bit for
+    bit, also when the blocks run in several slices."""
+
+    def make(self):
+        chan = memoryless_channel(ch.Alphabet.bipolar_ask(4), p_tx=2.0)
+        import dataclasses
+        chan = dataclasses.replace(
+            chan, g=ch.FirFilter(taps=np.array([0.3, 1.0, 0.2]), rate=1))
+        aux = fba.build_aux_channel(chan, memory=2, build_table=False)
+        return aux, chan, gibbs.GibbsConfig(memory=2, n_iter=6, n_par=3,
+                                            burn_in=1)
+
+    @pytest.mark.parametrize("n_stages", [2, 3])
+    @pytest.mark.parametrize("slice_bytes", [apps.SLICE_BYTES, 1])
+    def test_stage_apps_equal_one_block_calls(self, monkeypatch, n_stages,
+                                              slice_bytes):
+        aux, chan, cfg = self.make()
+        n = 12
+        plan = sic.SicPlan(n_stages, n)
+        rng = np.random.default_rng(47)
+        blocks = [ch.random_block(chan, n, rng) for _ in range(3)]
+        for s in range(1, n_stages + 1):
+            views = [sic.stage_view(plan, s, blk.x) for blk in blocks]
+            serial_rng = np.random.default_rng(s)
+            single = [gibbs.gibbs_app(aux, blk.y, view, cfg, serial_rng)
+                      for blk, view in zip(blocks, views)]
+            stage_rng = np.random.default_rng(s)
+            with monkeypatch.context() as m:
+                m.setattr(apps, "SLICE_BYTES", slice_bytes)
+                stage_apps = gibbs.gibbs_apps(aux, [blk.y for blk in blocks],
+                                              views, cfg, stage_rng)
+            assert len(stage_apps) == len(blocks)
+            for i, app in enumerate(stage_apps):
+                assert np.array_equal(app.probs, single[i].probs)
+                assert np.array_equal(app.logp, single[i].logp)
+                assert np.array_equal(app.positions, views[i].targets)
+            # the caller's generator is left where the serial calls leave it
+            assert stage_rng.random() == serial_rng.random()
+            assert stage_rng.spawn(1)[0].random() == serial_rng.spawn(1)[0].random()
+
+    def test_counter_sums_the_blocks(self):
+        aux, chan, cfg = self.make()
+        n = 12
+        rng = np.random.default_rng(53)
+        blocks = [ch.random_block(chan, n, rng) for _ in range(3)]
+        views = [sic.stage_view(sic.SicPlan(1, n), 1, blk.x) for blk in blocks]
+        counter = MultCounter()
+        gibbs.gibbs_apps(aux, [blk.y for blk in blocks], views, cfg,
+                         np.random.default_rng(59), counter=counter)
+        assert counter.total == pytest.approx(
+            3 * gibbs.count_gs_multiplications(aux, cfg, 2, n) * n)
+
+    def test_views_must_share_the_stage(self):
+        aux, chan, cfg = self.make()
+        plan = sic.SicPlan(2, 8)
+        rng = np.random.default_rng(61)
+        blocks = [ch.random_block(chan, 8, rng) for _ in range(2)]
+        views = [sic.stage_view(plan, s, blk.x) for s, blk in zip((1, 2), blocks)]
+        with pytest.raises(ValueError):
+            gibbs.gibbs_apps(aux, [blk.y for blk in blocks], views, cfg,
+                             np.random.default_rng(67))
 
 
 class TestStallingRecord:
