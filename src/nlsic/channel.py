@@ -197,6 +197,8 @@ class ChannelConfig:
                 f"symbol rate {self.symbol_rate} must be finite and positive")
         if self.n_os < 1:
             raise ChannelConfigError("n_os", f"n_os={self.n_os} must be >= 1")
+        if self.n_sim < 1:
+            raise ChannelConfigError("n_sim", f"n_sim={self.n_sim} must be >= 1")
         if self.n_sim % self.n_os != 0:
             raise ChannelConfigError(
                 "n_sim",
@@ -258,7 +260,8 @@ def build_pulse(config: ChannelConfig, k_g: Optional[int] = None) -> FirFilter:
     energy-normalized so a unit-power symbol stream has unit average power
     before the nonlinearity (sum |g|^2 = n_sim)."""
     if isinstance(config.nonlinearity, SquareLaw) and config.n_sim < 2:
-        raise ValueError("square-law detection needs n_sim >= 2 for sufficient statistics")
+        raise ChannelConfigError(
+            "n_sim", "square-law detection needs n_sim >= 2 for sufficient statistics")
     if k_g is None:
         k_g = 151 * config.n_sim + 1
     taps = sinc_pulse(k_g, config.n_sim)

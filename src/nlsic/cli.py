@@ -5,8 +5,12 @@ resolves its configuration, hashes it, and works under
 <output_dir>/<hash>/ so artifacts are reproducible per seed and config:
 blocks/ holds raw block dumps, models/ the per-(stage, power) checkpoints
 and training logs, rates.csv and complexity.csv the evaluation results, and
-manifest.json the bookkeeping needed to re-run bit-identically (timing and
-warnings live only there, never in the CSVs).
+manifest.json the bookkeeping needed to re-run bit-identically (timing,
+worker counts and warnings live only there, never in the CSVs).
+
+train runs its per-stage chains and evaluate its sweep points in parallel,
+one process per usable CPU (see _parallel_map).  Every unit draws from its
+own seed, so the artifacts do not depend on the number of processes.
 
 Exit codes: 0 ok, 2 configuration error, 3 numeric failure.
 """
@@ -16,6 +20,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import pickle
 import sys
 import time
 from pathlib import Path
@@ -47,12 +53,15 @@ def _run_dir(cfg) -> Path:
     return out
 
 
-def _manifest(run_dir: Path, cfg, artifacts, warnings, wall_seconds: float):
+def _manifest(run_dir: Path, cfg, artifacts, warnings, wall_seconds: float,
+              workers: int = 1):
     manifest = {
         "config_hash": cfgmod.config_hash(cfg),
         "code_hash": _code_hash(),
         "seed": cfg.seed,
         "wall_seconds": wall_seconds,
+        "workers": workers,
+        "usable_cpus": _usable_cpus(),
         "artifacts": sorted(str(p.relative_to(run_dir)) for p in artifacts),
         "warnings": warnings,
     }
@@ -80,6 +89,97 @@ def _rnn_shape(cfg, s: int, m_symbols: int) -> rnn.RnnShape:
 def _train_seed(cfg, sweep_idx: int, s: int) -> int:
     ss = np.random.SeedSequence([cfg.seed, 2, sweep_idx, s])
     return int(ss.generate_state(1)[0])
+
+
+# ---------------------------------------------------------------------------
+# parallel map over independent units
+
+
+def _usable_cpus() -> int:
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _workers(n_items: int) -> int:
+    """Processes _parallel_map uses for n_items independent units."""
+    if not hasattr(os, "fork"):
+        return 1
+    return max(1, min(n_items, _usable_cpus()))
+
+
+def _share(fn, items):
+    """fn over items up to the first failure: (results, exception or None)."""
+    results = []
+    try:
+        for item in items:
+            results.append(fn(item))
+    except Exception as exc:
+        return results, exc
+    return results, None
+
+
+def _child_share(fn, items, write_fd: int):
+    """Body of a forked worker: run its share, pickle it into the pipe and
+    exit without ever returning into the parent's stack."""
+    status = 1
+    try:
+        with os.fdopen(write_fd, "wb") as pipe:
+            pickle.dump(_share(fn, items), pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _parallel_map(fn, items) -> list:
+    """[fn(item) for item in items], with the items dealt round-robin to
+    _workers(len(items)) processes: this one runs the first share and forked
+    children the others, each sending its results back through a pipe.
+
+    fn must print nothing and leave no state that later code reads, since a
+    child's side effects other than its files are lost.  If items fail, the
+    exception of the first failing one is raised, as the plain loop would,
+    and only after every child has been reaped.
+
+    Fork, not spawn: a spawned worker imports numpy and nlsic again, tens of
+    milliseconds that a short evaluate would pay.  nlsic starts no threads,
+    and OpenBLAS shuts its thread pool down at fork."""
+    items = list(items)
+    n = _workers(len(items))
+    if n == 1:
+        return [fn(item) for item in items]
+    # else a child that flushes would write this process's output twice
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children, statuses = [], []
+    try:
+        for w in range(1, n):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_fd)
+                _child_share(fn, items[w::n], write_fd)
+            os.close(write_fd)
+            children.append((pid, os.fdopen(read_fd, "rb")))
+        shares = [_share(fn, items[0::n])]
+        blobs = [pipe.read() for _, pipe in children]
+    finally:
+        # closing first unblocks a child still writing to a pipe not read
+        for pid, pipe in children:
+            pipe.close()
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for blob, status in zip(blobs, statuses):
+        if status != 0:
+            raise RuntimeError(f"worker process exited with status {status}")
+        shares.append(pickle.loads(blob))
+    failures = [(w + n * len(results), exc)
+                for w, (results, exc) in enumerate(shares) if exc is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    out = [None] * len(items)
+    for w, (results, _) in enumerate(shares):
+        out[w::n] = results
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -135,14 +235,52 @@ def read_block(stem) -> ch.Block:
 
 
 def _load_warm_start(run_dir: Path, s: int, prev_p_tx_db: float, warnings):
-    """Previous sweep point's checkpoint, or None (with a logged warning)."""
+    """Previous sweep point's checkpoint, or None (with a warning appended
+    to warnings)."""
     stem = _model_stem(run_dir, s, prev_p_tx_db)
     if stem.with_suffix(".bin").exists():
         return rnn.load_model(stem)
     warnings.append(f"missing warm start for stage {s} at "
                     f"{prev_p_tx_db:+.3f} dB; cold init")
-    print(f"warning: {warnings[-1]}", file=sys.stderr)
     return None
+
+
+def _train_chain(cfg, base, run_dir: Path, sweep, s: int) -> list:
+    """Train stage s at every sweep point in ascending order, each point
+    warm-started from this stage's checkpoint at the previous one.  Returns
+    one (warnings, message, artifacts) record per point and prints nothing,
+    so chains of different stages can run in different processes."""
+    plan = sic.SicPlan(cfg.stages, cfg.eval_n)
+    shape = _rnn_shape(cfg, s, base.config.alphabet.size)
+    records = []
+    for sweep_idx, p_tx_db in enumerate(sweep):
+        chan = base.with_transmit_power_db(p_tx_db)
+        warnings, warm = [], None
+        if cfg.rnn.warm_start and sweep_idx > 0:
+            warm = _load_warm_start(run_dir, s, sweep[sweep_idx - 1], warnings)
+        tcfg = training.TrainConfig(
+            learn_rate=cfg.rnn.learn_rate, n_iter=cfg.rnn.n_iter,
+            n_batch=cfg.rnn.n_batch, t_rnn=cfg.rnn.t_rnn,
+            seed=_train_seed(cfg, sweep_idx, s))
+        model, log = training.train_stage(chan, plan, s, shape, tcfg,
+                                          warm_model=warm)
+        model.provenance.update({
+            "p_tx_db": p_tx_db,
+            "warm_start_from": sweep[sweep_idx - 1]
+            if warm is not None and sweep_idx > 0 else None,
+        })
+        stem = _model_stem(run_dir, s, p_tx_db)
+        rnn.save_model(model, stem)
+        log_path = run_dir / "models" / \
+            f"trainlog_stage{s}_{_ptx_tag(p_tx_db)}.csv"
+        log.to_csv(log_path)
+        message = (f"trained stage {s} at {p_tx_db:+.2f} dB: "
+                   f"final loss {log.loss_bits[-1]:.4f} bits"
+                   if log.loss_bits else
+                   f"initialized stage {s} at {p_tx_db:+.2f} dB (0 iterations)")
+        records.append((warnings, message, [
+            stem.with_suffix(".bin"), stem.with_suffix(".json"), log_path]))
+    return records
 
 
 def cmd_train(cfg) -> int:
@@ -152,44 +290,26 @@ def cmd_train(cfg) -> int:
     run_dir = _run_dir(cfg)
     (run_dir / "models").mkdir(exist_ok=True)
     base = cfgmod.build_channel(cfg)
-    m_symbols = base.config.alphabet.size
     sweep = sorted(cfg.sweep_p_tx_db)
     if cfg.rnn.warm_start and list(cfg.sweep_p_tx_db) != sweep:
         raise ConfigError("train: sweep.p_tx_db must ascend when warm starts "
                           "are enabled")
+    # stage chains are independent: each trains on the true symbols of the
+    # earlier stages (the ideal-code assumption) and warm-starts only from
+    # its own checkpoints
+    stages = range(1, cfg.stages + 1)
+    chains = _parallel_map(
+        lambda s: _train_chain(cfg, base, run_dir, sweep, s), stages)
     artifacts, warnings = [], []
-    for sweep_idx, p_tx_db in enumerate(sweep):
-        chan = base.with_transmit_power_db(p_tx_db)
-        plan = sic.SicPlan(cfg.stages, cfg.eval_n)
-        for s in range(1, cfg.stages + 1):
-            shape = _rnn_shape(cfg, s, m_symbols)
-            warm = None
-            if cfg.rnn.warm_start and sweep_idx > 0:
-                warm = _load_warm_start(run_dir, s, sweep[sweep_idx - 1],
-                                        warnings)
-            tcfg = training.TrainConfig(
-                learn_rate=cfg.rnn.learn_rate, n_iter=cfg.rnn.n_iter,
-                n_batch=cfg.rnn.n_batch, t_rnn=cfg.rnn.t_rnn,
-                seed=_train_seed(cfg, sweep_idx, s))
-            model, log = training.train_stage(chan, plan, s, shape, tcfg,
-                                              warm_model=warm)
-            model.provenance.update({
-                "p_tx_db": p_tx_db,
-                "warm_start_from": sweep[sweep_idx - 1]
-                if warm is not None and sweep_idx > 0 else None,
-            })
-            stem = _model_stem(run_dir, s, p_tx_db)
-            rnn.save_model(model, stem)
-            log_path = run_dir / "models" / \
-                f"trainlog_stage{s}_{_ptx_tag(p_tx_db)}.csv"
-            log.to_csv(log_path)
-            artifacts += [stem.with_suffix(".bin"), stem.with_suffix(".json"),
-                          log_path]
-            print(f"trained stage {s} at {p_tx_db:+.2f} dB: "
-                  f"final loss {log.loss_bits[-1]:.4f} bits"
-                  if log.loss_bits else
-                  f"initialized stage {s} at {p_tx_db:+.2f} dB (0 iterations)")
-    _manifest(run_dir, cfg, artifacts, warnings, time.perf_counter() - t0)
+    for point in zip(*chains):
+        for point_warnings, message, paths in point:
+            for warning in point_warnings:
+                print(f"warning: {warning}", file=sys.stderr)
+            print(message)
+            warnings += point_warnings
+            artifacts += paths
+    _manifest(run_dir, cfg, artifacts, warnings, time.perf_counter() - t0,
+              _workers(len(stages)))
     return 0
 
 
@@ -270,7 +390,8 @@ def cmd_evaluate(cfg) -> int:
     run_dir = _run_dir(cfg)
     base = cfgmod.build_channel(cfg)
     points = list(enumerate(cfg.sweep_p_tx_db))
-    results = [_evaluate_point(cfg, base, run_dir, i, p) for i, p in points]
+    results = _parallel_map(
+        lambda point: _evaluate_point(cfg, base, run_dir, *point), points)
 
     rate_rows, summary = [], []
     complexity_rows = set()
@@ -301,7 +422,7 @@ def cmd_evaluate(cfg) -> int:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     _manifest(run_dir, cfg, [rates_path, complexity_path, summary_path], [],
-              time.perf_counter() - t0)
+              time.perf_counter() - t0, _workers(len(points)))
     print(f"wrote {rates_path}")
     return 0
 

@@ -167,6 +167,10 @@ def parse_config(data: dict) -> ExperimentConfig:
     if (channel.fiber_length_km is None) != (channel.fiber_beta2_s2_per_km is None):
         raise ConfigError("channel.fiber: length_km and beta2_s2_per_km "
                           "must be given together")
+    for key in ("length_km", "beta2_s2_per_km"):
+        value = getattr(channel, f"fiber_{key}")
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"channel.fiber.{key}: must be finite")
 
     sicd = _require_mapping(data.get("sic"), "sic")
     _check_keys(sicd, {"stages"}, "sic")
@@ -255,7 +259,7 @@ def _check_run_objects(cfg: ExperimentConfig) -> None:
     alphabet = cfg.channel.alphabet
     m_symbols = _domain_check("channel.alphabet",
                               lambda: ch.Alphabet.from_name(alphabet).size)
-    _channel_config(cfg.channel)
+    _channel_parts(cfg.channel)
     if cfg.channel.noise_kind != "real" and (
             cfg.detector_kind in ("fba", "gibbs") or cfg.ub_memory is not None):
         raise ConfigError("channel.noise.kind: the fba and gibbs detectors and "
@@ -348,7 +352,9 @@ _CHANNEL_KEYS = {"symbol_rate": "channel.symbol_rate",
                  "precoding": "channel.precoding"}
 
 
-def _channel_config(c: ChannelSection) -> ch.ChannelConfig:
+def _channel_parts(c: ChannelSection):
+    """Channel config, transmit pulse and receiver filter of a channel
+    section; a value they reject raises ConfigError naming its key."""
     if c.nonlinearity == "square-law":
         nonl = ch.SquareLaw()
     elif c.nonlinearity == "identity":
@@ -361,19 +367,23 @@ def _channel_config(c: ChannelSection) -> ch.ChannelConfig:
                                beta2_s2_per_km=c.fiber_beta2_s2_per_km,
                                carrier_nm=c.fiber_carrier_nm)
     try:
-        return ch.ChannelConfig(
+        config = ch.ChannelConfig(
             alphabet=ch.Alphabet.from_name(c.alphabet),
             symbol_rate=c.symbol_rate, n_os=c.n_os, n_sim=c.n_sim,
             nonlinearity=nonl, fiber=fiber, noise_kind=c.noise_kind,
             noise_variance=c.noise_variance, precoding=c.precoding)
+        g = ch.build_pulse(config, c.k_g)
     except ch.ChannelConfigError as exc:
         raise ConfigError(f"{_CHANNEL_KEYS[exc.field]}: {exc}") from exc
+    except ValueError as exc:
+        # with the config valid, only the pulse's tap count is left to reject
+        raise ConfigError(f"channel.k_g: {exc}") from exc
+    h = _domain_check("channel.k_h",
+                      lambda: ch.brickwall_receiver(c.n_sim, c.k_h))
+    return config, g, h
 
 
 def build_channel(cfg: ExperimentConfig) -> ch.DiscreteChannel:
     """Unscaled channel; sweep points apply with_transmit_power_db."""
-    c = cfg.channel
-    try:
-        return ch.make_channel(_channel_config(c), k_g=c.k_g, k_h=c.k_h)
-    except ValueError as exc:
-        raise ConfigError(f"channel: {exc}") from exc
+    config, g, h = _channel_parts(cfg.channel)
+    return ch.make_channel(config, g=g, h=h)

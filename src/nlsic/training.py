@@ -48,6 +48,11 @@ class TrainDivergence(RuntimeError):
         self.iteration = iteration
         self.recent = recent
 
+    def __reduce__(self):
+        # args holds only the message; rebuild from the constructor's
+        # arguments so the error survives the pipe from a worker process
+        return type(self), (self.iteration, self.recent)
+
 
 @dataclass
 class TrainLog:

@@ -3,6 +3,10 @@ warm-start chaining, and exit codes."""
 
 import copy
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlsic import channel as ch
-from nlsic import cli, fba, rates, sic
+from nlsic import cli, fba, rates, sic, training
 from nlsic import config as cfgmod
 
 
@@ -245,6 +249,17 @@ class TestExitCodes:
         ("fba", "n_sim: 2", "n_sim: 3", "channel.n_sim"),
         ("fba", "n_os: 2", "n_os: 0", "channel.n_os"),
         ("fba", "variance: 1.0", "variance: -1.0", "channel.noise.variance"),
+        ("fba", "k_g: 7", "k_g: 8", "channel.k_g"),
+        ("fba", "k_g: 7", "k_g: -7", "channel.k_g"),
+        ("fba", "k_g: 7", "k_g: 7\n  k_h: 4", "channel.k_h"),
+        ("fba", "k_g: 7", "k_g: 7\n  k_h: -3", "channel.k_h"),
+        ("fba", "n_os: 2\n  n_sim: 2", "n_os: 1\n  n_sim: 1", "channel.n_sim"),
+        ("fba", "n_os: 2\n  n_sim: 2\n  nonlinearity: square-law",
+         "n_os: 1\n  n_sim: 0\n  nonlinearity: identity", "channel.n_sim"),
+        ("fba", "k_g: 7", "k_g: 7\n  fiber: {length_km: .inf, "
+         "beta2_s2_per_km: -2.2e-26}", "channel.fiber.length_km"),
+        ("fba", "k_g: 7", "k_g: 7\n  fiber: {length_km: 1.0, "
+         "beta2_s2_per_km: .nan}", "channel.fiber.beta2_s2_per_km"),
     ])
     def test_values_rejected_by_run_objects(self, tmp_path, capsys, detector,
                                             old, new, key):
@@ -256,6 +271,7 @@ class TestExitCodes:
         path.write_text(text.replace(old, new))
         assert cli.main(["sweep", "-c", str(path)]) == 2
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("detector,extra", [
         ("fba", ""), ("gibbs", ""), ("uniform", ", ub_memory: 1")])
@@ -289,12 +305,129 @@ class TestManifest:
         cli.main(["evaluate", "-c", str(path)])
         manifest = json.loads((run_dir_for(path) / "manifest.json").read_text())
         assert set(manifest) == {"config_hash", "code_hash", "seed",
-                                 "wall_seconds", "artifacts", "warnings"}
+                                 "wall_seconds", "workers", "usable_cpus",
+                                 "artifacts", "warnings"}
+        # one sweep point: nothing to run in parallel
+        assert manifest["workers"] == 1
+        assert manifest["usable_cpus"] >= 1
         assert manifest["config_hash"] == run_dir_for(path).name
         assert "rates.csv" in manifest["artifacts"]
         resolved = json.loads((run_dir_for(path) / "config.json").read_text())
         assert cfgmod.config_hash(cfgmod.parse_config(resolved)) == \
             manifest["config_hash"]
+
+
+def artifact_bytes(run_dir):
+    """Every file of a run directory but the manifest, which holds timing."""
+    return {str(p.relative_to(run_dir)): p.read_bytes()
+            for p in sorted(run_dir.rglob("*"))
+            if p.is_file() and p.name != "manifest.json"}
+
+
+def set_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+class TestParallel:
+    """train runs its stage chains and evaluate its sweep points in forked
+    workers; the artifacts must not depend on how many there are."""
+
+    @pytest.mark.parametrize("command,detector", [("sweep", "rnn"),
+                                                  ("evaluate", "fba")])
+    def test_forked_run_matches_one_cpu_run(self, tmp_path, monkeypatch,
+                                            command, detector):
+        path = toy_yaml(tmp_path, detector=detector, stages=2, n_blk=3,
+                        sweep=(2.0, 4.0, 6.0))
+        run_dir = run_dir_for(path)
+        runs = []
+        for cpus in (2, 1):
+            set_cpus(monkeypatch, cpus)
+            assert cli.main([command, "-c", str(path)]) == 0
+            manifest = json.loads((run_dir / "manifest.json").read_text())
+            assert manifest["workers"] == cpus
+            assert manifest["usable_cpus"] == cpus
+            runs.append(artifact_bytes(run_dir))
+            shutil.rmtree(run_dir)
+        assert runs[0] == runs[1]
+        names = set(runs[0])
+        assert {"rates.csv", "complexity.csv", "summary.json"} <= names
+        if detector == "rnn":
+            assert sum(n.endswith(".bin") for n in names) == 6
+            assert sum(n.startswith("models/trainlog") for n in names) == 6
+
+    def test_each_stage_line_printed_once_in_order(self, tmp_path):
+        path = toy_yaml(tmp_path, detector="rnn", stages=2, n_blk=2,
+                        sweep=(2.0, 4.0, 6.0))
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "nlsic.cli", "sweep", "-c", str(path)],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        trained = [line.split(":")[0] for line in lines
+                   if line.startswith("trained stage")]
+        assert trained == [f"trained stage {s} at {p:+.2f} dB"
+                           for p in (2.0, 4.0, 6.0) for s in (1, 2)]
+        assert sum(line.startswith("wrote ") for line in lines) == 1
+
+    def test_missing_checkpoint_in_worker_is_config_error(self, tmp_path,
+                                                          monkeypatch, capsys):
+        path = toy_yaml(tmp_path, detector="rnn", stages=1, n_blk=2,
+                        sweep=(2.0, 6.0))
+        set_cpus(monkeypatch, 2)
+        assert cli.main(["train", "-c", str(path)]) == 0
+        # the second sweep point is the forked worker's share
+        stem = cli._model_stem(run_dir_for(path), 1, 6.0)
+        stem.with_suffix(".bin").unlink()
+        capsys.readouterr()
+        assert cli.main(["evaluate", "-c", str(path)]) == 2
+        assert f"{stem}.bin" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exc", [
+        FloatingPointError("overflow injected in stage 2"),
+        training.TrainDivergence(7, [1.5, 30.0, 41.25])])
+    def test_numeric_failure_in_worker_exits_3(self, tmp_path, monkeypatch,
+                                               capsys, exc):
+        path = toy_yaml(tmp_path, detector="rnn", stages=2, sweep=(4.0,))
+        set_cpus(monkeypatch, 2)
+        train_stage = training.train_stage
+
+        def failing(chan, plan, s, *args, **kwargs):
+            if s == 2:  # the forked worker's chain
+                raise exc
+            return train_stage(chan, plan, s, *args, **kwargs)
+
+        monkeypatch.setattr(training, "train_stage", failing)
+        assert cli.main(["train", "-c", str(path)]) == 3
+        assert capsys.readouterr().err == f"numeric failure: {exc}\n"
+
+    def test_map_keeps_order_and_raises_first_failure(self, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        assert cli._parallel_map(lambda x: x * x, range(7)) == \
+            [x * x for x in range(7)]
+
+        def fn(x):
+            if x >= 1:  # item 1 fails in the worker, item 2 in this process
+                raise FloatingPointError(f"item {x}")
+            return x
+
+        with pytest.raises(FloatingPointError, match="item 1"):
+            cli._parallel_map(fn, range(4))
+
+    def test_children_reaped_when_own_share_fails(self, monkeypatch):
+        set_cpus(monkeypatch, 2)
+
+        def fn(x):
+            if x == 0:
+                raise FloatingPointError("own share")
+            return x
+
+        with pytest.raises(FloatingPointError, match="own share"):
+            cli._parallel_map(fn, range(4))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 TINY_CONFIG = {

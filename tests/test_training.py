@@ -2,6 +2,8 @@
 ADAM loop behaviour, convergence on a memoryless toy with a closed-form
 conditional-entropy target, and determinism."""
 
+import pickle
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -226,6 +228,15 @@ class TestTrainStage:
                                    t_rnn=8, seed=5, divergence_patience=5)
         with pytest.raises(training.TrainDivergence):
             training.train_stage(chan, plan, 1, shape, cfg)
+
+    def test_divergence_survives_pickling(self):
+        """Worker processes return their errors pickled."""
+        exc = training.TrainDivergence(5, [1.0, 2.5, 40.0])
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is training.TrainDivergence
+        assert back.iteration == 5
+        assert back.recent == [1.0, 2.5, 40.0]
+        assert str(back) == str(exc)
 
     def test_trainlog_csv(self, tmp_path):
         log = training.TrainLog()
