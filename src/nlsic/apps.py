@@ -12,6 +12,10 @@ import numpy as np
 
 LOG2 = np.log(2.0)
 
+# Smallest probability a scored symbol may receive: the training loss, its
+# gradient and the rate estimates clamp below it so every log stays finite.
+CLAMP_FLOOR = 1e-30
+
 # Bytes of working state that one detector pass over a slice of blocks may
 # hold.  A stage's blocks run slice by slice, so memory does not grow with
 # their number.
@@ -77,7 +81,7 @@ class AppMatrix:
     def n_rows(self) -> int:
         return self.probs.shape[0]
 
-    def log2_prob_of(self, indices: np.ndarray, floor: float = 1e-30) -> np.ndarray:
+    def log2_prob_of(self, indices: np.ndarray, floor: float = CLAMP_FLOOR) -> np.ndarray:
         """log2 of the probability assigned to given symbol indices per row.
 
         Probabilities below `floor` are clamped so the result stays finite.

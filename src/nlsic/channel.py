@@ -149,6 +149,12 @@ class RappPA:
     name: str = field(default="rapp", init=False)
     mults_per_sample: int = field(default=4, init=False)
 
+    def __post_init__(self):
+        for name in ("p", "x_sat"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ChannelConfigError(
+                    name, f"{name}={getattr(self, name)} must be finite and positive")
+
     def __call__(self, z: np.ndarray) -> np.ndarray:
         mag = np.abs(z)
         return z / (1.0 + (mag / self.x_sat) ** (2 * self.p)) ** (1.0 / (2 * self.p))

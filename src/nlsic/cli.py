@@ -341,7 +341,11 @@ def _detector_for(cfg, chan, run_dir, p_tx_db):
             if not stem.with_suffix(".bin").exists():
                 raise ConfigError(f"evaluate: missing checkpoint {stem}.bin "
                                   f"(run 'train' first)")
-            models[s] = rnn.load_model(stem)
+            try:
+                models[s] = rnn.load_model(stem)
+            except (OSError, ValueError, KeyError, TypeError) as exc:
+                raise ConfigError(f"evaluate: bad checkpoint {stem}: {exc}") \
+                    from exc
             # per input step, the convention of the published profiles
             counts[s] = rnn.count_rnn_multiplications(models[s].shape)
         return rates.RnnDetector(models), None, counts

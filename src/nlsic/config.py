@@ -349,24 +349,25 @@ _CHANNEL_KEYS = {"symbol_rate": "channel.symbol_rate",
                  "n_os": "channel.n_os", "n_sim": "channel.n_sim",
                  "noise_kind": "channel.noise.kind",
                  "noise_variance": "channel.noise.variance",
-                 "precoding": "channel.precoding"}
+                 "precoding": "channel.precoding",
+                 "p": "channel.rapp.p", "x_sat": "channel.rapp.x_sat"}
 
 
 def _channel_parts(c: ChannelSection):
     """Channel config, transmit pulse and receiver filter of a channel
     section; a value they reject raises ConfigError naming its key."""
-    if c.nonlinearity == "square-law":
-        nonl = ch.SquareLaw()
-    elif c.nonlinearity == "identity":
-        nonl = ch.Identity()
-    else:
-        nonl = ch.RappPA(p=c.rapp_p, x_sat=c.rapp_x_sat)
     fiber = None
     if c.fiber_length_km is not None:
         fiber = ch.FiberParams(length_km=c.fiber_length_km,
                                beta2_s2_per_km=c.fiber_beta2_s2_per_km,
                                carrier_nm=c.fiber_carrier_nm)
     try:
+        if c.nonlinearity == "square-law":
+            nonl = ch.SquareLaw()
+        elif c.nonlinearity == "identity":
+            nonl = ch.Identity()
+        else:
+            nonl = ch.RappPA(p=c.rapp_p, x_sat=c.rapp_x_sat)
         config = ch.ChannelConfig(
             alphabet=ch.Alphabet.from_name(c.alphabet),
             symbol_rate=c.symbol_rate, n_os=c.n_os, n_sim=c.n_sim,

@@ -17,13 +17,11 @@ from typing import Optional
 import numpy as np
 
 from . import channel as ch
-from .apps import AppMatrix, MultCounter
+from .apps import CLAMP_FLOOR, AppMatrix, MultCounter
 from .fba import AuxChannel, fba_apps, fba_ub, jackknife_stderr
 from .gibbs import GibbsConfig, gibbs_apps
 from .rnn import rnn_apps
 from .sic import SicPlan, stage_view
-
-CLAMP_FLOOR = 1e-30
 
 
 # ---------------------------------------------------------------------------

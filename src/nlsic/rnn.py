@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -79,56 +79,64 @@ class Normalization:
     sym_scale: float = 1.0
 
 
+class LayerViews(NamedTuple):
+    """One recurrent layer's parameters as no-copy views of RnnModel.flat,
+    indexed [phase, direction] with direction 0 forward and 1 backward."""
+
+    in_w: np.ndarray  # (P, 2, half, d_in)
+    in_b: np.ndarray  # (P, 2, half)
+    st_w: np.ndarray  # (P, 2, half, half)
+    st_b: np.ndarray  # (P, 2, half)
+
+
 class RnnModel:
-    """Phase-indexed parameter tensors of the time-varying network."""
+    """Phase-indexed parameters of the time-varying network.
+
+    All parameters live in one flat float64 buffer, laid out in the
+    canonical order of :meth:`parameters` (which is also the checkpoint's
+    byte order): per recurrent layer, per phase, the forward then the
+    backward cell's input map (w, b) and state map (w, b); then out.w and
+    out.b.  ``layers`` and ``out_w``/``out_b`` are views into it.
+    """
 
     def __init__(self, shape: RnnShape, norm: Optional[Normalization] = None,
                  provenance: Optional[dict] = None):
         self.shape = shape
         self.norm = norm or Normalization()
         self.provenance = provenance or {}
-        p = shape.phases
-        self.fw_in_w, self.fw_in_b = [], []
-        self.fw_st_w, self.fw_st_b = [], []
-        self.bw_in_w, self.bw_in_b = [], []
-        self.bw_st_w, self.bw_st_b = [], []
-        for i in range(shape.n_recurrent):
-            half = shape.dims[i + 1] // 2
-            d_in = shape.dims[i]
-            self.fw_in_w.append([np.zeros((half, d_in)) for _ in range(p)])
-            self.fw_in_b.append([np.zeros(half) for _ in range(p)])
-            self.fw_st_w.append([np.zeros((half, half)) for _ in range(p)])
-            self.fw_st_b.append([np.zeros(half) for _ in range(p)])
-            self.bw_in_w.append([np.zeros((half, d_in)) for _ in range(p)])
-            self.bw_in_b.append([np.zeros(half) for _ in range(p)])
-            self.bw_st_w.append([np.zeros((half, half)) for _ in range(p)])
-            self.bw_st_b.append([np.zeros(half) for _ in range(p)])
-        self.out_w = np.zeros((shape.m_symbols, shape.dims[-1]))
-        self.out_b = np.zeros(shape.m_symbols)
+        p, m, width = shape.phases, shape.m_symbols, shape.dims[-1]
+        halves = [d // 2 for d in shape.dims[1:]]
+        # one cell is the four tensors of one (phase, direction)
+        cells = [half * (d_in + half + 2) for half, d_in in zip(halves, shape.dims)]
+        self.flat = np.zeros(2 * p * sum(cells) + m * (width + 1))
+        self.layers = []
+        offset = 0
+        for half, d_in, cell in zip(halves, shape.dims, cells):
+            block = self.flat[offset:offset + 2 * p * cell].reshape(p, 2, cell)
+            offset += 2 * p * cell
+            in_w, in_b, st_w, st_b = np.split(
+                block, np.cumsum([half * d_in, half, half * half]), axis=2)
+            self.layers.append(LayerViews(in_w.reshape(p, 2, half, d_in), in_b,
+                                          st_w.reshape(p, 2, half, half), st_b))
+        self.out_w = self.flat[offset:offset + m * width].reshape(m, width)
+        self.out_b = self.flat[offset + m * width:]
 
     def parameters(self):
         """(name, array) pairs in the canonical order used everywhere."""
-        for i in range(self.shape.n_recurrent):
+        for i, layer in enumerate(self.layers):
             for p in range(self.shape.phases):
-                yield f"layer{i}.phase{p}.fw_in.w", self.fw_in_w[i][p]
-                yield f"layer{i}.phase{p}.fw_in.b", self.fw_in_b[i][p]
-                yield f"layer{i}.phase{p}.fw_st.w", self.fw_st_w[i][p]
-                yield f"layer{i}.phase{p}.fw_st.b", self.fw_st_b[i][p]
-                yield f"layer{i}.phase{p}.bw_in.w", self.bw_in_w[i][p]
-                yield f"layer{i}.phase{p}.bw_in.b", self.bw_in_b[i][p]
-                yield f"layer{i}.phase{p}.bw_st.w", self.bw_st_w[i][p]
-                yield f"layer{i}.phase{p}.bw_st.b", self.bw_st_b[i][p]
+                for d, tag in enumerate(("fw", "bw")):
+                    yield f"layer{i}.phase{p}.{tag}_in.w", layer.in_w[p, d]
+                    yield f"layer{i}.phase{p}.{tag}_in.b", layer.in_b[p, d]
+                    yield f"layer{i}.phase{p}.{tag}_st.w", layer.st_w[p, d]
+                    yield f"layer{i}.phase{p}.{tag}_st.b", layer.st_b[p, d]
         yield "out.w", self.out_w
         yield "out.b", self.out_b
-
-    def n_parameters(self) -> int:
-        return sum(a.size for _, a in self.parameters())
 
     def copy(self) -> "RnnModel":
         other = RnnModel(self.shape, Normalization(**vars(self.norm)),
                          dict(self.provenance))
-        for (_, dst), (_, src) in zip(other.parameters(), self.parameters()):
-            dst[...] = src
+        other.flat[...] = self.flat
         return other
 
 
@@ -254,21 +262,25 @@ class ForwardCache:
     """Activations retained for reverse-mode differentiation."""
 
     inputs: list        # r^i per layer, (B, T, dims[i])
-    pre_fw: list        # pre-activations, (B, T, half)
-    pre_bw: list
-    h_fw: list
-    h_bw: list
+    pre: list           # pre-activations per layer, (B, T, 2, half)
+    h: list             # half-states per layer, (B, T, 2, half)
     logits: np.ndarray  # (B, N, M)
     probs: np.ndarray
     logp: np.ndarray
 
 
 def _check_finite(arr: np.ndarray, layer: int, what: str):
+    """arr: (B, T, half) pre-activations of one direction."""
     if not np.all(np.isfinite(arr)):
-        bad = np.argwhere(~np.isfinite(arr))
-        step = int(bad[0][1]) if arr.ndim == 3 else int(bad[0][0])
+        step = int(np.argwhere(~np.isfinite(arr))[0][1])
         raise FloatingPointError(
             f"non-finite {what} activation in layer {layer} at step {step}")
+
+
+def _directions(t_steps: int):
+    """(direction, step order, offset of the step whose state feeds the
+    current one) of the forward and the backward recursion."""
+    return ((0, range(t_steps), -1), (1, range(t_steps - 1, -1, -1), 1))
 
 
 def forward(model: RnnModel, inputs: np.ndarray, phase_idx: np.ndarray,
@@ -286,47 +298,32 @@ def forward(model: RnnModel, inputs: np.ndarray, phase_idx: np.ndarray,
     b, t_steps, _ = r.shape
     p_count = shape.phases
 
-    cache = ForwardCache([], [], [], [], [], None, None, None) if want_cache else None
-    for i in range(shape.n_recurrent):
-        half = shape.dims[i + 1] // 2
-        pre_fw = np.empty((b, t_steps, half))
-        pre_bw = np.empty((b, t_steps, half))
-        h_fw = np.empty((b, t_steps, half))
-        h_bw = np.empty((b, t_steps, half))
-
-        state = np.zeros((b, half))
-        for step in range(t_steps):
-            p = phase_idx[step]
-            q = (p - 1) % p_count
-            z = (r[:, step] @ model.fw_in_w[i][p].T + model.fw_in_b[i][p]
-                 + state @ model.fw_st_w[i][q].T + model.fw_st_b[i][q])
-            pre_fw[:, step] = z
-            state = np.maximum(z, 0.0)
-            h_fw[:, step] = state
-
-        state = np.zeros((b, half))
-        for step in range(t_steps - 1, -1, -1):
-            p = phase_idx[step]
-            q = (p + 1) % p_count
-            z = (r[:, step] @ model.bw_in_w[i][p].T + model.bw_in_b[i][p]
-                 + state @ model.bw_st_w[i][q].T + model.bw_st_b[i][q])
-            pre_bw[:, step] = z
-            state = np.maximum(z, 0.0)
-            h_bw[:, step] = state
+    cache = ForwardCache([], [], [], None, None, None) if want_cache else None
+    for i, (in_w, in_b, st_w, st_b) in enumerate(model.layers):
+        half = in_b.shape[-1]
+        pre = np.empty((b, t_steps, 2, half))
+        h = np.empty((b, t_steps, 2, half))
+        for d, steps, feed in _directions(t_steps):
+            state = np.zeros((b, half))
+            for step in steps:
+                p = phase_idx[step]
+                q = (p + feed) % p_count
+                z = (r[:, step] @ in_w[p, d].T + in_b[p, d]
+                     + state @ st_w[q, d].T + st_b[q, d])
+                pre[:, step, d] = z
+                state = np.maximum(z, 0.0)
+                h[:, step, d] = state
+            _check_finite(pre[:, :, d], i, ("forward", "backward")[d])
 
         if counter is not None:
             d_in = shape.dims[i]
             counter.add(f"layer{i}",
                         b * t_steps * (d_in * 2 * half + 2 * half * half))
-        _check_finite(pre_fw, i, "forward")
-        _check_finite(pre_bw, i, "backward")
         if want_cache:
             cache.inputs.append(r)
-            cache.pre_fw.append(pre_fw)
-            cache.pre_bw.append(pre_bw)
-            cache.h_fw.append(h_fw)
-            cache.h_bw.append(h_bw)
-        r = np.concatenate([h_fw, h_bw], axis=2)
+            cache.pre.append(pre)
+            cache.h.append(h)
+        r = h.reshape(b, t_steps, 2 * half)
 
     logits = r[:, out_steps] @ model.out_w.T + model.out_b
     if counter is not None:
@@ -389,32 +386,25 @@ def count_rnn_multiplications(shape: RnnShape) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: raw little-endian f64 tensors plus a JSON sidecar
+# Serialization: a header and the flat buffer as little-endian f64, plus a
+# JSON sidecar
+
+
+def _tensor_list(model: RnnModel) -> list:
+    return [{"name": n, "shape": list(a.shape)} for n, a in model.parameters()]
 
 
 def save_model(model: RnnModel, stem) -> None:
     stem = Path(stem)
-    names, shapes = [], []
     with open(stem.with_suffix(".bin"), "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", _FORMAT_VERSION))
-        for name, arr in model.parameters():
-            names.append(name)
-            shapes.append(list(arr.shape))
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(model.flat.astype("<f8", copy=False).tobytes())
     sidecar = {
         "format_version": _FORMAT_VERSION,
-        "shape": {
-            "dims": list(model.shape.dims),
-            "l_y": model.shape.l_y,
-            "l_ic": model.shape.l_ic,
-            "n_stages": model.shape.n_stages,
-            "s": model.shape.s,
-            "m_symbols": model.shape.m_symbols,
-            "n_os": model.shape.n_os,
-        },
+        "shape": asdict(model.shape),
         "phases": model.shape.phases,
-        "tensors": [{"name": n, "shape": s} for n, s in zip(names, shapes)],
+        "tensors": _tensor_list(model),
         "normalization": vars(model.norm),
         "provenance": model.provenance,
     }
@@ -424,26 +414,28 @@ def save_model(model: RnnModel, stem) -> None:
 
 
 def load_model(stem) -> RnnModel:
+    """Read a checkpoint written by :func:`save_model`.  A malformed one
+    raises ValueError, or KeyError/TypeError for a sidecar missing keys or
+    holding the wrong types."""
     stem = Path(stem)
     with open(stem.with_suffix(".json")) as fh:
         sidecar = json.load(fh)
     if sidecar["format_version"] != _FORMAT_VERSION:
         raise ValueError(f"unsupported model format {sidecar['format_version']}")
-    sh = sidecar["shape"]
-    shape = RnnShape(dims=tuple(sh["dims"]), l_y=sh["l_y"], l_ic=sh["l_ic"],
-                     n_stages=sh["n_stages"], s=sh["s"],
-                     m_symbols=sh["m_symbols"], n_os=sh["n_os"])
+    shape = RnnShape(**{**sidecar["shape"], "dims": tuple(sidecar["shape"]["dims"])})
     model = RnnModel(shape, norm=Normalization(**sidecar["normalization"]),
                      provenance=sidecar.get("provenance", {}))
-    with open(stem.with_suffix(".bin"), "rb") as fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise ValueError("not a model file")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"unsupported model format {version}")
-        for (name, arr), meta in zip(model.parameters(), sidecar["tensors"]):
-            if name != meta["name"] or list(arr.shape) != meta["shape"]:
-                raise ValueError(f"model file does not match shape at {name}")
-            raw = fh.read(arr.size * 8)
-            arr[...] = np.frombuffer(raw, dtype="<f8").reshape(arr.shape)
+    if sidecar["tensors"] != _tensor_list(model):
+        raise ValueError("sidecar tensor list does not match its shape")
+    raw = stem.with_suffix(".bin").read_bytes()
+    header = len(_MAGIC) + 4
+    if raw[:len(_MAGIC)] != _MAGIC:
+        raise ValueError("not a model file")
+    if len(raw) != header + 8 * model.flat.size:
+        raise ValueError(f"model file holds {len(raw)} bytes, expected "
+                         f"{header + 8 * model.flat.size}")
+    (version,) = struct.unpack_from("<I", raw, len(_MAGIC))
+    if version != _FORMAT_VERSION:
+        raise ValueError(f"unsupported model format {version}")
+    model.flat[...] = np.frombuffer(raw, dtype="<f8", offset=header)
     return model

@@ -11,15 +11,16 @@ symbols (the ideal-code assumption).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import channel as ch
+from .apps import CLAMP_FLOOR
 from .rnn import (InputIndexer, Normalization, RnnModel, RnnShape,
-                  build_indexer, forward, gather_inputs, init_model)
+                  _directions, build_indexer, forward, gather_inputs,
+                  init_model)
 from .sic import SicPlan
 
 LN2 = np.log(2.0)
@@ -32,10 +33,7 @@ class TrainConfig:
     n_batch: int
     t_rnn: int
     seed: int = 0
-    warm_start: Optional[str] = None
-    clamp_floor: float = 1e-30
     divergence_patience: int = 100
-    log_every: int = 1
 
 
 class TrainDivergence(RuntimeError):
@@ -60,7 +58,6 @@ class TrainLog:
     loss_bits: list = field(default_factory=list)
     grad_norm: list = field(default_factory=list)
     clamp_events: int = 0
-    wall_seconds: float = 0.0
 
     def append(self, iteration: int, loss: float, gnorm: float):
         self.iters.append(iteration)
@@ -85,34 +82,35 @@ class Batch:
     out_steps: np.ndarray
 
 
-def loss(model: RnnModel, batch: Batch, clamp_floor: float = 1e-30):
+def loss(model: RnnModel, batch: Batch):
     """Mean -log2 Q(truth) over the batch in bits; uniform APPs score
     exactly the alphabet entropy, a perfect detector scores zero.
 
     Returns (bits, clamp_count)."""
     logp, _ = forward(model, batch.inputs, batch.phase_idx, batch.out_steps)
-    return _nll_bits(logp, batch.targets, clamp_floor)
+    return _nll_bits(logp, batch.targets)
 
 
-def _nll_bits(logp: np.ndarray, targets: np.ndarray, clamp_floor: float):
+def _nll_bits(logp: np.ndarray, targets: np.ndarray):
     b, n, _ = logp.shape
     picked = np.take_along_axis(logp, targets[:, :, None], axis=2)[:, :, 0]
-    floor_nats = np.log(clamp_floor)
+    floor_nats = np.log(CLAMP_FLOOR)
     clamped = picked < floor_nats
     picked = np.maximum(picked, floor_nats)
     bits = float(-np.mean(picked) / LN2)
     return bits, int(np.count_nonzero(clamped))
 
 
-def backward(model: RnnModel, batch: Batch, clamp_floor: float = 1e-30):
+def backward(model: RnnModel, batch: Batch):
     """Exact reverse-mode gradients of the bit loss for every parameter.
 
-    Returns (grads keyed like model.parameters(), loss_bits, clamp_count).
+    Returns (grads, loss_bits, clamp_count); grads is an RnnModel of the
+    same shape whose parameters hold the gradients.
     """
     shape = model.shape
     logp, cache = forward(model, batch.inputs, batch.phase_idx, batch.out_steps,
                           want_cache=True)
-    bits, clamps = _nll_bits(logp, batch.targets, clamp_floor)
+    bits, clamps = _nll_bits(logp, batch.targets)
 
     b, n_out, m = logp.shape
     scale = 1.0 / (b * n_out * LN2)
@@ -123,14 +121,14 @@ def backward(model: RnnModel, batch: Batch, clamp_floor: float = 1e-30):
     dlogits *= scale
     # clamped rows contribute a constant to the loss: no gradient
     picked = np.take_along_axis(logp, batch.targets[:, :, None], axis=2)[:, :, 0]
-    dlogits[picked < np.log(clamp_floor)] = 0.0
+    dlogits[picked < np.log(CLAMP_FLOOR)] = 0.0
 
-    grads = {name: np.zeros_like(arr) for name, arr in model.parameters()}
+    grads = RnnModel(shape)
     r_last = cache.inputs[-1]
     flat_dl = dlogits.reshape(-1, m)
     flat_r = r_last[:, batch.out_steps].reshape(-1, shape.dims[-1])
-    grads["out.w"] += flat_dl.T @ flat_r
-    grads["out.b"] += flat_dl.sum(axis=0)
+    grads.out_w += flat_dl.T @ flat_r
+    grads.out_b += flat_dl.sum(axis=0)
 
     t_steps = r_last.shape[1]
     dr = np.zeros_like(r_last)
@@ -138,72 +136,59 @@ def backward(model: RnnModel, batch: Batch, clamp_floor: float = 1e-30):
 
     p_count = shape.phases
     for i in range(shape.n_recurrent - 1, -1, -1):
-        half = shape.dims[i + 1] // 2
-        r_in = cache.inputs[i]
-        dh_fw = dr[:, :, :half]
-        dh_bw = dr[:, :, half:]
+        in_w, _, st_w, _ = model.layers[i]
+        g_in_w, g_in_b, g_st_w, g_st_b = grads.layers[i]
+        half = in_w.shape[2]
+        r_in, pre, h = cache.inputs[i], cache.pre[i], cache.h[i]
+        dh = dr.reshape(b, t_steps, 2, half)
         dr_prev = np.zeros_like(r_in)
-
-        carry = np.zeros((dr.shape[0], half))
-        for step in range(t_steps - 1, -1, -1):
-            p = batch.phase_idx[step]
-            q = (p - 1) % p_count
-            dz = (dh_fw[:, step] + carry) * (cache.pre_fw[i][:, step] > 0)
-            h_prev = cache.h_fw[i][:, step - 1] if step > 0 else \
-                np.zeros((dr.shape[0], half))
-            grads[f"layer{i}.phase{p}.fw_in.w"] += dz.T @ r_in[:, step]
-            grads[f"layer{i}.phase{p}.fw_in.b"] += dz.sum(axis=0)
-            grads[f"layer{i}.phase{q}.fw_st.w"] += dz.T @ h_prev
-            grads[f"layer{i}.phase{q}.fw_st.b"] += dz.sum(axis=0)
-            dr_prev[:, step] += dz @ model.fw_in_w[i][p]
-            carry = dz @ model.fw_st_w[i][q]
-
-        carry = np.zeros((dr.shape[0], half))
-        for step in range(t_steps):
-            p = batch.phase_idx[step]
-            q = (p + 1) % p_count
-            dz = (dh_bw[:, step] + carry) * (cache.pre_bw[i][:, step] > 0)
-            h_next = cache.h_bw[i][:, step + 1] if step < t_steps - 1 else \
-                np.zeros((dr.shape[0], half))
-            grads[f"layer{i}.phase{p}.bw_in.w"] += dz.T @ r_in[:, step]
-            grads[f"layer{i}.phase{p}.bw_in.b"] += dz.sum(axis=0)
-            grads[f"layer{i}.phase{q}.bw_st.w"] += dz.T @ h_next
-            grads[f"layer{i}.phase{q}.bw_st.b"] += dz.sum(axis=0)
-            dr_prev[:, step] += dz @ model.bw_in_w[i][p]
-            carry = dz @ model.bw_st_w[i][q]
-
+        for d, steps, feed in _directions(t_steps):
+            carry = np.zeros((b, half))
+            for step in reversed(steps):
+                p = batch.phase_idx[step]
+                q = (p + feed) % p_count
+                dz = (dh[:, step, d] + carry) * (pre[:, step, d] > 0)
+                src = step + feed
+                h_src = h[:, src, d] if 0 <= src < t_steps else np.zeros((b, half))
+                g_in_w[p, d] += dz.T @ r_in[:, step]
+                g_in_b[p, d] += dz.sum(axis=0)
+                g_st_w[q, d] += dz.T @ h_src
+                g_st_b[q, d] += dz.sum(axis=0)
+                dr_prev[:, step] += dz @ in_w[p, d]
+                carry = dz @ st_w[q, d]
         dr = dr_prev
 
-    for name, g in grads.items():
+    for name, g in grads.parameters():
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient in {name}")
     return grads, bits, clamps
 
 
-def grad_global_norm(grads: dict) -> float:
-    return float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+def grad_global_norm(grads: RnnModel) -> float:
+    # per-tensor sums in canonical order: the trainlog records this value
+    return float(np.sqrt(sum(float(np.sum(g * g)) for _, g in grads.parameters())))
 
 
 class Adam:
-    """Standard ADAM with bias correction (beta1=0.9, beta2=0.999, eps=1e-8)."""
+    """Standard ADAM with bias correction (beta1=0.9, beta2=0.999, eps=1e-8)
+    over the model's flat parameter buffer."""
 
     def __init__(self, model: RnnModel, learn_rate: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = learn_rate
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = {name: np.zeros_like(a) for name, a in model.parameters()}
-        self.v = {name: np.zeros_like(a) for name, a in model.parameters()}
+        self.m = np.zeros_like(model.flat)
+        self.v = np.zeros_like(model.flat)
 
-    def step(self, model: RnnModel, grads: dict) -> None:
+    def step(self, model: RnnModel, grads: RnnModel) -> None:
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for name, arr in model.parameters():
-            g = grads[name]
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            arr -= self.lr * (self.m[name] / c1) / (np.sqrt(self.v[name] / c2) + self.eps)
+        g = grads.flat
+        self.m = self.beta1 * self.m + (1 - self.beta1) * g
+        self.v = self.beta2 * self.v + (1 - self.beta2) * g * g
+        model.flat -= self.lr * (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -271,17 +256,13 @@ def train_stage(chan: ch.DiscreteChannel, plan: SicPlan, s: int, shape: RnnShape
     opt = Adam(model, cfg.learn_rate)
     ceiling = 4.0 * chan.config.alphabet.bits
     over = 0
-    t0 = time.perf_counter()
     for it in range(cfg.n_iter):
         batch = make_batch(chan, indexer, norm, cfg.n_batch, rng)
-        grads, bits, clamps = backward(model, batch, cfg.clamp_floor)
+        grads, bits, clamps = backward(model, batch)
         opt.step(model, grads)
         log.clamp_events += clamps
-        if it % cfg.log_every == 0 or it == cfg.n_iter - 1:
-            log.append(it, bits, grad_global_norm(grads))
+        log.append(it, bits, grad_global_norm(grads))
         over = over + 1 if bits > ceiling else 0
         if over >= cfg.divergence_patience:
-            log.wall_seconds = time.perf_counter() - t0
             raise TrainDivergence(it, log.loss_bits)
-    log.wall_seconds = time.perf_counter() - t0
     return model, log

@@ -98,13 +98,13 @@ def test_criterion_2_gradient_exactness():
             phase_idx=phase_idx, out_steps=out_steps)
         _, cache = rnn.forward(model, batch.inputs, phase_idx, out_steps,
                                want_cache=True)
-        margin = min(min(np.abs(a).min() for a in cache.pre_fw),
-                     min(np.abs(a).min() for a in cache.pre_bw))
+        margin = min(np.abs(a).min() for a in cache.pre)
         assert margin > 10 * h, "fixture seed lost its kink margin"
         grads, _, _ = training.backward(model, batch)
         worst = 0.0
-        for name, arr in model.parameters():
-            gf = grads[name].reshape(-1)
+        for (name, arr), (_, grad) in zip(model.parameters(),
+                                          grads.parameters()):
+            gf = grad.reshape(-1)
             flat = arr.reshape(-1)
             for k in range(flat.size):
                 orig = flat[k]

@@ -136,6 +136,28 @@ class TestEvaluate:
         path = toy_yaml(tmp_path, detector="rnn", sweep=(4.0,))
         assert cli.main(["evaluate", "-c", str(path)]) == 2
 
+    @pytest.mark.parametrize("how", ["truncated", "appended",
+                                     "malformed-sidecar", "version-2"])
+    def test_damaged_checkpoint_is_config_error(self, tmp_path, capsys, how):
+        path = toy_yaml(tmp_path, detector="rnn", stages=1, n_blk=2,
+                        sweep=(4.0,))
+        assert cli.main(["train", "-c", str(path)]) == 0
+        stem = cli._model_stem(run_dir_for(path), 1, 4.0)
+        bin_path, json_path = stem.with_suffix(".bin"), stem.with_suffix(".json")
+        if how == "truncated":
+            bin_path.write_bytes(bin_path.read_bytes()[:-16])
+        elif how == "appended":
+            bin_path.write_bytes(bin_path.read_bytes() + bytes(8))
+        elif how == "malformed-sidecar":
+            json_path.write_text("{")
+        else:
+            meta = json.loads(json_path.read_text())
+            meta["format_version"] = 2
+            json_path.write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert cli.main(["evaluate", "-c", str(path)]) == 2
+        assert str(stem) in capsys.readouterr().err
+
 
 class TestTrain:
     def test_single_point_writes_stage_checkpoints(self, tmp_path):
@@ -260,6 +282,14 @@ class TestExitCodes:
          "beta2_s2_per_km: -2.2e-26}", "channel.fiber.length_km"),
         ("fba", "k_g: 7", "k_g: 7\n  fiber: {length_km: 1.0, "
          "beta2_s2_per_km: .nan}", "channel.fiber.beta2_s2_per_km"),
+        ("uniform", "square-law", "rapp\n  rapp: {p: 0}", "channel.rapp.p"),
+        ("uniform", "square-law", "rapp\n  rapp: {p: -1}", "channel.rapp.p"),
+        ("uniform", "square-law", "rapp\n  rapp: {x_sat: 0}",
+         "channel.rapp.x_sat"),
+        ("uniform", "square-law", "rapp\n  rapp: {x_sat: .nan}",
+         "channel.rapp.x_sat"),
+        ("uniform", "square-law", "rapp\n  rapp: {x_sat: -1}",
+         "channel.rapp.x_sat"),
     ])
     def test_values_rejected_by_run_objects(self, tmp_path, capsys, detector,
                                             old, new, key):

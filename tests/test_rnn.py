@@ -2,7 +2,9 @@
 pass against a scalar reference, structural invariants, counting, and the
 checkpoint format."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ import pytest
 from nlsic import channel as ch
 from nlsic import apps, rnn, sic
 from nlsic.apps import MultCounter
+
+DATA = Path(__file__).with_name("data")
 
 
 def make_shape(dims, l_y, l_ic, n_stages=1, s=1, m_symbols=4, n_os=2):
@@ -28,7 +32,7 @@ def scalar_forward_reference(model, inputs, phase_idx, out_steps):
     shape = model.shape
     p_count = shape.phases
     r = [[float(v) for v in row] for row in inputs]
-    for i in range(shape.n_recurrent):
+    for i, (in_w, in_b, st_w, st_b) in enumerate(model.layers):
         half = shape.dims[i + 1] // 2
         t_steps = len(r)
         h_fw, prev = [], [0.0] * half
@@ -36,11 +40,11 @@ def scalar_forward_reference(model, inputs, phase_idx, out_steps):
             p, q = phase_idx[t], (phase_idx[t] - 1) % p_count
             cur = []
             for u in range(half):
-                acc = model.fw_in_b[i][p][u] + model.fw_st_b[i][q][u]
+                acc = in_b[p, 0, u] + st_b[q, 0, u]
                 for v in range(shape.dims[i]):
-                    acc += model.fw_in_w[i][p][u, v] * r[t][v]
+                    acc += in_w[p, 0, u, v] * r[t][v]
                 for v in range(half):
-                    acc += model.fw_st_w[i][q][u, v] * prev[v]
+                    acc += st_w[q, 0, u, v] * prev[v]
                 cur.append(max(acc, 0.0))
             h_fw.append(cur)
             prev = cur
@@ -49,11 +53,11 @@ def scalar_forward_reference(model, inputs, phase_idx, out_steps):
             p, q = phase_idx[t], (phase_idx[t] + 1) % p_count
             cur = []
             for u in range(half):
-                acc = model.bw_in_b[i][p][u] + model.bw_st_b[i][q][u]
+                acc = in_b[p, 1, u] + st_b[q, 1, u]
                 for v in range(shape.dims[i]):
-                    acc += model.bw_in_w[i][p][u, v] * r[t][v]
+                    acc += in_w[p, 1, u, v] * r[t][v]
                 for v in range(half):
-                    acc += model.bw_st_w[i][q][u, v] * nxt[v]
+                    acc += st_w[q, 1, u, v] * nxt[v]
                 cur.append(max(acc, 0.0))
             h_bw[t] = cur
             nxt = cur
@@ -182,10 +186,8 @@ class TestForward:
         shape = make_shape((6, 8), 4, 2, m_symbols=4)
         rng = np.random.default_rng(2)
         model = rnn.init_model(shape, rng)
-        for i in range(shape.n_recurrent):
-            for p in range(shape.phases):
-                model.fw_st_w[i][p][...] = 0.0
-                model.bw_st_w[i][p][...] = 0.0
+        for layer in model.layers:
+            layer.st_w[...] = 0.0
         phase_idx, out_steps = unrolled_geometry(shape, 6)
         inputs = rng.normal(size=(6, 6))
         base = np.exp(rnn.forward(model, inputs, phase_idx, out_steps)[0][0])
@@ -200,10 +202,8 @@ class TestForward:
         shape = make_shape((6, 8), 4, 2, n_stages=2, s=1, m_symbols=4)
         rng = np.random.default_rng(3)
         model = rnn.init_model(shape, rng)
-        for i in range(shape.n_recurrent):
-            for p in range(shape.phases):
-                model.fw_st_w[i][p][...] = 0.0
-                model.bw_st_w[i][p][...] = 0.0
+        for layer in model.layers:
+            layer.st_w[...] = 0.0
         phase_idx, out_steps = unrolled_geometry(shape, 3)
         one_period = rng.normal(size=(2, 6))
         inputs = np.tile(one_period, (3, 1))
@@ -218,9 +218,9 @@ class TestForward:
         shape = make_shape((6, 8), 4, 2, n_stages=n_stages, s=1, m_symbols=4)
         rng = np.random.default_rng(4)
         model = rnn.init_model(shape, rng)
-        for i in range(shape.n_recurrent):
+        for layer in model.layers:
             for p in range(shape.phases):
-                for w in (model.fw_st_w[i][p], model.bw_st_w[i][p]):
+                for w in (layer.st_w[p, 0], layer.st_w[p, 1]):
                     sigma = np.linalg.svd(w, compute_uv=False)[0]
                     w *= 0.35 / sigma
         n_per = 80
@@ -237,7 +237,7 @@ class TestForward:
     def test_nan_raises_with_step(self):
         shape = make_shape((6, 8), 4, 2)
         model = rnn.init_model(shape, np.random.default_rng(5))
-        model.fw_in_w[0][0][0, 0] = np.inf
+        model.layers[0].in_w[0, 0, 0, 0] = np.inf
         phase_idx, out_steps = unrolled_geometry(shape, 3)
         with np.errstate(invalid="ignore"):
             with pytest.raises(FloatingPointError, match="step"):
@@ -300,6 +300,21 @@ class TestCounting:
         assert f"{rnn.count_rnn_multiplications(shape):.1e}" == "3.1e+04"
 
 
+def damage_checkpoint(stem, how):
+    """Corrupt the checkpoint saved at stem in the way `how` names."""
+    bin_path, json_path = stem.with_suffix(".bin"), stem.with_suffix(".json")
+    if how == "truncated":
+        bin_path.write_bytes(bin_path.read_bytes()[:-16])
+    elif how == "appended":
+        bin_path.write_bytes(bin_path.read_bytes() + bytes(8))
+    elif how == "malformed-sidecar":
+        json_path.write_text("{")
+    else:
+        meta = json.loads(json_path.read_text())
+        meta["format_version"] = 2
+        json_path.write_text(json.dumps(meta))
+
+
 class TestModelIO:
     def test_roundtrip(self, tmp_path):
         shape = make_shape((6, 8, 4), 4, 2, n_stages=2, s=1, m_symbols=4)
@@ -320,8 +335,52 @@ class TestModelIO:
         base = make_shape((6, 8), 4, 2, n_stages=1, s=1)
         tri = make_shape((6, 8), 4, 2, n_stages=3, s=1)
         n_out = 4 * 8 + 4
-        assert (rnn.RnnModel(tri).n_parameters() - n_out) == \
-            3 * (rnn.RnnModel(base).n_parameters() - n_out)
+        assert (rnn.RnnModel(tri).flat.size - n_out) == \
+            3 * (rnn.RnnModel(base).flat.size - n_out)
+
+    def test_format_v1_fixture(self, tmp_path):
+        """A format-1 checkpoint (dims (6, 8, 4), two stages, s=1) written by
+        the per-tensor layout that preceded the flat buffer loads, gives that
+        code's logp bit for bit, and saves back to the same bytes."""
+        model = rnn.load_model(DATA / "rnn_v1")
+        ref = np.load(DATA / "rnn_v1_forward.npz")
+        logp, _ = rnn.forward(model, ref["inputs"], ref["phase_idx"],
+                              ref["out_steps"])
+        assert logp.tobytes() == ref["logp"].tobytes()
+        rnn.save_model(model, tmp_path / "again")
+        for suffix in (".bin", ".json"):
+            assert (tmp_path / "again").with_suffix(suffix).read_bytes() == \
+                (DATA / "rnn_v1").with_suffix(suffix).read_bytes()
+
+    def test_views_tile_the_flat_buffer(self):
+        shape = make_shape((6, 8, 4), 4, 2, n_stages=2, s=1, m_symbols=4)
+        model = rnn.init_model(shape, np.random.default_rng(14))
+        base = model.flat.__array_interface__["data"][0]
+        offset = 0
+        for name, arr in model.parameters():
+            assert np.shares_memory(arr, model.flat), name
+            assert arr.flags.c_contiguous, name
+            assert arr.__array_interface__["data"][0] == base + 8 * offset, name
+            offset += arr.size
+        assert offset == model.flat.size
+
+        other = model.copy()
+        assert np.array_equal(other.flat, model.flat)
+        assert not np.shares_memory(other.flat, model.flat)
+        before = model.flat.copy()
+        other.layers[1].st_w[1, 1] += 1.0
+        other.out_b[...] = 0.0
+        assert np.array_equal(model.flat, before)
+
+    @pytest.mark.parametrize("how,match", [
+        ("truncated", "bytes, expected"), ("appended", "bytes, expected"),
+        ("malformed-sidecar", "Expecting"), ("version-2", "format 2")])
+    def test_damaged_checkpoint_rejected(self, tmp_path, how, match):
+        model = rnn.init_model(make_shape((6, 8), 4, 2), np.random.default_rng(15))
+        rnn.save_model(model, tmp_path / "ckpt")
+        damage_checkpoint(tmp_path / "ckpt", how)
+        with pytest.raises(ValueError, match=match):
+            rnn.load_model(tmp_path / "ckpt")
 
     def test_bad_magic_rejected(self, tmp_path):
         shape = make_shape((6, 8), 4, 2)

@@ -71,8 +71,8 @@ class TestBackward:
         batch = make_batch_for(shape, n_per, rng, batch_size=3)
         grads, _, _ = training.backward(model, batch)
         worst = 0.0
-        for name, arr in model.parameters():
-            gf = grads[name].reshape(-1)
+        for (name, arr), (_, grad) in zip(model.parameters(), grads.parameters()):
+            gf = grad.reshape(-1)
             flat = arr.reshape(-1)
             for k in range(flat.size):
                 orig = flat[k]
@@ -107,8 +107,8 @@ class TestBackward:
         g1, b1, _ = training.backward(model, single)
         g2, b2, _ = training.backward(model, doubled)
         assert b1 == pytest.approx(b2)
-        for name in g1:
-            assert np.allclose(g1[name], g2[name], atol=1e-14)
+        for (name, a), (_, b) in zip(g1.parameters(), g2.parameters()):
+            assert np.allclose(a, b, atol=1e-14)
 
     def test_zero_model_output_bias_gradient(self):
         """Softmax-CE hand derivation: d/db = mean(softmax - onehot)/ln 2."""
@@ -120,7 +120,7 @@ class TestBackward:
         onehot = np.zeros((batch.targets.size, 4))
         onehot[np.arange(batch.targets.size), batch.targets.reshape(-1)] = 1.0
         expect = (0.25 - onehot).mean(axis=0) / np.log(2.0)
-        assert np.allclose(grads["out.b"], expect, atol=1e-14)
+        assert np.allclose(grads.out_b, expect, atol=1e-14)
 
 
 def binary_conditional_entropy(level, sigma2=1.0):
