@@ -79,13 +79,6 @@ def _model_stem(run_dir: Path, s: int, p_tx_db: float) -> Path:
     return run_dir / "models" / f"stage{s}_{_ptx_tag(p_tx_db)}"
 
 
-def _rnn_shape(cfg, s: int, m_symbols: int) -> rnn.RnnShape:
-    dims = (cfg.rnn.l_y + cfg.rnn.l_ic,) + tuple(cfg.rnn.hidden)
-    return rnn.RnnShape(dims=dims, l_y=cfg.rnn.l_y, l_ic=cfg.rnn.l_ic,
-                        n_stages=cfg.stages, s=s, m_symbols=m_symbols,
-                        n_os=cfg.channel.n_os)
-
-
 def _train_seed(cfg, sweep_idx: int, s: int) -> int:
     ss = np.random.SeedSequence([cfg.seed, 2, sweep_idx, s])
     return int(ss.generate_state(1)[0])
@@ -251,7 +244,7 @@ def _train_chain(cfg, base, run_dir: Path, sweep, s: int) -> list:
     one (warnings, message, artifacts) record per point and prints nothing,
     so chains of different stages can run in different processes."""
     plan = sic.SicPlan(cfg.stages, cfg.eval_n)
-    shape = _rnn_shape(cfg, s, base.config.alphabet.size)
+    shape = cfgmod.rnn_shape(cfg, s, base.config.alphabet.size)
     records = []
     for sweep_idx, p_tx_db in enumerate(sweep):
         chan = base.with_transmit_power_db(p_tx_db)
@@ -291,9 +284,6 @@ def cmd_train(cfg) -> int:
     (run_dir / "models").mkdir(exist_ok=True)
     base = cfgmod.build_channel(cfg)
     sweep = sorted(cfg.sweep_p_tx_db)
-    if cfg.rnn.warm_start and list(cfg.sweep_p_tx_db) != sweep:
-        raise ConfigError("train: sweep.p_tx_db must ascend when warm starts "
-                          "are enabled")
     # stage chains are independent: each trains on the true symbols of the
     # earlier stages (the ideal-code assumption) and warm-starts only from
     # its own checkpoints
@@ -329,10 +319,8 @@ def _detector_for(cfg, chan, run_dir, p_tx_db):
         return det, aux, {s: count for s in range(1, cfg.stages + 1)}
     if cfg.detector_kind == "gibbs":
         aux = fba.build_aux_channel(chan, cfg.gibbs.memory, build_table=False)
-        gcfg = gibbs.GibbsConfig(memory=cfg.gibbs.memory, n_iter=cfg.gibbs.n_iter,
-                                 n_par=cfg.gibbs.n_par, burn_in=cfg.gibbs.burn_in)
-        det = rates.GibbsDetector(aux, gcfg)
-        count = gibbs.count_gs_multiplications(aux, gcfg, m_bits, n)
+        det = rates.GibbsDetector(aux, cfg.gibbs)
+        count = gibbs.count_gs_multiplications(aux, cfg.gibbs, m_bits, n)
         return det, None, {s: count for s in range(1, cfg.stages + 1)}
     if cfg.detector_kind == "rnn":
         models, counts = {}, {}

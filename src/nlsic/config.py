@@ -1,10 +1,13 @@
 """Experiment configuration: one structured YAML file per run.
 
 Sections mirror the module configs (channel, sic, detector, sweep, eval).
-Parsing is strict: unknown keys are rejected with their full dotted path,
-missing required keys and wrong types name the offending key.  The resolved
-configuration (all defaults filled in) serializes to canonical JSON, whose
-hash names the run's output directory.
+`_SCHEMA` states every key once, with its type, default and least allowed
+value; parsing, defaults, range checks and the resolved configuration all
+read it.  Parsing is strict: unknown keys are rejected with their full
+dotted path, and missing required keys, wrong types and out-of-range values
+name the offending key.  The resolved configuration (all defaults filled
+in) serializes to canonical JSON, whose hash names the run's output
+directory.
 """
 
 from __future__ import annotations
@@ -27,87 +30,90 @@ class ConfigError(ValueError):
     pass
 
 
-def _require_mapping(obj, path: str) -> dict:
-    if obj is None:
-        return {}
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected a mapping")
-    return obj
+# Every key of the schema: dotted YAML key -> (type, default, least allowed
+# value).  A default of ... marks a required key; null in the YAML means the
+# default.  A type in a list means a non-empty list of it, each entry
+# bounded.  Every float must be finite.
+_SCHEMA = {
+    "channel.alphabet": (str, ..., None),
+    "channel.symbol_rate": (float, 1.0, None),
+    "channel.n_os": (int, 2, None),
+    "channel.n_sim": (int, 2, None),
+    "channel.nonlinearity": (str, "square-law", None),
+    "channel.rapp.p": (float, 3.0, None),
+    "channel.rapp.x_sat": (float, 1.0, None),
+    "channel.k_g": (int, None, None),
+    "channel.k_h": (int, 1, None),
+    "channel.fiber.length_km": (float, None, None),
+    "channel.fiber.beta2_s2_per_km": (float, None, None),
+    "channel.fiber.carrier_nm": (float, 1550.0, None),
+    "channel.noise.kind": (str, "real", None),
+    "channel.noise.variance": (float, 1.0, None),
+    "channel.precoding": (str, "none", None),
+    "sic.stages": (int, 1, 1),
+    "detector.kind": (str, ..., None),
+    "detector.fba.memory": (int, 1, None),
+    "detector.fba.future": (int, None, None),
+    "detector.gibbs.memory": (int, 1, 0),
+    "detector.gibbs.n_iter": (int, 125, None),
+    "detector.gibbs.n_par": (int, 64, None),
+    "detector.gibbs.burn_in": (int, 25, None),
+    "detector.rnn.l_y": (int, 16, 1),
+    "detector.rnn.l_ic": (int, 0, 0),
+    "detector.rnn.hidden": ([int], (32,), 2),
+    "detector.rnn.t_rnn": (int, 32, 1),
+    "detector.rnn.learn_rate": (float, 1e-3, 0),
+    "detector.rnn.n_batch": (int, 64, 1),
+    "detector.rnn.n_iter": (int, 2000, 0),
+    "detector.rnn.warm_start": (bool, True, None),
+    "sweep.p_tx_db": ([float], (0.0,), None),
+    "eval.n_blk": (int, 20, 1),
+    "eval.n": (int, 96, 1),
+    "eval.ub_memory": (int, None, None),
+    "seed": (int, 0, 0),
+    "output_dir": (str, "out", None),
+}
+_SECTION_PATHS = {key[:i] for key in _SCHEMA
+                  for i, c in enumerate(key) if c == "."}
 
 
-def _check_keys(data: dict, allowed, path: str):
-    for key in data:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {path}.{key}" if path else
-                              f"unknown key {key}")
-
-
-def _get(data: dict, key: str, path: str, kind, default=...):
-    if key not in data or data[key] is None:
-        if default is ...:
-            raise ConfigError(f"missing required key {path}.{key}")
-        return default
-    value = data[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if kind is float and isinstance(value, str):
-        # YAML 1.1 reads exponents without a sign ("3.5e10") as strings
-        try:
-            value = float(value)
-        except ValueError:
-            pass
-    if kind is int and isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-        raise ConfigError(
-            f"{path}.{key}: expected {kind.__name__}, got {type(value).__name__}"
-            f" ({value!r})")
-    return value
-
-
+# A section dataclass field is its key minus the section prefix, with dots
+# turned into underscores.
 @dataclass(frozen=True)
 class ChannelSection:
     alphabet: str
-    symbol_rate: float = 1.0
-    n_os: int = 2
-    n_sim: int = 2
-    nonlinearity: str = "square-law"
-    rapp_p: float = 3.0
-    rapp_x_sat: float = 1.0
-    k_g: Optional[int] = None
-    k_h: int = 1
-    fiber_length_km: Optional[float] = None
-    fiber_beta2_s2_per_km: Optional[float] = None
-    fiber_carrier_nm: float = 1550.0
-    noise_kind: str = "real"
-    noise_variance: float = 1.0
-    precoding: str = "none"
+    symbol_rate: float
+    n_os: int
+    n_sim: int
+    nonlinearity: str
+    rapp_p: float
+    rapp_x_sat: float
+    k_g: Optional[int]
+    k_h: int
+    fiber_length_km: Optional[float]
+    fiber_beta2_s2_per_km: Optional[float]
+    fiber_carrier_nm: float
+    noise_kind: str
+    noise_variance: float
+    precoding: str
 
 
 @dataclass(frozen=True)
 class FbaSection:
-    memory: int = 1
-    future: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class GibbsSection:
-    memory: int = 1
-    n_iter: int = 125
-    n_par: int = 64
-    burn_in: int = 25
+    memory: int
+    future: Optional[int]
 
 
 @dataclass(frozen=True)
 class RnnSection:
-    l_y: int = 16
-    l_ic: int = 0
-    hidden: tuple = (32,)
-    t_rnn: int = 32
-    learn_rate: float = 1e-3
-    n_batch: int = 64
-    n_iter: int = 2000
-    warm_start: bool = True
+    l_y: int
+    l_ic: int
+    hidden: tuple
+    t_rnn: int
+    learn_rate: float
+    n_batch: int
+    n_iter: int
+    warm_start: bool
 
 
 @dataclass(frozen=True)
@@ -116,7 +122,7 @@ class ExperimentConfig:
     stages: int
     detector_kind: str
     fba: FbaSection
-    gibbs: GibbsSection
+    gibbs: GibbsConfig
     rnn: RnnSection
     sweep_p_tx_db: tuple
     eval_n_blk: int
@@ -126,122 +132,105 @@ class ExperimentConfig:
     output_dir: str
 
 
-def parse_config(data: dict) -> ExperimentConfig:
-    data = _require_mapping(data, "")
-    _check_keys(data, {"channel", "sic", "detector", "sweep", "eval", "seed",
-                       "output_dir"}, "")
+# ExperimentConfig attribute -> (key prefix, dataclass) of each section
+_SECTIONS = {"channel": ("channel.", ChannelSection),
+             "fba": ("detector.fba.", FbaSection),
+             "gibbs": ("detector.gibbs.", GibbsConfig),
+             "rnn": ("detector.rnn.", RnnSection)}
+# the other keys name their ExperimentConfig attribute with dots turned into
+# underscores, except these
+_RENAMED = {"sic.stages": "stages", "eval.ub_memory": "ub_memory"}
 
-    chd = _require_mapping(data.get("channel"), "channel")
-    _check_keys(chd, {"alphabet", "symbol_rate", "n_os", "n_sim", "nonlinearity",
-                      "rapp", "k_g", "k_h", "fiber", "noise", "precoding"},
-                "channel")
-    rapp = _require_mapping(chd.get("rapp"), "channel.rapp")
-    _check_keys(rapp, {"p", "x_sat"}, "channel.rapp")
-    fiber = _require_mapping(chd.get("fiber"), "channel.fiber")
-    _check_keys(fiber, {"length_km", "beta2_s2_per_km", "carrier_nm"},
-                "channel.fiber")
-    noise = _require_mapping(chd.get("noise"), "channel.noise")
-    _check_keys(noise, {"kind", "variance"}, "channel.noise")
-    nonlinearity = _get(chd, "nonlinearity", "channel", str, "square-law")
-    if nonlinearity not in ("square-law", "identity", "rapp"):
-        raise ConfigError(f"channel.nonlinearity: unknown kind {nonlinearity!r}")
-    channel = ChannelSection(
-        alphabet=_get(chd, "alphabet", "channel", str),
-        symbol_rate=_get(chd, "symbol_rate", "channel", float, 1.0),
-        n_os=_get(chd, "n_os", "channel", int, 2),
-        n_sim=_get(chd, "n_sim", "channel", int, 2),
-        nonlinearity=nonlinearity,
-        rapp_p=_get(rapp, "p", "channel.rapp", float, 3.0),
-        rapp_x_sat=_get(rapp, "x_sat", "channel.rapp", float, 1.0),
-        k_g=_get(chd, "k_g", "channel", int, None),
-        k_h=_get(chd, "k_h", "channel", int, 1),
-        fiber_length_km=_get(fiber, "length_km", "channel.fiber", float, None)
-        if fiber else None,
-        fiber_beta2_s2_per_km=_get(fiber, "beta2_s2_per_km", "channel.fiber",
-                                   float, None) if fiber else None,
-        fiber_carrier_nm=_get(fiber, "carrier_nm", "channel.fiber", float, 1550.0),
-        noise_kind=_get(noise, "kind", "channel.noise", str, "real"),
-        noise_variance=_get(noise, "variance", "channel.noise", float, 1.0),
-        precoding=_get(chd, "precoding", "channel", str, "none"),
-    )
-    if (channel.fiber_length_km is None) != (channel.fiber_beta2_s2_per_km is None):
+
+def _place(key: str):
+    """(section attribute or None, field name) holding a key's value."""
+    for attr, (prefix, _) in _SECTIONS.items():
+        if key.startswith(prefix):
+            return attr, key[len(prefix):].replace(".", "_")
+    return None, _RENAMED.get(key, key.replace(".", "_"))
+
+
+def _flatten(data, path: str) -> dict:
+    """Values of a YAML mapping by dotted key, refusing unknown keys."""
+    if data is None:
+        return {}
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path or 'top level'}: expected a mapping")
+    flat = {}
+    for key, value in data.items():
+        dotted = f"{path}.{key}" if path else str(key)
+        if "." in str(key) or \
+                dotted not in _SCHEMA and dotted not in _SECTION_PATHS:
+            raise ConfigError(f"unknown key {dotted}")
+        if dotted in _SCHEMA:
+            flat[dotted] = value
+        else:
+            flat.update(_flatten(value, dotted))
+    return flat
+
+
+def _scalar(value, key: str, kind):
+    if kind is float and isinstance(value, (int, str)) \
+            and not isinstance(value, bool):
+        # YAML 1.1 reads exponents without a sign ("3.5e10") as strings
+        try:
+            value = float(value)
+        except (ValueError, OverflowError):
+            pass
+    if kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
+        raise ConfigError(
+            f"{key}: expected {kind.__name__}, got {type(value).__name__}"
+            f" ({value!r})")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{key}: must be finite")
+    return value
+
+
+def _get(flat: dict, key: str):
+    """A key's value: its default when absent or null, else checked against
+    its type and least allowed value."""
+    kind, default, least = _SCHEMA[key]
+    value = flat.get(key)
+    if value is None:
+        if default is ...:
+            raise ConfigError(f"missing required key {key}")
+        return default
+    if not isinstance(kind, list):
+        value = _scalar(value, key, kind)
+    elif isinstance(value, list) and value:
+        value = tuple(_scalar(v, key, kind[0]) for v in value)
+    else:
+        raise ConfigError(f"{key}: expected a non-empty list of "
+                          f"{kind[0].__name__}")
+    if least is not None and \
+            min(value if isinstance(value, tuple) else (value,)) < least:
+        raise ConfigError(f"{key}: must be >= {least}")
+    return value
+
+
+def parse_config(data: dict) -> ExperimentConfig:
+    flat = _flatten(data, "")
+    fields = {attr: {} for attr in _SECTIONS}
+    top = {}
+    for key in _SCHEMA:
+        attr, name = _place(key)
+        (fields[attr] if attr else top)[name] = _get(flat, key)
+    for attr, (prefix, cls) in _SECTIONS.items():
+        top[attr] = _domain_check(prefix[:-1], lambda: cls(**fields[attr]))
+    cfg = ExperimentConfig(**top)
+    c = cfg.channel
+    if c.nonlinearity not in ("square-law", "identity", "rapp"):
+        raise ConfigError(f"channel.nonlinearity: unknown kind {c.nonlinearity!r}")
+    if (c.fiber_length_km is None) != (c.fiber_beta2_s2_per_km is None):
         raise ConfigError("channel.fiber: length_km and beta2_s2_per_km "
                           "must be given together")
-    for key in ("length_km", "beta2_s2_per_km"):
-        value = getattr(channel, f"fiber_{key}")
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"channel.fiber.{key}: must be finite")
-
-    sicd = _require_mapping(data.get("sic"), "sic")
-    _check_keys(sicd, {"stages"}, "sic")
-    stages = _get(sicd, "stages", "sic", int, 1)
-    if stages < 1:
-        raise ConfigError("sic.stages: must be >= 1")
-
-    det = _require_mapping(data.get("detector"), "detector")
-    _check_keys(det, {"kind", "fba", "gibbs", "rnn"}, "detector")
-    kind = _get(det, "kind", "detector", str)
-    if kind not in ("fba", "gibbs", "rnn", "uniform"):
-        raise ConfigError(f"detector.kind: unknown detector {kind!r}")
-    fbad = _require_mapping(det.get("fba"), "detector.fba")
-    _check_keys(fbad, {"memory", "future"}, "detector.fba")
-    gibd = _require_mapping(det.get("gibbs"), "detector.gibbs")
-    _check_keys(gibd, {"memory", "n_iter", "n_par", "burn_in"}, "detector.gibbs")
-    rnnd = _require_mapping(det.get("rnn"), "detector.rnn")
-    _check_keys(rnnd, {"l_y", "l_ic", "hidden", "t_rnn", "learn_rate",
-                       "n_batch", "n_iter", "warm_start"}, "detector.rnn")
-    hidden = rnnd.get("hidden", [32])
-    if not isinstance(hidden, (list, tuple)) or \
-            not all(isinstance(v, int) for v in hidden):
-        raise ConfigError("detector.rnn.hidden: expected a list of ints")
-
-    sweep = _require_mapping(data.get("sweep"), "sweep")
-    _check_keys(sweep, {"p_tx_db"}, "sweep")
-    p_list = sweep.get("p_tx_db", [0.0])
-    if not isinstance(p_list, (list, tuple)) or not p_list or \
-            not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    and math.isfinite(v) for v in p_list):
-        raise ConfigError("sweep.p_tx_db: expected a non-empty list of "
-                          "finite numbers")
-
-    evald = _require_mapping(data.get("eval"), "eval")
-    _check_keys(evald, {"n_blk", "n", "ub_memory"}, "eval")
-
-    cfg = ExperimentConfig(
-        channel=channel,
-        stages=stages,
-        detector_kind=kind,
-        fba=FbaSection(memory=_get(fbad, "memory", "detector.fba", int, 1),
-                       future=_get(fbad, "future", "detector.fba", int, None)),
-        gibbs=GibbsSection(
-            memory=_get(gibd, "memory", "detector.gibbs", int, 1),
-            n_iter=_get(gibd, "n_iter", "detector.gibbs", int, 125),
-            n_par=_get(gibd, "n_par", "detector.gibbs", int, 64),
-            burn_in=_get(gibd, "burn_in", "detector.gibbs", int, 25)),
-        rnn=RnnSection(
-            l_y=_get(rnnd, "l_y", "detector.rnn", int, 16),
-            l_ic=_get(rnnd, "l_ic", "detector.rnn", int, 0),
-            hidden=tuple(hidden),
-            t_rnn=_get(rnnd, "t_rnn", "detector.rnn", int, 32),
-            learn_rate=_get(rnnd, "learn_rate", "detector.rnn", float, 1e-3),
-            n_batch=_get(rnnd, "n_batch", "detector.rnn", int, 64),
-            n_iter=_get(rnnd, "n_iter", "detector.rnn", int, 2000),
-            warm_start=_get(rnnd, "warm_start", "detector.rnn", bool, True)),
-        sweep_p_tx_db=tuple(float(v) for v in p_list),
-        eval_n_blk=_get(evald, "n_blk", "eval", int, 20),
-        eval_n=_get(evald, "n", "eval", int, 96),
-        ub_memory=_get(evald, "ub_memory", "eval", int, None),
-        seed=_get(data, "seed", "", int, 0),
-        output_dir=_get(data, "output_dir", "", str, "out"),
-    )
+    if cfg.detector_kind not in ("fba", "gibbs", "rnn", "uniform"):
+        raise ConfigError(f"detector.kind: unknown detector {cfg.detector_kind!r}")
     if cfg.eval_n % cfg.stages != 0:
         raise ConfigError(f"eval.n={cfg.eval_n} not divisible by "
                           f"sic.stages={cfg.stages}")
-    for key, value in (("eval.n_blk", cfg.eval_n_blk), ("eval.n", cfg.eval_n)):
-        if value < 1:
-            raise ConfigError(f"{key}: must be >= 1")
-    if cfg.seed < 0:
-        raise ConfigError("seed: must be >= 0")
     _check_run_objects(cfg)
     return cfg
 
@@ -251,6 +240,14 @@ def _domain_check(key: str, build):
         return build()
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
+
+
+def rnn_shape(cfg: ExperimentConfig, s: int, m_symbols: int) -> RnnShape:
+    """Shape of the network for stage s; ValueError if cfg cannot build it."""
+    r = cfg.rnn
+    return RnnShape(dims=(r.l_y + r.l_ic,) + r.hidden, l_y=r.l_y, l_ic=r.l_ic,
+                    n_stages=cfg.stages, s=s, m_symbols=m_symbols,
+                    n_os=cfg.channel.n_os)
 
 
 def _check_run_objects(cfg: ExperimentConfig) -> None:
@@ -273,21 +270,19 @@ def _check_run_objects(cfg: ExperimentConfig) -> None:
     if cfg.ub_memory is not None:
         _domain_check("eval.ub_memory", lambda: check_table_size(
             m_symbols, cfg.ub_memory, n_os))
-    if cfg.detector_kind == "gibbs":
-        g = cfg.gibbs
-        if g.memory < 0:
-            raise ConfigError("detector.gibbs.memory: must be >= 0")
-        _domain_check("detector.gibbs", lambda: GibbsConfig(
-            memory=g.memory, n_iter=g.n_iter, n_par=g.n_par, burn_in=g.burn_in))
     if cfg.detector_kind == "rnn":
-        r = cfg.rnn
-        _domain_check("detector.rnn.hidden", lambda: RnnShape(
-            dims=(r.l_y + r.l_ic,) + r.hidden, l_y=r.l_y, l_ic=r.l_ic,
-            n_stages=cfg.stages, s=1, m_symbols=m_symbols, n_os=n_os))
+        _domain_check("detector.rnn.hidden",
+                      lambda: rnn_shape(cfg, 1, m_symbols))
+        t_rnn = cfg.rnn.t_rnn
         # stage s of S trains on sequences of S-s+1 interleaved phases
-        if any(r.t_rnn % p for p in range(1, cfg.stages + 1)):
-            raise ConfigError(f"detector.rnn.t_rnn: {r.t_rnn} is not divisible "
+        if any(t_rnn % p for p in range(1, cfg.stages + 1)):
+            raise ConfigError(f"detector.rnn.t_rnn: {t_rnn} is not divisible "
                               f"by every phase count 1..{cfg.stages}")
+        # each stage warm-starts from its checkpoint at the previous power
+        if cfg.rnn.warm_start and \
+                list(cfg.sweep_p_tx_db) != sorted(cfg.sweep_p_tx_db):
+            raise ConfigError("sweep.p_tx_db: must ascend when "
+                              "detector.rnn.warm_start is on")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -297,45 +292,20 @@ def load_config(path) -> ExperimentConfig:
 
 
 def resolved_dict(cfg: ExperimentConfig) -> dict:
-    """Fully-resolved canonical structure; parsing it again is a fixpoint."""
-    out = {
-        "channel": {
-            "alphabet": cfg.channel.alphabet,
-            "symbol_rate": cfg.channel.symbol_rate,
-            "n_os": cfg.channel.n_os,
-            "n_sim": cfg.channel.n_sim,
-            "nonlinearity": cfg.channel.nonlinearity,
-            "rapp": {"p": cfg.channel.rapp_p, "x_sat": cfg.channel.rapp_x_sat},
-            "k_g": cfg.channel.k_g,
-            "k_h": cfg.channel.k_h,
-            "noise": {"kind": cfg.channel.noise_kind,
-                      "variance": cfg.channel.noise_variance},
-            "precoding": cfg.channel.precoding,
-        },
-        "sic": {"stages": cfg.stages},
-        "detector": {
-            "kind": cfg.detector_kind,
-            "fba": {"memory": cfg.fba.memory, "future": cfg.fba.future},
-            "gibbs": {"memory": cfg.gibbs.memory, "n_iter": cfg.gibbs.n_iter,
-                      "n_par": cfg.gibbs.n_par, "burn_in": cfg.gibbs.burn_in},
-            "rnn": {"l_y": cfg.rnn.l_y, "l_ic": cfg.rnn.l_ic,
-                    "hidden": list(cfg.rnn.hidden), "t_rnn": cfg.rnn.t_rnn,
-                    "learn_rate": cfg.rnn.learn_rate,
-                    "n_batch": cfg.rnn.n_batch, "n_iter": cfg.rnn.n_iter,
-                    "warm_start": cfg.rnn.warm_start},
-        },
-        "sweep": {"p_tx_db": list(cfg.sweep_p_tx_db)},
-        "eval": {"n_blk": cfg.eval_n_blk, "n": cfg.eval_n,
-                 "ub_memory": cfg.ub_memory},
-        "seed": cfg.seed,
-        "output_dir": cfg.output_dir,
-    }
-    if cfg.channel.fiber_length_km is not None:
-        out["channel"]["fiber"] = {
-            "length_km": cfg.channel.fiber_length_km,
-            "beta2_s2_per_km": cfg.channel.fiber_beta2_s2_per_km,
-            "carrier_nm": cfg.channel.fiber_carrier_nm,
-        }
+    """Fully-resolved canonical structure; parsing it again is a fixpoint.
+    The fiber keys are left out when no fiber is given."""
+    out = {}
+    for key in _SCHEMA:
+        if key.startswith("channel.fiber.") and \
+                cfg.channel.fiber_length_km is None:
+            continue
+        attr, name = _place(key)
+        value = getattr(getattr(cfg, attr) if attr else cfg, name)
+        *sections, leaf = key.split(".")
+        node = out
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[leaf] = list(value) if isinstance(value, tuple) else value
     return out
 
 

@@ -1,7 +1,9 @@
 """Experiment runner: artifact layout, golden CSV schema, byte determinism,
 warm-start chaining, and exit codes."""
 
+import contextlib
 import copy
+import io
 import json
 import os
 import shutil
@@ -192,9 +194,12 @@ class TestTrain:
         lines = (run_dir_for(path) / "rates.csv").read_text().splitlines()
         assert lines[1].split(",")[0] == "rnn"
 
-    def test_descending_sweep_rejected_with_warm_starts(self, tmp_path):
+    def test_descending_sweep_rejected_with_warm_starts(self, tmp_path,
+                                                         capsys):
         path = toy_yaml(tmp_path, detector="rnn", stages=1, sweep=(6.0, 2.0))
         assert cli.main(["train", "-c", str(path)]) == 2
+        assert "sweep.p_tx_db" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestComplexityReport:
@@ -290,6 +295,24 @@ class TestExitCodes:
          "channel.rapp.x_sat"),
         ("uniform", "square-law", "rapp\n  rapp: {x_sat: -1}",
          "channel.rapp.x_sat"),
+        ("fba", "n_iter: 30, n_par: 2, burn_in: 5",
+         "n_iter: 10, n_par: 2, burn_in: 25", "detector.gibbs"),
+        ("fba", "hidden: [16]", "hidden: [0]", "detector.rnn.hidden"),
+        ("rnn", "hidden: [16]", "hidden: [-2]", "detector.rnn.hidden"),
+        ("rnn", "hidden: [16]", "hidden: [0]", "detector.rnn.hidden"),
+        ("rnn", "n_batch: 16", "n_batch: -1", "detector.rnn.n_batch"),
+        ("rnn", "n_batch: 16", "n_batch: 0", "detector.rnn.n_batch"),
+        ("rnn", "t_rnn: 8", "t_rnn: 0", "detector.rnn.t_rnn"),
+        ("rnn", "t_rnn: 8", "t_rnn: -2", "detector.rnn.t_rnn"),
+        ("rnn", "l_y: 8", "l_y: -3", "detector.rnn.l_y"),
+        ("rnn", "l_ic: 4", "l_ic: -1", "detector.rnn.l_ic"),
+        ("rnn", "l_y: 8\n    l_ic: 4", "l_y: 0\n    l_ic: 0",
+         "detector.rnn.l_y"),
+        ("rnn", "learn_rate: 2.0e-3", "learn_rate: .nan",
+         "detector.rnn.learn_rate"),
+        ("rnn", "learn_rate: 2.0e-3", "learn_rate: -1",
+         "detector.rnn.learn_rate"),
+        ("rnn", "n_iter: 40", "n_iter: -1", "detector.rnn.n_iter"),
     ])
     def test_values_rejected_by_run_objects(self, tmp_path, capsys, detector,
                                             old, new, key):
@@ -475,6 +498,20 @@ TINY_CONFIG = {
 }
 
 
+TINY_RNN_CONFIG = {
+    "channel": {"alphabet": "4-ASK", "n_os": 2, "n_sim": 2, "k_g": 3,
+                "precoding": "differential-phase"},
+    "sic": {"stages": 2},
+    "detector": {"kind": "rnn",
+                 "rnn": {"l_y": 4, "l_ic": 2, "hidden": [2], "t_rnn": 2,
+                         "learn_rate": 0.01, "n_batch": 2, "n_iter": 1,
+                         "warm_start": True}},
+    "sweep": {"p_tx_db": [3.0]},
+    "eval": {"n_blk": 1, "n": 4},
+    "seed": 5,
+}
+
+
 def _leaf_paths(tree, prefix=()):
     """Key paths of every scalar in a nested config, list items included."""
     items = tree.items() if isinstance(tree, dict) else enumerate(tree)
@@ -490,17 +527,27 @@ MUTANTS = [-1, 0, 1, 12, -1.5, 0.5, float("inf"), float("nan"), "", "foo",
            "fba", "uniform", "rnn", "complex", "identity", None, [], {}]
 
 
+# every leaf of the gibbs evaluate base, and the detector.rnn leaves of the
+# rnn sweep base
+MUTATED = [pytest.param(command, base, path, id=".".join(map(str, path)))
+           for command, base in (("evaluate", TINY_CONFIG),
+                                 ("sweep", TINY_RNN_CONFIG))
+           for path in sorted(_leaf_paths(base), key=str)
+           if base is TINY_CONFIG or path[:2] == ("detector", "rnn")
+           and len(path) > 2]
+
+
 class TestEveryConfigRunsOrExits:
-    @pytest.mark.parametrize("path", sorted(_leaf_paths(TINY_CONFIG), key=str),
-                             ids=lambda path: ".".join(map(str, path)))
+    @pytest.mark.parametrize("command,base,path", MUTATED)
     @settings(derandomize=True, database=None, deadline=None,
               max_examples=len(MUTANTS))
     @given(value=st.sampled_from(MUTANTS))
-    def test_one_mutated_key(self, tmp_path_factory, path, value):
+    def test_one_mutated_key(self, tmp_path_factory, command, base, path,
+                             value):
         """A tiny valid config with one key replaced runs (0), is refused
         as a configuration error (2) or fails numerically (3); it never
-        ends in a traceback."""
-        data = copy.deepcopy(TINY_CONFIG)
+        ends in a traceback.  A refused detector.rnn value names its key."""
+        data = copy.deepcopy(base)
         node = data
         for key in path[:-1]:
             node = node[key]
@@ -509,4 +556,9 @@ class TestEveryConfigRunsOrExits:
         data["output_dir"] = str(out / "out")
         config = out / "exp.yaml"
         config.write_text(yaml.safe_dump(data))
-        assert cli.main(["evaluate", "-c", str(config)]) in (0, 2, 3)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            status = cli.main([command, "-c", str(config)])
+        assert status in (0, 2, 3)
+        if status == 2 and path[:2] == ("detector", "rnn"):
+            assert ".".join(path[:3]) in err.getvalue()

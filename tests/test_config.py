@@ -1,5 +1,7 @@
 """Configuration schema: strict parsing, defaults, hashing, channel build."""
 
+from pathlib import Path
+
 import pytest
 import yaml
 
@@ -84,10 +86,30 @@ class TestParsing:
         with pytest.raises(ConfigError, match="unknown key extra"):
             cfgmod.parse_config(data)
 
+    def test_dotted_key_is_unknown(self):
+        data = yaml.safe_load(TOY_YAML)
+        data["channel"]["noise.kind"] = "real"
+        with pytest.raises(ConfigError, match="unknown key channel.noise.kind"):
+            cfgmod.parse_config(data)
+
+    def test_null_means_default(self):
+        data = yaml.safe_load(FULL_SCALE_YAML)
+        data["detector"]["rnn"]["hidden"] = None
+        data["sweep"]["p_tx_db"] = None
+        cfg = cfgmod.parse_config(data)
+        assert cfg.rnn.hidden == (32,)
+        assert cfg.sweep_p_tx_db == (0.0,)
+
     def test_wrong_unit_string_names_key(self):
         data = yaml.safe_load(FULL_SCALE_YAML)
         data["channel"]["fiber"]["beta2_s2_per_km"] = "-2.168e-23 s^2/km"
         with pytest.raises(ConfigError, match="beta2_s2_per_km"):
+            cfgmod.parse_config(data)
+
+    def test_huge_integer_for_float_names_key(self):
+        data = yaml.safe_load(TOY_YAML)
+        data["channel"]["symbol_rate"] = 10 ** 400
+        with pytest.raises(ConfigError, match="channel.symbol_rate"):
             cfgmod.parse_config(data)
 
     def test_missing_required_key(self):
@@ -152,3 +174,26 @@ class TestBuildChannel:
         chan = cfgmod.build_channel(cfgmod.parse_config(data))
         assert chan.config.nonlinearity.p == 2.0
         assert chan.config.nonlinearity.x_sat == 0.5
+
+
+class TestSchemaDocs:
+    def test_readme_lists_every_key(self):
+        """The README's key table gives each schema key its type, default
+        and least allowed value."""
+        readme = Path(__file__).parents[1] / "README.md"
+        rows = {}
+        for line in readme.read_text().splitlines():
+            cells = [c.strip().strip("`") for c in line.strip().split("|")]
+            if len(cells) > 5:
+                rows[cells[1]] = cells[2:5]
+        for key, (kind, default, least) in cfgmod._SCHEMA.items():
+            assert key in rows, key
+            type_cell, default_cell, least_cell = rows[key]
+            assert type_cell == (f"list of {kind[0].__name__}"
+                                 if isinstance(kind, list) else kind.__name__)
+            if default is ...:
+                assert default_cell == "required", key
+            else:
+                want = list(default) if isinstance(default, tuple) else default
+                assert yaml.safe_load(default_cell) == want, key
+            assert least_cell == ("" if least is None else str(least)), key
