@@ -126,7 +126,10 @@ class SquareLaw:
     mults_per_sample: int = field(default=1, init=False)
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        return np.real(z) ** 2 + np.imag(z) ** 2
+        if np.iscomplexobj(z):
+            return np.real(z) ** 2 + np.imag(z) ** 2
+        # x*x + 0.0 == x*x exactly, so skip the zero imaginary part
+        return z * z
 
 
 @dataclass(frozen=True)

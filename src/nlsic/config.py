@@ -55,9 +55,9 @@ _SCHEMA = {
     "detector.fba.memory": (int, 1, None),
     "detector.fba.future": (int, None, None),
     "detector.gibbs.memory": (int, 1, 0),
-    "detector.gibbs.n_iter": (int, 125, None),
-    "detector.gibbs.n_par": (int, 64, None),
-    "detector.gibbs.burn_in": (int, 25, None),
+    "detector.gibbs.n_iter": (int, 125, 1),
+    "detector.gibbs.n_par": (int, 64, 1),
+    "detector.gibbs.burn_in": (int, 25, 0),
     "detector.rnn.l_y": (int, 16, 1),
     "detector.rnn.l_ic": (int, 0, 0),
     "detector.rnn.hidden": ([int], (32,), 2),
@@ -217,15 +217,22 @@ def parse_config(data: dict) -> ExperimentConfig:
     for key in _SCHEMA:
         attr, name = _place(key)
         (fields[attr] if attr else top)[name] = _get(flat, key)
-    for attr, (prefix, cls) in _SECTIONS.items():
-        top[attr] = _domain_check(prefix[:-1], lambda: cls(**fields[attr]))
+    # with the bounds met, the one check GibbsConfig can still fail
+    g = fields["gibbs"]
+    if g["burn_in"] >= g["n_iter"]:
+        raise ConfigError(f"detector.gibbs.burn_in: must be less than "
+                          f"detector.gibbs.n_iter={g['n_iter']}")
+    for attr, (_, cls) in _SECTIONS.items():
+        top[attr] = cls(**fields[attr])
     cfg = ExperimentConfig(**top)
     c = cfg.channel
     if c.nonlinearity not in ("square-law", "identity", "rapp"):
         raise ConfigError(f"channel.nonlinearity: unknown kind {c.nonlinearity!r}")
-    if (c.fiber_length_km is None) != (c.fiber_beta2_s2_per_km is None):
-        raise ConfigError("channel.fiber: length_km and beta2_s2_per_km "
-                          "must be given together")
+    fiber = {k: v for k, v in flat.items()
+             if k.startswith("channel.fiber.") and v is not None}
+    for key in ("channel.fiber.length_km", "channel.fiber.beta2_s2_per_km"):
+        if fiber and key not in fiber:
+            raise ConfigError(f"{key}: required with any other channel.fiber key")
     if cfg.detector_kind not in ("fba", "gibbs", "rnn", "uniform"):
         raise ConfigError(f"detector.kind: unknown detector {cfg.detector_kind!r}")
     if cfg.eval_n % cfg.stages != 0:

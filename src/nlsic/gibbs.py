@@ -1,17 +1,23 @@
 """Bit-wise Gibbs sampling of symbol APPs under the truncated auxiliary channel.
 
-Each chain sweeps the unknown symbols in fixed serial order and resamples one
-Gray-labelled bit at a time from its conditional under the factorized
-auxiliary likelihood; only the chunks whose windows contain the flipped
-symbol are re-evaluated, so the per-bit work stays local in the memory.
-Post-burn-in symbol frequencies across all chains, with add-one smoothing,
-form the APP estimate.  Pinned symbols are never resampled.
+Each chain resamples the unknown symbols one Gray-labelled bit at a time
+from its conditional under the factorized auxiliary likelihood; only the
+chunks whose windows contain the symbol are re-evaluated, so the per-bit
+work stays local in the memory.  A sweep is a chromatic scan (Besag's
+coding scheme): positions more than `memory` apart share no chunk window,
+so the positions of one colour, position mod memory+1, are conditionally
+independent given the rest of the block, and a batch of them is resampled
+in one vectorised step, one bit after another.  Updates within a colour
+commute, so a sweep equals a serial scan in colour order, whatever the step
+size.  Post-burn-in symbol frequencies across all chains, with add-one
+smoothing, form the APP estimate.  Pinned symbols are never resampled.
 
 One call covers every block of a SIC stage: the pinned positions are the
 same for all of them, so the chains of all blocks sweep in lockstep as the
 rows of one state array, in block slices of bounded memory.  Every chain
 owns a generator spawned in block order and draws its uniforms one sweep at
-a time, so a block's APPs do not depend on which blocks share its call.
+a time, one per (unknown position, bit) in position order, so a block's
+APPs do not depend on which blocks share its call.
 """
 
 from __future__ import annotations
@@ -24,6 +30,10 @@ import numpy as np
 from .apps import AppMatrix, MultCounter, block_slices
 from .fba import AuxChannel
 from .sic import StageView, shared_stage
+
+# Context rows per colour step: a whole colour class at once falls out of
+# cache and runs slower than the serial scan.
+STEP_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -65,19 +75,32 @@ def _chunk_windows(aux: AuxChannel, pos: int, n: int):
     return chunks, wpos - 1  # symbol positions 0-based, may be out of range
 
 
-def _sites(aux: AuxChannel, ys: np.ndarray, unknown: np.ndarray) -> list:
-    """Loop invariants of each unknown position's bit updates: the clipped
+def _colour_steps(aux: AuxChannel, ys: np.ndarray, unknown: np.ndarray,
+                  n_chains: int) -> list:
+    """Colour steps of one sweep, in colour order: unknown positions of one
+    colour (position mod memory+1) and one chunk count, as many as fit in
+    STEP_ROWS context rows (candidates x chains x chunks), at least one.
+    A step holds their indices into `unknown`, their positions, the clipped
     window positions, the window slots outside the block, the flat offsets
-    of the target slot and the observation chunks of every block,
-    shaped (1, n_blk, 1, n_q, n_os) to broadcast over candidates and chains."""
+    of the target slots and every block's observation chunks,
+    (n_blk, 1, sites, n_q * n_os)."""
     n = ys.shape[1] // aux.n_os
-    sites = []
-    for pos in unknown:
+    groups = {}
+    for k, pos in enumerate(unknown):
         chunks, wpos = _chunk_windows(aux, int(pos), n)
-        rows = (chunks[:, None] - 1) * aux.n_os + np.arange(aux.n_os)[None, :]
-        sites.append((int(pos), np.clip(wpos, 0, n - 1), (wpos < 0) | (wpos >= n),
-                      np.flatnonzero(wpos == pos), ys[None, :, None][..., rows]))
-    return sites
+        groups.setdefault((pos % aux.window, len(chunks)), []).append(
+            (k, pos, chunks, wpos))
+    steps = []
+    for (_, n_q), sites in sorted(groups.items()):
+        per_step = max(1, STEP_ROWS // (2 * n_chains * n_q))
+        for i in range(0, len(sites), per_step):
+            ks, ps, chunks, wpos = map(np.array, zip(*sites[i:i + per_step]))
+            rows = (chunks[..., None] - 1) * aux.n_os + np.arange(aux.n_os)
+            tgt = np.flatnonzero(wpos == ps[:, None, None]).reshape(len(ps), n_q)
+            steps.append((ks, ps, np.clip(wpos, 0, n - 1),
+                          (wpos < 0) | (wpos >= n), tgt,
+                          ys[:, None, rows.reshape(len(ps), -1)]))
+    return steps
 
 
 def _sweep_chains(aux: AuxChannel, ys: np.ndarray, pinned_mask: np.ndarray,
@@ -100,7 +123,7 @@ def _sweep_chains(aux: AuxChannel, ys: np.ndarray, pinned_mask: np.ndarray,
     ungray = gray_to_index(m_sym)
     label_level = aux.levels[ungray]
     unknown = np.flatnonzero(~pinned_mask)
-    sites = _sites(aux, ys, unknown)
+    steps = _colour_steps(aux, ys, unknown, n_chains)
     values = aux.levels[states]
     # flat (block, position, symbol) bin of each chain's position
     bins = ((np.arange(n_chains)[:, None] // n_par) * n + np.arange(n)) * m_sym
@@ -110,29 +133,28 @@ def _sweep_chains(aux: AuxChannel, ys: np.ndarray, pinned_mask: np.ndarray,
     for sweep in range(n_iter):
         for crng, u in zip(chain_rngs, uniforms):
             crng.random(out=u)
-        for k, (pos, safe, outside, within, y_chunks) in enumerate(sites):
-            ctx = values[:, safe]                          # (C, n_q, W)
+        for ks, ps, safe, outside, tgt, y_sites in steps:
+            ctx = values[:, safe]                          # (C, S, n_q, W)
             ctx[:, outside] = 0.0
             # both candidates' windows; only the target slots change per bit
             pair = np.stack([ctx, ctx]).reshape(2, n_chains, -1)
-            cur_label = gray[states[:, pos]]
+            cur_label = gray[states[:, ps]]                # (C, S)
             for b in range(m_bits):
-                lab0 = cur_label & ~(1 << b)
-                lab1 = cur_label | (1 << b)
-                pair[0][:, within] = label_level[lab0][:, None]
-                pair[1][:, within] = label_level[lab1][:, None]
+                labs = np.stack([cur_label & ~(1 << b), cur_label | (1 << b)])
+                pair[:, :, tgt] = label_level[labs][..., None]
                 mu = aux.mean_contexts(pair.reshape(-1, aux.window),
                                        counter=counter)
-                diff = y_chunks - mu.reshape((2, n_blk, n_par) + y_chunks.shape[3:])
-                metric = np.sum(diff * diff, axis=(3, 4)).reshape(2, n_chains) * inv2s
+                diff = y_sites - mu.reshape((2, n_blk, n_par) + y_sites.shape[2:])
+                metric = np.einsum("...k,...k->...", diff, diff).reshape(
+                    2, n_chains, -1) * inv2s
                 if counter is not None:
-                    counter.add("gs-metric", 2 * n_chains * len(within) * aux.n_os
-                                + 2 * n_chains)
+                    counter.add("gs-metric", 2 * n_chains * tgt.size * aux.n_os
+                                + 2 * n_chains * len(ps))
                 # stable sigmoid: 1/(1+e^d) = (1 - tanh(d/2))/2
                 p_one = 0.5 * (1.0 - np.tanh(0.5 * (metric[1] - metric[0])))
-                cur_label = np.where(uniforms[:, k, b] < p_one, lab1, lab0)
-            states[:, pos] = ungray[cur_label]
-            values[:, pos] = aux.levels[states[:, pos]]
+                cur_label = np.where(uniforms[:, ks, b] < p_one, labs[1], labs[0])
+            states[:, ps] = ungray[cur_label]
+            values[:, ps] = aux.levels[states[:, ps]]
         if sweep >= burn_in:
             counts += np.bincount((bins + states).ravel(), minlength=counts.size)
     return counts.reshape(n_blk, n, m_sym)

@@ -115,6 +115,21 @@ class TestNonlinearity:
         assert sld(np.float64(3.0)) == pytest.approx(9.0)
         assert sld(np.complex128(1.0 + 1.0j)) == pytest.approx(2.0)
 
+    def test_square_law_real_input_is_bit_identical(self):
+        """The real path z*z gives the bits of |z|^2 = re^2 + im^2; complex
+        input keeps that expression."""
+        tiny = np.finfo(float).smallest_subnormal
+        x = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, 1e-160, -1e-160,
+                      np.finfo(float).tiny, 0.1, -0.7, 3.0, 1e150, -1e150,
+                      1e160, np.finfo(float).max, np.inf, -np.inf])
+        x = np.concatenate([x, np.random.default_rng(1).normal(size=64)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for v in (x, x + 1j * np.roll(x, 1)):
+                old = np.real(v) ** 2 + np.imag(v) ** 2
+                new = ch.SquareLaw()(v)
+                assert new.dtype == old.dtype
+                assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
+
     def test_rapp_hard_limiter_limit(self):
         pa = ch.RappPA(p=400.0, x_sat=1.0)
         z = 2.0 * np.exp(1j * 0.7)

@@ -268,6 +268,12 @@ class TestExitCodes:
         ("fba", "alphabet: 4-ASK", "alphabet: 5-ASK", "channel.alphabet"),
         ("gibbs", "n_iter: 30, n_par: 2, burn_in: 5",
          "n_iter: 10, n_par: 2, burn_in: 25", "detector.gibbs"),
+        ("gibbs", "burn_in: 5", "burn_in: 30", "detector.gibbs.burn_in"),
+        ("gibbs", "burn_in: 5", "burn_in: -1", "detector.gibbs.burn_in"),
+        ("gibbs", "n_iter: 30", "n_iter: 0", "detector.gibbs.n_iter"),
+        ("gibbs", "n_iter: 30", "n_iter: -3", "detector.gibbs.n_iter"),
+        ("gibbs", "n_iter: 30", "n_iter: 5", "detector.gibbs.n_iter"),
+        ("gibbs", "n_par: 2", "n_par: 0", "detector.gibbs.n_par"),
         ("rnn", "hidden: [16]", "hidden: [31]", "detector.rnn.hidden"),
         ("rnn", "t_rnn: 8", "t_rnn: 9", "detector.rnn.t_rnn"),
         ("fba", "precoding: differential-phase", "precoding: foo",
@@ -287,6 +293,12 @@ class TestExitCodes:
          "beta2_s2_per_km: -2.2e-26}", "channel.fiber.length_km"),
         ("fba", "k_g: 7", "k_g: 7\n  fiber: {length_km: 1.0, "
          "beta2_s2_per_km: .nan}", "channel.fiber.beta2_s2_per_km"),
+        ("fba", "k_g: 7", "k_g: 7\n  fiber: {carrier_nm: 1310.0}",
+         "channel.fiber.length_km"),
+        ("fba", "k_g: 7", "k_g: 7\n  fiber: {beta2_s2_per_km: -2.2e-26}",
+         "channel.fiber.length_km"),
+        ("fba", "k_g: 7", "k_g: 7\n  fiber: {length_km: 1.0}",
+         "channel.fiber.beta2_s2_per_km"),
         ("uniform", "square-law", "rapp\n  rapp: {p: 0}", "channel.rapp.p"),
         ("uniform", "square-law", "rapp\n  rapp: {p: -1}", "channel.rapp.p"),
         ("uniform", "square-law", "rapp\n  rapp: {x_sat: 0}",
@@ -546,7 +558,8 @@ class TestEveryConfigRunsOrExits:
                              value):
         """A tiny valid config with one key replaced runs (0), is refused
         as a configuration error (2) or fails numerically (3); it never
-        ends in a traceback.  A refused detector.rnn value names its key."""
+        ends in a traceback.  A refused detector.rnn, detector.gibbs or
+        channel.fiber value names its key."""
         data = copy.deepcopy(base)
         node = data
         for key in path[:-1]:
@@ -560,5 +573,7 @@ class TestEveryConfigRunsOrExits:
         with contextlib.redirect_stderr(err):
             status = cli.main([command, "-c", str(config)])
         assert status in (0, 2, 3)
-        if status == 2 and path[:2] == ("detector", "rnn"):
+        if status == 2 and path[:2] in (("detector", "rnn"),
+                                        ("detector", "gibbs"),
+                                        ("channel", "fiber")):
             assert ".".join(path[:3]) in err.getvalue()

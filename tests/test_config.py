@@ -127,7 +127,7 @@ class TestParsing:
     def test_fiber_needs_both_fields(self):
         data = yaml.safe_load(TOY_YAML)
         data["channel"]["fiber"] = {"length_km": 10.0}
-        with pytest.raises(ConfigError, match="fiber"):
+        with pytest.raises(ConfigError, match="channel.fiber.beta2_s2_per_km"):
             cfgmod.parse_config(data)
 
 

@@ -231,6 +231,89 @@ class TestBatchedStage:
                              np.random.default_rng(67))
 
 
+class TestColourSteps:
+    """One colour step resamples conditionally independent positions at
+    once, so the kernel equals a serial scan in colour order whatever
+    STEP_ROWS and SLICE_BYTES are."""
+
+    def make(self, m_symbols, memory):
+        cfg_ch = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(m_symbols),
+                                  n_os=2, n_sim=2, nonlinearity=ch.SquareLaw(),
+                                  noise_variance=1.0)
+        chan = ch.make_channel(cfg_ch, k_g=5).with_transmit_power_db(6.0)
+        aux = fba.build_aux_channel(chan, memory=memory, build_table=False)
+        return aux, chan, gibbs.GibbsConfig(memory=memory, n_iter=4, n_par=3,
+                                            burn_in=1)
+
+    def run(self, monkeypatch, aux, cfg, blocks, views, seed, step_rows,
+            slice_bytes):
+        rng = np.random.default_rng(seed)
+        with monkeypatch.context() as m:
+            m.setattr(gibbs, "STEP_ROWS", step_rows)
+            m.setattr(apps, "SLICE_BYTES", slice_bytes)
+            result = gibbs.gibbs_apps(aux, [blk.y for blk in blocks], views,
+                                      cfg, rng, positions=np.arange(12))
+            chain_rngs = np.random.default_rng(seed).spawn(cfg.n_par)
+            states = np.array([crng.integers(0, aux.m_symbols, size=12)
+                               for crng in chain_rngs])
+            counts = gibbs._sweep_chains(
+                aux, blocks[0].y[None], np.zeros(12, dtype=bool), states,
+                chain_rngs, cfg.n_iter, cfg.burn_in)
+        return result, counts, rng.random()
+
+    @pytest.mark.parametrize("memory", range(5))
+    @pytest.mark.parametrize("m_symbols", [2, 4, 8])
+    def test_independent_of_step_and_slice_size(self, monkeypatch, m_symbols,
+                                                memory):
+        aux, chan, cfg = self.make(m_symbols, memory)
+        rng = np.random.default_rng(100 + 10 * m_symbols + memory)
+        blocks = [ch.random_block(chan, 12, rng) for _ in range(3)]
+        for n_stages in (1, 2, 3, 4):
+            plan = sic.SicPlan(n_stages, 12)
+            s = n_stages
+            views = [sic.stage_view(plan, s, blk.x) for blk in blocks]
+            ref_apps, ref_counts, ref_next = self.run(
+                monkeypatch, aux, cfg, blocks, views, s, gibbs.STEP_ROWS,
+                apps.SLICE_BYTES)
+            # one site per step (the serial scan), a few, a whole group
+            for step_rows in (1, 64, 1 << 40):
+                for slice_bytes in (1, apps.SLICE_BYTES):
+                    got_apps, counts, nxt = self.run(
+                        monkeypatch, aux, cfg, blocks, views, s, step_rows,
+                        slice_bytes)
+                    assert np.array_equal(counts, ref_counts)
+                    assert nxt == ref_next
+                    for app, ref in zip(got_apps, ref_apps):
+                        assert np.array_equal(app.probs, ref.probs)
+                        assert np.array_equal(app.logp, ref.logp)
+
+    @pytest.mark.parametrize("memory", range(5))
+    @pytest.mark.parametrize("step_rows", [1, 64, gibbs.STEP_ROWS, 1 << 40])
+    def test_steps_are_independent_and_cover_each_position_once(
+            self, monkeypatch, step_rows, memory):
+        aux, chan, _ = self.make(4, memory)
+        monkeypatch.setattr(gibbs, "STEP_ROWS", step_rows)
+        n = 24
+        ys = np.zeros((2, aux.n_os * n))
+        for n_stages in (1, 2, 3):
+            for s in range(1, n_stages + 1):
+                pinned = np.zeros(n, dtype=bool)
+                pinned[np.arange(n) % n_stages < s - 1] = True
+                unknown = np.flatnonzero(~pinned)
+                steps = gibbs._colour_steps(aux, ys, unknown, n_chains=6)
+                visited = np.concatenate([ps for _, ps, *_ in steps])
+                assert np.array_equal(np.sort(visited), unknown)
+                colours = [ps % (memory + 1) for _, ps, *_ in steps]
+                for (ks, ps, *_), colour in zip(steps, colours):
+                    assert np.array_equal(unknown[ks], ps)
+                    assert np.all(colour == colour[0])
+                    gaps = np.abs(ps[:, None] - ps[None, :])
+                    assert np.all(gaps[~np.eye(len(ps), dtype=bool)] > memory)
+                # colour order
+                firsts = [c[0] for c in colours]
+                assert firsts == sorted(firsts)
+
+
 class TestStallingRecord:
     def test_high_snr_quality_gap_recorded(self, capsys):
         """At high power on a dispersive square-law channel the sampler's
