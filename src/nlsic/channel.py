@@ -180,11 +180,12 @@ class FiberParams:
 
 
 class ChannelConfigError(ValueError):
-    """A ChannelConfig value out of its domain; `field` names the attribute."""
+    """A ChannelConfig value out of its domain; `fields` names the attribute
+    and any other whose value the check weighs it against."""
 
-    def __init__(self, field: str, message: str):
+    def __init__(self, field: str, message: str, *others: str):
         super().__init__(message)
-        self.field = field
+        self.fields = (field,) + others
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +212,8 @@ class ChannelConfig:
         if self.n_sim % self.n_os != 0:
             raise ChannelConfigError(
                 "n_sim",
-                f"n_sim={self.n_sim} must be an integer multiple of n_os={self.n_os}")
+                f"n_sim={self.n_sim} must be an integer multiple of n_os={self.n_os}",
+                "n_os")
         if self.noise_kind not in ("real", "complex"):
             raise ChannelConfigError("noise_kind",
                                      f"unknown noise kind {self.noise_kind!r}")

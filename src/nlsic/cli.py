@@ -9,8 +9,9 @@ manifest.json the bookkeeping needed to re-run bit-identically (timing,
 worker counts and warnings live only there, never in the CSVs).
 
 train runs its per-stage chains and evaluate its sweep points in parallel,
-one process per usable CPU (see _parallel_map).  Every unit draws from its
-own seed, so the artifacts do not depend on the number of processes.
+one process per usable CPU (see nlsic.parallel); the Gibbs sampler splits
+its chains over the CPUs a sweep point has to itself.  Every unit draws from
+its own seed, so the artifacts do not depend on the number of processes.
 
 Exit codes: 0 ok, 2 configuration error, 3 numeric failure.
 """
@@ -20,8 +21,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
-import pickle
 import sys
 import time
 from pathlib import Path
@@ -31,7 +30,7 @@ import yaml
 
 from . import channel as ch
 from . import config as cfgmod
-from . import fba, gibbs, rates, rnn, sic, training
+from . import fba, gibbs, parallel, rates, rnn, sic, training
 from .config import ConfigError
 
 
@@ -61,7 +60,7 @@ def _manifest(run_dir: Path, cfg, artifacts, warnings, wall_seconds: float,
         "seed": cfg.seed,
         "wall_seconds": wall_seconds,
         "workers": workers,
-        "usable_cpus": _usable_cpus(),
+        "usable_cpus": parallel.usable_cpus(),
         "artifacts": sorted(str(p.relative_to(run_dir)) for p in artifacts),
         "warnings": warnings,
     }
@@ -82,97 +81,6 @@ def _model_stem(run_dir: Path, s: int, p_tx_db: float) -> Path:
 def _train_seed(cfg, sweep_idx: int, s: int) -> int:
     ss = np.random.SeedSequence([cfg.seed, 2, sweep_idx, s])
     return int(ss.generate_state(1)[0])
-
-
-# ---------------------------------------------------------------------------
-# parallel map over independent units
-
-
-def _usable_cpus() -> int:
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _workers(n_items: int) -> int:
-    """Processes _parallel_map uses for n_items independent units."""
-    if not hasattr(os, "fork"):
-        return 1
-    return max(1, min(n_items, _usable_cpus()))
-
-
-def _share(fn, items):
-    """fn over items up to the first failure: (results, exception or None)."""
-    results = []
-    try:
-        for item in items:
-            results.append(fn(item))
-    except Exception as exc:
-        return results, exc
-    return results, None
-
-
-def _child_share(fn, items, write_fd: int):
-    """Body of a forked worker: run its share, pickle it into the pipe and
-    exit without ever returning into the parent's stack."""
-    status = 1
-    try:
-        with os.fdopen(write_fd, "wb") as pipe:
-            pickle.dump(_share(fn, items), pipe)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _parallel_map(fn, items) -> list:
-    """[fn(item) for item in items], with the items dealt round-robin to
-    _workers(len(items)) processes: this one runs the first share and forked
-    children the others, each sending its results back through a pipe.
-
-    fn must print nothing and leave no state that later code reads, since a
-    child's side effects other than its files are lost.  If items fail, the
-    exception of the first failing one is raised, as the plain loop would,
-    and only after every child has been reaped.
-
-    Fork, not spawn: a spawned worker imports numpy and nlsic again, tens of
-    milliseconds that a short evaluate would pay.  nlsic starts no threads,
-    and OpenBLAS shuts its thread pool down at fork."""
-    items = list(items)
-    n = _workers(len(items))
-    if n == 1:
-        return [fn(item) for item in items]
-    # else a child that flushes would write this process's output twice
-    sys.stdout.flush()
-    sys.stderr.flush()
-    children, statuses = [], []
-    try:
-        for w in range(1, n):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                os.close(read_fd)
-                _child_share(fn, items[w::n], write_fd)
-            os.close(write_fd)
-            children.append((pid, os.fdopen(read_fd, "rb")))
-        shares = [_share(fn, items[0::n])]
-        blobs = [pipe.read() for _, pipe in children]
-    finally:
-        # closing first unblocks a child still writing to a pipe not read
-        for pid, pipe in children:
-            pipe.close()
-            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    for blob, status in zip(blobs, statuses):
-        if status != 0:
-            raise RuntimeError(f"worker process exited with status {status}")
-        shares.append(pickle.loads(blob))
-    failures = [(w + n * len(results), exc)
-                for w, (results, exc) in enumerate(shares) if exc is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    out = [None] * len(items)
-    for w, (results, _) in enumerate(shares):
-        out[w::n] = results
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +196,7 @@ def cmd_train(cfg) -> int:
     # earlier stages (the ideal-code assumption) and warm-starts only from
     # its own checkpoints
     stages = range(1, cfg.stages + 1)
-    chains = _parallel_map(
+    chains, workers = parallel.parallel_map(
         lambda s: _train_chain(cfg, base, run_dir, sweep, s), stages)
     artifacts, warnings = [], []
     for point in zip(*chains):
@@ -299,7 +207,7 @@ def cmd_train(cfg) -> int:
             warnings += point_warnings
             artifacts += paths
     _manifest(run_dir, cfg, artifacts, warnings, time.perf_counter() - t0,
-              _workers(len(stages)))
+              workers)
     return 0
 
 
@@ -382,7 +290,7 @@ def cmd_evaluate(cfg) -> int:
     run_dir = _run_dir(cfg)
     base = cfgmod.build_channel(cfg)
     points = list(enumerate(cfg.sweep_p_tx_db))
-    results = _parallel_map(
+    results, workers = parallel.parallel_map(
         lambda point: _evaluate_point(cfg, base, run_dir, *point), points)
 
     rate_rows, summary = [], []
@@ -414,7 +322,7 @@ def cmd_evaluate(cfg) -> int:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     _manifest(run_dir, cfg, [rates_path, complexity_path, summary_path], [],
-              time.perf_counter() - t0, _workers(len(points)))
+              time.perf_counter() - t0, workers)
     print(f"wrote {rates_path}")
     return 0
 

@@ -352,7 +352,8 @@ def _channel_parts(c: ChannelSection):
             noise_variance=c.noise_variance, precoding=c.precoding)
         g = ch.build_pulse(config, c.k_g)
     except ch.ChannelConfigError as exc:
-        raise ConfigError(f"{_CHANNEL_KEYS[exc.field]}: {exc}") from exc
+        keys = ", ".join(_CHANNEL_KEYS[field] for field in exc.fields)
+        raise ConfigError(f"{keys}: {exc}") from exc
     except ValueError as exc:
         # with the config valid, only the pulse's tap count is left to reject
         raise ConfigError(f"channel.k_g: {exc}") from exc

@@ -18,6 +18,12 @@ rows of one state array, in block slices of bounded memory.  Every chain
 owns a generator spawned in block order and draws its uniforms one sweep at
 a time, one per (unknown position, bit) in position order, so a block's
 APPs do not depend on which blocks share its call.
+
+Chains are independent, so each block's chains are cut into contiguous
+groups, one per CPU the caller has to itself (see nlsic.parallel), and the
+groups sweep in forked workers.  Generators and initial states are drawn in
+the calling process; the groups' integer counts and multiplication tallies
+add up exactly, so the APPs do not depend on the number of processes.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import parallel
 from .apps import AppMatrix, MultCounter, block_slices
 from .fba import AuxChannel
 from .sic import StageView, shared_stage
@@ -160,6 +167,34 @@ def _sweep_chains(aux: AuxChannel, ys: np.ndarray, pinned_mask: np.ndarray,
     return counts.reshape(n_blk, n, m_sym)
 
 
+def _sweep_split(aux: AuxChannel, ys: np.ndarray, pinned_mask: np.ndarray,
+                 states: np.ndarray, chain_rngs, cfg: GibbsConfig,
+                 counter: Optional[MultCounter]) -> np.ndarray:
+    """:func:`_sweep_chains` with each block's chains cut into contiguous
+    groups, one per worker of a parallel map.  Chains are independent, so
+    the groups' counts and multiplication tallies add up to the whole's."""
+    n_blk, n_par = len(ys), cfg.n_par
+    k = parallel.workers(n_par)
+    bounds = [n_par * w // k for w in range(k + 1)]
+    by_block = states.reshape(n_blk, n_par, -1)
+
+    def sweep_group(w):
+        a, b = bounds[w], bounds[w + 1]
+        tally = None if counter is None else MultCounter()
+        counts = _sweep_chains(
+            aux, ys, pinned_mask, by_block[:, a:b].reshape(n_blk * (b - a), -1),
+            [chain_rngs[i * n_par + c] for i in range(n_blk) for c in range(a, b)],
+            cfg.n_iter, cfg.burn_in, counter=tally)
+        return counts, tally
+
+    groups, _ = parallel.parallel_map(sweep_group, range(k))
+    if counter is not None:
+        for _, tally in groups:
+            for kind, count in tally.by_kind.items():
+                counter.add(kind, count)
+    return sum(counts for counts, _ in groups)
+
+
 def gibbs_apps(aux: AuxChannel, ys, views, cfg: GibbsConfig,
                rng: np.random.Generator, positions: Optional[np.ndarray] = None,
                counter: Optional[MultCounter] = None) -> list:
@@ -211,8 +246,8 @@ def gibbs_apps(aux: AuxChannel, ys, views, cfg: GibbsConfig,
         states[:, first.known_idx] = np.repeat(pinned_all[lo:hi], cfg.n_par, axis=0)
         for c, crng in enumerate(chain_rngs):
             states[c, unknown] = crng.integers(0, m_sym, size=len(unknown))
-        counts = _sweep_chains(aux, y_all[lo:hi], pinned_mask, states, chain_rngs,
-                               cfg.n_iter, cfg.burn_in, counter=counter)
+        counts = _sweep_split(aux, y_all[lo:hi], pinned_mask, states,
+                              chain_rngs, cfg, counter)
         probs = (counts[:, positions] + 1.0) / (total + m_sym)
         probs[:, rows] = 0.0
         probs[np.arange(hi - lo)[:, None], rows,

@@ -141,19 +141,22 @@ def backward(model: RnnModel, batch: Batch):
         half = in_w.shape[2]
         r_in, pre, h = cache.inputs[i], cache.pre[i], cache.h[i]
         dh = dr.reshape(b, t_steps, 2, half)
+        active = pre > 0
+        zero = np.zeros((b, half))
         dr_prev = np.zeros_like(r_in)
         for d, steps, feed in _directions(t_steps):
-            carry = np.zeros((b, half))
+            carry = zero
             for step in reversed(steps):
                 p = batch.phase_idx[step]
                 q = (p + feed) % p_count
-                dz = (dh[:, step, d] + carry) * (pre[:, step, d] > 0)
+                dz = (dh[:, step, d] + carry) * active[:, step, d]
+                dz_sum = dz.sum(axis=0)
                 src = step + feed
-                h_src = h[:, src, d] if 0 <= src < t_steps else np.zeros((b, half))
+                h_src = h[:, src, d] if 0 <= src < t_steps else zero
                 g_in_w[p, d] += dz.T @ r_in[:, step]
-                g_in_b[p, d] += dz.sum(axis=0)
+                g_in_b[p, d] += dz_sum
                 g_st_w[q, d] += dz.T @ h_src
-                g_st_b[q, d] += dz.sum(axis=0)
+                g_st_b[q, d] += dz_sum
                 dr_prev[:, step] += dz @ in_w[p, d]
                 carry = dz @ st_w[q, d]
         dr = dr_prev

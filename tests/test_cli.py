@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlsic import channel as ch
-from nlsic import cli, fba, rates, sic, training
+from nlsic import cli, fba, parallel, rates, sic, training
 from nlsic import config as cfgmod
 
 
@@ -281,6 +281,7 @@ class TestExitCodes:
         ("fba", "kind: real", "kind: foo", "channel.noise.kind"),
         ("fba", "n_sim: 2", "n_sim: 3", "channel.n_sim"),
         ("fba", "n_os: 2", "n_os: 0", "channel.n_os"),
+        ("fba", "n_os: 2", "n_os: 12", "channel.n_os"),
         ("fba", "variance: 1.0", "variance: -1.0", "channel.noise.variance"),
         ("fba", "k_g: 7", "k_g: 8", "channel.k_g"),
         ("fba", "k_g: 7", "k_g: -7", "channel.k_g"),
@@ -398,11 +399,14 @@ class TestParallel:
     workers; the artifacts must not depend on how many there are."""
 
     @pytest.mark.parametrize("command,detector", [("sweep", "rnn"),
-                                                  ("evaluate", "fba")])
+                                                  ("evaluate", "fba"),
+                                                  ("evaluate", "gibbs")])
     def test_forked_run_matches_one_cpu_run(self, tmp_path, monkeypatch,
                                             command, detector):
+        # one Gibbs sweep point: its chains, not the points, are split
+        sweep = (4.0,) if detector == "gibbs" else (2.0, 4.0, 6.0)
         path = toy_yaml(tmp_path, detector=detector, stages=2, n_blk=3,
-                        sweep=(2.0, 4.0, 6.0))
+                        sweep=sweep)
         run_dir = run_dir_for(path)
         runs = []
         for cpus in (2, 1):
@@ -470,8 +474,8 @@ class TestParallel:
 
     def test_map_keeps_order_and_raises_first_failure(self, monkeypatch):
         set_cpus(monkeypatch, 2)
-        assert cli._parallel_map(lambda x: x * x, range(7)) == \
-            [x * x for x in range(7)]
+        assert parallel.parallel_map(lambda x: x * x, range(7)) == \
+            ([x * x for x in range(7)], 2)
 
         def fn(x):
             if x >= 1:  # item 1 fails in the worker, item 2 in this process
@@ -479,7 +483,21 @@ class TestParallel:
             return x
 
         with pytest.raises(FloatingPointError, match="item 1"):
-            cli._parallel_map(fn, range(4))
+            parallel.parallel_map(fn, range(4))
+
+    def test_nested_map_gets_the_cpus_left_to_its_unit(self, monkeypatch):
+        set_cpus(monkeypatch, 2)
+
+        def inner(_):
+            return parallel.workers(8)
+
+        # an outer map that uses every CPU leaves each unit one
+        assert parallel.parallel_map(inner, range(2)) == ([1, 1], 2)
+        # a lone unit keeps them all, and its nested map's processes count
+        assert parallel.parallel_map(
+            lambda _: parallel.parallel_map(inner, range(2))[0], [0]) == \
+            ([[1, 1]], 2)
+        assert parallel.workers(8) == 2
 
     def test_children_reaped_when_own_share_fails(self, monkeypatch):
         set_cpus(monkeypatch, 2)
@@ -490,7 +508,7 @@ class TestParallel:
             return x
 
         with pytest.raises(FloatingPointError, match="own share"):
-            cli._parallel_map(fn, range(4))
+            parallel.parallel_map(fn, range(4))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -558,8 +576,8 @@ class TestEveryConfigRunsOrExits:
                              value):
         """A tiny valid config with one key replaced runs (0), is refused
         as a configuration error (2) or fails numerically (3); it never
-        ends in a traceback.  A refused detector.rnn, detector.gibbs or
-        channel.fiber value names its key."""
+        ends in a traceback.  A refused detector.rnn, detector.gibbs,
+        channel.fiber, channel.n_os or channel.n_sim value names its key."""
         data = copy.deepcopy(base)
         node = data
         for key in path[:-1]:
@@ -575,5 +593,7 @@ class TestEveryConfigRunsOrExits:
         assert status in (0, 2, 3)
         if status == 2 and path[:2] in (("detector", "rnn"),
                                         ("detector", "gibbs"),
-                                        ("channel", "fiber")):
+                                        ("channel", "fiber"),
+                                        ("channel", "n_os"),
+                                        ("channel", "n_sim")):
             assert ".".join(path[:3]) in err.getvalue()

@@ -1,12 +1,14 @@
 """Gibbs sampler: stationary distribution against closed-form posteriors,
-chain independence, whole-stage calls, pinning, and multiplication
-accounting."""
+chain independence, whole-stage calls, chains split across processes,
+pinning, and multiplication accounting."""
+
+import os
 
 import numpy as np
 import pytest
 
 from nlsic import channel as ch
-from nlsic import apps, fba, gibbs, sic
+from nlsic import apps, fba, gibbs, parallel, sic
 from nlsic.apps import MultCounter
 
 
@@ -229,6 +231,55 @@ class TestBatchedStage:
         with pytest.raises(ValueError):
             gibbs.gibbs_apps(aux, [blk.y for blk in blocks], views, cfg,
                              np.random.default_rng(67))
+
+
+class TestChainSplit:
+    """Each block's chains are cut into one contiguous group per CPU, and
+    the groups sweep in forked workers; APPs and tallies do not change."""
+
+    def run(self, monkeypatch, cpus, n_blk):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        aux, chan, cfg = TestBatchedStage().make()
+        n = 12
+        rng = np.random.default_rng(71)
+        blocks = [ch.random_block(chan, n, rng) for _ in range(n_blk)]
+        views = [sic.stage_view(sic.SicPlan(2, n), 2, blk.x) for blk in blocks]
+        counter = MultCounter()
+        [apps_], processes = parallel.parallel_map(
+            lambda _: gibbs.gibbs_apps(aux, [blk.y for blk in blocks], views,
+                                       cfg, np.random.default_rng(73),
+                                       counter=counter), [0])
+        return apps_, counter, processes
+
+    @pytest.mark.parametrize("n_blk", [1, 3])
+    def test_split_equals_one_process(self, monkeypatch, n_blk):
+        one, one_counter, one_processes = self.run(monkeypatch, 1, n_blk)
+        two, two_counter, two_processes = self.run(monkeypatch, 2, n_blk)
+        assert (one_processes, two_processes) == (1, 2)
+        assert len(one) == len(two) == n_blk
+        for a, b in zip(one, two):
+            assert np.array_equal(a.probs, b.probs)
+            assert np.array_equal(a.logp, b.logp)
+        assert two_counter.by_kind == one_counter.by_kind
+        assert two_counter.total == one_counter.total > 0
+
+    @pytest.mark.parametrize("where", ["worker", "own share"])
+    def test_failure_in_a_group_is_raised_and_children_reaped(
+            self, monkeypatch, where):
+        caller = os.getpid()
+        sweep_chains = gibbs._sweep_chains
+
+        def failing(*args, **kwargs):
+            if (os.getpid() != caller) == (where == "worker"):
+                raise FloatingPointError(f"overflow in the {where}")
+            return sweep_chains(*args, **kwargs)
+
+        monkeypatch.setattr(gibbs, "_sweep_chains", failing)
+        with pytest.raises(FloatingPointError, match=where):
+            self.run(monkeypatch, 2, 3)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestColourSteps:
