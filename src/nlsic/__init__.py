@@ -10,15 +10,16 @@ from .channel import (Alphabet, Block, ChannelConfig, DiscreteChannel,
                       build_pulse, differential_decode, differential_precode,
                       draw_symbols, make_channel, random_block, simulate_block)
 from .fba import (AuxChannel, build_aux_channel, count_fba_multiplications,
-                  fba_app, fba_apps, fba_ub)
-from .gibbs import GibbsConfig, count_gs_multiplications, gibbs_app, gibbs_apps
-from .rates import (FbaDetector, GibbsDetector, OracleDetector, RateReport,
-                    RnnDetector, StageRate, UniformDetector, estimate_sic,
+                  fba_apps, fba_ub)
+from .gibbs import GibbsConfig, count_gs_multiplications, gibbs_apps
+from .rates import (FbaDetector, GibbsDetector, RateReport, RnnDetector,
+                    StageRate, UniformDetector, estimate_sic,
                     estimate_stage_rate)
-from .rnn import (Normalization, RnnModel, RnnShape, assemble_inputs,
-                  count_rnn_multiplications, forward, init_model, load_model,
-                  rnn_app, rnn_apps, save_model)
-from .sic import SicPlan, StageView, ic_window, kappa, partition, stage_view
+from .rnn import (Normalization, RnnModel, RnnShape, build_indexer,
+                  count_rnn_multiplications, forward, gather_inputs,
+                  init_model, load_model, rnn_apps, save_model)
+from .sic import (SicPlan, StageView, ic_window_indices, kappa, partition,
+                  stage_view)
 from .training import (Adam, TrainConfig, TrainDivergence, TrainLog, backward,
                        loss, train_stage)
 

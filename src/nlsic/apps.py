@@ -1,7 +1,8 @@
 """Common output type of all APP detectors, plus operation counting.
 
 Every detector (forward-backward, Gibbs sampler, recurrent network) returns
-an :class:`AppMatrix`: one PMF over the symbol alphabet per target position.
+an :class:`AppMatrix`: one PMF over the symbol alphabet per target position
+of each block of a SIC stage.
 """
 
 from __future__ import annotations
@@ -42,13 +43,14 @@ class MultCounter:
 
 @dataclass
 class AppMatrix:
-    """Per-symbol a-posteriori PMFs over the alphabet.
+    """Per-symbol a-posteriori PMFs over the alphabet for a batch of blocks.
 
     Attributes:
-        probs: (N, M) probabilities, each row a PMF.
-        logp: (N, M) natural-log probabilities (kept alongside for
+        probs: (B, N, M) probabilities, each row a PMF.
+        logp: (B, N, M) natural-log probabilities (kept alongside for
             rate estimation without re-taking logs of tiny numbers).
-        positions: (N,) serial 0-based symbol indices the rows refer to.
+        positions: (N,) serial 0-based symbol indices the rows refer to,
+            the same in every block.
     """
 
     probs: np.ndarray
@@ -59,32 +61,23 @@ class AppMatrix:
     def from_logp(cls, logp: np.ndarray, positions: np.ndarray) -> "AppMatrix":
         """Normalize unnormalized log scores row-wise into PMFs."""
         logp = np.asarray(logp, dtype=np.float64)
-        mx = logp.max(axis=1, keepdims=True)
+        mx = logp.max(axis=-1, keepdims=True)
         z = np.exp(logp - mx)
-        denom = z.sum(axis=1, keepdims=True)
+        denom = z.sum(axis=-1, keepdims=True)
         probs = z / denom
         norm_logp = (logp - mx) - np.log(denom)
         return cls(probs=probs, logp=norm_logp, positions=np.asarray(positions))
 
-    @classmethod
-    def point_masses(cls, indices: np.ndarray, m_symbols: int,
-                     positions: np.ndarray) -> "AppMatrix":
-        """Exact one-hot rows (used for pinned positions)."""
-        n = len(indices)
-        probs = np.zeros((n, m_symbols))
-        probs[np.arange(n), np.asarray(indices, dtype=int)] = 1.0
-        with np.errstate(divide="ignore"):
-            logp = np.log(probs)
-        return cls(probs=probs, logp=logp, positions=np.asarray(positions))
-
     @property
     def n_rows(self) -> int:
-        return self.probs.shape[0]
+        """PMF rows over all blocks."""
+        return self.probs.shape[0] * self.probs.shape[1]
 
     def log2_prob_of(self, indices: np.ndarray, floor: float = CLAMP_FLOOR) -> np.ndarray:
-        """log2 of the probability assigned to given symbol indices per row.
+        """log2 of the probability assigned to given symbol indices, (B, N).
 
         Probabilities below `floor` are clamped so the result stays finite.
         """
-        p = self.probs[np.arange(self.n_rows), np.asarray(indices, dtype=int)]
+        idx = np.asarray(indices, dtype=int)[..., None]
+        p = np.take_along_axis(self.probs, idx, axis=-1)[..., 0]
         return np.log2(np.maximum(p, floor))

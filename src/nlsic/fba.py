@@ -24,7 +24,7 @@ import numpy as np
 
 from .apps import AppMatrix, MultCounter, block_slices
 from .channel import DiscreteChannel
-from .sic import StageView, shared_stage
+from .sic import StageView
 
 LOG2PI = np.log(2.0 * np.pi)
 
@@ -313,57 +313,32 @@ def _backward_apps(log_alpha: np.ndarray, log_gamma: np.ndarray,
     return logp
 
 
-def _pin_array(n: int, view: Optional[StageView], aux: AuxChannel) -> np.ndarray:
-    pin = np.full(n, -1, dtype=int)
-    if view is not None and len(view.known_idx) > 0:
-        pin[view.known_idx] = aux.chan.symbol_indices(view.known_val)
-    return pin
+def fba_apps(aux: AuxChannel, y: np.ndarray, view: StageView,
+             counter: Optional[MultCounter] = None) -> AppMatrix:
+    """Symbol-wise APPs at the stage targets of every block of one SIC
+    stage, by log-domain forward-backward recursions run over all blocks at
+    once.
 
-
-def fba_apps(aux: AuxChannel, ys, views, positions: Optional[np.ndarray] = None,
-             counter: Optional[MultCounter] = None) -> list:
-    """Symbol-wise APPs of every block of one SIC stage by log-domain
-    forward-backward recursions run over all blocks at once.
-
-    ys[i] holds the observations of the block whose stage view is views[i];
-    the views share one plan and stage.  Known symbols of earlier stages are
-    pinned: trellis branches carrying a different value get -inf metric.
-    Rows are returned for `positions` (default: the stage's targets,
-    ascending); a pinned position yields an exact point mass.  Returns one
-    AppMatrix per block, in order.
+    y: (B, n_os*n) observations of the blocks `view` describes.  Known
+    symbols of earlier stages are pinned: trellis branches carrying a
+    different value get -inf metric.
     """
-    views = list(views)
-    if not views:
-        return []
-    first = shared_stage(views)
-    n = first.plan.n
-    for y in ys:
-        if len(y) != aux.n_os * n:
-            raise ValueError(f"expected {aux.n_os * n} observations, got {len(y)}")
-    if positions is None:
-        positions = first.targets
-    positions = np.asarray(positions, dtype=int)
-    y_all = np.stack([np.asarray(y, dtype=np.float64) for y in ys])
-    pin_all = np.stack([_pin_array(n, v, aux) for v in views])
+    y = view.observations(y, aux.n_os)
+    b, n = len(y), view.plan.n
+    pin = np.full((b, n), -1, dtype=int)
+    pin[:, view.known_idx] = aux.chan.symbol_indices(view.known_val)
+    positions = view.targets
 
     # per block: one step's metric differences, and the branch metrics and
     # forward messages of all steps, kept for the backward pass
     m, w = aux.m_symbols, aux.n_states
     stored = 8 * w * (m * aux.n_os + (n + aux.future) * (m + 1))
-    apps = []
-    for lo, hi in block_slices(len(views), stored):
-        _, log_alpha, log_gamma = _forward(aux, y_all[lo:hi], pin_all[lo:hi],
+    logp = np.empty((b, len(positions), m))
+    for lo, hi in block_slices(b, stored):
+        _, log_alpha, log_gamma = _forward(aux, y[lo:hi], pin[lo:hi],
                                            counter=counter, keep=True)
-        logp = _backward_apps(log_alpha, log_gamma, positions, counter)
-        apps += [AppMatrix.from_logp(lp, positions) for lp in logp]
-    return apps
-
-
-def fba_app(aux: AuxChannel, y: np.ndarray, view: StageView,
-            positions: Optional[np.ndarray] = None,
-            counter: Optional[MultCounter] = None) -> AppMatrix:
-    """APPs of one block: the one-block case of :func:`fba_apps`."""
-    return fba_apps(aux, [y], [view], positions=positions, counter=counter)[0]
+        logp[lo:hi] = _backward_apps(log_alpha, log_gamma, positions, counter)
+    return AppMatrix.from_logp(logp, positions)
 
 
 def fba_ub(aux: AuxChannel, blocks, counter: Optional[MultCounter] = None):

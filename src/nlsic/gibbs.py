@@ -12,18 +12,22 @@ commute, so a sweep equals a serial scan in colour order, whatever the step
 size.  Post-burn-in symbol frequencies across all chains, with add-one
 smoothing, form the APP estimate.  Pinned symbols are never resampled.
 
-One call covers every block of a SIC stage: the pinned positions are the
-same for all of them, so the chains of all blocks sweep in lockstep as the
-rows of one state array, in block slices of bounded memory.  Every chain
-owns a generator spawned in block order and draws its uniforms one sweep at
-a time, one per (unknown position, bit) in position order, so a block's
-APPs do not depend on which blocks share its call.
+One call covers every block of a SIC stage, as one StageView and one
+(B, n_os*n) observation array: the pinned positions are the same for all
+blocks, so their chains sweep in lockstep as the rows of one state array,
+in block slices of bounded memory, and the call returns one AppMatrix of
+(B, N, M) PMFs at the stage targets.  Every chain owns a generator spawned
+in block order and draws its uniforms one sweep at a time, one per
+(unknown position, bit) in position order, so a block's APPs do not depend
+on which blocks share its call.
 
-Chains are independent, so each block's chains are cut into contiguous
-groups, one per CPU the caller has to itself (see nlsic.parallel), and the
-groups sweep in forked workers.  Generators and initial states are drawn in
-the calling process; the groups' integer counts and multiplication tallies
-add up exactly, so the APPs do not depend on the number of processes.
+Chains are independent, so once a slice has FORK_UPDATES bit updates each
+block's chains are cut into contiguous groups, one per CPU the caller has
+to itself (see nlsic.parallel), and the groups sweep in forked workers;
+smaller slices sweep in the calling process, where a fork would cost more
+than it saves.  Generators and initial states are drawn in the calling
+process; the groups' integer counts and multiplication tallies add up
+exactly, so the APPs do not depend on the number of processes.
 """
 
 from __future__ import annotations
@@ -36,11 +40,18 @@ import numpy as np
 from . import parallel
 from .apps import AppMatrix, MultCounter, block_slices
 from .fba import AuxChannel
-from .sic import StageView, shared_stage
+from .sic import StageView
 
 # Context rows per colour step: a whole colour class at once falls out of
 # cache and runs slower than the serial scan.
 STEP_ROWS = 4096
+
+# Bit updates a block slice needs before its chains are split across
+# processes.  On 2 CPUs a split slice ran up to 3x slower below 60k updates,
+# broke even near 250k and ran 1.5x faster from 500k on, whatever the chain
+# count: a fork costs 5-20 ms, and half of each step's time does not shrink
+# with fewer chains.
+FORK_UPDATES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -110,15 +121,16 @@ def _colour_steps(aux: AuxChannel, ys: np.ndarray, unknown: np.ndarray,
     return steps
 
 
-def _sweep_chains(aux: AuxChannel, ys: np.ndarray, pinned_mask: np.ndarray,
+def _sweep_chains(aux: AuxChannel, ys: np.ndarray, unknown: np.ndarray,
                   states: np.ndarray, chain_rngs, n_iter: int, burn_in: int,
                   counter: Optional[MultCounter] = None) -> np.ndarray:
     """Sweep the chains of every block in lockstep; returns post-burn-in
     counts, (n_blk, n, M).
 
-    ys: (n_blk, n_os * n) observations.  states: (n_blk * n_par, n) symbol
-    digits, block-major, pinned columns already correct; chain_rngs[c]
-    draws chain c's uniforms, one (n_unknown, m_bits) array per sweep.
+    ys: (n_blk, n_os * n) observations.  unknown: the ascending positions
+    to resample.  states: (n_blk * n_par, n) symbol digits, block-major,
+    pinned columns already correct; chain_rngs[c] draws chain c's
+    uniforms, one (n_unknown, m_bits) array per sweep.
     """
     n_blk = len(ys)
     n_chains, n = states.shape
@@ -129,7 +141,6 @@ def _sweep_chains(aux: AuxChannel, ys: np.ndarray, pinned_mask: np.ndarray,
     gray = gray_labels(m_sym)
     ungray = gray_to_index(m_sym)
     label_level = aux.levels[ungray]
-    unknown = np.flatnonzero(~pinned_mask)
     steps = _colour_steps(aux, ys, unknown, n_chains)
     values = aux.levels[states]
     # flat (block, position, symbol) bin of each chain's position
@@ -167,14 +178,16 @@ def _sweep_chains(aux: AuxChannel, ys: np.ndarray, pinned_mask: np.ndarray,
     return counts.reshape(n_blk, n, m_sym)
 
 
-def _sweep_split(aux: AuxChannel, ys: np.ndarray, pinned_mask: np.ndarray,
+def _sweep_split(aux: AuxChannel, ys: np.ndarray, unknown: np.ndarray,
                  states: np.ndarray, chain_rngs, cfg: GibbsConfig,
                  counter: Optional[MultCounter]) -> np.ndarray:
     """:func:`_sweep_chains` with each block's chains cut into contiguous
-    groups, one per worker of a parallel map.  Chains are independent, so
-    the groups' counts and multiplication tallies add up to the whole's."""
+    groups, one per worker of a parallel map, once the slice has at least
+    FORK_UPDATES bit updates.  Chains are independent, so the groups'
+    counts and multiplication tallies add up to the whole's."""
     n_blk, n_par = len(ys), cfg.n_par
-    k = parallel.workers(n_par)
+    updates = n_blk * n_par * len(unknown) * int(np.log2(aux.m_symbols)) * cfg.n_iter
+    k = parallel.workers(n_par) if updates >= FORK_UPDATES else 1
     bounds = [n_par * w // k for w in range(k + 1)]
     by_block = states.reshape(n_blk, n_par, -1)
 
@@ -182,7 +195,7 @@ def _sweep_split(aux: AuxChannel, ys: np.ndarray, pinned_mask: np.ndarray,
         a, b = bounds[w], bounds[w + 1]
         tally = None if counter is None else MultCounter()
         counts = _sweep_chains(
-            aux, ys, pinned_mask, by_block[:, a:b].reshape(n_blk * (b - a), -1),
+            aux, ys, unknown, by_block[:, a:b].reshape(n_blk * (b - a), -1),
             [chain_rngs[i * n_par + c] for i in range(n_blk) for c in range(a, b)],
             cfg.n_iter, cfg.burn_in, counter=tally)
         return counts, tally
@@ -195,76 +208,44 @@ def _sweep_split(aux: AuxChannel, ys: np.ndarray, pinned_mask: np.ndarray,
     return sum(counts for counts, _ in groups)
 
 
-def gibbs_apps(aux: AuxChannel, ys, views, cfg: GibbsConfig,
-               rng: np.random.Generator, positions: Optional[np.ndarray] = None,
-               counter: Optional[MultCounter] = None) -> list:
-    """Approximate symbol-wise APPs of every block of one SIC stage by Gibbs
-    sampling, the chains of all blocks sweeping in lockstep.
+def gibbs_apps(aux: AuxChannel, y: np.ndarray, view: StageView,
+               cfg: GibbsConfig, rng: np.random.Generator,
+               counter: Optional[MultCounter] = None) -> AppMatrix:
+    """Approximate symbol-wise APPs at the stage targets of every block of
+    one SIC stage by Gibbs sampling, the chains of all blocks sweeping in
+    lockstep.
 
-    ys[i] holds the observations of the block whose stage view is views[i];
-    the views share one plan and stage.  All not-yet-decided symbols
-    (stages >= s) are resampled so later stages are marginalized; decided
-    symbols are pinned.  Each block spawns cfg.n_par chain generators from
-    `rng`, in block order; a chain draws its initial state, then one
-    uniform per (symbol, bit) at each sweep.  Rows are returned for
-    `positions` (default: the stage's targets); a pinned position yields an
-    exact point mass.  Returns one AppMatrix per block, in order.
+    y: (B, n_os*n) observations of the blocks `view` describes.  All
+    not-yet-decided symbols (stages >= s) are resampled so later stages are
+    marginalized; decided symbols are pinned.  Each block spawns cfg.n_par
+    chain generators from `rng`, in block order; a chain draws its initial
+    state, then one uniform per (symbol, bit) at each sweep.
     """
-    views = list(views)
-    if not views:
-        return []
     if cfg.memory != aux.memory:
         raise ValueError("sampler memory must match the auxiliary channel")
-    first = shared_stage(views)
-    n = first.plan.n
-    for y in ys:
-        if len(y) != aux.n_os * n:
-            raise ValueError(f"expected {aux.n_os * n} observations, got {len(y)}")
-    if positions is None:
-        positions = first.targets
-    positions = np.asarray(positions, dtype=int)
-
+    y = view.observations(y, aux.n_os)
+    b, n = len(y), view.plan.n
     m_sym = aux.m_symbols
     m_bits = int(np.log2(m_sym))
-    pinned_mask = np.zeros(n, dtype=bool)
-    pinned_mask[first.known_idx] = True
-    unknown = np.flatnonzero(~pinned_mask)
-    y_all = np.stack([np.asarray(y, dtype=np.float64) for y in ys])
-    pinned_all = np.stack([aux.chan.symbol_indices(v.known_val) for v in views])
-    # requested rows at pinned positions, and the pinned slot each one reads
-    rows = np.flatnonzero(pinned_mask[positions])
-    slots = np.searchsorted(first.known_idx, positions[rows])
+    unknown = np.delete(np.arange(n), view.known_idx)
+    pinned = aux.chan.symbol_indices(view.known_val)
+    positions = view.targets
     total = (cfg.n_iter - cfg.burn_in) * cfg.n_par
 
     # per block: chain states, values, count bins and one sweep's uniforms,
     # plus its counts and the observation chunks of every position
     stored = 8 * n * (cfg.n_par * (3 + m_bits) + m_sym + aux.window * aux.n_os)
-    apps = []
-    for lo, hi in block_slices(len(views), stored):
+    probs = np.empty((b, len(positions), m_sym))
+    for lo, hi in block_slices(b, stored):
         chain_rngs = rng.spawn((hi - lo) * cfg.n_par)
         states = np.zeros((len(chain_rngs), n), dtype=int)
-        states[:, first.known_idx] = np.repeat(pinned_all[lo:hi], cfg.n_par, axis=0)
+        states[:, view.known_idx] = np.repeat(pinned[lo:hi], cfg.n_par, axis=0)
         for c, crng in enumerate(chain_rngs):
             states[c, unknown] = crng.integers(0, m_sym, size=len(unknown))
-        counts = _sweep_split(aux, y_all[lo:hi], pinned_mask, states,
-                              chain_rngs, cfg, counter)
-        probs = (counts[:, positions] + 1.0) / (total + m_sym)
-        probs[:, rows] = 0.0
-        probs[np.arange(hi - lo)[:, None], rows,
-              pinned_all[lo:hi][:, slots]] = 1.0
-        with np.errstate(divide="ignore"):
-            logp = np.log(probs)
-        apps += [AppMatrix(probs=p, logp=lp, positions=positions)
-                 for p, lp in zip(probs, logp)]
-    return apps
-
-
-def gibbs_app(aux: AuxChannel, y: np.ndarray, view: StageView, cfg: GibbsConfig,
-              rng: np.random.Generator, positions: Optional[np.ndarray] = None,
-              counter: Optional[MultCounter] = None) -> AppMatrix:
-    """APPs of one block: the one-block case of :func:`gibbs_apps`."""
-    return gibbs_apps(aux, [y], [view], cfg, rng, positions=positions,
-                      counter=counter)[0]
+        counts = _sweep_split(aux, y[lo:hi], unknown, states, chain_rngs, cfg,
+                              counter)
+        probs[lo:hi] = (counts[:, positions] + 1.0) / (total + m_sym)
+    return AppMatrix(probs=probs, logp=np.log(probs), positions=positions)
 
 
 def count_gs_multiplications(aux: AuxChannel, cfg: GibbsConfig, m_bits: int,

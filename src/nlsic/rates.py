@@ -7,6 +7,11 @@ true earlier-stage symbols (ideal codes between stages).  The average over
 stages is the SIC rate; one stage is plain separate detection.  Standard
 errors are per-block jackknife estimates, and the auxiliary-channel upper
 bound from the trellis module completes the rate sandwich.
+
+Each stage draws its evaluation blocks one after another from the caller's
+generator, stacks their symbols and observations, and hands the detector
+one StageView and one observation array for the whole stage; the returned
+(B, N, M) AppMatrix is scored without a loop over blocks.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ from .sic import SicPlan, stage_view
 
 # ---------------------------------------------------------------------------
 # Detector adaptors: one call per SIC stage, over all of that stage's blocks.
-# apps(blocks, views, rng) returns one AppMatrix per block, in order.
+# apps(y, view, rng) returns one AppMatrix over the blocks `view` describes,
+# whose observations are the rows of y.
 
 
 class FbaDetector:
@@ -36,9 +42,8 @@ class FbaDetector:
         self.aux = aux
         self.counter = counter
 
-    def apps(self, blocks, views, rng) -> list:
-        return fba_apps(self.aux, [blk.y for blk in blocks], views,
-                        counter=self.counter)
+    def apps(self, y, view, rng) -> AppMatrix:
+        return fba_apps(self.aux, y, view, counter=self.counter)
 
 
 class GibbsDetector:
@@ -50,9 +55,9 @@ class GibbsDetector:
         self.cfg = cfg
         self.counter = counter
 
-    def apps(self, blocks, views, rng) -> list:
-        return gibbs_apps(self.aux, [blk.y for blk in blocks], views, self.cfg,
-                          rng, counter=self.counter)
+    def apps(self, y, view, rng) -> AppMatrix:
+        return gibbs_apps(self.aux, y, view, self.cfg, rng,
+                          counter=self.counter)
 
 
 class RnnDetector:
@@ -63,10 +68,8 @@ class RnnDetector:
         self.models = models
         self.counter = counter
 
-    def apps(self, blocks, views, rng) -> list:
-        model = self.models[views[0].s]
-        return rnn_apps(model, [blk.y for blk in blocks], views,
-                        counter=self.counter)
+    def apps(self, y, view, rng) -> AppMatrix:
+        return rnn_apps(self.models[view.s], y, view, counter=self.counter)
 
 
 class UniformDetector:
@@ -77,29 +80,10 @@ class UniformDetector:
     def __init__(self, m_symbols: int):
         self.m_symbols = m_symbols
 
-    def apps(self, blocks, views, rng) -> list:
-        out = []
-        for view in views:
-            probs = np.full((len(view.targets), self.m_symbols),
-                            1.0 / self.m_symbols)
-            out.append(AppMatrix(probs=probs, logp=np.log(probs),
-                                 positions=view.targets))
-        return out
-
-
-class OracleDetector:
-    """Point mass on the true symbol; hits the entropy ceiling exactly."""
-
-    name = "oracle"
-
-    def __init__(self, chan: ch.DiscreteChannel):
-        self.chan = chan
-
-    def apps(self, blocks, views, rng) -> list:
-        return [AppMatrix.point_masses(
-                    self.chan.symbol_indices(blk.x[view.targets]),
-                    self.chan.config.alphabet.size, view.targets)
-                for blk, view in zip(blocks, views)]
+    def apps(self, y, view, rng) -> AppMatrix:
+        probs = np.full((len(y), len(view.targets), self.m_symbols),
+                        1.0 / self.m_symbols)
+        return AppMatrix(probs=probs, logp=np.log(probs), positions=view.targets)
 
 
 # ---------------------------------------------------------------------------
@@ -139,19 +123,14 @@ class RateReport:
 def evaluate_stage_on_blocks(detector, chan: ch.DiscreteChannel, plan: SicPlan,
                              s: int, blocks, rng) -> StageRate:
     """Stage rate on caller-supplied blocks (lets detectors share data)."""
-    m_bits = chan.config.alphabet.bits
-    per_block = np.empty(len(blocks))
-    clamps = 0
-    symbols = 0
-    views = [stage_view(plan, s, blk.x) for blk in blocks]
-    apps = detector.apps(blocks, views, rng)
-    for i, (blk, app) in enumerate(zip(blocks, apps)):
-        truth = chan.symbol_indices(blk.x[app.positions])
-        log2q = app.log2_prob_of(truth, floor=CLAMP_FLOOR)
-        clamps += int(np.count_nonzero(log2q <= np.log2(CLAMP_FLOOR) + 1e-9))
-        symbols += len(log2q)
-        per_block[i] = m_bits + float(np.mean(log2q))
-    frac = clamps / max(symbols, 1)
+    x = np.stack([blk.x for blk in blocks])
+    y = np.stack([blk.y for blk in blocks])
+    app = detector.apps(y, stage_view(plan, s, x), rng)
+    log2q = app.log2_prob_of(chan.symbol_indices(x[:, app.positions]),
+                             floor=CLAMP_FLOOR)
+    per_block = chan.config.alphabet.bits + log2q.mean(axis=1)
+    clamped = log2q <= np.log2(CLAMP_FLOOR) + 1e-9
+    frac = np.count_nonzero(clamped) / clamped.size
     return StageRate(s=s, rate=float(np.mean(per_block)),
                      stderr=jackknife_stderr(per_block),
                      clamp_fraction=frac, flagged=frac > 0.01,

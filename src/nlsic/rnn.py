@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .apps import AppMatrix, MultCounter, block_slices
-from .sic import SicPlan, StageView, ic_window_indices, kappa, shared_stage
+from .sic import SicPlan, StageView, ic_window_indices, kappa
 
 _MAGIC = b"NLSICRNN"
 _FORMAT_VERSION = 1
@@ -158,7 +158,8 @@ def init_model(shape: RnnShape, rng: np.random.Generator,
 
 @dataclass(frozen=True, eq=False)
 class InputIndexer:
-    """Gather maps from one block's (y, x) onto the unrolled input sequence.
+    """Gather maps from one block's observations and decided symbols onto
+    the unrolled input sequence.
 
     Index matrices depend only on the SIC geometry, so they are built once
     and reused across blocks; -1 marks a zero-padded slot.
@@ -167,7 +168,7 @@ class InputIndexer:
     shape: RnnShape
     plan: SicPlan
     y_idx: np.ndarray          # (T, l_y) into the observation vector
-    v_idx: np.ndarray          # (T, l_ic) serial symbol positions
+    v_idx: np.ndarray          # (T, l_ic) into the stage's decided symbols
     phase_idx: np.ndarray      # (T,) 0 <-> phase j = s
     out_steps: np.ndarray      # steps producing APP rows
     target_serial: np.ndarray  # (N,) serial 0-based positions of those rows
@@ -188,13 +189,9 @@ def build_indexer(plan: SicPlan, s: int, shape: RnnShape) -> InputIndexer:
     nabla = shape.l_y - 1 - delta
 
     y_idx = np.full((t_steps, shape.l_y), -1, dtype=int)
-    v_idx = np.full((t_steps, max(shape.l_ic, 1)), -1, dtype=int)[:, :shape.l_ic]
+    v_idx = np.full((t_steps, shape.l_ic), -1, dtype=int)
     phase_idx = np.empty(t_steps, dtype=int)
-    view = StageView(plan=plan, s=s,
-                     known_idx=np.sort(np.concatenate(
-                         [plan.stage_positions(j) for j in range(1, s)]).astype(int))
-                     if s > 1 else np.empty(0, dtype=int),
-                     known_val=np.empty(0))
+    known_idx = plan.known_positions(s)
     step = 0
     n_y = shape.n_os * plan.n
     for t in range(1, per + 1):
@@ -203,8 +200,7 @@ def build_indexer(plan: SicPlan, s: int, shape: RnnShape) -> InputIndexer:
             window = center - 1 - delta + np.arange(shape.l_y)
             window[(window < 0) | (window >= n_y)] = -1
             y_idx[step] = window
-            if shape.l_ic > 0:
-                v_idx[step] = ic_window_indices(j, t, view, shape.l_ic)
+            v_idx[step] = ic_window_indices(j, t, plan, known_idx, shape.l_ic)
             phase_idx[step] = j - s
             step += 1
     out_steps = np.flatnonzero(phase_idx == 0)
@@ -214,43 +210,20 @@ def build_indexer(plan: SicPlan, s: int, shape: RnnShape) -> InputIndexer:
                         target_serial=target_serial)
 
 
-def gather_inputs(indexer: InputIndexer, y: np.ndarray, x: np.ndarray,
+def gather_inputs(indexer: InputIndexer, y: np.ndarray, decided: np.ndarray,
                   norm: Normalization) -> np.ndarray:
-    """Assemble the (T, dims[0]) input sequence for one block, or (B, T, d)
-    when y and x carry a leading batch axis."""
+    """Assemble the (B, T, dims[0]) input sequences of B blocks from their
+    observations y, (B, n_os*n), and the values of their decided symbols,
+    (B, k) at the indexer's plan.known_positions(s)."""
     y = np.asarray(y, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    batched = y.ndim == 2
-    if not batched:
-        y, x = y[None, :], x[None, :]
     y_std = (y - norm.y_mean) / norm.y_std
     yw = y_std[:, np.clip(indexer.y_idx, 0, y.shape[1] - 1)]
     yw[:, indexer.y_idx < 0] = 0.0
-    if indexer.shape.l_ic > 0:
-        vw = x[:, np.clip(indexer.v_idx, 0, x.shape[1] - 1)] * norm.sym_scale
-        vw[:, indexer.v_idx < 0] = 0.0
-        out = np.concatenate([yw, vw], axis=2)
-    else:
-        out = yw
-    return out if batched else out[0]
-
-
-def assemble_inputs(y: np.ndarray, view: StageView, shape: RnnShape,
-                    norm: Optional[Normalization] = None) -> np.ndarray:
-    """Unrolled input sequence for one block given a stage view; decided
-    symbols are read from the view, targets contribute nothing."""
-    indexer = build_indexer(view.plan, view.s, shape)
-    return gather_inputs(indexer, y, _decided_symbols([view])[0],
-                         norm or Normalization())
-
-
-def _decided_symbols(views) -> np.ndarray:
-    """(B, n) symbol vectors holding each view's decided symbols, zeros
-    elsewhere."""
-    x_full = np.zeros((len(views), views[0].plan.n))
-    for row, view in zip(x_full, views):
-        row[view.known_idx] = view.known_val
-    return x_full
+    if indexer.shape.l_ic == 0:
+        return yw
+    # slot -1 reads the appended zero
+    padded = np.concatenate([decided, np.zeros((len(y), 1))], axis=1)
+    return np.concatenate([yw, padded[:, indexer.v_idx] * norm.sym_scale], axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -340,34 +313,23 @@ def forward(model: RnnModel, inputs: np.ndarray, phase_idx: np.ndarray,
     return logp, cache
 
 
-def rnn_apps(model: RnnModel, ys, views,
-             counter: Optional[MultCounter] = None) -> list:
+def rnn_apps(model: RnnModel, y: np.ndarray, view: StageView,
+             counter: Optional[MultCounter] = None) -> AppMatrix:
     """Detector-facing inference for every block of one SIC stage: the
-    blocks' input sequences go through one batched forward pass.  ys[i]
-    holds the observations of the block whose stage view is views[i]; the
-    views share one plan and stage.  Returns one AppMatrix per block."""
-    views = list(views)
-    if not views:
-        return []
-    first = shared_stage(views)
-    indexer = build_indexer(first.plan, first.s, model.shape)
+    blocks' input sequences go through one batched forward pass.
+    y: (B, n_os*n) observations of the blocks `view` describes."""
+    indexer = build_indexer(view.plan, view.s, model.shape)
+    y = view.observations(y, model.shape.n_os)
     # inputs plus the pre-activations, states and outputs of a layer
     activations = 8 * indexer.n_steps * 3 * sum(model.shape.dims)
-    apps = []
-    for lo, hi in block_slices(len(views), activations):
-        data = gather_inputs(indexer, np.stack(ys[lo:hi]),
-                             _decided_symbols(views[lo:hi]), model.norm)
-        logp, _ = forward(model, data, indexer.phase_idx, indexer.out_steps,
-                          counter=counter)
-        apps += [AppMatrix(probs=np.exp(lp), logp=lp,
-                           positions=indexer.target_serial) for lp in logp]
-    return apps
-
-
-def rnn_app(model: RnnModel, y: np.ndarray, view: StageView,
-            counter: Optional[MultCounter] = None) -> AppMatrix:
-    """APPs of one block: the one-block case of :func:`rnn_apps`."""
-    return rnn_apps(model, [y], [view], counter=counter)[0]
+    logp = np.empty((len(y), len(indexer.out_steps), model.shape.m_symbols))
+    for lo, hi in block_slices(len(y), activations):
+        data = gather_inputs(indexer, y[lo:hi], view.known_val[lo:hi],
+                             model.norm)
+        logp[lo:hi], _ = forward(model, data, indexer.phase_idx,
+                                 indexer.out_steps, counter=counter)
+    return AppMatrix(probs=np.exp(logp), logp=logp,
+                     positions=indexer.target_serial)
 
 
 def count_rnn_multiplications(shape: RnnShape) -> int:

@@ -46,6 +46,13 @@ class SicPlan:
             raise ValueError(f"stage {s} out of range 1..{self.n_stages}")
         return np.arange(s - 1, self.n, self.n_stages)
 
+    def known_positions(self, s: int) -> np.ndarray:
+        """Serial 0-based positions decided before stage s, those of
+        stages 1..s-1, ascending."""
+        if not 1 <= s <= self.n_stages:
+            raise ValueError(f"stage {s} out of range 1..{self.n_stages}")
+        return np.flatnonzero(np.arange(self.n) % self.n_stages < s - 1)
+
 
 def partition(x: np.ndarray, n_stages: int) -> list:
     """Split a block into its S stage streams; V_s[t] = x[kappa(s,t+1)-1]."""
@@ -67,11 +74,11 @@ def interleave(stages: list) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class StageView:
-    """Detector-side view of one SIC stage.
+    """Detector-side view of one SIC stage over a batch of B blocks.
 
-    known_idx/known_val hold the decided symbols of stages < s with their
-    serial 0-based positions (ascending); `targets` are the positions of the
-    current stage; `remaining` all not-yet-decided positions (stages >= s).
+    known_idx holds the serial 0-based positions of the decided symbols of
+    stages < s (ascending, the same in every block) and known_val their
+    values, (B, len(known_idx)); `targets` are the positions of stage s.
     """
 
     plan: SicPlan
@@ -83,68 +90,39 @@ class StageView:
     def targets(self) -> np.ndarray:
         return self.plan.stage_positions(self.s)
 
-    @property
-    def remaining(self) -> np.ndarray:
-        mask = np.ones(self.plan.n, dtype=bool)
-        mask[self.known_idx] = False
-        return np.flatnonzero(mask)
-
-    @property
-    def phases(self) -> int:
-        return self.plan.n_stages - self.s + 1
+    def observations(self, y: np.ndarray, n_os: int) -> np.ndarray:
+        """y as a float array of the blocks' observations, checked to hold
+        n_os samples per symbol for each of the view's blocks."""
+        y = np.asarray(y, dtype=np.float64)
+        want = (len(self.known_val), n_os * self.plan.n)
+        if y.shape != want:
+            raise ValueError(f"expected observations of shape {want}, got {y.shape}")
+        return y
 
 
 def stage_view(plan: SicPlan, s: int, x: np.ndarray) -> StageView:
-    """Build the stage-s view with true prior-stage symbols as the decided
-    ones (the ideal-code assumption used throughout rate estimation)."""
-    if not 1 <= s <= plan.n_stages:
-        raise ValueError(f"stage {s} out of range 1..{plan.n_stages}")
+    """Build the stage-s view of the blocks whose emitted symbols are the
+    rows of x, (B, n), with the true prior-stage symbols as the decided ones
+    (the ideal-code assumption used throughout rate estimation)."""
+    idx = plan.known_positions(s)
     x = np.asarray(x)
-    if len(x) != plan.n:
-        raise ValueError(f"symbol count {len(x)} does not match plan n={plan.n}")
-    idx = np.sort(np.concatenate(
-        [plan.stage_positions(j) for j in range(1, s)]).astype(int)) if s > 1 else \
-        np.empty(0, dtype=int)
-    return StageView(plan=plan, s=s, known_idx=idx, known_val=x[idx])
+    if x.ndim != 2 or x.shape[1] != plan.n:
+        raise ValueError(f"symbols of shape {x.shape} are not (blocks, n={plan.n})")
+    return StageView(plan=plan, s=s, known_idx=idx, known_val=x[:, idx])
 
 
-def shared_stage(views) -> StageView:
-    """The first of `views`, after checking that all of them belong to one
-    plan and stage, as a detector call over a whole stage requires."""
-    first = views[0]
-    if any(v.plan != first.plan or v.s != first.s for v in views):
-        raise ValueError("views of one call must share the plan and stage")
-    return first
+def ic_window_indices(j: int, t: int, plan: SicPlan, known_idx: np.ndarray,
+                      l_ic: int) -> np.ndarray:
+    """The l_ic decided symbols closest (in serial index) to kappa(j,t), as
+    indices into the ascending positions `known_idx`.
 
-
-def ic_window(j: int, t: int, view: StageView, l_ic: int) -> np.ndarray:
-    """The l_ic known symbols closest (in serial index) to kappa(j,t).
-
-    Ties prefer the smaller serial index; the chosen symbols are returned in
-    ascending serial order and zero-filled on the left when fewer than l_ic
-    known symbols exist.
+    Ties prefer the smaller serial index; the chosen indices are ascending
+    and padded with -1 (a zero-filled slot) on the left when fewer than
+    l_ic decided symbols exist.
     """
-    chosen = ic_window_indices(j, t, view, l_ic)
-    vals = np.zeros(l_ic)
-    filled = chosen >= 0
-    vals[filled] = view.known_val[np.searchsorted(view.known_idx, chosen[filled])]
-    return vals
-
-
-def ic_window_indices(j: int, t: int, view: StageView, l_ic: int) -> np.ndarray:
-    """Serial 0-based positions chosen by :func:`ic_window` (-1 marks a
-    zero-filled slot)."""
     if l_ic < 0:
         raise ValueError("l_ic must be >= 0")
-    if l_ic == 0:
-        return np.empty(0, dtype=int)
-    target = kappa(j, t, view.plan.n_stages) - 1
-    known = view.known_idx
-    if len(known) == 0:
-        return np.full(l_ic, -1, dtype=int)
-    dist = np.abs(known - target)
-    order = np.lexsort((known, dist))[:min(l_ic, len(known))]
-    chosen = np.sort(known[order])
-    if len(chosen) < l_ic:
-        chosen = np.concatenate([np.full(l_ic - len(chosen), -1, dtype=int), chosen])
-    return chosen
+    target = kappa(j, t, plan.n_stages) - 1
+    dist = np.abs(known_idx - target)
+    chosen = np.sort(np.lexsort((known_idx, dist))[:l_ic])
+    return np.concatenate([np.full(l_ic - len(chosen), -1, dtype=int), chosen])

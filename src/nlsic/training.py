@@ -218,7 +218,8 @@ def make_batch(chan: ch.DiscreteChannel, indexer: InputIndexer, norm: Normalizat
     m = chan.config.alphabet.size
     rows = chan.levels[rng.integers(0, m, size=(n_batch, plan.n))]
     x_emit, y = ch.simulate_batch(chan, rows, rng)
-    inputs = gather_inputs(indexer, y, x_emit, norm)
+    decided = x_emit[:, plan.known_positions(indexer.shape.s)]
+    inputs = gather_inputs(indexer, y, decided, norm)
     targets = chan.symbol_indices(x_emit[:, indexer.target_serial])
     return Batch(inputs=inputs, targets=targets,
                  phase_idx=indexer.phase_idx, out_steps=indexer.out_steps)

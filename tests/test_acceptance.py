@@ -67,8 +67,9 @@ def test_criterion_1_fba_oracle_equivalence():
             post = np.zeros((n, 2))
             for weight, s in zip(w, seqs):
                 post[np.arange(n), s] += weight
-            app = fba.fba_app(aux, blk.y, sic.stage_view(plan, 1, blk.x))
-            worst = max(worst, float(np.abs(app.probs - post).max()))
+            app = fba.fba_apps(aux, blk.y[None],
+                               sic.stage_view(plan, 1, blk.x[None]))
+            worst = max(worst, float(np.abs(app.probs[0] - post).max()))
         assert worst < 1e-9, worst
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
@@ -268,12 +269,12 @@ def test_criterion_8_gibbs_sanity():
     aux = fba.build_aux_channel(chan, memory=0)
     n = 16
     blk = ch.random_block(chan, n, np.random.default_rng(3))
-    view = sic.stage_view(sic.SicPlan(1, n), 1, blk.x)
+    view = sic.stage_view(sic.SicPlan(1, n), 1, blk.x[None])
     gcfg = gibbs.GibbsConfig(memory=0, n_iter=2000, n_par=8, burn_in=25)
-    app = gibbs.gibbs_app(aux, blk.y, view, gcfg, np.random.default_rng(11))
+    app = gibbs.gibbs_apps(aux, blk.y[None], view, gcfg, np.random.default_rng(11))
     r = chan.levels[1]
     p_plus = 1.0 / (1.0 + np.exp(-2.0 * blk.y * r))
-    tv = 0.5 * np.abs(app.probs - np.stack([1 - p_plus, p_plus], axis=1)).sum(axis=1)
+    tv = 0.5 * np.abs(app.probs[0] - np.stack([1 - p_plus, p_plus], axis=1)).sum(axis=1)
     elapsed = time.perf_counter() - t0
     assert tv.max() < 0.02, tv.max()
     assert elapsed < 60.0

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlsic import channel as ch
-from nlsic import cli, fba, parallel, rates, sic, training
+from nlsic import cli, fba, gibbs, parallel, rates, sic, training
 from nlsic import config as cfgmod
 
 
@@ -403,8 +403,10 @@ class TestParallel:
                                                   ("evaluate", "gibbs")])
     def test_forked_run_matches_one_cpu_run(self, tmp_path, monkeypatch,
                                             command, detector):
-        # one Gibbs sweep point: its chains, not the points, are split
+        # one Gibbs sweep point: its chains, not the points, are split; the
+        # toy slices are far below FORK_UPDATES, so it is lowered to split them
         sweep = (4.0,) if detector == "gibbs" else (2.0, 4.0, 6.0)
+        monkeypatch.setattr(gibbs, "FORK_UPDATES", 0)
         path = toy_yaml(tmp_path, detector=detector, stages=2, n_blk=3,
                         sweep=sweep)
         run_dir = run_dir_for(path)
@@ -542,6 +544,30 @@ TINY_RNN_CONFIG = {
 }
 
 
+TINY_RAPP_FBA_CONFIG = {
+    "channel": {"alphabet": "4-ASK", "n_os": 2, "n_sim": 2,
+                "nonlinearity": "rapp", "rapp": {"p": 3.0, "x_sat": 1.0},
+                "k_g": 3, "noise": {"kind": "real", "variance": 1.0}},
+    "sic": {"stages": 2},
+    "detector": {"kind": "fba", "fba": {"memory": 1, "future": 0}},
+    "sweep": {"p_tx_db": [3.0]},
+    "eval": {"n_blk": 2, "n": 4, "ub_memory": 1},
+    "seed": 5,
+}
+
+
+TINY_UNIFORM_CONFIG = {
+    "channel": {"alphabet": "2-ASK", "n_os": 1, "n_sim": 1,
+                "nonlinearity": "identity", "k_g": 1,
+                "noise": {"kind": "real", "variance": 1.0}},
+    "sic": {"stages": 1},
+    "detector": {"kind": "uniform"},
+    "sweep": {"p_tx_db": [0.0]},
+    "eval": {"n_blk": 2, "n": 4},
+    "seed": 5,
+}
+
+
 def _leaf_paths(tree, prefix=()):
     """Key paths of every scalar in a nested config, list items included."""
     items = tree.items() if isinstance(tree, dict) else enumerate(tree)
@@ -557,13 +583,17 @@ MUTANTS = [-1, 0, 1, 12, -1.5, 0.5, float("inf"), float("nan"), "", "foo",
            "fba", "uniform", "rnn", "complex", "identity", None, [], {}]
 
 
-# every leaf of the gibbs evaluate base, and the detector.rnn leaves of the
-# rnn sweep base
-MUTATED = [pytest.param(command, base, path, id=".".join(map(str, path)))
-           for command, base in (("evaluate", TINY_CONFIG),
-                                 ("sweep", TINY_RNN_CONFIG))
+# every leaf of the gibbs, the rapp + fba and the identity + uniform
+# evaluate bases, and the detector.rnn leaves of the rnn sweep base
+MUTATED = [pytest.param(command, base, path,
+                        id=prefix + ".".join(map(str, path)))
+           for prefix, command, base in (
+               ("", "evaluate", TINY_CONFIG),
+               ("rapp-fba-", "evaluate", TINY_RAPP_FBA_CONFIG),
+               ("uniform-", "evaluate", TINY_UNIFORM_CONFIG),
+               ("", "sweep", TINY_RNN_CONFIG))
            for path in sorted(_leaf_paths(base), key=str)
-           if base is TINY_CONFIG or path[:2] == ("detector", "rnn")
+           if command == "evaluate" or path[:2] == ("detector", "rnn")
            and len(path) > 2]
 
 
@@ -577,7 +607,8 @@ class TestEveryConfigRunsOrExits:
         """A tiny valid config with one key replaced runs (0), is refused
         as a configuration error (2) or fails numerically (3); it never
         ends in a traceback.  A refused detector.rnn, detector.gibbs,
-        channel.fiber, channel.n_os or channel.n_sim value names its key."""
+        detector.fba, channel.fiber, channel.rapp, channel.n_os or
+        channel.n_sim value names its key."""
         data = copy.deepcopy(base)
         node = data
         for key in path[:-1]:
@@ -593,7 +624,9 @@ class TestEveryConfigRunsOrExits:
         assert status in (0, 2, 3)
         if status == 2 and path[:2] in (("detector", "rnn"),
                                         ("detector", "gibbs"),
+                                        ("detector", "fba"),
                                         ("channel", "fiber"),
+                                        ("channel", "rapp"),
                                         ("channel", "n_os"),
                                         ("channel", "n_sim")):
             assert ".".join(path[:3]) in err.getvalue()

@@ -37,6 +37,11 @@ def noiseless(chan):
         chan, config=dataclasses.replace(chan.config, noise_variance=0.0))
 
 
+def block_apps(aux, blk, plan, s=1):
+    """APPs of one block at stage s, as an AppMatrix over one block."""
+    return fba.fba_apps(aux, blk.y[None], sic.stage_view(plan, s, blk.x[None]))
+
+
 def exhaustive_posteriors(chan, y, n, sigma2, view=None):
     """Joint-posterior oracle: enumerate every symbol sequence, weight by the
     exact Gaussian likelihood of the full observation block, marginalize."""
@@ -47,7 +52,7 @@ def exhaustive_posteriors(chan, y, n, sigma2, view=None):
     for i, seq in enumerate(seqs):
         xs = chan.levels[list(seq)]
         if view is not None and len(view.known_idx):
-            if not np.allclose(xs[view.known_idx], view.known_val, atol=1e-12):
+            if not np.allclose(xs[view.known_idx], view.known_val[0], atol=1e-12):
                 continue
         blk = ch.simulate_block(clean, xs)
         logls[i] = -np.sum((y - blk.y) ** 2) / (2.0 * sigma2)
@@ -117,10 +122,9 @@ class TestFbaApp:
         rng = np.random.default_rng(3)
         n = 12
         blk = ch.random_block(chan, n, rng)
-        view = sic.stage_view(sic.SicPlan(1, n), 1, blk.x)
-        app = fba.fba_app(aux, blk.y, view)
+        app = block_apps(aux, blk, sic.SicPlan(1, n))
         expect = 1.0 / (1.0 + np.exp(-2.0 * blk.y * r))
-        assert np.allclose(app.probs[:, 1], expect, atol=1e-12)
+        assert np.allclose(app.probs[0, :, 1], expect, atol=1e-12)
 
     @pytest.mark.parametrize("maker,power_db", [
         (linear_2ask_channel, 2.0),
@@ -134,10 +138,9 @@ class TestFbaApp:
         plan = sic.SicPlan(1, n)
         for _ in range(5):
             blk = ch.random_block(chan, n, rng)
-            view = sic.stage_view(plan, 1, blk.x)
-            app = fba.fba_app(aux, blk.y, view)
+            app = block_apps(aux, blk, plan)
             post = exhaustive_posteriors(chan, blk.y, n, 1.0)
-            assert np.abs(app.probs - post).max() < 1e-9
+            assert np.abs(app.probs[0] - post).max() < 1e-9
 
     def test_exhaustive_posterior_with_pinning(self):
         chan = linear_2ask_channel().with_transmit_power_db(2.0)
@@ -146,10 +149,10 @@ class TestFbaApp:
         n = 6
         plan = sic.SicPlan(2, n)
         blk = ch.random_block(chan, n, rng)
-        view = sic.stage_view(plan, 2, blk.x)
-        app = fba.fba_app(aux, blk.y, view)
+        view = sic.stage_view(plan, 2, blk.x[None])
+        app = fba.fba_apps(aux, blk.y[None], view)
         post = exhaustive_posteriors(chan, blk.y, n, 1.0, view=view)
-        assert np.abs(app.probs - post[view.targets]).max() < 1e-9
+        assert np.abs(app.probs[0] - post[view.targets]).max() < 1e-9
 
     def test_all_known_but_one_noiseless_point_mass(self):
         chan = linear_2ask_channel(noise=1e-6).with_transmit_power_db(0.0)
@@ -160,11 +163,13 @@ class TestFbaApp:
         blk = ch.simulate_block(noiseless(chan), x)
         free = 3
         idx = np.array([i for i in range(n) if i != free])
-        view = sic.StageView(plan=sic.SicPlan(1, n), s=1,
-                             known_idx=idx, known_val=x[idx])
-        app = fba.fba_app(aux, blk.y, view, positions=np.array([free]))
+        # one symbol per stage: stage free+1 targets the free position only
+        view = sic.StageView(plan=sic.SicPlan(n, n), s=free + 1,
+                             known_idx=idx, known_val=x[idx][None])
+        app = fba.fba_apps(aux, blk.y[None], view)
         truth = chan.symbol_indices(x[free:free + 1])[0]
-        assert app.probs[0, truth] == pytest.approx(1.0, abs=1e-9)
+        assert app.positions.tolist() == [free]
+        assert app.probs[0, 0, truth] == pytest.approx(1.0, abs=1e-9)
 
     def test_rows_sum_to_one(self):
         chan = sld_2pam_channel().with_transmit_power_db(4.0)
@@ -172,9 +177,8 @@ class TestFbaApp:
         rng = np.random.default_rng(11)
         for _ in range(10):
             blk = ch.random_block(chan, 12, rng)
-            view = sic.stage_view(sic.SicPlan(1, 12), 1, blk.x)
-            app = fba.fba_app(aux, blk.y, view)
-            assert np.abs(app.probs.sum(axis=1) - 1.0).max() < 1e-9
+            app = block_apps(aux, blk, sic.SicPlan(1, 12))
+            assert np.abs(app.probs.sum(axis=2) - 1.0).max() < 1e-9
 
     def test_pinning_never_hurts_on_average(self):
         """Posterior mass on the truth rises (3 sigma) when earlier-stage
@@ -187,14 +191,12 @@ class TestFbaApp:
         diffs = []
         for _ in range(120):
             blk = ch.random_block(chan, n, rng)
-            view2 = sic.stage_view(plan, 2, blk.x)
-            targets = view2.targets
+            targets = plan.stage_positions(2)
             truth = chan.symbol_indices(blk.x[targets])
-            sdd = fba.fba_app(aux, blk.y, sic.stage_view(sic.SicPlan(1, n), 1, blk.x),
-                              positions=targets)
-            cond = fba.fba_app(aux, blk.y, view2)
-            p_sdd = sdd.probs[np.arange(len(targets)), truth]
-            p_cond = cond.probs[np.arange(len(targets)), truth]
+            sdd = block_apps(aux, blk, sic.SicPlan(1, n)).probs[0, targets]
+            cond = block_apps(aux, blk, plan, 2).probs[0]
+            p_sdd = sdd[np.arange(len(targets)), truth]
+            p_cond = cond[np.arange(len(targets)), truth]
             diffs.append(np.mean(p_cond - p_sdd))
         diffs = np.asarray(diffs)
         se = diffs.std(ddof=1) / np.sqrt(len(diffs))
@@ -209,11 +211,13 @@ class TestFbaApp:
         blk = ch.random_block(chan, n, rng)
         x2 = np.roll(blk.x, shift)
         y2 = np.roll(blk.y, shift * chan.config.n_os)
-        app1 = fba.fba_app(aux, blk.y, sic.stage_view(sic.SicPlan(1, n), 1, blk.x))
-        app2 = fba.fba_app(aux, y2, sic.stage_view(sic.SicPlan(1, n), 1, x2))
+        plan = sic.SicPlan(1, n)
+        app1 = fba.fba_apps(aux, blk.y[None], sic.stage_view(plan, 1, blk.x[None]))
+        app2 = fba.fba_apps(aux, y2[None], sic.stage_view(plan, 1, x2[None]))
         margin = 20
         inner = np.arange(margin, n - margin)
-        assert np.abs(app2.probs[inner + shift] - app1.probs[inner]).max() < 1e-9
+        assert np.abs(app2.probs[0, inner + shift]
+                      - app1.probs[0, inner]).max() < 1e-9
 
 
 def square_law_4ask_channel(p_tx_db=4.0):
@@ -224,31 +228,9 @@ def square_law_4ask_channel(p_tx_db=4.0):
 
 
 class TestBatchedStage:
-    """A whole stage in one call gives each block's one-block result bit for
-    bit, also when the blocks run in several slices."""
-
-    @pytest.mark.parametrize("memory", [3, 1])
-    @pytest.mark.parametrize("slice_bytes", [apps.SLICE_BYTES, 1])
-    def test_stage_apps_equal_one_block_calls(self, monkeypatch, memory,
-                                              slice_bytes):
-        chan = square_law_4ask_channel()
-        aux = fba.build_aux_channel(chan, memory=memory)
-        assert aux.is_exact == (memory == chan.memory)
-        n = 24
-        plan = sic.SicPlan(4, n)
-        rng = np.random.default_rng(31)
-        blocks = [ch.random_block(chan, n, rng) for _ in range(3)]
-        single = {(s, i): fba.fba_app(aux, blk.y, sic.stage_view(plan, s, blk.x))
-                  for s in range(1, 5) for i, blk in enumerate(blocks)}
-        monkeypatch.setattr(apps, "SLICE_BYTES", slice_bytes)
-        for s in range(1, 5):
-            views = [sic.stage_view(plan, s, blk.x) for blk in blocks]
-            stage_apps = fba.fba_apps(aux, [blk.y for blk in blocks], views)
-            assert len(stage_apps) == len(blocks)
-            for i, app in enumerate(stage_apps):
-                assert np.array_equal(app.logp, single[s, i].logp)
-                assert np.array_equal(app.probs, single[s, i].probs)
-                assert np.array_equal(app.positions, views[i].targets)
+    """Upper bound and pinning over a batch of blocks; that a stage call
+    equals its one-block calls is checked for every detector in
+    tests/test_rates.py."""
 
     @pytest.mark.parametrize("slice_bytes", [apps.SLICE_BYTES, 1])
     def test_upper_bound_is_mean_of_block_terms(self, monkeypatch, slice_bytes):
@@ -271,28 +253,19 @@ class TestBatchedStage:
         n = 8
         plan = sic.SicPlan(2, n)
         rng = np.random.default_rng(35)
-        xs = [ch.draw_symbols(chan, n, rng) for _ in range(3)]
-        views = [sic.stage_view(plan, 2, x) for x in xs]
-        ys = [x.copy() for x in xs]      # y = x on this channel without noise
+        x = np.stack([ch.draw_symbols(chan, n, rng) for _ in range(3)])
+        view = sic.stage_view(plan, 2, x)
+        y = x.copy()                     # y = x on this channel without noise
         with np.errstate(over="ignore"):  # the metrics of wrong values
-            good = fba.fba_apps(aux, ys, views)
-        for app, x in zip(good, xs):
-            truth = chan.symbol_indices(x[views[0].targets])
-            assert np.array_equal(np.argmax(app.probs, axis=1), truth)
-        bad = dataclasses.replace(views[1], known_val=-views[1].known_val)
+            good = fba.fba_apps(aux, y, view)
+        truth = chan.symbol_indices(x[:, view.targets])
+        assert np.array_equal(np.argmax(good.probs, axis=2), truth)
+        known_val = view.known_val.copy()
+        known_val[1] *= -1
+        bad = dataclasses.replace(view, known_val=known_val)
         with pytest.raises(RuntimeError, match="inconsistent pinning"), \
                 np.errstate(over="ignore"):
-            fba.fba_apps(aux, ys, [views[0], bad, views[2]])
-
-    def test_views_must_share_the_stage(self):
-        chan = square_law_4ask_channel()
-        aux = fba.build_aux_channel(chan, memory=1)
-        plan = sic.SicPlan(2, 8)
-        rng = np.random.default_rng(37)
-        blocks = [ch.random_block(chan, 8, rng) for _ in range(2)]
-        views = [sic.stage_view(plan, s, blk.x) for s, blk in zip((1, 2), blocks)]
-        with pytest.raises(ValueError):
-            fba.fba_apps(aux, [blk.y for blk in blocks], views)
+            fba.fba_apps(aux, y, bad)
 
 
 class TestUpperBound:
@@ -322,14 +295,12 @@ class TestUpperBound:
         rng = np.random.default_rng(21)
         n, n_blk = 48, 30
         blocks = [ch.random_block(chan, n, rng) for _ in range(n_blk)]
-        lb_vals = []
-        for blk in blocks:
-            view = sic.stage_view(sic.SicPlan(1, n), 1, blk.x)
-            app = fba.fba_app(aux, blk.y, view)
-            truth = chan.symbol_indices(blk.x)
-            lb_vals.append(1.0 + np.mean(app.log2_prob_of(truth)))
+        x = np.stack([blk.x for blk in blocks])
+        app = fba.fba_apps(aux, np.stack([blk.y for blk in blocks]),
+                           sic.stage_view(sic.SicPlan(1, n), 1, x))
+        lb_vals = 1.0 + app.log2_prob_of(chan.symbol_indices(x)).mean(axis=1)
         lb = float(np.mean(lb_vals))
-        lb_se = fba.jackknife_stderr(np.array(lb_vals))
+        lb_se = fba.jackknife_stderr(lb_vals)
         ub, ub_se = fba.fba_ub(aux, blocks)
         assert ub >= lb - 3.0 * np.hypot(lb_se, ub_se)
 
@@ -348,9 +319,9 @@ class TestCounting:
         n = 16
         rng = np.random.default_rng(23)
         blk = ch.random_block(chan, n, rng)
-        view = sic.stage_view(sic.SicPlan(1, n), 1, blk.x)
+        view = sic.stage_view(sic.SicPlan(1, n), 1, blk.x[None])
         counter = MultCounter()
-        fba.fba_app(aux, blk.y, view, counter=counter)
+        fba.fba_apps(aux, blk.y[None], view, counter=counter)
         w = 2  # |A|^(memory+1)
         hand = n * 2 * aux.n_os * w + 2 * (n + aux.future) * w + n * 2 * w
         assert counter.total == hand
@@ -364,20 +335,22 @@ class TestCounting:
         blk = ch.random_block(chan, n, rng)
         counter = MultCounter()
         for s in range(1, s_stages + 1):
-            view = sic.stage_view(sic.SicPlan(s_stages, n), s, blk.x)
-            fba.fba_app(aux, blk.y, view, counter=counter)
+            view = sic.stage_view(sic.SicPlan(s_stages, n), s, blk.x[None])
+            fba.fba_apps(aux, blk.y[None], view, counter=counter)
         per_app = counter.total / n
         assert per_app == pytest.approx(fba.count_fba_multiplications(aux, n, s_stages))
 
         # a whole stage in one call executes exactly the per-block counts
         plan = sic.SicPlan(s_stages, n)
         blocks = [blk] + [ch.random_block(chan, n, rng) for _ in range(2)]
+        x = np.stack([b.x for b in blocks])
+        y = np.stack([b.y for b in blocks])
         per_block, batched = MultCounter(), MultCounter()
         for s in range(1, s_stages + 1):
-            views = [sic.stage_view(plan, s, b.x) for b in blocks]
-            for block, view in zip(blocks, views):
-                fba.fba_app(aux, block.y, view, counter=per_block)
-            fba.fba_apps(aux, [b.y for b in blocks], views, counter=batched)
+            for i in range(len(blocks)):
+                fba.fba_apps(aux, y[i:i + 1], sic.stage_view(plan, s, x[i:i + 1]),
+                             counter=per_block)
+            fba.fba_apps(aux, y, sic.stage_view(plan, s, x), counter=batched)
         assert batched.by_kind == per_block.by_kind
         closed = fba.count_fba_multiplications(aux, n, s_stages) * n
         assert batched.total == per_block.total == pytest.approx(closed * len(blocks))

@@ -19,6 +19,16 @@ def memoryless_channel(alphabet, p_tx=1.5, noise=1.0):
     return chan.with_transmit_power(p_tx)
 
 
+def block_apps(aux, blk, plan, cfg, rng, s=1):
+    """Sampled APPs of one block at stage s, (N, M)."""
+    view = sic.stage_view(plan, s, blk.x[None])
+    return gibbs.gibbs_apps(aux, blk.y[None], view, cfg, rng).probs[0]
+
+
+def stacked(blocks):
+    return np.stack([blk.x for blk in blocks]), np.stack([blk.y for blk in blocks])
+
+
 def memoryless_posterior(chan, y):
     """Per-symbol Bayes posterior of a memoryless Gaussian channel."""
     lv = chan.levels
@@ -40,9 +50,10 @@ class TestConfig:
         chan = memoryless_channel(ch.Alphabet.bipolar_ask(2))
         aux = fba.build_aux_channel(chan, memory=0)
         cfg = gibbs.GibbsConfig(memory=1, n_iter=10, n_par=1, burn_in=0)
-        view = sic.stage_view(sic.SicPlan(1, 4), 1, chan.levels[[0, 1, 0, 1]])
+        view = sic.stage_view(sic.SicPlan(1, 4), 1, chan.levels[[[0, 1, 0, 1]]])
         with pytest.raises(ValueError):
-            gibbs.gibbs_app(aux, np.zeros(4), view, cfg, np.random.default_rng(0))
+            gibbs.gibbs_apps(aux, np.zeros((1, 4)), view, cfg,
+                             np.random.default_rng(0))
 
 
 class TestGrayLabels:
@@ -67,11 +78,11 @@ class TestStationaryDistribution:
         rng = np.random.default_rng(3)
         n = 16
         blk = ch.random_block(chan, n, rng)
-        view = sic.stage_view(sic.SicPlan(1, n), 1, blk.x)
         cfg = gibbs.GibbsConfig(memory=0, n_iter=2000, n_par=8, burn_in=25)
-        app = gibbs.gibbs_app(aux, blk.y, view, cfg, np.random.default_rng(11))
+        probs = block_apps(aux, blk, sic.SicPlan(1, n), cfg,
+                           np.random.default_rng(11))
         post = memoryless_posterior(chan, blk.y)
-        tv = 0.5 * np.abs(app.probs - post).sum(axis=1)
+        tv = 0.5 * np.abs(probs - post).sum(axis=1)
         assert tv.max() < 0.02
 
     def test_three_symbol_product_posterior(self):
@@ -80,11 +91,11 @@ class TestStationaryDistribution:
         aux = fba.build_aux_channel(chan, memory=0)
         rng = np.random.default_rng(5)
         blk = ch.random_block(chan, 3, rng)
-        view = sic.stage_view(sic.SicPlan(1, 3), 1, blk.x)
         cfg = gibbs.GibbsConfig(memory=0, n_iter=10_000, n_par=4, burn_in=100)
-        app = gibbs.gibbs_app(aux, blk.y, view, cfg, np.random.default_rng(13))
+        probs = block_apps(aux, blk, sic.SicPlan(1, 3), cfg,
+                           np.random.default_rng(13))
         post = memoryless_posterior(chan, blk.y)
-        tv = 0.5 * np.abs(app.probs - post).sum(axis=1)
+        tv = 0.5 * np.abs(probs - post).sum(axis=1)
         assert tv.max() < 0.02
 
     def test_noiseless_consistent_sequence_locks(self):
@@ -97,30 +108,33 @@ class TestStationaryDistribution:
         clean = dataclasses.replace(
             chan, config=dataclasses.replace(chan.config, noise_variance=0.0))
         blk = ch.simulate_block(clean, x)
-        view = sic.stage_view(sic.SicPlan(1, n), 1, blk.x)
         cfg = gibbs.GibbsConfig(memory=0, n_iter=300, n_par=4, burn_in=25)
-        app = gibbs.gibbs_app(aux, blk.y, view, cfg, np.random.default_rng(17))
+        probs = block_apps(aux, blk, sic.SicPlan(1, n), cfg,
+                           np.random.default_rng(17))
         truth = chan.symbol_indices(blk.x)
-        assert np.all(np.argmax(app.probs, axis=1) == truth)
-        assert app.probs[np.arange(n), truth].min() > 0.99
+        assert np.all(np.argmax(probs, axis=1) == truth)
+        assert probs[np.arange(n), truth].min() > 0.99
 
-    def test_pinned_positions_are_point_masses(self):
+    def test_pinned_positions_are_never_resampled(self):
         chan = memoryless_channel(ch.Alphabet.bipolar_ask(2))
         g = ch.FirFilter(taps=np.array([0.4, 1.0, 0.3]), rate=1)
         import dataclasses
         chan = dataclasses.replace(chan, g=g)
         aux = fba.build_aux_channel(chan, memory=2)
         rng = np.random.default_rng(19)
-        n = 8
+        n, n_par, n_iter, burn_in = 8, 2, 60, 10
         blk = ch.random_block(chan, n, rng)
-        view = sic.stage_view(sic.SicPlan(2, n), 2, blk.x)
-        cfg = gibbs.GibbsConfig(memory=2, n_iter=60, n_par=2, burn_in=10)
-        app = gibbs.gibbs_app(aux, blk.y, view, cfg, np.random.default_rng(23),
-                              positions=np.arange(n))
         truth = chan.symbol_indices(blk.x)
-        for p in view.known_idx:
-            assert app.probs[p, truth[p]] == 1.0
-            assert app.probs[p].sum() == 1.0
+        unknown = sic.SicPlan(2, n).stage_positions(2)
+        known = sic.SicPlan(2, n).known_positions(2)
+        chain_rngs = np.random.default_rng(23).spawn(n_par)
+        states = np.tile(truth, (n_par, 1))
+        states[:, unknown] = 0
+        counts = gibbs._sweep_chains(aux, blk.y[None], unknown, states,
+                                     chain_rngs, n_iter, burn_in)[0]
+        kept = (n_iter - burn_in) * n_par
+        assert np.all(counts[known, truth[known]] == kept)
+        assert np.all(counts.sum(axis=1) == kept)
 
     def test_with_memory_matches_exact_fba_loosely(self):
         """On a short ISI block the sampler tracks the exact posterior."""
@@ -133,11 +147,12 @@ class TestStationaryDistribution:
         rng = np.random.default_rng(29)
         n = 10
         blk = ch.random_block(chan, n, rng)
-        view = sic.stage_view(sic.SicPlan(1, n), 1, blk.x)
-        exact = fba.fba_app(aux, blk.y, view)
+        view = sic.stage_view(sic.SicPlan(1, n), 1, blk.x[None])
+        exact = fba.fba_apps(aux, blk.y[None], view)
         cfg = gibbs.GibbsConfig(memory=2, n_iter=4000, n_par=8, burn_in=50)
-        app = gibbs.gibbs_app(aux, blk.y, view, cfg, np.random.default_rng(31))
-        tv = 0.5 * np.abs(app.probs - exact.probs).sum(axis=1)
+        app = gibbs.gibbs_apps(aux, blk.y[None], view, cfg,
+                               np.random.default_rng(31))
+        tv = 0.5 * np.abs(app.probs - exact.probs).sum(axis=2)
         assert tv.max() < 0.05
 
 
@@ -156,22 +171,22 @@ class TestChainIndependence:
             states = np.array([crng.integers(0, 4, size=n) for crng in chain_rngs])
             return states, chain_rngs
 
-        pinned = np.zeros(n, dtype=bool)
+        unknown = np.arange(n)
         states, chain_rngs = draws(99)
-        batched = gibbs._sweep_chains(aux, blk.y[None], pinned, states,
+        batched = gibbs._sweep_chains(aux, blk.y[None], unknown, states,
                                       chain_rngs, n_iter, burn)
         states, chain_rngs = draws(99)
         serial = np.zeros_like(batched)
         for c in range(n_par):
-            serial += gibbs._sweep_chains(aux, blk.y[None], pinned,
+            serial += gibbs._sweep_chains(aux, blk.y[None], unknown,
                                           states[c:c + 1], chain_rngs[c:c + 1],
                                           n_iter, burn)
         assert np.array_equal(batched, serial)
 
 
 class TestBatchedStage:
-    """A whole stage in one call gives each block's one-block result bit for
-    bit, also when the blocks run in several slices."""
+    """A whole stage in one call; that it equals its one-block calls is
+    checked for every detector in tests/test_rates.py."""
 
     def make(self):
         chan = memoryless_channel(ch.Alphabet.bipolar_ask(4), p_tx=2.0)
@@ -182,87 +197,57 @@ class TestBatchedStage:
         return aux, chan, gibbs.GibbsConfig(memory=2, n_iter=6, n_par=3,
                                             burn_in=1)
 
-    @pytest.mark.parametrize("n_stages", [2, 3])
-    @pytest.mark.parametrize("slice_bytes", [apps.SLICE_BYTES, 1])
-    def test_stage_apps_equal_one_block_calls(self, monkeypatch, n_stages,
-                                              slice_bytes):
-        aux, chan, cfg = self.make()
-        n = 12
-        plan = sic.SicPlan(n_stages, n)
-        rng = np.random.default_rng(47)
-        blocks = [ch.random_block(chan, n, rng) for _ in range(3)]
-        for s in range(1, n_stages + 1):
-            views = [sic.stage_view(plan, s, blk.x) for blk in blocks]
-            serial_rng = np.random.default_rng(s)
-            single = [gibbs.gibbs_app(aux, blk.y, view, cfg, serial_rng)
-                      for blk, view in zip(blocks, views)]
-            stage_rng = np.random.default_rng(s)
-            with monkeypatch.context() as m:
-                m.setattr(apps, "SLICE_BYTES", slice_bytes)
-                stage_apps = gibbs.gibbs_apps(aux, [blk.y for blk in blocks],
-                                              views, cfg, stage_rng)
-            assert len(stage_apps) == len(blocks)
-            for i, app in enumerate(stage_apps):
-                assert np.array_equal(app.probs, single[i].probs)
-                assert np.array_equal(app.logp, single[i].logp)
-                assert np.array_equal(app.positions, views[i].targets)
-            # the caller's generator is left where the serial calls leave it
-            assert stage_rng.random() == serial_rng.random()
-            assert stage_rng.spawn(1)[0].random() == serial_rng.spawn(1)[0].random()
-
     def test_counter_sums_the_blocks(self):
         aux, chan, cfg = self.make()
         n = 12
         rng = np.random.default_rng(53)
-        blocks = [ch.random_block(chan, n, rng) for _ in range(3)]
-        views = [sic.stage_view(sic.SicPlan(1, n), 1, blk.x) for blk in blocks]
+        x, y = stacked([ch.random_block(chan, n, rng) for _ in range(3)])
         counter = MultCounter()
-        gibbs.gibbs_apps(aux, [blk.y for blk in blocks], views, cfg,
+        gibbs.gibbs_apps(aux, y, sic.stage_view(sic.SicPlan(1, n), 1, x), cfg,
                          np.random.default_rng(59), counter=counter)
         assert counter.total == pytest.approx(
             3 * gibbs.count_gs_multiplications(aux, cfg, 2, n) * n)
 
-    def test_views_must_share_the_stage(self):
-        aux, chan, cfg = self.make()
-        plan = sic.SicPlan(2, 8)
-        rng = np.random.default_rng(61)
-        blocks = [ch.random_block(chan, 8, rng) for _ in range(2)]
-        views = [sic.stage_view(plan, s, blk.x) for s, blk in zip((1, 2), blocks)]
-        with pytest.raises(ValueError):
-            gibbs.gibbs_apps(aux, [blk.y for blk in blocks], views, cfg,
-                             np.random.default_rng(67))
-
 
 class TestChainSplit:
     """Each block's chains are cut into one contiguous group per CPU, and
-    the groups sweep in forked workers; APPs and tallies do not change."""
+    the groups sweep in forked workers; APPs and tallies do not change.
+    The test calls are tiny, so they lower FORK_UPDATES to be split."""
 
-    def run(self, monkeypatch, cpus, n_blk):
+    def run(self, monkeypatch, cpus, n_blk, fork_updates=0):
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(cpus)))
+        monkeypatch.setattr(gibbs, "FORK_UPDATES", fork_updates)
         aux, chan, cfg = TestBatchedStage().make()
         n = 12
         rng = np.random.default_rng(71)
-        blocks = [ch.random_block(chan, n, rng) for _ in range(n_blk)]
-        views = [sic.stage_view(sic.SicPlan(2, n), 2, blk.x) for blk in blocks]
+        x, y = stacked([ch.random_block(chan, n, rng) for _ in range(n_blk)])
+        view = sic.stage_view(sic.SicPlan(2, n), 2, x)
         counter = MultCounter()
-        [apps_], processes = parallel.parallel_map(
-            lambda _: gibbs.gibbs_apps(aux, [blk.y for blk in blocks], views,
-                                       cfg, np.random.default_rng(73),
+        [app], processes = parallel.parallel_map(
+            lambda _: gibbs.gibbs_apps(aux, y, view, cfg,
+                                       np.random.default_rng(73),
                                        counter=counter), [0])
-        return apps_, counter, processes
+        return app, counter, processes
 
     @pytest.mark.parametrize("n_blk", [1, 3])
     def test_split_equals_one_process(self, monkeypatch, n_blk):
         one, one_counter, one_processes = self.run(monkeypatch, 1, n_blk)
         two, two_counter, two_processes = self.run(monkeypatch, 2, n_blk)
         assert (one_processes, two_processes) == (1, 2)
-        assert len(one) == len(two) == n_blk
-        for a, b in zip(one, two):
-            assert np.array_equal(a.probs, b.probs)
-            assert np.array_equal(a.logp, b.logp)
+        assert one.probs.shape[0] == two.probs.shape[0] == n_blk
+        assert np.array_equal(one.probs, two.probs)
+        assert np.array_equal(one.logp, two.logp)
         assert two_counter.by_kind == one_counter.by_kind
         assert two_counter.total == one_counter.total > 0
+
+    def test_slices_below_fork_updates_stay_in_one_process(self, monkeypatch):
+        # 3 blocks x 3 chains x 6 unknown positions x 2 bits x 6 sweeps
+        updates = 3 * 3 * 6 * 2 * 6
+        split, _, split_processes = self.run(monkeypatch, 2, 3, updates)
+        serial, _, serial_processes = self.run(monkeypatch, 2, 3, updates + 1)
+        assert (split_processes, serial_processes) == (2, 1)
+        assert np.array_equal(split.probs, serial.probs)
 
     @pytest.mark.parametrize("where", ["worker", "own share"])
     def test_failure_in_a_group_is_raised_and_children_reaped(
@@ -296,20 +281,19 @@ class TestColourSteps:
         return aux, chan, gibbs.GibbsConfig(memory=memory, n_iter=4, n_par=3,
                                             burn_in=1)
 
-    def run(self, monkeypatch, aux, cfg, blocks, views, seed, step_rows,
+    def run(self, monkeypatch, aux, cfg, y, view, seed, step_rows,
             slice_bytes):
         rng = np.random.default_rng(seed)
         with monkeypatch.context() as m:
             m.setattr(gibbs, "STEP_ROWS", step_rows)
             m.setattr(apps, "SLICE_BYTES", slice_bytes)
-            result = gibbs.gibbs_apps(aux, [blk.y for blk in blocks], views,
-                                      cfg, rng, positions=np.arange(12))
+            result = gibbs.gibbs_apps(aux, y, view, cfg, rng)
             chain_rngs = np.random.default_rng(seed).spawn(cfg.n_par)
             states = np.array([crng.integers(0, aux.m_symbols, size=12)
                                for crng in chain_rngs])
             counts = gibbs._sweep_chains(
-                aux, blocks[0].y[None], np.zeros(12, dtype=bool), states,
-                chain_rngs, cfg.n_iter, cfg.burn_in)
+                aux, y[:1], np.arange(12), states, chain_rngs, cfg.n_iter,
+                cfg.burn_in)
         return result, counts, rng.random()
 
     @pytest.mark.parametrize("memory", range(5))
@@ -318,25 +302,24 @@ class TestColourSteps:
                                                 memory):
         aux, chan, cfg = self.make(m_symbols, memory)
         rng = np.random.default_rng(100 + 10 * m_symbols + memory)
-        blocks = [ch.random_block(chan, 12, rng) for _ in range(3)]
+        x, y = stacked([ch.random_block(chan, 12, rng) for _ in range(3)])
         for n_stages in (1, 2, 3, 4):
             plan = sic.SicPlan(n_stages, 12)
             s = n_stages
-            views = [sic.stage_view(plan, s, blk.x) for blk in blocks]
-            ref_apps, ref_counts, ref_next = self.run(
-                monkeypatch, aux, cfg, blocks, views, s, gibbs.STEP_ROWS,
+            view = sic.stage_view(plan, s, x)
+            ref_app, ref_counts, ref_next = self.run(
+                monkeypatch, aux, cfg, y, view, s, gibbs.STEP_ROWS,
                 apps.SLICE_BYTES)
             # one site per step (the serial scan), a few, a whole group
             for step_rows in (1, 64, 1 << 40):
                 for slice_bytes in (1, apps.SLICE_BYTES):
-                    got_apps, counts, nxt = self.run(
-                        monkeypatch, aux, cfg, blocks, views, s, step_rows,
+                    got_app, counts, nxt = self.run(
+                        monkeypatch, aux, cfg, y, view, s, step_rows,
                         slice_bytes)
                     assert np.array_equal(counts, ref_counts)
                     assert nxt == ref_next
-                    for app, ref in zip(got_apps, ref_apps):
-                        assert np.array_equal(app.probs, ref.probs)
-                        assert np.array_equal(app.logp, ref.logp)
+                    assert np.array_equal(got_app.probs, ref_app.probs)
+                    assert np.array_equal(got_app.logp, ref_app.logp)
 
     @pytest.mark.parametrize("memory", range(5))
     @pytest.mark.parametrize("step_rows", [1, 64, gibbs.STEP_ROWS, 1 << 40])
@@ -379,12 +362,13 @@ class TestStallingRecord:
         rng = np.random.default_rng(71)
         n = 24
         blk = ch.random_block(chan, n, rng)
-        view = sic.stage_view(sic.SicPlan(2, n), 2, blk.x)
-        exact = fba.fba_app(aux, blk.y, view)
+        view = sic.stage_view(sic.SicPlan(2, n), 2, blk.x[None])
+        exact = fba.fba_apps(aux, blk.y[None], view)
         cfg = gibbs.GibbsConfig(memory=chan.memory, n_iter=150, n_par=8,
                                 burn_in=25)
-        approx = gibbs.gibbs_app(aux, blk.y, view, cfg, np.random.default_rng(72))
-        truth = chan.symbol_indices(blk.x[view.targets])
+        approx = gibbs.gibbs_apps(aux, blk.y[None], view, cfg,
+                                  np.random.default_rng(72))
+        truth = chan.symbol_indices(blk.x[view.targets])[None]
         ce_exact = -np.mean(exact.log2_prob_of(truth))
         ce_gibbs = -np.mean(approx.log2_prob_of(truth))
         print(f"high-power cross-entropy: trellis {ce_exact:.3f} bits, "
@@ -437,10 +421,10 @@ class TestCounting:
         rng = np.random.default_rng(41)
         n = 12
         blk = ch.random_block(chan, n, rng)
-        view = sic.stage_view(sic.SicPlan(1, n), 1, blk.x)
+        view = sic.stage_view(sic.SicPlan(1, n), 1, blk.x[None])
         cfg = gibbs.GibbsConfig(memory=2, n_iter=6, n_par=3, burn_in=1)
         counter = MultCounter()
-        gibbs.gibbs_app(aux, blk.y, view, cfg, np.random.default_rng(43),
-                        counter=counter)
+        gibbs.gibbs_apps(aux, blk.y[None], view, cfg, np.random.default_rng(43),
+                         counter=counter)
         assert counter.total == pytest.approx(
             gibbs.count_gs_multiplications(aux, cfg, 2, n) * n)

@@ -1,13 +1,14 @@
 """Rate estimators: exact ceilings, quadrature mutual-information oracle,
-the SDD <= SIC <= UB sandwich, duality with the training loss, and
-reproducibility."""
+the SDD <= SIC <= UB sandwich, duality with the training loss,
+reproducibility, and the detector contract: a stage call equals its
+one-block calls."""
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from nlsic import channel as ch
-from nlsic import fba, rates, rnn, sic, training
+from nlsic import apps, fba, gibbs, rates, rnn, sic, training
 from nlsic.apps import AppMatrix
 
 
@@ -45,6 +46,32 @@ def quadrature_mutual_information(levels, sigma2=1.0):
     return np.log2(m) - h_xy
 
 
+class OracleDetector:
+    """Test double that reads the truth: a point mass on each target's true
+    symbol, or `shift` alphabet indices above it."""
+
+    name = "oracle"
+
+    def __init__(self, chan, x, shift=0):
+        self.chan, self.x, self.shift = chan, x, shift
+
+    def apps(self, y, view, rng):
+        m = self.chan.config.alphabet.size
+        truth = (self.chan.symbol_indices(self.x[:, view.targets]) + self.shift) % m
+        probs = np.zeros(truth.shape + (m,))
+        np.put_along_axis(probs, truth[..., None], 1.0, axis=-1)
+        with np.errstate(divide="ignore"):
+            logp = np.log(probs)
+        return AppMatrix(probs=probs, logp=logp, positions=view.targets)
+
+
+def oracle_stage_rate(chan, n, n_blk, seed, shift=0):
+    blocks = rates.simulate_eval_blocks(chan, n_blk, n, np.random.default_rng(seed))
+    det = OracleDetector(chan, np.stack([blk.x for blk in blocks]), shift)
+    return rates.evaluate_stage_on_blocks(det, chan, sic.SicPlan(1, n), 1,
+                                          blocks, None)
+
+
 class TestCeilings:
     def test_uniform_detector_zero_rate(self):
         chan = memoryless_4ask_channel(3.0)
@@ -55,26 +82,11 @@ class TestCeilings:
         assert not sr.flagged
 
     def test_oracle_detector_hits_entropy(self):
-        chan = memoryless_4ask_channel(3.0)
-        det = rates.OracleDetector(chan)
-        sr = rates.estimate_stage_rate(det, chan, sic.SicPlan(1, 32), 1, 5, 32,
-                                       np.random.default_rng(1))
+        sr = oracle_stage_rate(memoryless_4ask_channel(3.0), 32, 5, 1)
         assert sr.rate == pytest.approx(2.0, abs=1e-12)
 
     def test_wrong_point_mass_flags_clamps(self):
-        chan = memoryless_4ask_channel(3.0)
-
-        class WrongOracle:
-            name = "wrong"
-
-            def apps(self, blocks, views, rng):
-                return [AppMatrix.point_masses(
-                            (chan.symbol_indices(blk.x[view.targets]) + 1) % 4,
-                            4, view.targets)
-                        for blk, view in zip(blocks, views)]
-
-        sr = rates.estimate_stage_rate(WrongOracle(), chan, sic.SicPlan(1, 16),
-                                       1, 4, 16, np.random.default_rng(2))
+        sr = oracle_stage_rate(memoryless_4ask_channel(3.0), 16, 4, 2, shift=1)
         assert sr.flagged
         assert sr.clamp_fraction == 1.0
         assert sr.rate == pytest.approx(2.0 + np.log2(1e-30))
@@ -174,10 +186,68 @@ class TestLossRateDuality:
         indexer = rnn.build_indexer(plan, 1, shape)
         total_bits = []
         for blk in blocks:
-            inputs = rnn.gather_inputs(indexer, blk.y, np.zeros(n), model.norm)
+            inputs = rnn.gather_inputs(indexer, blk.y[None], np.zeros((1, 0)),
+                                       model.norm)
             batch = training.Batch(
-                inputs=inputs[None], targets=chan.symbol_indices(blk.x)[None],
+                inputs=inputs, targets=chan.symbol_indices(blk.x)[None],
                 phase_idx=indexer.phase_idx, out_steps=indexer.out_steps)
             bits, _ = training.loss(model, batch)
             total_bits.append(2.0 - bits)
         assert sr.rate == pytest.approx(np.mean(total_bits), abs=1e-12)
+
+
+def stage_detector(kind, chan, n_stages):
+    if kind == "fba-exact":
+        return rates.FbaDetector(fba.build_aux_channel(chan, memory=chan.memory))
+    if kind == "fba-truncated":
+        return rates.FbaDetector(fba.build_aux_channel(chan, memory=1))
+    if kind == "gibbs":
+        aux = fba.build_aux_channel(chan, memory=2, build_table=False)
+        return rates.GibbsDetector(aux, gibbs.GibbsConfig(
+            memory=2, n_iter=6, n_par=3, burn_in=1))
+    if kind == "rnn":
+        return rates.RnnDetector({s: rnn.init_model(
+            rnn.RnnShape(dims=(12, 16), l_y=8, l_ic=4, n_stages=n_stages, s=s,
+                         m_symbols=4, n_os=2), np.random.default_rng(12 + s))
+            for s in range(1, n_stages + 1)})
+    return rates.UniformDetector(4)
+
+
+class TestDetectorContract:
+    @pytest.mark.parametrize("slice_bytes", [apps.SLICE_BYTES, 1])
+    @pytest.mark.parametrize("kind", ["fba-exact", "fba-truncated", "gibbs",
+                                      "rnn", "uniform"])
+    def test_stage_call_equals_its_one_block_calls(self, monkeypatch, kind,
+                                                   slice_bytes):
+        """One call over a stage's blocks gives, bit for bit, the rows of
+        one call per block, in order, also when the blocks run in several
+        slices, and leaves the caller's generator where the one-block calls
+        leave it.  The network's matrix products round differently for
+        different row counts, so its multi-block slices agree to 1e-12."""
+        chan = dispersive_4ask_channel(4.0)
+        n_stages, n = 4, 24
+        det = stage_detector(kind, chan, n_stages)
+        plan = sic.SicPlan(n_stages, n)
+        blocks = rates.simulate_eval_blocks(chan, 3, n, np.random.default_rng(31))
+        x = np.stack([blk.x for blk in blocks])
+        y = np.stack([blk.y for blk in blocks])
+        monkeypatch.setattr(apps, "SLICE_BYTES", slice_bytes)
+        for s in range(1, n_stages + 1):
+            stage_rng = np.random.default_rng(s)
+            stage = det.apps(y, sic.stage_view(plan, s, x), stage_rng)
+            serial_rng = np.random.default_rng(s)
+            ones = [det.apps(y[i:i + 1], sic.stage_view(plan, s, x[i:i + 1]),
+                             serial_rng) for i in range(len(blocks))]
+            assert stage.probs.shape == (len(blocks), n // n_stages, 4)
+            for field in ("probs", "logp"):
+                got = getattr(stage, field)
+                want = np.concatenate([getattr(o, field) for o in ones])
+                if kind == "rnn" and slice_bytes != 1:
+                    assert np.abs(got - want).max() < 1e-12
+                else:
+                    assert np.array_equal(got, want)
+            for app in [stage] + ones:
+                assert np.array_equal(app.positions, plan.stage_positions(s))
+            assert stage_rng.random() == serial_rng.random()
+            assert stage_rng.spawn(1)[0].random() == \
+                serial_rng.spawn(1)[0].random()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from nlsic import channel as ch
-from nlsic import apps, rnn, sic
+from nlsic import rnn, sic
 from nlsic.apps import MultCounter
 
 DATA = Path(__file__).with_name("data")
@@ -130,23 +130,34 @@ class TestAssembleInputs:
     def test_zero_padding_and_normalization(self):
         plan = sic.SicPlan(1, 4)
         shape = make_shape((6, 8), l_y=6, l_ic=0, m_symbols=2, n_os=1)
-        view = sic.stage_view(plan, 1, np.zeros(4))
-        y = np.array([1.0, 2.0, 3.0, 4.0])
+        y = np.array([[1.0, 2.0, 3.0, 4.0]])
         norm = rnn.Normalization(y_mean=1.0, y_std=2.0)
-        data = rnn.assemble_inputs(y, view, shape, norm)
+        data = rnn.gather_inputs(rnn.build_indexer(plan, 1, shape), y,
+                                 np.zeros((1, 0)), norm)
         # first window reaches 2 samples left of the block: zero padded,
         # then (y - 1)/2 for y = 1, 2, 3, 4
-        assert np.allclose(data[0], [0.0, 0.0, 0.0, 0.5, 1.0, 1.5])
+        assert np.allclose(data[0, 0], [0.0, 0.0, 0.0, 0.5, 1.0, 1.5])
 
     def test_known_symbol_slots(self):
         plan = sic.SicPlan(2, 8)
         shape = make_shape((4, 8), l_y=2, l_ic=2, n_stages=2, s=2, n_os=1)
-        x = np.arange(1.0, 9.0)
+        x = np.arange(1.0, 9.0)[None]
         view = sic.stage_view(plan, 2, x)
         norm = rnn.Normalization(sym_scale=0.5)
-        data = rnn.assemble_inputs(x * 0.0 + 1.0, view, shape, norm)
+        data = rnn.gather_inputs(rnn.build_indexer(plan, 2, shape),
+                                 np.ones((1, 8)), view.known_val, norm)
         # target kappa(2,1)=2: closest knowns at serial 1,3 -> values 1,3
-        assert np.allclose(data[0, 2:], [0.5, 1.5])
+        assert np.allclose(data[0, 0, 2:], [0.5, 1.5])
+
+    def test_first_stage_decided_slots_are_zero(self):
+        # stage 1 has no decided symbols: every l_ic slot is zero filled
+        plan = sic.SicPlan(2, 8)
+        shape = make_shape((4, 8), l_y=2, l_ic=2, n_stages=2, s=1, n_os=1)
+        data = rnn.gather_inputs(rnn.build_indexer(plan, 1, shape),
+                                 np.ones((3, 8)), np.zeros((3, 0)),
+                                 rnn.Normalization())
+        assert data.shape == (3, 8, 4)
+        assert np.all(data[:, :, 2:] == 0.0)
 
 
 class TestForward:
@@ -393,7 +404,7 @@ class TestModelIO:
 
 
 class TestDetectorApi:
-    def test_rnn_app_positions_and_rows(self):
+    def test_rnn_apps_positions_and_rows(self):
         cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(4), n_os=2, n_sim=2,
                                nonlinearity=ch.SquareLaw(), noise_variance=1.0)
         chan = ch.make_channel(cfg, k_g=7).with_transmit_power_db(3.0)
@@ -402,30 +413,8 @@ class TestDetectorApi:
                            m_symbols=4, n_os=2)
         model = rnn.init_model(shape, np.random.default_rng(9))
         blk = ch.random_block(chan, 12, np.random.default_rng(10))
-        view = sic.stage_view(plan, 2, blk.x)
-        app = rnn.rnn_app(model, blk.y, view)
+        view = sic.stage_view(plan, 2, blk.x[None])
+        app = rnn.rnn_apps(model, blk.y[None], view)
         assert np.array_equal(app.positions, view.targets)
-        assert np.abs(app.probs.sum(axis=1) - 1.0).max() < 1e-12
-
-    @pytest.mark.parametrize("slice_bytes", [apps.SLICE_BYTES, 1])
-    def test_batched_apps_match_one_block_calls(self, monkeypatch, slice_bytes):
-        cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(4), n_os=2, n_sim=2,
-                               nonlinearity=ch.SquareLaw(), noise_variance=1.0)
-        chan = ch.make_channel(cfg, k_g=7).with_transmit_power_db(3.0)
-        plan = sic.SicPlan(2, 12)
-        rng = np.random.default_rng(11)
-        blocks = [ch.random_block(chan, 12, rng) for _ in range(4)]
-        for s in (1, 2):
-            shape = make_shape((8 + 4, 16), l_y=8, l_ic=4, n_stages=2, s=s,
-                               m_symbols=4, n_os=2)
-            model = rnn.init_model(shape, np.random.default_rng(12 + s))
-            views = [sic.stage_view(plan, s, blk.x) for blk in blocks]
-            monkeypatch.setattr(apps, "SLICE_BYTES", slice_bytes)
-            batched = rnn.rnn_apps(model, [blk.y for blk in blocks], views)
-            assert len(batched) == len(blocks)
-            monkeypatch.undo()
-            for blk, view, app in zip(blocks, views, batched):
-                one = rnn.rnn_app(model, blk.y, view)
-                assert np.array_equal(app.positions, one.positions)
-                assert np.abs(app.logp - one.logp).max() < 1e-12
-                assert np.abs(app.probs - one.probs).max() < 1e-12
+        assert app.probs.shape == (1, 6, 4)
+        assert np.abs(app.probs.sum(axis=2) - 1.0).max() < 1e-12

@@ -86,25 +86,37 @@ def brute_force_window(known_idx, known_val, target, l_ic):
     return np.concatenate([np.zeros(l_ic - take), vals])
 
 
+def ic_window(j, t, view, l_ic):
+    """Values of the decided symbols ic_window_indices picks in the view's
+    first block, with 0 in a zero-filled slot."""
+    slots = sic.ic_window_indices(j, t, view.plan, view.known_idx, l_ic)
+    return np.append(view.known_val[0], 0.0)[slots]
+
+
 class TestIcWindow:
     def make_view(self, s, n_stages, n):
         plan = sic.SicPlan(n_stages, n)
         x = np.arange(1.0, n + 1.0)  # value == serial index + 1, easy to read
-        return sic.stage_view(plan, s, x)
+        return sic.stage_view(plan, s, x[None])
 
     def test_stage_one_all_zeros(self):
         view = self.make_view(1, 3, 12)
-        assert np.array_equal(sic.ic_window(1, 2, view, 6), np.zeros(6))
+        assert np.array_equal(ic_window(1, 2, view, 6), np.zeros(6))
+        assert np.array_equal(sic.ic_window_indices(1, 2, view.plan,
+                                                    view.known_idx, 6),
+                              np.full(6, -1))
 
     def test_l_ic_zero_empty(self):
         view = self.make_view(2, 3, 12)
-        assert len(sic.ic_window(2, 1, view, 0)) == 0
+        assert len(ic_window(2, 1, view, 0)) == 0
 
     def test_two_stage_example(self):
         # S=2, s=2: known serial (1-based) {1,3,5,...}; target kappa(2,3)=6
         view = self.make_view(2, 2, 16)
-        vals = sic.ic_window(2, 3, view, 2)
-        assert np.array_equal(vals, [5.0, 7.0])
+        assert np.array_equal(ic_window(2, 3, view, 2), [5.0, 7.0])
+        # serial 0-based 4 and 6 are the third and fourth decided symbols
+        assert np.array_equal(
+            sic.ic_window_indices(2, 3, view.plan, view.known_idx, 2), [2, 3])
 
     def test_against_brute_force(self):
         rng = np.random.default_rng(77)
@@ -116,8 +128,8 @@ class TestIcWindow:
                     j = int(rng.integers(s, n_stages + 1))
                     t = int(rng.integers(1, n // n_stages + 1))
                     l_ic = int(rng.integers(1, 9))
-                    got = sic.ic_window(j, t, view, l_ic)
-                    want = brute_force_window(view.known_idx, view.known_val,
+                    got = ic_window(j, t, view, l_ic)
+                    want = brute_force_window(view.known_idx, view.known_val[0],
                                               sic.kappa(j, t, n_stages) - 1, l_ic)
                     assert np.array_equal(got, want), (j, t, l_ic)
 
@@ -125,13 +137,13 @@ class TestIcWindow:
         # known at serial 0-based {2, 6}, target 4: both at distance 2
         plan = sic.SicPlan(4, 8)
         view = sic.StageView(plan=plan, s=3, known_idx=np.array([2, 6]),
-                             known_val=np.array([20.0, 60.0]))
-        assert np.array_equal(sic.ic_window(1, 2, view, 1), [20.0])
+                             known_val=np.array([[20.0, 60.0]]))
+        assert np.array_equal(ic_window(1, 2, view, 1), [20.0])
 
     def test_deterministic(self):
         view = self.make_view(3, 3, 18)
-        a = sic.ic_window(3, 4, view, 5)
-        b = sic.ic_window(3, 4, view, 5)
+        a = ic_window(3, 4, view, 5)
+        b = ic_window(3, 4, view, 5)
         assert np.array_equal(a, b)
 
     @settings(max_examples=60, deadline=None)
@@ -140,8 +152,8 @@ class TestIcWindow:
         n = n_stages * per_stage
         view = self.make_view(n_stages, n_stages, n)
         t = min(t, per_stage)
-        small = sic.ic_window(n_stages, t, view, l_ic)
-        large = sic.ic_window(n_stages, t, view, l_ic + 2)
+        small = ic_window(n_stages, t, view, l_ic)
+        large = ic_window(n_stages, t, view, l_ic + 2)
         small = small[small != 0.0]
         large = list(large[large != 0.0])
         # existing entries appear in the larger window, in the same order
@@ -152,22 +164,37 @@ class TestIcWindow:
 class TestStageView:
     def test_known_positions_are_earlier_stages(self):
         plan = sic.SicPlan(3, 15)
-        x = np.arange(15.0)
+        x = np.arange(30.0).reshape(2, 15)
         view = sic.stage_view(plan, 3, x)
         expect = sorted(set(range(0, 15, 3)) | set(range(1, 15, 3)))
         assert np.array_equal(view.known_idx, expect)
-        assert np.array_equal(view.known_val, x[expect])
+        assert np.array_equal(plan.known_positions(3), expect)
+        assert np.array_equal(view.known_val, x[:, expect])
         assert not set(view.known_idx) & set(view.targets)
 
-    def test_targets_and_remaining(self):
+    def test_targets(self):
         plan = sic.SicPlan(2, 8)
-        view = sic.stage_view(plan, 2, np.arange(8.0))
+        view = sic.stage_view(plan, 2, np.arange(8.0)[None])
         assert np.array_equal(view.targets, [1, 3, 5, 7])
-        assert np.array_equal(view.remaining, [1, 3, 5, 7])
-        assert view.phases == 1
 
     def test_stage_one_has_no_knowns(self):
         plan = sic.SicPlan(4, 8)
-        view = sic.stage_view(plan, 1, np.arange(8.0))
+        view = sic.stage_view(plan, 1, np.arange(24.0).reshape(3, 8))
         assert len(view.known_idx) == 0
-        assert view.phases == 4
+        assert view.known_val.shape == (3, 0)
+
+    def test_rejects_blocks_of_another_length_or_stage(self):
+        plan = sic.SicPlan(2, 8)
+        with pytest.raises(ValueError):
+            sic.stage_view(plan, 2, np.zeros((3, 6)))
+        with pytest.raises(ValueError):
+            sic.stage_view(plan, 2, np.zeros(8))
+        with pytest.raises(ValueError):
+            sic.stage_view(plan, 3, np.zeros((3, 8)))
+
+    def test_observations_must_match_the_blocks(self):
+        view = sic.stage_view(sic.SicPlan(2, 8), 2, np.zeros((3, 8)))
+        assert view.observations(np.ones((3, 16)), 2).dtype == np.float64
+        for shape in ((2, 16), (3, 8), (48,)):
+            with pytest.raises(ValueError):
+                view.observations(np.ones(shape), 2)
