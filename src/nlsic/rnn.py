@@ -19,6 +19,7 @@ extends windows past the block edges.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -64,10 +65,6 @@ class RnnShape:
     @property
     def n_recurrent(self) -> int:
         return len(self.dims) - 1
-
-    def capturable_memory(self, t_rnn: int) -> int:
-        """Largest symbol memory the unrolled network can represent."""
-        return self.l_y // self.n_os + (t_rnn - 1)
 
 
 @dataclass
@@ -230,22 +227,71 @@ def gather_inputs(indexer: InputIndexer, y: np.ndarray, decided: np.ndarray,
 # Forward pass
 
 
+class Workspace:
+    """Scratch arrays that :func:`forward` and ``training.backward`` write
+    into, owned by the caller and reused from call to call.
+
+    Each named buffer keeps the largest size asked of it and is handed out as
+    a contiguous view of the shape asked for, so a call with fewer blocks
+    reuses it and a run of equal calls allocates nothing after the first.
+    What a call returns inside it (the ForwardCache arrays, the gradients)
+    stays valid until the next call given the same workspace.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+        self._model = None
+
+    def empty(self, key, shape, dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(key)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._buffers[key] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+    def zeros(self, key, shape) -> np.ndarray:
+        arr = self.empty(key, shape)
+        arr.fill(0.0)
+        return arr
+
+    def zero_model(self, shape: RnnShape) -> RnnModel:
+        """An all-zero model of the given shape, the same object each call."""
+        if self._model is None or self._model.shape != shape:
+            self._model = RnnModel(shape)
+        else:
+            self._model.flat.fill(0.0)
+        return self._model
+
+
 @dataclass
 class ForwardCache:
-    """Activations retained for reverse-mode differentiation."""
+    """Activations retained for reverse-mode differentiation, as views of
+    the forward pass's workspace.
 
-    inputs: list        # r^i per layer, (B, T, dims[i])
-    pre: list           # pre-activations per layer, (B, T, 2, half)
-    h: list             # half-states per layer, (B, T, 2, half)
+    All are indexed by step first: ``inputs[i][step]`` and ``h[i][step]``
+    are the (B, width) rows step `step` of layer i reads and writes, and
+    ``pre[i][step, d]`` is direction d's (B, half) pre-activation block.
+    The h buffers are block-major underneath, (B, T, 2*half), like the
+    caller's inputs, so every layer reads its input rows with the strides of
+    a block-major input.  That matters where numpy hands a product with a
+    side of width 1 to gemv or dot, whose bits depend on those strides.
+    """
+
+    inputs: list        # r^i per layer, (T, B, dims[i]); r^i = h[i-1]
+    pre: list           # pre-activations per layer, (T, 2, B, half)
+    h: list             # half-states per layer, (T, B, 2*half)
+    readout: np.ndarray  # (B, N, dims[-1]) last layer's states at out_steps
     logits: np.ndarray  # (B, N, M)
     probs: np.ndarray
     logp: np.ndarray
 
 
-def _check_finite(arr: np.ndarray, layer: int, what: str):
-    """arr: (B, T, half) pre-activations of one direction."""
-    if not np.all(np.isfinite(arr)):
-        step = int(np.argwhere(~np.isfinite(arr))[0][1])
+def _check_finite(pre: np.ndarray, steps, layer: int, what: str):
+    """pre: (T, B, half) pre-activations of one direction, computed in the
+    order `steps`; names the first step in that order that is non-finite."""
+    finite = np.isfinite(pre)
+    if not finite.all():
+        step = next(step for step in steps if not finite[step].all())
         raise FloatingPointError(
             f"non-finite {what} activation in layer {layer} at step {step}")
 
@@ -258,35 +304,56 @@ def _directions(t_steps: int):
 
 def forward(model: RnnModel, inputs: np.ndarray, phase_idx: np.ndarray,
             out_steps: np.ndarray, counter: Optional[MultCounter] = None,
-            want_cache: bool = False):
+            want_cache: bool = False, ws: Optional[Workspace] = None):
     """Run the network over an unrolled input sequence.
 
     inputs: (T, dims[0]) or (B, T, dims[0]).  Returns (logp, cache) with
     logp of shape (B, N, M); cache is None unless requested.
+
+    Every activation is written into `ws` (a fresh workspace if none is
+    given), laid out as ForwardCache describes, so a caller that passes the
+    same workspace to every call allocates no activations after the first.
+    Each step makes the products (B, dims[i]) @ (dims[i], half) and
+    (B, half) @ (half, half), and adds ((x@W + in_b) + s@U) + st_b: a row's
+    bits depend on the shape of the product that computes it, so these
+    per-step shapes and this order keep the results of the step-by-step
+    computation bit for bit.
     """
+    if ws is None:
+        ws = Workspace()
     shape = model.shape
     r = np.asarray(inputs, dtype=np.float64)
     if r.ndim == 2:
         r = r[None]
     b, t_steps, _ = r.shape
+    r = r.swapaxes(0, 1)
+    phases = np.asarray(phase_idx).tolist()
     p_count = shape.phases
 
-    cache = ForwardCache([], [], [], None, None, None) if want_cache else None
+    cache = ForwardCache([], [], [], None, None, None, None) if want_cache else None
     for i, (in_w, in_b, st_w, st_b) in enumerate(model.layers):
         half = in_b.shape[-1]
-        pre = np.empty((b, t_steps, 2, half))
-        h = np.empty((b, t_steps, 2, half))
+        pre = ws.empty(("pre", i), (t_steps, 2, b, half))
+        h = ws.empty(("h", i), (b, t_steps, 2 * half)).swapaxes(0, 1)
+        zero = ws.zeros("zero", (b, half))
+        fed = ws.empty("fed", (b, half))
         for d, steps, feed in _directions(t_steps):
-            state = np.zeros((b, half))
+            h_d = h[:, :, d * half:(d + 1) * half]
+            in_maps = [(in_w[p, d].T, in_b[p, d]) for p in range(p_count)]
+            st_maps = [(st_w[q, d].T, st_b[q, d]) for q in range(p_count)]
+            state = zero
             for step in steps:
-                p = phase_idx[step]
-                q = (p + feed) % p_count
-                z = (r[:, step] @ in_w[p, d].T + in_b[p, d]
-                     + state @ st_w[q, d].T + st_b[q, d])
-                pre[:, step, d] = z
-                state = np.maximum(z, 0.0)
-                h[:, step, d] = state
-            _check_finite(pre[:, :, d], i, ("forward", "backward")[d])
+                p = phases[step]
+                w, w_b = in_maps[p]
+                u, u_b = st_maps[(p + feed) % p_count]
+                z = pre[step, d]
+                np.matmul(r[step], w, out=z)
+                z += w_b
+                np.matmul(state, u, out=fed)
+                z += fed
+                z += u_b
+                state = np.maximum(z, 0.0, out=h_d[step])
+            _check_finite(pre[:, d], steps, i, ("forward", "backward")[d])
 
         if counter is not None:
             d_in = shape.dims[i]
@@ -296,9 +363,16 @@ def forward(model: RnnModel, inputs: np.ndarray, phase_idx: np.ndarray,
             cache.inputs.append(r)
             cache.pre.append(pre)
             cache.h.append(h)
-        r = h.reshape(b, t_steps, 2 * half)
+        r = h
 
-    logits = r[:, out_steps] @ model.out_w.T + model.out_b
+    # np.take writes into `readout` directly only when it need not check
+    # the indices, so they are checked here
+    out_steps = np.asarray(out_steps)
+    if out_steps.size and not 0 <= out_steps.min() <= out_steps.max() < t_steps:
+        raise IndexError(f"out_steps must lie in 0..{t_steps - 1}")
+    readout = ws.empty("readout", (b, len(out_steps), shape.dims[-1]))
+    np.take(r.swapaxes(0, 1), out_steps, axis=1, out=readout, mode="clip")
+    logits = readout @ model.out_w.T + model.out_b
     if counter is not None:
         counter.add("out", b * len(out_steps) * shape.m_symbols * shape.dims[-1])
     mx = logits.max(axis=2, keepdims=True)
@@ -306,7 +380,7 @@ def forward(model: RnnModel, inputs: np.ndarray, phase_idx: np.ndarray,
     denom = z.sum(axis=2, keepdims=True)
     logp = (logits - mx) - np.log(denom)
     if want_cache:
-        cache.inputs.append(r)
+        cache.readout = readout
         cache.logits = logits
         cache.probs = z / denom
         cache.logp = logp
@@ -316,18 +390,20 @@ def forward(model: RnnModel, inputs: np.ndarray, phase_idx: np.ndarray,
 def rnn_apps(model: RnnModel, y: np.ndarray, view: StageView,
              counter: Optional[MultCounter] = None) -> AppMatrix:
     """Detector-facing inference for every block of one SIC stage: the
-    blocks' input sequences go through one batched forward pass.
+    blocks' input sequences go through one batched forward pass per slice,
+    and the slices share one workspace.
     y: (B, n_os*n) observations of the blocks `view` describes."""
     indexer = build_indexer(view.plan, view.s, model.shape)
     y = view.observations(y, model.shape.n_os)
     # inputs plus the pre-activations, states and outputs of a layer
     activations = 8 * indexer.n_steps * 3 * sum(model.shape.dims)
     logp = np.empty((len(y), len(indexer.out_steps), model.shape.m_symbols))
+    ws = Workspace()
     for lo, hi in block_slices(len(y), activations):
         data = gather_inputs(indexer, y[lo:hi], view.known_val[lo:hi],
                              model.norm)
         logp[lo:hi], _ = forward(model, data, indexer.phase_idx,
-                                 indexer.out_steps, counter=counter)
+                                 indexer.out_steps, counter=counter, ws=ws)
     return AppMatrix(probs=np.exp(logp), logp=logp,
                      positions=indexer.target_serial)
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import channel as ch
 from .apps import CLAMP_FLOOR
-from .rnn import (InputIndexer, Normalization, RnnModel, RnnShape,
+from .rnn import (InputIndexer, Normalization, RnnModel, RnnShape, Workspace,
                   _directions, build_indexer, forward, gather_inputs,
                   init_model)
 from .sic import SicPlan
@@ -101,15 +101,43 @@ def _nll_bits(logp: np.ndarray, targets: np.ndarray):
     return bits, int(np.count_nonzero(clamped))
 
 
-def backward(model: RnnModel, batch: Batch):
+def _add_by_label(g: np.ndarray, labels: np.ndarray, rows: np.ndarray):
+    """Add rows[k] to g[labels[k]] for k = 0, 1, ... in turn, g being zero,
+    with the bits of that loop: per label, 0 + ((x0 + x1) + ...) equals
+    ((0 + x0) + x1) + ... bit for bit.  np.add.reduce sums along axis 0 row
+    after row when a row has more than one element but pairwise when it has
+    one, so 1-element rows go through np.add.accumulate, which always keeps
+    the order.  (np.add.at keeps it too, but at rnn-sweep's shapes it took
+    longer than the products whose sums it forms.)"""
+    for label in range(len(g)):
+        picked = rows[labels == label]
+        if len(picked) == 0:
+            continue
+        if picked[0].size > 1:
+            g[label] += np.add.reduce(picked, axis=0)
+        else:
+            g[label] += np.add.accumulate(picked, axis=0)[-1]
+
+
+def backward(model: RnnModel, batch: Batch, ws: Optional[Workspace] = None):
     """Exact reverse-mode gradients of the bit loss for every parameter.
 
     Returns (grads, loss_bits, clamp_count); grads is an RnnModel of the
-    same shape whose parameters hold the gradients.
+    same shape whose parameters hold the gradients.  The forward pass, the
+    gradients and every intermediate live in `ws` (a fresh workspace if none
+    is given), so grads is valid until its next use.
+
+    Per direction, one loop over the steps runs the recursion through the
+    state map.  The weight-gradient products then run stacked over the
+    steps, each with the (half, B) @ (B, width) shape of one step, and are
+    summed from zero in the order the loop visited the steps: that order and
+    those shapes give the bits of a step-by-step accumulation.
     """
+    if ws is None:
+        ws = Workspace()
     shape = model.shape
     logp, cache = forward(model, batch.inputs, batch.phase_idx, batch.out_steps,
-                          want_cache=True)
+                          want_cache=True, ws=ws)
     bits, clamps = _nll_bits(logp, batch.targets)
 
     b, n_out, m = logp.shape
@@ -123,47 +151,79 @@ def backward(model: RnnModel, batch: Batch):
     picked = np.take_along_axis(logp, batch.targets[:, :, None], axis=2)[:, :, 0]
     dlogits[picked < np.log(CLAMP_FLOOR)] = 0.0
 
-    grads = RnnModel(shape)
-    r_last = cache.inputs[-1]
+    grads = ws.zero_model(shape)
+    width = shape.dims[-1]
     flat_dl = dlogits.reshape(-1, m)
-    flat_r = r_last[:, batch.out_steps].reshape(-1, shape.dims[-1])
-    grads.out_w += flat_dl.T @ flat_r
+    grads.out_w += flat_dl.T @ cache.readout.reshape(-1, width)
     grads.out_b += flat_dl.sum(axis=0)
 
-    t_steps = r_last.shape[1]
-    dr = np.zeros_like(r_last)
-    dr[:, batch.out_steps] = dlogits @ model.out_w
+    # the top layer's state gradient: dlogits @ out_w at out_steps, 0 elsewhere
+    t_steps = len(batch.phase_idx)
+    d_read = np.matmul(dlogits, model.out_w, out=ws.empty("d_read", (b, n_out, width)))
+    dh = [ws.zeros("dh_zero", (b, width))] * t_steps
+    for n, step in enumerate(batch.out_steps):
+        dh[step] = d_read[:, n]
 
+    phase_idx = np.asarray(batch.phase_idx)
+    phases = phase_idx.tolist()
     p_count = shape.phases
     for i in range(shape.n_recurrent - 1, -1, -1):
         in_w, _, st_w, _ = model.layers[i]
         g_in_w, g_in_b, g_st_w, g_st_b = grads.layers[i]
-        half = in_w.shape[2]
-        r_in, pre, h = cache.inputs[i], cache.pre[i], cache.h[i]
-        dh = dr.reshape(b, t_steps, 2, half)
-        active = pre > 0
-        zero = np.zeros((b, half))
-        dr_prev = np.zeros_like(r_in)
+        half, d_in = in_w.shape[2:]
+        r_in, h = cache.inputs[i], cache.h[i]
+        active = np.greater(cache.pre[i], 0.0,
+                            out=ws.empty("active", cache.pre[i].shape, bool))
+        dz = ws.empty("dz", (t_steps, b, half))
+        carry = ws.empty("carry", (b, half))
+        zero = ws.zeros("zero", (b, half))
+        sums = ws.empty("sums", (t_steps, half))
+        in_prod = ws.empty("in_prod", (t_steps, half, d_in))
+        st_prod = ws.empty("st_prod", (t_steps, half, half))
+        if i > 0:
+            dr = ws.zeros(("dr", i), (t_steps, b, d_in))
+            dr_d = ws.empty("dr_d", (t_steps, b, d_in))
+            w_steps = ws.empty("w_steps", (t_steps, half, d_in))
         for d, steps, feed in _directions(t_steps):
-            carry = zero
+            cols = slice(d * half, (d + 1) * half)
+            st_maps = [st_w[q, d] for q in range(p_count)]
+            state_grad = zero
             for step in reversed(steps):
-                p = batch.phase_idx[step]
-                q = (p + feed) % p_count
-                dz = (dh[:, step, d] + carry) * active[:, step, d]
-                dz_sum = dz.sum(axis=0)
-                src = step + feed
-                h_src = h[:, src, d] if 0 <= src < t_steps else zero
-                g_in_w[p, d] += dz.T @ r_in[:, step]
-                g_in_b[p, d] += dz_sum
-                g_st_w[q, d] += dz.T @ h_src
-                g_st_b[q, d] += dz_sum
-                dr_prev[:, step] += dz @ in_w[p, d]
-                carry = dz @ st_w[q, d]
-        dr = dr_prev
+                dz_step = dz[step]
+                np.add(dh[step][:, cols], state_grad, out=dz_step)
+                dz_step *= active[step, d]
+                state_grad = np.matmul(dz_step, st_maps[(phases[step] + feed) % p_count],
+                                       out=carry)
 
-    for name, g in grads.parameters():
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient in {name}")
+            # the loop visited the steps in reverse processing order
+            back = slice(None, None, feed)
+            p_back = phase_idx[back]
+            q_back = (p_back + feed) % p_count
+            dz_t = dz.transpose(0, 2, 1)
+            np.matmul(dz_t, r_in, out=in_prod)
+            _add_by_label(g_in_w[:, d], p_back, in_prod[back])
+            np.sum(dz, axis=1, out=sums)
+            _add_by_label(g_in_b[:, d], p_back, sums[back])
+            _add_by_label(g_st_b[:, d], q_back, sums[back])
+            # each step's state came from step + feed; the edge step's from zeros
+            h_d = h[:, :, cols]
+            if feed < 0:
+                np.matmul(dz_t[1:], h_d[:-1], out=st_prod[1:])
+                st_prod[0] = 0.0
+            else:
+                np.matmul(dz_t[:-1], h_d[1:], out=st_prod[:-1])
+                st_prod[-1] = 0.0
+            _add_by_label(g_st_w[:, d], q_back, st_prod[back])
+            if i > 0:
+                np.take(in_w[:, d], phase_idx, axis=0, out=w_steps, mode="clip")
+                dr += np.matmul(dz, w_steps, out=dr_d)
+        if i > 0:
+            dh = dr
+
+    if not np.all(np.isfinite(grads.flat)):
+        name = next(name for name, g in grads.parameters()
+                    if not np.all(np.isfinite(g)))
+        raise FloatingPointError(f"non-finite gradient in {name}")
     return grads, bits, clamps
 
 
@@ -258,11 +318,12 @@ def train_stage(chan: ch.DiscreteChannel, plan: SicPlan, s: int, shape: RnnShape
 
     log = TrainLog()
     opt = Adam(model, cfg.learn_rate)
+    ws = Workspace()
     ceiling = 4.0 * chan.config.alphabet.bits
     over = 0
     for it in range(cfg.n_iter):
         batch = make_batch(chan, indexer, norm, cfg.n_batch, rng)
-        grads, bits, clamps = backward(model, batch)
+        grads, bits, clamps = backward(model, batch, ws)
         opt.step(model, grads)
         log.clamp_events += clamps
         log.append(it, bits, grad_global_norm(grads))

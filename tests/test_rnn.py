@@ -87,13 +87,6 @@ class TestShape:
         with pytest.raises(ValueError):
             make_shape((6, 8), 4, 2, n_stages=2, s=3)
 
-    def test_capturable_memory_published_configs(self):
-        # (l_y, t_rnn) -> capturable symbol memory at two output samples/symbol
-        for l_y, t_rnn, expect in [(64, 64, 95), (64, 84, 115), (84, 120, 161),
-                                   (100, 120, 169)]:
-            shape = make_shape((l_y + 32, 128), l_y=l_y, l_ic=32)
-            assert shape.capturable_memory(t_rnn) == expect
-
 
 class TestAssembleInputs:
     def test_window_offsets(self):
@@ -245,14 +238,27 @@ class TestForward:
         inner = np.arange(30, n_per - 30)
         assert np.abs(shifted[inner + 1] - base[inner]).max() < 1e-9
 
-    def test_nan_raises_with_step(self):
+    def test_out_of_range_out_steps_raise(self):
         shape = make_shape((6, 8), 4, 2)
         model = rnn.init_model(shape, np.random.default_rng(5))
-        model.layers[0].in_w[0, 0, 0, 0] = np.inf
+        phase_idx, _ = unrolled_geometry(shape, 3)
+        for out_steps in ([0, 3], [-1]):
+            with pytest.raises(IndexError, match="out_steps"):
+                rnn.forward(model, np.ones((3, 6)), phase_idx, np.array(out_steps))
+
+    def test_nan_raises_with_step(self):
+        """The error names the step that failed first in its direction's
+        processing order: step 0 going forward, step T-1 going backward."""
+        shape = make_shape((6, 8), 4, 2)
         phase_idx, out_steps = unrolled_geometry(shape, 3)
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(FloatingPointError, match="step"):
-                rnn.forward(model, np.ones((3, 6)), phase_idx, out_steps)
+        for direction, what, step in [(0, "forward", 0), (1, "backward", 2)]:
+            model = rnn.init_model(shape, np.random.default_rng(5))
+            model.layers[0].in_w[0, direction, 0, 0] = np.inf
+            with np.errstate(invalid="ignore"):
+                with pytest.raises(FloatingPointError) as err:
+                    rnn.forward(model, np.ones((3, 6)), phase_idx, out_steps)
+            assert str(err.value) == \
+                f"non-finite {what} activation in layer 0 at step {step}"
 
 
 class TestCounting:

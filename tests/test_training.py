@@ -123,6 +123,149 @@ class TestBackward:
         assert np.allclose(grads.out_b, expect, atol=1e-14)
 
 
+def reference_forward(model, inputs, phase_idx, out_steps):
+    """The forward pass one step and one fresh array at a time, block-major:
+    the bits the workspace forward must reproduce."""
+    p_count = model.shape.phases
+    r = np.asarray(inputs, dtype=np.float64)
+    b, t_steps, _ = r.shape
+    inputs_, pres, hs = [], [], []
+    for in_w, in_b, st_w, st_b in model.layers:
+        half = in_b.shape[-1]
+        pre = np.empty((b, t_steps, 2, half))
+        h = np.empty((b, t_steps, 2, half))
+        for d, steps, feed in ((0, range(t_steps), -1),
+                               (1, range(t_steps - 1, -1, -1), 1)):
+            state = np.zeros((b, half))
+            for step in steps:
+                p = phase_idx[step]
+                q = (p + feed) % p_count
+                z = (r[:, step] @ in_w[p, d].T + in_b[p, d]
+                     + state @ st_w[q, d].T + st_b[q, d])
+                pre[:, step, d] = z
+                state = np.maximum(z, 0.0)
+                h[:, step, d] = state
+        inputs_.append(r)
+        pres.append(pre)
+        hs.append(h)
+        r = h.reshape(b, t_steps, 2 * half)
+    logits = r[:, out_steps] @ model.out_w.T + model.out_b
+    mx = logits.max(axis=2, keepdims=True)
+    z = np.exp(logits - mx)
+    denom = z.sum(axis=2, keepdims=True)
+    logp = (logits - mx) - np.log(denom)
+    return logp, (inputs_ + [r], pres, hs, z / denom)
+
+
+def reference_backward(model, batch):
+    """Reverse-mode gradients accumulated step by step into fresh arrays."""
+    shape = model.shape
+    logp, (inputs, pres, hs, probs) = reference_forward(
+        model, batch.inputs, batch.phase_idx, batch.out_steps)
+    bits, clamps = training._nll_bits(logp, batch.targets)
+    b, n_out, m = logp.shape
+    dlogits = probs.copy()
+    np.put_along_axis(
+        dlogits, batch.targets[:, :, None],
+        np.take_along_axis(dlogits, batch.targets[:, :, None], axis=2) - 1.0, axis=2)
+    dlogits *= 1.0 / (b * n_out * np.log(2.0))
+    picked = np.take_along_axis(logp, batch.targets[:, :, None], axis=2)[:, :, 0]
+    dlogits[picked < np.log(training.CLAMP_FLOOR)] = 0.0
+
+    grads = rnn.RnnModel(shape)
+    r_last = inputs[-1]
+    flat_dl = dlogits.reshape(-1, m)
+    grads.out_w += flat_dl.T @ r_last[:, batch.out_steps].reshape(-1, shape.dims[-1])
+    grads.out_b += flat_dl.sum(axis=0)
+    t_steps = r_last.shape[1]
+    dr = np.zeros_like(r_last)
+    dr[:, batch.out_steps] = dlogits @ model.out_w
+    for i in range(shape.n_recurrent - 1, -1, -1):
+        in_w, _, st_w, _ = model.layers[i]
+        g_in_w, g_in_b, g_st_w, g_st_b = grads.layers[i]
+        half = in_w.shape[2]
+        r_in, h = inputs[i], hs[i]
+        dh = dr.reshape(b, t_steps, 2, half)
+        active = pres[i] > 0
+        zero = np.zeros((b, half))
+        dr_prev = np.zeros_like(r_in)
+        for d, steps, feed in ((0, range(t_steps), -1),
+                               (1, range(t_steps - 1, -1, -1), 1)):
+            carry = zero
+            for step in reversed(steps):
+                p = batch.phase_idx[step]
+                q = (p + feed) % shape.phases
+                dz = (dh[:, step, d] + carry) * active[:, step, d]
+                dz_sum = dz.sum(axis=0)
+                src = step + feed
+                h_src = h[:, src, d] if 0 <= src < t_steps else zero
+                g_in_w[p, d] += dz.T @ r_in[:, step]
+                g_in_b[p, d] += dz_sum
+                g_st_w[q, d] += dz.T @ h_src
+                g_st_b[q, d] += dz_sum
+                dr_prev[:, step] += dz @ in_w[p, d]
+                carry = dz @ st_w[q, d]
+        dr = dr_prev
+    return grads, bits, clamps
+
+
+class TestPerStepOracle:
+    """The workspace forward and backward equal the step-by-step reference
+    bit for bit, on the shapes the benchmark and the acceptance suite train
+    and on deeper, multi-phase and odd-sized batches."""
+
+    CASES = {
+        # name: (dims, l_y, l_ic, n_stages, s, n_per, batch size)
+        "sweep-P2": ((20, 32), 16, 4, 2, 1, 16, 64),
+        "sweep-P1": ((20, 32), 16, 4, 2, 2, 32, 64),
+        "criterion4": ((16, 32), 16, 0, 1, 1, 32, 64),
+        "two-layers-three-phases": ((8, 12, 8), 6, 2, 3, 1, 4, 5),
+        "three-layers": ((6, 8, 10, 6), 4, 2, 2, 1, 5, 3),
+        "B1": ((20, 32), 16, 4, 2, 1, 16, 1),
+        "B7": ((8, 12, 8), 4, 4, 2, 1, 6, 7),
+        # one-unit half-states: the sums over blocks and steps have 1-element rows
+        "half1": ((3, 2, 2), 2, 1, 2, 1, 9, 9),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equal_to_reference(self, case):
+        dims, l_y, l_ic, n_stages, s, n_per, b = self.CASES[case]
+        shape = rnn.RnnShape(dims=dims, l_y=l_y, l_ic=l_ic, n_stages=n_stages,
+                             s=s, m_symbols=4, n_os=2)
+        rng = np.random.default_rng(len(case))
+        ws = rnn.Workspace()
+        for _ in range(3):
+            model = rnn.init_model(shape, rng)
+            batch = make_batch_for(shape, n_per, rng, batch_size=b)
+            ref_logp, _ = reference_forward(model, batch.inputs, batch.phase_idx,
+                                            batch.out_steps)
+            ref_grads, ref_bits, ref_clamps = reference_backward(model, batch)
+            logp, _ = rnn.forward(model, batch.inputs, batch.phase_idx,
+                                  batch.out_steps, ws=ws)
+            assert np.array_equal(logp, ref_logp)
+            grads, bits, clamps = training.backward(model, batch, ws)
+            assert (bits, clamps) == (ref_bits, ref_clamps)
+            assert np.array_equal(grads.flat, ref_grads.flat)
+
+    def test_train_stage_equal_to_reference(self, monkeypatch):
+        cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(4), n_os=2,
+                               n_sim=2, nonlinearity=ch.SquareLaw(),
+                               noise_variance=1.0, precoding="differential-phase")
+        chan = ch.make_channel(cfg, k_g=7).with_transmit_power_db(6.0)
+        shape = rnn.RnnShape(dims=(20, 32), l_y=16, l_ic=4, n_stages=2, s=1,
+                             m_symbols=4, n_os=2)
+        tcfg = training.TrainConfig(learn_rate=3e-3, n_iter=5, n_batch=64,
+                                    t_rnn=32, seed=9)
+        plan = sic.SicPlan(2, 96)
+        model, log = training.train_stage(chan, plan, 1, shape, tcfg)
+        monkeypatch.setattr(training, "backward",
+                            lambda m, batch, ws=None: reference_backward(m, batch))
+        ref_model, ref_log = training.train_stage(chan, plan, 1, shape, tcfg)
+        assert model.flat.tobytes() == ref_model.flat.tobytes()
+        assert (log.loss_bits, log.grad_norm, log.clamp_events) == \
+            (ref_log.loss_bits, ref_log.grad_norm, ref_log.clamp_events)
+
+
 def binary_conditional_entropy(level, sigma2=1.0):
     """H(X | Y) of +-level through a real Gaussian channel, by quadrature."""
     def phi(y, mu):
