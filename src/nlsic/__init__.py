@@ -7,8 +7,8 @@ and Monte-Carlo achievable-rate estimation."""
 from .apps import AppMatrix, MultCounter
 from .channel import (Alphabet, Block, ChannelConfig, DiscreteChannel,
                       FiberParams, FirFilter, Identity, RappPA, SquareLaw,
-                      build_pulse, differential_decode, differential_precode,
-                      draw_symbols, make_channel, random_block, simulate_block)
+                      build_pulse, differential_precode, draw_symbols,
+                      make_channel, random_block, simulate_block)
 from .fba import (AuxChannel, build_aux_channel, count_fba_multiplications,
                   fba_apps, fba_ub)
 from .gibbs import GibbsConfig, count_gs_multiplications, gibbs_apps
@@ -18,8 +18,7 @@ from .rates import (FbaDetector, GibbsDetector, RateReport, RnnDetector,
 from .rnn import (Normalization, RnnModel, RnnShape, build_indexer,
                   count_rnn_multiplications, forward, gather_inputs,
                   init_model, load_model, rnn_apps, save_model)
-from .sic import (SicPlan, StageView, ic_window_indices, kappa, partition,
-                  stage_view)
+from .sic import SicPlan, StageView, ic_window_indices, kappa, stage_view
 from .training import (Adam, TrainConfig, TrainDivergence, TrainLog, backward,
                        loss, train_stage)
 

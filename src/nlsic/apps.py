@@ -73,11 +73,11 @@ class AppMatrix:
         """PMF rows over all blocks."""
         return self.probs.shape[0] * self.probs.shape[1]
 
-    def log2_prob_of(self, indices: np.ndarray, floor: float = CLAMP_FLOOR) -> np.ndarray:
+    def log2_prob_of(self, indices: np.ndarray) -> np.ndarray:
         """log2 of the probability assigned to given symbol indices, (B, N).
 
-        Probabilities below `floor` are clamped so the result stays finite.
+        Probabilities below CLAMP_FLOOR are clamped to keep it finite.
         """
         idx = np.asarray(indices, dtype=int)[..., None]
         p = np.take_along_axis(self.probs, idx, axis=-1)[..., 0]
-        return np.log2(np.maximum(p, floor))
+        return np.log2(np.maximum(p, CLAMP_FLOOR))

@@ -71,20 +71,17 @@ class Alphabet:
 class FirFilter:
     """Centered FIR filter on the simulation grid.
 
-    `taps[center]` multiplies lag zero; taps must have odd length so the
+    `taps[half_len]` multiplies lag zero; taps must have odd length so the
     filter is symmetric around its center and the symbol memory accounting
     (K-1)//rate holds exactly.
     """
 
     taps: np.ndarray
     rate: int
-    center: int = -1
 
     def __post_init__(self):
         if len(self.taps) % 2 != 1:
             raise ValueError(f"filter length {len(self.taps)} must be odd")
-        if self.center < 0:
-            object.__setattr__(self, "center", (len(self.taps) - 1) // 2)
 
     def __len__(self) -> int:
         return len(self.taps)
@@ -109,7 +106,7 @@ class FirFilter:
         """Centered same-length convolution of a 1-D signal, or of each row
         of a 2-D batch."""
         rows = np.atleast_2d(x)
-        lo = self.center
+        lo = self.half_len
         out = np.array([np.convolve(r, self.taps)[lo:lo + rows.shape[1]] for r in rows])
         return out.reshape(np.shape(x))
 
@@ -309,16 +306,6 @@ def differential_precode(x: np.ndarray, alphabet: Alphabet) -> np.ndarray:
     return np.abs(x) * np.cumprod(np.sign(x), axis=-1)
 
 
-def differential_decode(e: np.ndarray, alphabet: Alphabet) -> np.ndarray:
-    """Inverse of :func:`differential_precode`."""
-    e = np.asarray(e, dtype=np.float64)
-    if alphabet.kind != BIPOLAR_ASK or len(e) == 0:
-        return e.copy()
-    signs = np.sign(e)
-    prev = np.concatenate(([1.0], signs[:-1]))
-    return np.abs(e) * signs * prev
-
-
 # ---------------------------------------------------------------------------
 # The assembled discrete channel
 
@@ -496,9 +483,10 @@ def simulate_block(chan: DiscreteChannel, x: np.ndarray,
     return Block(x=x_emit[0], y=y[0], seed=seed, p_tx=p_tx)
 
 
-def draw_symbols(chan: DiscreteChannel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform i.i.d. data symbols at the channel's scaled levels."""
-    return chan.levels[rng.integers(0, chan.config.alphabet.size, size=n)]
+def draw_symbols(chan: DiscreteChannel, size, rng: np.random.Generator) -> np.ndarray:
+    """Uniform i.i.d. data symbols at the channel's scaled levels; size is a
+    symbol count or an array shape."""
+    return chan.levels[rng.integers(0, chan.config.alphabet.size, size=size)]
 
 
 def random_block(chan: DiscreteChannel, n: int,

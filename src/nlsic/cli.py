@@ -71,7 +71,7 @@ def _manifest(run_dir: Path, cfg, artifacts, warnings, wall_seconds: float,
 
 def _ptx_tag(p_tx_db: float) -> str:
     # dot-free so Path.with_suffix cannot clip it
-    return f"ptx{int(round(p_tx_db * 1000)):+08d}mdb"
+    return f"ptx{cfgmod.millidb(p_tx_db):+08d}mdb"
 
 
 def _model_stem(run_dir: Path, s: int, p_tx_db: float) -> Path:

@@ -142,6 +142,11 @@ _SECTIONS = {"channel": ("channel.", ChannelSection),
 _RENAMED = {"sic.stages": "stages", "eval.ub_memory": "ub_memory"}
 
 
+def millidb(p_tx_db: float) -> int:
+    """A sweep power in whole milli-dB, the unit of the run's file names."""
+    return int(round(p_tx_db * 1000))
+
+
 def _place(key: str):
     """(section attribute or None, field name) holding a key's value."""
     for attr, (prefix, _) in _SECTIONS.items():
@@ -238,6 +243,8 @@ def parse_config(data: dict) -> ExperimentConfig:
     if cfg.eval_n % cfg.stages != 0:
         raise ConfigError(f"eval.n={cfg.eval_n} not divisible by "
                           f"sic.stages={cfg.stages}")
+    if len({millidb(p) for p in cfg.sweep_p_tx_db}) != len(cfg.sweep_p_tx_db):
+        raise ConfigError("sweep.p_tx_db: two points round to the same milli-dB")
     _check_run_objects(cfg)
     return cfg
 
@@ -281,7 +288,7 @@ def _check_run_objects(cfg: ExperimentConfig) -> None:
         _domain_check("detector.rnn.hidden",
                       lambda: rnn_shape(cfg, 1, m_symbols))
         t_rnn = cfg.rnn.t_rnn
-        # stage s of S trains on sequences of S-s+1 interleaved phases
+        # stage s of S trains on sequences that cycle through S-s+1 phases
         if any(t_rnn % p for p in range(1, cfg.stages + 1)):
             raise ConfigError(f"detector.rnn.t_rnn: {t_rnn} is not divisible "
                               f"by every phase count 1..{cfg.stages}")

@@ -39,18 +39,18 @@ def _lse(a: np.ndarray, axis: int) -> np.ndarray:
     return np.where(finite.squeeze(axis), out, -np.inf)
 
 
+# Entries the trellis mean table may hold; read at each check.
 TABLE_BUDGET = 1 << 22
 
 
-def check_table_size(m_symbols: int, memory: int, n_os: int,
-                     table_budget: int = TABLE_BUDGET) -> None:
+def check_table_size(m_symbols: int, memory: int, n_os: int) -> None:
     """Raise ValueError unless a trellis of this memory is well formed and
-    its mean table (M^(memory+1) branches of n_os means) fits the budget."""
+    its mean table (M^(memory+1) branches of n_os means) fits TABLE_BUDGET."""
     if memory < 0:
         raise ValueError("memory must be >= 0")
     entries = m_symbols ** (memory + 1) * n_os
-    if entries > table_budget:
-        raise ValueError(f"mean table needs {entries} entries, budget is {table_budget}")
+    if entries > TABLE_BUDGET:
+        raise ValueError(f"mean table needs {entries} entries, budget is {TABLE_BUDGET}")
 
 
 class AuxChannel:
@@ -64,8 +64,7 @@ class AuxChannel:
     """
 
     def __init__(self, chan: DiscreteChannel, memory: int,
-                 future: Optional[int] = None, table_budget: int = TABLE_BUDGET,
-                 build_table: bool = True):
+                 future: Optional[int] = None, build_table: bool = True):
         if memory < 0:
             raise ValueError("memory must be >= 0")
         cfg = chan.config
@@ -87,14 +86,14 @@ class AuxChannel:
                 future = f_true
             else:
                 future = min(f_true, (memory * f_true) // self._exact_span)
-        if not 0 <= future <= memory or (memory > 0 and future > memory):
+        if not 0 <= future <= memory:
             raise ValueError(f"future span {future} incompatible with memory {memory}")
         self.future = int(future)
 
         self._build_maps()
         self._edge_cache: dict = {}
         if build_table:
-            check_table_size(self.m_symbols, memory, self.n_os, table_budget)
+            check_table_size(self.m_symbols, memory, self.n_os)
             digits = self._all_digits()
             self.mu_table = self.mean_contexts(self.levels[digits]).reshape(
                 self.n_states, self.m_symbols, self.n_os)
@@ -136,12 +135,12 @@ class AuxChannel:
         off_g = z_pos[:, None] - cfg.n_sim * np.arange(w)[None, :]
         s_map = np.zeros(off_g.shape, dtype=chan.g.taps.dtype)
         ok = np.abs(off_g) <= chan.g.half_len
-        s_map[ok] = chan.g.taps[chan.g.center + off_g[ok]]
+        s_map[ok] = chan.g.taps[chan.g.half_len + off_g[ok]]
 
         off_h = f_pos[:, None] - z_pos[None, :]
         h_map = np.zeros(off_h.shape, dtype=chan.h.taps.dtype)
         ok = np.abs(off_h) <= chan.h.half_len
-        h_map[ok] = chan.h.taps[chan.h.center + off_h[ok]]
+        h_map[ok] = chan.h.taps[chan.h.half_len + off_h[ok]]
 
         self._s_map = s_map
         self._h_map = h_map
@@ -198,14 +197,12 @@ class AuxChannel:
 
 def build_aux_channel(chan: DiscreteChannel, memory: int,
                       future: Optional[int] = None,
-                      table_budget: int = TABLE_BUDGET,
                       build_table: bool = True) -> AuxChannel:
     """Deterministic branch-mean table over the true pipeline; exact when the
     memory covers the combined filter span.  Table-free channels (for the
     sampler, whose point is avoiding the exponential table) evaluate means
     on demand and cannot drive the trellis recursions."""
-    return AuxChannel(chan, memory, future=future, table_budget=table_budget,
-                      build_table=build_table)
+    return AuxChannel(chan, memory, future=future, build_table=build_table)
 
 
 # ---------------------------------------------------------------------------
@@ -289,23 +286,20 @@ def _backward_apps(log_alpha: np.ndarray, log_gamma: np.ndarray,
     steps, b, w, m = log_gamma.shape
     next_state = (np.arange(w)[:, None] * m + np.arange(m)[None, :]) % w
     start = np.where(np.arange(w) == 0, 0.0, -np.inf)
-    want = {int(p) + 1 for p in positions}
+    row_of = {int(p) + 1: i for i, p in enumerate(positions)}
     log_beta = np.zeros((b, w))
-    app_rows = {}
+    logp = np.empty((b, len(positions), m))
     for kappa in range(steps, 0, -1):
         contrib = log_gamma[kappa - 1] + log_beta[:, next_state]
-        if kappa in want:
+        if kappa in row_of:
             la_prev = log_alpha[kappa - 2] if kappa >= 2 else start[None, :]
-            app_rows[kappa] = _lse(la_prev[:, :, None] + contrib, axis=1)
+            logp[:, row_of[kappa]] = _lse(la_prev[:, :, None] + contrib, axis=1)
             if counter is not None:
                 counter.add("app", 2 * w * m * b)
         log_beta = _lse(contrib, axis=2)
         log_beta = log_beta - log_beta.max(axis=1, keepdims=True)
         if counter is not None:
             counter.add("backward", w * m * b)
-    logp = np.empty((b, len(positions), m))
-    for i, p in enumerate(positions):
-        logp[:, i] = app_rows[int(p) + 1]
     empty = ~np.any(np.isfinite(logp), axis=2)
     if np.any(empty):
         p = positions[np.nonzero(empty)[1][0]]

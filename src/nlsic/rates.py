@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import channel as ch
-from .apps import CLAMP_FLOOR, AppMatrix, MultCounter
+from .apps import CLAMP_FLOOR, AppMatrix
 from .fba import AuxChannel, fba_apps, fba_ub, jackknife_stderr
 from .gibbs import GibbsConfig, gibbs_apps
 from .rnn import rnn_apps
@@ -38,38 +38,33 @@ from .sic import SicPlan, stage_view
 class FbaDetector:
     name = "fba"
 
-    def __init__(self, aux: AuxChannel, counter: Optional[MultCounter] = None):
+    def __init__(self, aux: AuxChannel):
         self.aux = aux
-        self.counter = counter
 
     def apps(self, y, view, rng) -> AppMatrix:
-        return fba_apps(self.aux, y, view, counter=self.counter)
+        return fba_apps(self.aux, y, view)
 
 
 class GibbsDetector:
     name = "gibbs"
 
-    def __init__(self, aux: AuxChannel, cfg: GibbsConfig,
-                 counter: Optional[MultCounter] = None):
+    def __init__(self, aux: AuxChannel, cfg: GibbsConfig):
         self.aux = aux
         self.cfg = cfg
-        self.counter = counter
 
     def apps(self, y, view, rng) -> AppMatrix:
-        return gibbs_apps(self.aux, y, view, self.cfg, rng,
-                          counter=self.counter)
+        return gibbs_apps(self.aux, y, view, self.cfg, rng)
 
 
 class RnnDetector:
     name = "rnn"
 
-    def __init__(self, models: dict, counter: Optional[MultCounter] = None):
+    def __init__(self, models: dict):
         """models: stage index (1-based) -> trained RnnModel."""
         self.models = models
-        self.counter = counter
 
     def apps(self, y, view, rng) -> AppMatrix:
-        return rnn_apps(self.models[view.s], y, view, counter=self.counter)
+        return rnn_apps(self.models[view.s], y, view)
 
 
 class UniformDetector:
@@ -126,8 +121,7 @@ def evaluate_stage_on_blocks(detector, chan: ch.DiscreteChannel, plan: SicPlan,
     x = np.stack([blk.x for blk in blocks])
     y = np.stack([blk.y for blk in blocks])
     app = detector.apps(y, stage_view(plan, s, x), rng)
-    log2q = app.log2_prob_of(chan.symbol_indices(x[:, app.positions]),
-                             floor=CLAMP_FLOOR)
+    log2q = app.log2_prob_of(chan.symbol_indices(x[:, app.positions]))
     per_block = chan.config.alphabet.bits + log2q.mean(axis=1)
     clamped = log2q <= np.log2(CLAMP_FLOOR) + 1e-9
     frac = np.count_nonzero(clamped) / clamped.size
@@ -142,11 +136,9 @@ def simulate_eval_blocks(chan: ch.DiscreteChannel, n_blk: int, n: int, rng):
 
 
 def estimate_stage_rate(detector, chan: ch.DiscreteChannel, plan: SicPlan, s: int,
-                        n_blk: int, n: int, rng) -> StageRate:
-    """rate = m + <log2 Q(truth)> over n_blk fresh blocks of n symbols."""
-    if plan.n != n:
-        plan = SicPlan(plan.n_stages, n)
-    blocks = simulate_eval_blocks(chan, n_blk, n, rng)
+                        n_blk: int, rng) -> StageRate:
+    """rate = m + <log2 Q(truth)> over n_blk fresh blocks of plan.n symbols."""
+    blocks = simulate_eval_blocks(chan, n_blk, plan.n, rng)
     return evaluate_stage_on_blocks(detector, chan, plan, s, blocks, rng)
 
 
@@ -156,7 +148,7 @@ def estimate_sic(detector, chan: ch.DiscreteChannel, plan: SicPlan,
     """Run every stage, average, and optionally attach the upper bound."""
     if plan.n != n:
         plan = SicPlan(plan.n_stages, n)
-    stage_rates = [estimate_stage_rate(detector, chan, plan, s, n_blk, n, rng)
+    stage_rates = [estimate_stage_rate(detector, chan, plan, s, n_blk, rng)
                    for s in range(1, plan.n_stages + 1)]
     i_sic_se = float(np.sqrt(np.sum([sr.stderr**2 for sr in stage_rates]))
                      / plan.n_stages)

@@ -54,24 +54,6 @@ class SicPlan:
         return np.flatnonzero(np.arange(self.n) % self.n_stages < s - 1)
 
 
-def partition(x: np.ndarray, n_stages: int) -> list:
-    """Split a block into its S stage streams; V_s[t] = x[kappa(s,t+1)-1]."""
-    x = np.asarray(x)
-    if len(x) % n_stages != 0:
-        raise ValueError(f"block length {len(x)} not divisible by S={n_stages}")
-    return [x[s::n_stages] for s in range(n_stages)]
-
-
-def interleave(stages: list) -> np.ndarray:
-    """Inverse of :func:`partition`."""
-    n_stages = len(stages)
-    n = sum(len(v) for v in stages)
-    out = np.empty(n, dtype=np.asarray(stages[0]).dtype)
-    for s, v in enumerate(stages):
-        out[s::n_stages] = v
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class StageView:
     """Detector-side view of one SIC stage over a batch of B blocks.

@@ -25,6 +25,13 @@ from .sic import SicPlan
 
 LN2 = np.log(2.0)
 
+# Consecutive iterations the loss may stay above the divergence ceiling
+# before training gives up.
+DIVERGENCE_PATIENCE = 100
+
+# Symbols simulated per input-normalization calibration.
+CALIBRATION_SYMBOLS = 16384
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -33,7 +40,6 @@ class TrainConfig:
     n_batch: int
     t_rnn: int
     seed: int = 0
-    divergence_patience: int = 100
 
 
 class TrainDivergence(RuntimeError):
@@ -233,38 +239,39 @@ def grad_global_norm(grads: RnnModel) -> float:
 
 
 class Adam:
-    """Standard ADAM with bias correction (beta1=0.9, beta2=0.999, eps=1e-8)
-    over the model's flat parameter buffer."""
+    """Standard ADAM with bias correction over the model's flat parameter
+    buffer."""
 
-    def __init__(self, model: RnnModel, learn_rate: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, model: RnnModel, learn_rate: float):
         self.lr = learn_rate
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = np.zeros_like(model.flat)
         self.v = np.zeros_like(model.flat)
 
     def step(self, model: RnnModel, grads: RnnModel) -> None:
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - self.BETA1 ** self.t
+        c2 = 1.0 - self.BETA2 ** self.t
         g = grads.flat
-        self.m = self.beta1 * self.m + (1 - self.beta1) * g
-        self.v = self.beta2 * self.v + (1 - self.beta2) * g * g
-        model.flat -= self.lr * (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)
+        self.m = self.BETA1 * self.m + (1 - self.BETA1) * g
+        self.v = self.BETA2 * self.v + (1 - self.BETA2) * g * g
+        model.flat -= self.lr * (self.m / c1) / (np.sqrt(self.v / c2) + self.EPS)
 
 
 # ---------------------------------------------------------------------------
 # Data production and the training loop
 
 
-def calibrate_normalization(chan: ch.DiscreteChannel, rng: np.random.Generator,
-                            n_symbols: int = 16384) -> Normalization:
+def calibrate_normalization(chan: ch.DiscreteChannel,
+                            rng: np.random.Generator) -> Normalization:
     """Standardization constants from a fresh calibration run at the
     operating power: observations to zero mean/unit variance, decided-symbol
     inputs to unit RMS."""
-    m = chan.config.alphabet.size
-    rows = chan.levels[rng.integers(0, m, size=(8, n_symbols // 8))]
+    rows = ch.draw_symbols(chan, (8, CALIBRATION_SYMBOLS // 8), rng)
     _, y = ch.simulate_batch(chan, rows, rng)
     sym_rms = float(np.sqrt(np.mean(chan.levels**2)))
     return Normalization(y_mean=float(np.mean(y)), y_std=float(np.std(y)),
@@ -275,8 +282,7 @@ def make_batch(chan: ch.DiscreteChannel, indexer: InputIndexer, norm: Normalizat
                n_batch: int, rng: np.random.Generator) -> Batch:
     """Fresh simulated batch of short blocks in network coordinates."""
     plan = indexer.plan
-    m = chan.config.alphabet.size
-    rows = chan.levels[rng.integers(0, m, size=(n_batch, plan.n))]
+    rows = ch.draw_symbols(chan, (n_batch, plan.n), rng)
     x_emit, y = ch.simulate_batch(chan, rows, rng)
     decided = x_emit[:, plan.known_positions(indexer.shape.s)]
     inputs = gather_inputs(indexer, y, decided, norm)
@@ -328,6 +334,6 @@ def train_stage(chan: ch.DiscreteChannel, plan: SicPlan, s: int, shape: RnnShape
         log.clamp_events += clamps
         log.append(it, bits, grad_global_norm(grads))
         over = over + 1 if bits > ceiling else 0
-        if over >= cfg.divergence_patience:
+        if over >= DIVERGENCE_PATIENCE:
             raise TrainDivergence(it, log.loss_bits)
     return model, log

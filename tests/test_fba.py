@@ -97,10 +97,11 @@ class TestAuxChannel:
                 diffs.append(np.abs(trunc.mu_table[b, :, :] - w_full).max())
         assert max(diffs) > 1e-3
 
-    def test_table_budget(self):
+    def test_table_budget(self, monkeypatch):
         chan = sld_2pam_channel()
+        monkeypatch.setattr(fba, "TABLE_BUDGET", 4)
         with pytest.raises(ValueError):
-            fba.build_aux_channel(chan, memory=2, table_budget=4)
+            fba.build_aux_channel(chan, memory=2)
 
     def test_square_law_exact_memory_means(self):
         chan = sld_2pam_channel().with_transmit_power_db(3.0)

@@ -76,7 +76,7 @@ class TestCeilings:
     def test_uniform_detector_zero_rate(self):
         chan = memoryless_4ask_channel(3.0)
         det = rates.UniformDetector(4)
-        sr = rates.estimate_stage_rate(det, chan, sic.SicPlan(1, 32), 1, 5, 32,
+        sr = rates.estimate_stage_rate(det, chan, sic.SicPlan(1, 32), 1, 5,
                                        np.random.default_rng(0))
         assert sr.rate == pytest.approx(0.0, abs=1e-12)
         assert not sr.flagged
@@ -98,7 +98,7 @@ class TestAgainstQuadrature:
         aux = fba.build_aux_channel(chan, memory=0)
         det = rates.FbaDetector(aux)
         rng = np.random.default_rng(3)
-        sr = rates.estimate_stage_rate(det, chan, sic.SicPlan(1, 256), 1, 40, 256, rng)
+        sr = rates.estimate_stage_rate(det, chan, sic.SicPlan(1, 256), 1, 40, rng)
         target = quadrature_mutual_information(chan.levels)
         assert sr.rate == pytest.approx(target, abs=3 * sr.stderr + 1e-6)
 

@@ -1,4 +1,4 @@
-"""Stage partitioning, serial/parallel index maps and known-symbol windows."""
+"""Stage positions, serial/parallel index maps and known-symbol windows."""
 
 import itertools
 
@@ -31,42 +31,38 @@ class TestKappa:
 
 class TestPartition:
     def test_single_stage_identity(self):
-        x = np.arange(10)
-        (v1,) = sic.partition(x, 1)
-        assert np.array_equal(v1, x)
+        assert np.array_equal(sic.SicPlan(1, 10).stage_positions(1), np.arange(10))
 
     def test_three_stages_grid(self):
         x = np.arange(1, 16)
-        v = sic.partition(x, 3)
-        assert np.array_equal(v[0], [1, 4, 7, 10, 13])
-        assert np.array_equal(v[1], [2, 5, 8, 11, 14])
-        assert np.array_equal(v[2], [3, 6, 9, 12, 15])
+        plan = sic.SicPlan(3, 15)
+        assert np.array_equal(x[plan.stage_positions(1)], [1, 4, 7, 10, 13])
+        assert np.array_equal(x[plan.stage_positions(2)], [2, 5, 8, 11, 14])
+        assert np.array_equal(x[plan.stage_positions(3)], [3, 6, 9, 12, 15])
 
     def test_one_symbol_per_stage(self):
-        x = np.arange(6)
-        v = sic.partition(x, 6)
-        assert all(len(row) == 1 for row in v)
+        plan = sic.SicPlan(6, 6)
+        assert all(len(plan.stage_positions(s)) == 1 for s in range(1, 7))
 
     def test_divisibility_enforced(self):
-        with pytest.raises(ValueError):
-            sic.partition(np.arange(10), 3)
         with pytest.raises(ValueError):
             sic.SicPlan(3, 10)
 
     @settings(max_examples=50, deadline=None)
-    @given(st.integers(1, 8), st.integers(1, 6), st.integers(0, 2**31 - 1))
-    def test_partition_interleave_roundtrip(self, s, per_stage, seed):
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=s * per_stage)
-        assert np.array_equal(sic.interleave(sic.partition(x, s)), x)
+    @given(st.integers(1, 8), st.integers(1, 6))
+    def test_stages_cover_every_position_once(self, s, per_stage):
+        plan = sic.SicPlan(s, s * per_stage)
+        every = np.concatenate([plan.stage_positions(j) for j in range(1, s + 1)])
+        assert np.array_equal(np.sort(every), np.arange(s * per_stage))
 
-    def test_partition_matches_kappa(self):
+    def test_stage_positions_match_kappa(self):
         x = np.arange(100.0)
         s_total = 5
-        v = sic.partition(x, s_total)
+        plan = sic.SicPlan(s_total, len(x))
         for s in range(1, s_total + 1):
-            for t in range(1, len(v[s - 1]) + 1):
-                assert v[s - 1][t - 1] == x[sic.kappa(s, t, s_total) - 1]
+            v = x[plan.stage_positions(s)]
+            for t in range(1, len(v) + 1):
+                assert v[t - 1] == x[sic.kappa(s, t, s_total) - 1]
 
 
 def brute_force_window(known_idx, known_val, target, l_ic):

@@ -362,13 +362,14 @@ class TestTrainStage:
         with pytest.raises(ValueError, match="divisible"):
             training.train_stage(chan, plan, 1, shape, cfg)
 
-    def test_divergence_guard(self):
+    def test_divergence_guard(self, monkeypatch):
         chan = self.memoryless_channel()
         plan = sic.SicPlan(1, 16)
         shape = rnn.RnnShape(dims=(1, 8), l_y=1, l_ic=0, n_stages=1, s=1,
                              m_symbols=2, n_os=1)
+        monkeypatch.setattr(training, "DIVERGENCE_PATIENCE", 5)
         cfg = training.TrainConfig(learn_rate=200.0, n_iter=500, n_batch=8,
-                                   t_rnn=8, seed=5, divergence_patience=5)
+                                   t_rnn=8, seed=5)
         with pytest.raises(training.TrainDivergence):
             training.train_stage(chan, plan, 1, shape, cfg)
 
