@@ -47,14 +47,11 @@ class AppMatrix:
 
     Attributes:
         probs: (B, N, M) probabilities, each row a PMF.
-        logp: (B, N, M) natural-log probabilities (kept alongside for
-            rate estimation without re-taking logs of tiny numbers).
         positions: (N,) serial 0-based symbol indices the rows refer to,
             the same in every block.
     """
 
     probs: np.ndarray
-    logp: np.ndarray
     positions: np.ndarray
 
     @classmethod
@@ -63,10 +60,8 @@ class AppMatrix:
         logp = np.asarray(logp, dtype=np.float64)
         mx = logp.max(axis=-1, keepdims=True)
         z = np.exp(logp - mx)
-        denom = z.sum(axis=-1, keepdims=True)
-        probs = z / denom
-        norm_logp = (logp - mx) - np.log(denom)
-        return cls(probs=probs, logp=norm_logp, positions=np.asarray(positions))
+        return cls(probs=z / z.sum(axis=-1, keepdims=True),
+                   positions=np.asarray(positions))
 
     @property
     def n_rows(self) -> int:

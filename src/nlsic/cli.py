@@ -260,8 +260,8 @@ def _evaluate_point(cfg, base, run_dir, sweep_idx, p_tx_db):
         ub_aux = fba.build_aux_channel(chan, cfg.ub_memory)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 3, sweep_idx]))
     plan = sic.SicPlan(cfg.stages, cfg.eval_n)
-    report = rates.estimate_sic(det, chan, plan, cfg.eval_n_blk, cfg.eval_n,
-                                rng, ub_aux=ub_aux,
+    report = rates.estimate_sic(det, chan, plan, cfg.eval_n_blk, rng,
+                                ub_aux=ub_aux,
                                 config_hash=cfgmod.config_hash(cfg))
     return report, counts
 

@@ -147,6 +147,16 @@ def millidb(p_tx_db: float) -> int:
     return int(round(p_tx_db * 1000))
 
 
+def _finite_point(p_tx_db: float) -> bool:
+    """Whether a sweep power's milli-dB tag and its linear power
+    10**(p/10), to which the channel is scaled, are finite."""
+    try:
+        return math.isfinite(p_tx_db * 1000) and \
+            math.isfinite(10.0 ** (p_tx_db / 10.0))
+    except OverflowError:
+        return False
+
+
 def _place(key: str):
     """(section attribute or None, field name) holding a key's value."""
     for attr, (prefix, _) in _SECTIONS.items():
@@ -243,6 +253,10 @@ def parse_config(data: dict) -> ExperimentConfig:
     if cfg.eval_n % cfg.stages != 0:
         raise ConfigError(f"eval.n={cfg.eval_n} not divisible by "
                           f"sic.stages={cfg.stages}")
+    for p in cfg.sweep_p_tx_db:
+        if not _finite_point(p):
+            raise ConfigError(f"sweep.p_tx_db: {p} dB has no finite milli-dB "
+                              f"tag or linear power")
     if len({millidb(p) for p in cfg.sweep_p_tx_db}) != len(cfg.sweep_p_tx_db):
         raise ConfigError("sweep.p_tx_db: two points round to the same milli-dB")
     _check_run_objects(cfg)

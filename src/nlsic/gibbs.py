@@ -245,7 +245,7 @@ def gibbs_apps(aux: AuxChannel, y: np.ndarray, view: StageView,
         counts = _sweep_split(aux, y[lo:hi], unknown, states, chain_rngs, cfg,
                               counter)
         probs[lo:hi] = (counts[:, positions] + 1.0) / (total + m_sym)
-    return AppMatrix(probs=probs, logp=np.log(probs), positions=positions)
+    return AppMatrix(probs=probs, positions=positions)
 
 
 def count_gs_multiplications(aux: AuxChannel, cfg: GibbsConfig, m_bits: int,

@@ -78,7 +78,7 @@ class UniformDetector:
     def apps(self, y, view, rng) -> AppMatrix:
         probs = np.full((len(y), len(view.targets), self.m_symbols),
                         1.0 / self.m_symbols)
-        return AppMatrix(probs=probs, logp=np.log(probs), positions=view.targets)
+        return AppMatrix(probs=probs, positions=view.targets)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +97,6 @@ class StageRate:
 
 @dataclass
 class RateReport:
-    p_tx_db: float
     detector: str
     n_stages: int
     n_blk: int
@@ -143,24 +142,20 @@ def estimate_stage_rate(detector, chan: ch.DiscreteChannel, plan: SicPlan, s: in
 
 
 def estimate_sic(detector, chan: ch.DiscreteChannel, plan: SicPlan,
-                 n_blk: int, n: int, rng, ub_aux: Optional[AuxChannel] = None,
+                 n_blk: int, rng, ub_aux: Optional[AuxChannel] = None,
                  config_hash: str = "") -> RateReport:
-    """Run every stage, average, and optionally attach the upper bound."""
-    if plan.n != n:
-        plan = SicPlan(plan.n_stages, n)
+    """Run every stage on blocks of plan.n symbols, average, and optionally
+    attach the upper bound."""
     stage_rates = [estimate_stage_rate(detector, chan, plan, s, n_blk, rng)
                    for s in range(1, plan.n_stages + 1)]
     i_sic_se = float(np.sqrt(np.sum([sr.stderr**2 for sr in stage_rates]))
                      / plan.n_stages)
     ub = ub_se = None
     if ub_aux is not None:
-        blocks = simulate_eval_blocks(chan, n_blk, n, rng)
+        blocks = simulate_eval_blocks(chan, n_blk, plan.n, rng)
         ub, ub_se = fba_ub(ub_aux, blocks)
-    p_tx_db = float(10.0 * np.log10(
-        chan.config.alphabet.mean_power * chan.amplitude_scale**2
-        * chan.g.energy / chan.config.n_sim))
-    return RateReport(p_tx_db=p_tx_db, detector=detector.name,
-                      n_stages=plan.n_stages, n_blk=n_blk, n=n,
-                      stage_rates=stage_rates, i_sic_stderr=i_sic_se,
+    return RateReport(detector=detector.name, n_stages=plan.n_stages,
+                      n_blk=n_blk, n=plan.n, stage_rates=stage_rates,
+                      i_sic_stderr=i_sic_se,
                       i_sdd=stage_rates[0].rate if plan.n_stages == 1 else None,
                       ub=ub, ub_stderr=ub_se, config_hash=config_hash)

@@ -8,7 +8,9 @@ with that period.  A cell applies its own affine input map plus the affine
 state map of the phase the incoming state was produced in; activations are
 rectified linear.  Forward and backward half-states are concatenated into
 the next layer's input, and a final affine-plus-softmax cell reads out APPs
-at the current stage's phase only.
+at the current stage's phase only.  The schedule follows from the shape:
+step k runs phase k mod P, P = S-s+1, and the APP of the stage's t-th
+symbol is read out at step (t-1)*P.
 
 Input vectors pair a window of channel outputs centered on the target
 symbol's output chunk with the closest already-decided symbols; both parts
@@ -166,13 +168,6 @@ class InputIndexer:
     plan: SicPlan
     y_idx: np.ndarray          # (T, l_y) into the observation vector
     v_idx: np.ndarray          # (T, l_ic) into the stage's decided symbols
-    phase_idx: np.ndarray      # (T,) 0 <-> phase j = s
-    out_steps: np.ndarray      # steps producing APP rows
-    target_serial: np.ndarray  # (N,) serial 0-based positions of those rows
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.phase_idx)
 
 
 def build_indexer(plan: SicPlan, s: int, shape: RnnShape) -> InputIndexer:
@@ -187,7 +182,6 @@ def build_indexer(plan: SicPlan, s: int, shape: RnnShape) -> InputIndexer:
 
     y_idx = np.full((t_steps, shape.l_y), -1, dtype=int)
     v_idx = np.full((t_steps, shape.l_ic), -1, dtype=int)
-    phase_idx = np.empty(t_steps, dtype=int)
     known_idx = plan.known_positions(s)
     step = 0
     n_y = shape.n_os * plan.n
@@ -198,13 +192,8 @@ def build_indexer(plan: SicPlan, s: int, shape: RnnShape) -> InputIndexer:
             window[(window < 0) | (window >= n_y)] = -1
             y_idx[step] = window
             v_idx[step] = ic_window_indices(j, t, plan, known_idx, shape.l_ic)
-            phase_idx[step] = j - s
             step += 1
-    out_steps = np.flatnonzero(phase_idx == 0)
-    target_serial = np.array([kappa(s, t, n_big) - 1 for t in range(1, per + 1)])
-    return InputIndexer(shape=shape, plan=plan, y_idx=y_idx, v_idx=v_idx,
-                        phase_idx=phase_idx, out_steps=out_steps,
-                        target_serial=target_serial)
+    return InputIndexer(shape=shape, plan=plan, y_idx=y_idx, v_idx=v_idx)
 
 
 def gather_inputs(indexer: InputIndexer, y: np.ndarray, decided: np.ndarray,
@@ -280,10 +269,8 @@ class ForwardCache:
     inputs: list        # r^i per layer, (T, B, dims[i]); r^i = h[i-1]
     pre: list           # pre-activations per layer, (T, 2, B, half)
     h: list             # half-states per layer, (T, B, 2*half)
-    readout: np.ndarray  # (B, N, dims[-1]) last layer's states at out_steps
-    logits: np.ndarray  # (B, N, M)
-    probs: np.ndarray
-    logp: np.ndarray
+    readout: np.ndarray  # (B, N, dims[-1]) last layer's states at steps 0, P, ...
+    probs: np.ndarray   # (B, N, M) APPs
 
 
 def _check_finite(pre: np.ndarray, steps, layer: int, what: str):
@@ -302,13 +289,14 @@ def _directions(t_steps: int):
     return ((0, range(t_steps), -1), (1, range(t_steps - 1, -1, -1), 1))
 
 
-def forward(model: RnnModel, inputs: np.ndarray, phase_idx: np.ndarray,
-            out_steps: np.ndarray, counter: Optional[MultCounter] = None,
-            want_cache: bool = False, ws: Optional[Workspace] = None):
+def forward(model: RnnModel, inputs: np.ndarray,
+            counter: Optional[MultCounter] = None, want_cache: bool = False,
+            ws: Optional[Workspace] = None):
     """Run the network over an unrolled input sequence.
 
-    inputs: (T, dims[0]) or (B, T, dims[0]).  Returns (logp, cache) with
-    logp of shape (B, N, M); cache is None unless requested.
+    inputs: (T, dims[0]) or (B, T, dims[0]).  Step k runs phase k mod P and
+    the APPs are read out at steps 0, P, 2P, ...  Returns (logp, cache) with
+    logp of shape (B, N, M), N = ceil(T/P); cache is None unless requested.
 
     Every activation is written into `ws` (a fresh workspace if none is
     given), laid out as ForwardCache describes, so a caller that passes the
@@ -327,10 +315,9 @@ def forward(model: RnnModel, inputs: np.ndarray, phase_idx: np.ndarray,
         r = r[None]
     b, t_steps, _ = r.shape
     r = r.swapaxes(0, 1)
-    phases = np.asarray(phase_idx).tolist()
     p_count = shape.phases
 
-    cache = ForwardCache([], [], [], None, None, None, None) if want_cache else None
+    cache = ForwardCache([], [], [], None, None) if want_cache else None
     for i, (in_w, in_b, st_w, st_b) in enumerate(model.layers):
         half = in_b.shape[-1]
         pre = ws.empty(("pre", i), (t_steps, 2, b, half))
@@ -343,7 +330,7 @@ def forward(model: RnnModel, inputs: np.ndarray, phase_idx: np.ndarray,
             st_maps = [(st_w[q, d].T, st_b[q, d]) for q in range(p_count)]
             state = zero
             for step in steps:
-                p = phases[step]
+                p = step % p_count
                 w, w_b = in_maps[p]
                 u, u_b = st_maps[(p + feed) % p_count]
                 z = pre[step, d]
@@ -365,25 +352,21 @@ def forward(model: RnnModel, inputs: np.ndarray, phase_idx: np.ndarray,
             cache.h.append(h)
         r = h
 
-    # np.take writes into `readout` directly only when it need not check
-    # the indices, so they are checked here
-    out_steps = np.asarray(out_steps)
-    if out_steps.size and not 0 <= out_steps.min() <= out_steps.max() < t_steps:
-        raise IndexError(f"out_steps must lie in 0..{t_steps - 1}")
-    readout = ws.empty("readout", (b, len(out_steps), shape.dims[-1]))
-    np.take(r.swapaxes(0, 1), out_steps, axis=1, out=readout, mode="clip")
+    read_steps = np.arange(0, t_steps, p_count)
+    readout = ws.empty("readout", (b, len(read_steps), shape.dims[-1]))
+    # np.take writes straight into `readout` only when it need not check the
+    # indices; mode="clip" skips the check, and these lie in 0..T-1
+    np.take(r.swapaxes(0, 1), read_steps, axis=1, out=readout, mode="clip")
     logits = readout @ model.out_w.T + model.out_b
     if counter is not None:
-        counter.add("out", b * len(out_steps) * shape.m_symbols * shape.dims[-1])
+        counter.add("out", b * len(read_steps) * shape.m_symbols * shape.dims[-1])
     mx = logits.max(axis=2, keepdims=True)
     z = np.exp(logits - mx)
     denom = z.sum(axis=2, keepdims=True)
     logp = (logits - mx) - np.log(denom)
     if want_cache:
         cache.readout = readout
-        cache.logits = logits
         cache.probs = z / denom
-        cache.logp = logp
     return logp, cache
 
 
@@ -396,16 +379,14 @@ def rnn_apps(model: RnnModel, y: np.ndarray, view: StageView,
     indexer = build_indexer(view.plan, view.s, model.shape)
     y = view.observations(y, model.shape.n_os)
     # inputs plus the pre-activations, states and outputs of a layer
-    activations = 8 * indexer.n_steps * 3 * sum(model.shape.dims)
-    logp = np.empty((len(y), len(indexer.out_steps), model.shape.m_symbols))
+    activations = 8 * len(indexer.y_idx) * 3 * sum(model.shape.dims)
+    logp = np.empty((len(y), len(view.targets), model.shape.m_symbols))
     ws = Workspace()
     for lo, hi in block_slices(len(y), activations):
         data = gather_inputs(indexer, y[lo:hi], view.known_val[lo:hi],
                              model.norm)
-        logp[lo:hi], _ = forward(model, data, indexer.phase_idx,
-                                 indexer.out_steps, counter=counter, ws=ws)
-    return AppMatrix(probs=np.exp(logp), logp=logp,
-                     positions=indexer.target_serial)
+        logp[lo:hi], _ = forward(model, data, counter=counter, ws=ws)
+    return AppMatrix(probs=np.exp(logp), positions=view.targets)
 
 
 def count_rnn_multiplications(shape: RnnShape) -> int:

@@ -84,8 +84,6 @@ class Batch:
 
     inputs: np.ndarray       # (B, T, dims[0])
     targets: np.ndarray      # (B, N) alphabet indices of the stage symbols
-    phase_idx: np.ndarray
-    out_steps: np.ndarray
 
 
 def loss(model: RnnModel, batch: Batch):
@@ -93,7 +91,7 @@ def loss(model: RnnModel, batch: Batch):
     exactly the alphabet entropy, a perfect detector scores zero.
 
     Returns (bits, clamp_count)."""
-    logp, _ = forward(model, batch.inputs, batch.phase_idx, batch.out_steps)
+    logp, _ = forward(model, batch.inputs)
     return _nll_bits(logp, batch.targets)
 
 
@@ -142,8 +140,7 @@ def backward(model: RnnModel, batch: Batch, ws: Optional[Workspace] = None):
     if ws is None:
         ws = Workspace()
     shape = model.shape
-    logp, cache = forward(model, batch.inputs, batch.phase_idx, batch.out_steps,
-                          want_cache=True, ws=ws)
+    logp, cache = forward(model, batch.inputs, want_cache=True, ws=ws)
     bits, clamps = _nll_bits(logp, batch.targets)
 
     b, n_out, m = logp.shape
@@ -163,16 +160,15 @@ def backward(model: RnnModel, batch: Batch, ws: Optional[Workspace] = None):
     grads.out_w += flat_dl.T @ cache.readout.reshape(-1, width)
     grads.out_b += flat_dl.sum(axis=0)
 
-    # the top layer's state gradient: dlogits @ out_w at out_steps, 0 elsewhere
-    t_steps = len(batch.phase_idx)
+    # the top layer's state gradient: dlogits @ out_w at the readout steps
+    # 0, P, 2P, ..., 0 elsewhere
+    t_steps = batch.inputs.shape[1]
+    p_count = shape.phases
+    phases = np.arange(t_steps) % p_count
     d_read = np.matmul(dlogits, model.out_w, out=ws.empty("d_read", (b, n_out, width)))
     dh = [ws.zeros("dh_zero", (b, width))] * t_steps
-    for n, step in enumerate(batch.out_steps):
-        dh[step] = d_read[:, n]
+    dh[::p_count] = d_read.swapaxes(0, 1)
 
-    phase_idx = np.asarray(batch.phase_idx)
-    phases = phase_idx.tolist()
-    p_count = shape.phases
     for i in range(shape.n_recurrent - 1, -1, -1):
         in_w, _, st_w, _ = model.layers[i]
         g_in_w, g_in_b, g_st_w, g_st_b = grads.layers[i]
@@ -198,12 +194,12 @@ def backward(model: RnnModel, batch: Batch, ws: Optional[Workspace] = None):
                 dz_step = dz[step]
                 np.add(dh[step][:, cols], state_grad, out=dz_step)
                 dz_step *= active[step, d]
-                state_grad = np.matmul(dz_step, st_maps[(phases[step] + feed) % p_count],
+                state_grad = np.matmul(dz_step, st_maps[(step + feed) % p_count],
                                        out=carry)
 
             # the loop visited the steps in reverse processing order
             back = slice(None, None, feed)
-            p_back = phase_idx[back]
+            p_back = phases[back]
             q_back = (p_back + feed) % p_count
             dz_t = dz.transpose(0, 2, 1)
             np.matmul(dz_t, r_in, out=in_prod)
@@ -221,7 +217,7 @@ def backward(model: RnnModel, batch: Batch, ws: Optional[Workspace] = None):
                 st_prod[-1] = 0.0
             _add_by_label(g_st_w[:, d], q_back, st_prod[back])
             if i > 0:
-                np.take(in_w[:, d], phase_idx, axis=0, out=w_steps, mode="clip")
+                np.take(in_w[:, d], phases, axis=0, out=w_steps, mode="clip")
                 dr += np.matmul(dz, w_steps, out=dr_d)
         if i > 0:
             dh = dr
@@ -281,14 +277,13 @@ def calibrate_normalization(chan: ch.DiscreteChannel,
 def make_batch(chan: ch.DiscreteChannel, indexer: InputIndexer, norm: Normalization,
                n_batch: int, rng: np.random.Generator) -> Batch:
     """Fresh simulated batch of short blocks in network coordinates."""
-    plan = indexer.plan
+    plan, s = indexer.plan, indexer.shape.s
     rows = ch.draw_symbols(chan, (n_batch, plan.n), rng)
     x_emit, y = ch.simulate_batch(chan, rows, rng)
-    decided = x_emit[:, plan.known_positions(indexer.shape.s)]
+    decided = x_emit[:, plan.known_positions(s)]
     inputs = gather_inputs(indexer, y, decided, norm)
-    targets = chan.symbol_indices(x_emit[:, indexer.target_serial])
-    return Batch(inputs=inputs, targets=targets,
-                 phase_idx=indexer.phase_idx, out_steps=indexer.out_steps)
+    targets = chan.symbol_indices(x_emit[:, plan.stage_positions(s)])
+    return Batch(inputs=inputs, targets=targets)
 
 
 def train_stage(chan: ch.DiscreteChannel, plan: SicPlan, s: int, shape: RnnShape,

@@ -91,14 +91,10 @@ def test_criterion_2_gradient_exactness():
         assert t_rnn % p == 0
         gen = np.random.default_rng(seed)
         model = rnn.init_model(shape, gen)
-        phase_idx = np.tile(np.arange(p), t_rnn // p)
-        out_steps = np.flatnonzero(phase_idx == 0)
         batch = training.Batch(
             inputs=gen.normal(size=(3, t_rnn, dims[0])),
-            targets=gen.integers(0, 4, size=(3, t_rnn // p)),
-            phase_idx=phase_idx, out_steps=out_steps)
-        _, cache = rnn.forward(model, batch.inputs, phase_idx, out_steps,
-                               want_cache=True)
+            targets=gen.integers(0, 4, size=(3, t_rnn // p)))
+        _, cache = rnn.forward(model, batch.inputs, want_cache=True)
         margin = min(np.abs(a).min() for a in cache.pre)
         assert margin > 10 * h, "fixture seed lost its kink margin"
         grads, _, _ = training.backward(model, batch)
@@ -145,7 +141,7 @@ def test_criterion_3_rate_sandwich():
         det = rates.FbaDetector(aux)
         rng = np.random.default_rng(int(1000 + power_db * 10))
         reports = {s: rates.estimate_sic(det, chan, sic.SicPlan(s, n), n_blk,
-                                         n, rng, ub_aux=aux if s == 1 else None)
+                                         rng, ub_aux=aux if s == 1 else None)
                    for s in (1, 2, 4)}
         sdd = reports[1]
         ub, ub_se = sdd.ub, sdd.ub_stderr
@@ -200,8 +196,8 @@ def test_criterion_5_sic_gain_direction():
     det = rates.FbaDetector(aux)
     n, n_blk = 96, 30
     rng = np.random.default_rng(77)
-    r1 = rates.estimate_sic(det, chan, sic.SicPlan(1, n), n_blk, n, rng)
-    r4 = rates.estimate_sic(det, chan, sic.SicPlan(4, n), n_blk, n, rng)
+    r1 = rates.estimate_sic(det, chan, sic.SicPlan(1, n), n_blk, rng)
+    r4 = rates.estimate_sic(det, chan, sic.SicPlan(4, n), n_blk, rng)
     sigma = np.hypot(r1.i_sic_stderr, r4.i_sic_stderr)
     gain = r4.i_sic - r1.i_sic
     assert gain >= 3 * sigma, (gain, sigma)
@@ -244,11 +240,9 @@ def test_criterion_7_complexity_accounting():
                              s=1, m_symbols=m_sym, n_os=2)
         model = rnn.init_model(shape, rng)
         t_steps = int(rng.integers(1, 8))
-        phase_idx = np.zeros(t_steps, dtype=int)
-        out_steps = np.arange(t_steps)
         counter = MultCounter()
-        rnn.forward(model, rng.normal(size=(t_steps, dims[0])), phase_idx,
-                    out_steps, counter=counter)
+        rnn.forward(model, rng.normal(size=(t_steps, dims[0])),
+                    counter=counter)
         assert counter.total == t_steps * rnn.count_rnn_multiplications(shape)
 
     profile = rnn.RnnShape(dims=(96, 128, 64), l_y=64, l_ic=32, n_stages=2,

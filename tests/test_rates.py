@@ -60,9 +60,7 @@ class OracleDetector:
         truth = (self.chan.symbol_indices(self.x[:, view.targets]) + self.shift) % m
         probs = np.zeros(truth.shape + (m,))
         np.put_along_axis(probs, truth[..., None], 1.0, axis=-1)
-        with np.errstate(divide="ignore"):
-            logp = np.log(probs)
-        return AppMatrix(probs=probs, logp=logp, positions=view.targets)
+        return AppMatrix(probs=probs, positions=view.targets)
 
 
 def oracle_stage_rate(chan, n, n_blk, seed, shift=0):
@@ -108,15 +106,15 @@ class TestSicAggregation:
         chan = dispersive_4ask_channel(4.0)
         aux = fba.build_aux_channel(chan, memory=chan.memory)
         rep = rates.estimate_sic(rates.FbaDetector(aux), chan, sic.SicPlan(1, 48),
-                                 10, 48, np.random.default_rng(4))
+                                 10, np.random.default_rng(4))
         assert rep.i_sdd == rep.i_sic
-        assert rep.n_stages == 1
+        assert (rep.n_stages, rep.n) == (1, 48)
 
     def test_sic_is_exact_stage_average(self):
         chan = dispersive_4ask_channel(4.0)
         aux = fba.build_aux_channel(chan, memory=chan.memory)
         rep = rates.estimate_sic(rates.FbaDetector(aux), chan, sic.SicPlan(4, 48),
-                                 8, 48, np.random.default_rng(5))
+                                 8, np.random.default_rng(5))
         assert rep.i_sic == pytest.approx(
             np.mean([sr.rate for sr in rep.stage_rates]), abs=1e-15)
 
@@ -126,9 +124,9 @@ class TestSicAggregation:
         det = rates.FbaDetector(aux)
         rng = np.random.default_rng(6)
         n, n_blk = 96, 24
-        sdd = rates.estimate_sic(det, chan, sic.SicPlan(1, n), n_blk, n, rng,
+        sdd = rates.estimate_sic(det, chan, sic.SicPlan(1, n), n_blk, rng,
                                  ub_aux=aux)
-        s4 = rates.estimate_sic(det, chan, sic.SicPlan(4, n), n_blk, n, rng)
+        s4 = rates.estimate_sic(det, chan, sic.SicPlan(4, n), n_blk, rng)
         slack_lo = 3 * np.hypot(sdd.i_sic_stderr, s4.i_sic_stderr)
         slack_hi = 3 * np.hypot(s4.i_sic_stderr, sdd.ub_stderr)
         assert sdd.i_sic <= s4.i_sic + slack_lo
@@ -140,7 +138,7 @@ class TestSicAggregation:
         chan = dispersive_4ask_channel(6.0)
         aux = fba.build_aux_channel(chan, memory=chan.memory)
         rep = rates.estimate_sic(rates.FbaDetector(aux), chan, sic.SicPlan(4, 96),
-                                 24, 96, np.random.default_rng(7))
+                                 24, np.random.default_rng(7))
         for lo, hi in zip(rep.stage_rates[:-1], rep.stage_rates[1:]):
             assert hi.rate >= lo.rate - 3 * np.hypot(lo.stderr, hi.stderr)
 
@@ -151,7 +149,7 @@ class TestSicAggregation:
         chan = chan.with_transmit_power(10.0)
         aux = fba.build_aux_channel(chan, memory=0)
         rep = rates.estimate_sic(rates.FbaDetector(aux), chan, sic.SicPlan(2, 32),
-                                 6, 32, np.random.default_rng(8))
+                                 6, np.random.default_rng(8))
         for sr in rep.stage_rates:
             assert sr.rate == pytest.approx(2.0, abs=1e-6)
 
@@ -159,9 +157,9 @@ class TestSicAggregation:
         chan = dispersive_4ask_channel(5.0)
         aux = fba.build_aux_channel(chan, memory=chan.memory)
         det = rates.FbaDetector(aux)
-        rep1 = rates.estimate_sic(det, chan, sic.SicPlan(2, 48), 6, 48,
+        rep1 = rates.estimate_sic(det, chan, sic.SicPlan(2, 48), 6,
                                   np.random.default_rng(99), ub_aux=aux)
-        rep2 = rates.estimate_sic(det, chan, sic.SicPlan(2, 48), 6, 48,
+        rep2 = rates.estimate_sic(det, chan, sic.SicPlan(2, 48), 6,
                                   np.random.default_rng(99), ub_aux=aux)
         assert rep1.i_sic == rep2.i_sic
         assert rep1.ub == rep2.ub
@@ -189,8 +187,7 @@ class TestLossRateDuality:
             inputs = rnn.gather_inputs(indexer, blk.y[None], np.zeros((1, 0)),
                                        model.norm)
             batch = training.Batch(
-                inputs=inputs, targets=chan.symbol_indices(blk.x)[None],
-                phase_idx=indexer.phase_idx, out_steps=indexer.out_steps)
+                inputs=inputs, targets=chan.symbol_indices(blk.x)[None])
             bits, _ = training.loss(model, batch)
             total_bits.append(2.0 - bits)
         assert sr.rate == pytest.approx(np.mean(total_bits), abs=1e-12)
@@ -239,13 +236,11 @@ class TestDetectorContract:
             ones = [det.apps(y[i:i + 1], sic.stage_view(plan, s, x[i:i + 1]),
                              serial_rng) for i in range(len(blocks))]
             assert stage.probs.shape == (len(blocks), n // n_stages, 4)
-            for field in ("probs", "logp"):
-                got = getattr(stage, field)
-                want = np.concatenate([getattr(o, field) for o in ones])
-                if kind == "rnn" and slice_bytes != 1:
-                    assert np.abs(got - want).max() < 1e-12
-                else:
-                    assert np.array_equal(got, want)
+            want = np.concatenate([o.probs for o in ones])
+            if kind == "rnn" and slice_bytes != 1:
+                assert np.abs(stage.probs - want).max() < 1e-12
+            else:
+                assert np.array_equal(stage.probs, want)
             for app in [stage] + ones:
                 assert np.array_equal(app.positions, plan.stage_positions(s))
             assert stage_rng.random() == serial_rng.random()

@@ -22,6 +22,8 @@ def make_shape(dims, l_y, l_ic, n_stages=1, s=1, m_symbols=4, n_os=2):
 
 
 def unrolled_geometry(shape, n_per_stage):
+    """The unrolled schedule, built independently of rnn.forward: the phase
+    of every step and the steps that read out an APP."""
     phase_idx = np.tile(np.arange(shape.phases), n_per_stage)
     out_steps = np.flatnonzero(phase_idx == 0)
     return phase_idx, out_steps
@@ -104,21 +106,21 @@ class TestAssembleInputs:
         plan = sic.SicPlan(3, 12)
         shape = make_shape((4, 8), l_y=2, l_ic=2, n_stages=3, s=3)
         idx = rnn.build_indexer(plan, 3, shape)
-        assert idx.n_steps == plan.per_stage
-        assert np.all(idx.phase_idx == 0)
+        assert shape.phases == 1
+        assert len(idx.y_idx) == len(idx.v_idx) == plan.per_stage
 
     def test_unrolled_order_and_count(self):
         # S=2, s=1, N=3: (1,1) (2,1) (1,2) (2,2) (1,3) (2,3)
         plan = sic.SicPlan(2, 6)
         shape = make_shape((2, 8), l_y=2, l_ic=0, n_stages=2, s=1, n_os=1)
         idx = rnn.build_indexer(plan, 1, shape)
-        assert idx.n_steps == 6
-        assert np.array_equal(idx.phase_idx, [0, 1, 0, 1, 0, 1])
+        assert len(idx.y_idx) == 6
         # the center sample sits at window offset floor((l_y-1)/2) = 0 here
         centers = idx.y_idx[:, 0]
         assert np.array_equal(centers, [0, 1, 2, 3, 4, 5])
-        assert np.array_equal(idx.out_steps, [0, 2, 4])
-        assert np.array_equal(idx.target_serial, [0, 2, 4])
+        # the readout steps 0, P, 2P center on the stage's own symbols
+        assert np.array_equal(centers[::shape.phases], plan.stage_positions(1))
+        assert np.array_equal(plan.stage_positions(1), [0, 2, 4])
 
     def test_zero_padding_and_normalization(self):
         plan = sic.SicPlan(1, 4)
@@ -157,9 +159,7 @@ class TestForward:
     def test_zero_model_uniform(self):
         shape = make_shape((6, 8), 4, 2, m_symbols=4)
         model = rnn.RnnModel(shape)
-        phase_idx, out_steps = unrolled_geometry(shape, 5)
-        logp, _ = rnn.forward(model, np.random.default_rng(0).normal(size=(5, 6)),
-                              phase_idx, out_steps)
+        logp, _ = rnn.forward(model, np.random.default_rng(0).normal(size=(5, 6)))
         assert np.allclose(np.exp(logp), 0.25, atol=1e-15)
 
     @pytest.mark.parametrize("dims,l_y,l_ic,n_stages,s,n_per", [
@@ -173,7 +173,7 @@ class TestForward:
         model = rnn.init_model(shape, rng)
         phase_idx, out_steps = unrolled_geometry(shape, n_per)
         inputs = rng.normal(size=(len(phase_idx), dims[0]))
-        logp, _ = rnn.forward(model, inputs, phase_idx, out_steps)
+        logp, _ = rnn.forward(model, inputs)
         ref = scalar_forward_reference(model, inputs, phase_idx, out_steps)
         assert np.abs(np.exp(logp[0]) - ref).max() < 1e-12
 
@@ -181,8 +181,7 @@ class TestForward:
         shape = make_shape((6, 8), 4, 2)
         rng = np.random.default_rng(1)
         model = rnn.init_model(shape, rng)
-        phase_idx, out_steps = unrolled_geometry(shape, 20)
-        logp, _ = rnn.forward(model, rng.normal(size=(20, 6)), phase_idx, out_steps)
+        logp, _ = rnn.forward(model, rng.normal(size=(20, 6)))
         assert np.abs(np.exp(logp).sum(axis=2) - 1.0).max() < 1e-12
 
     def test_no_recurrence_no_coupling(self):
@@ -192,12 +191,11 @@ class TestForward:
         model = rnn.init_model(shape, rng)
         for layer in model.layers:
             layer.st_w[...] = 0.0
-        phase_idx, out_steps = unrolled_geometry(shape, 6)
         inputs = rng.normal(size=(6, 6))
-        base = np.exp(rnn.forward(model, inputs, phase_idx, out_steps)[0][0])
+        base = np.exp(rnn.forward(model, inputs)[0][0])
         swapped = inputs.copy()
         swapped[[1, 4]] = swapped[[4, 1]]
-        perm = np.exp(rnn.forward(model, swapped, phase_idx, out_steps)[0][0])
+        perm = np.exp(rnn.forward(model, swapped)[0][0])
         assert np.allclose(perm[[1, 4]], base[[4, 1]], atol=1e-12)
         assert np.allclose(perm[[0, 2, 3, 5]], base[[0, 2, 3, 5]], atol=1e-12)
 
@@ -208,10 +206,9 @@ class TestForward:
         model = rnn.init_model(shape, rng)
         for layer in model.layers:
             layer.st_w[...] = 0.0
-        phase_idx, out_steps = unrolled_geometry(shape, 3)
         one_period = rng.normal(size=(2, 6))
         inputs = np.tile(one_period, (3, 1))
-        probs = np.exp(rnn.forward(model, inputs, phase_idx, out_steps)[0][0])
+        probs = np.exp(rnn.forward(model, inputs)[0][0])
         assert np.allclose(probs[0], probs[1], atol=1e-14)
         assert np.allclose(probs[1], probs[2], atol=1e-14)
 
@@ -228,35 +225,24 @@ class TestForward:
                     sigma = np.linalg.svd(w, compute_uv=False)[0]
                     w *= 0.35 / sigma
         n_per = 80
-        phase_idx, out_steps = unrolled_geometry(shape, n_per)
-        inputs = rng.normal(size=(len(phase_idx), 6))
-        base = np.exp(rnn.forward(model, inputs, phase_idx, out_steps)[0][0])
+        inputs = rng.normal(size=(n_per * shape.phases, 6))
+        base = np.exp(rnn.forward(model, inputs)[0][0])
 
         padded = np.concatenate([np.zeros((shape.phases, 6)), inputs])
-        phase2, out2 = unrolled_geometry(shape, n_per + 1)
-        shifted = np.exp(rnn.forward(model, padded, phase2, out2)[0][0])
+        shifted = np.exp(rnn.forward(model, padded)[0][0])
         inner = np.arange(30, n_per - 30)
         assert np.abs(shifted[inner + 1] - base[inner]).max() < 1e-9
-
-    def test_out_of_range_out_steps_raise(self):
-        shape = make_shape((6, 8), 4, 2)
-        model = rnn.init_model(shape, np.random.default_rng(5))
-        phase_idx, _ = unrolled_geometry(shape, 3)
-        for out_steps in ([0, 3], [-1]):
-            with pytest.raises(IndexError, match="out_steps"):
-                rnn.forward(model, np.ones((3, 6)), phase_idx, np.array(out_steps))
 
     def test_nan_raises_with_step(self):
         """The error names the step that failed first in its direction's
         processing order: step 0 going forward, step T-1 going backward."""
         shape = make_shape((6, 8), 4, 2)
-        phase_idx, out_steps = unrolled_geometry(shape, 3)
         for direction, what, step in [(0, "forward", 0), (1, "backward", 2)]:
             model = rnn.init_model(shape, np.random.default_rng(5))
             model.layers[0].in_w[0, direction, 0, 0] = np.inf
             with np.errstate(invalid="ignore"):
                 with pytest.raises(FloatingPointError) as err:
-                    rnn.forward(model, np.ones((3, 6)), phase_idx, out_steps)
+                    rnn.forward(model, np.ones((3, 6)))
             assert str(err.value) == \
                 f"non-finite {what} activation in layer 0 at step {step}"
 
@@ -285,23 +271,21 @@ class TestCounting:
             shape = make_shape(tuple(dims), l_y, dims[0] - l_y, m_symbols=m_sym)
             model = rnn.init_model(shape, rng)
             t_steps = int(rng.integers(2, 7))
-            phase_idx, out_steps = unrolled_geometry(shape, t_steps)
             counter = MultCounter()
             rnn.forward(model, rng.normal(size=(t_steps, dims[0])),
-                        phase_idx, out_steps, counter=counter)
+                        counter=counter)
             assert counter.total == t_steps * rnn.count_rnn_multiplications(shape)
 
     def test_instrumented_multi_phase(self):
         shape = make_shape((6, 8), 4, 2, n_stages=3, s=1, m_symbols=4)
         model = rnn.init_model(shape, np.random.default_rng(7))
         n_per = 4
-        phase_idx, out_steps = unrolled_geometry(shape, n_per)
+        t_steps = n_per * shape.phases
         counter = MultCounter()
-        rnn.forward(model, np.zeros((len(phase_idx), 6)), phase_idx, out_steps,
-                    counter=counter)
+        rnn.forward(model, np.zeros((t_steps, 6)), counter=counter)
         rec = 6 * 8 + 64 // 2
         out = 8 * 4
-        assert counter.total == len(phase_idx) * rec + n_per * out
+        assert counter.total == t_steps * rec + n_per * out
 
     def test_published_profile_counts(self):
         configs = [((96, 128, 64), 4, 30976),
@@ -358,11 +342,16 @@ class TestModelIO:
     def test_format_v1_fixture(self, tmp_path):
         """A format-1 checkpoint (dims (6, 8, 4), two stages, s=1) written by
         the per-tensor layout that preceded the flat buffer loads, gives that
-        code's logp bit for bit, and saves back to the same bytes."""
+        code's logp bit for bit, and saves back to the same bytes.  The
+        schedule stored with that logp is the one forward derives."""
         model = rnn.load_model(DATA / "rnn_v1")
         ref = np.load(DATA / "rnn_v1_forward.npz")
-        logp, _ = rnn.forward(model, ref["inputs"], ref["phase_idx"],
-                              ref["out_steps"])
+        t_steps = ref["inputs"].shape[-2]
+        phase_idx, out_steps = unrolled_geometry(model.shape,
+                                                 t_steps // model.shape.phases)
+        assert np.array_equal(ref["phase_idx"], phase_idx)
+        assert np.array_equal(ref["out_steps"], out_steps)
+        logp, _ = rnn.forward(model, ref["inputs"])
         assert logp.tobytes() == ref["logp"].tobytes()
         rnn.save_model(model, tmp_path / "again")
         for suffix in (".bin", ".json"):

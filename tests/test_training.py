@@ -13,12 +13,16 @@ from nlsic import rnn, sic, training
 
 
 def make_batch_for(shape, n_per, rng, batch_size=4):
-    phase_idx = np.tile(np.arange(shape.phases), n_per)
-    out_steps = np.flatnonzero(phase_idx == 0)
-    inputs = rng.normal(size=(batch_size, len(phase_idx), shape.dims[0]))
+    inputs = rng.normal(size=(batch_size, n_per * shape.phases, shape.dims[0]))
     targets = rng.integers(0, shape.m_symbols, size=(batch_size, n_per))
-    return training.Batch(inputs=inputs, targets=targets,
-                          phase_idx=phase_idx, out_steps=out_steps)
+    return training.Batch(inputs=inputs, targets=targets)
+
+
+def unrolled_schedule(p_count, t_steps):
+    """The phase of every step and the steps that read out an APP, built
+    independently of rnn.forward and training.backward."""
+    phase_idx = np.tile(np.arange(p_count), t_steps // p_count)
+    return phase_idx, np.flatnonzero(phase_idx == 0)
 
 
 def small_shape(m_symbols=4, n_stages=1, s=1):
@@ -102,8 +106,7 @@ class TestBackward:
         single = make_batch_for(shape, 5, rng, batch_size=1)
         doubled = training.Batch(
             inputs=np.repeat(single.inputs, 2, axis=0),
-            targets=np.repeat(single.targets, 2, axis=0),
-            phase_idx=single.phase_idx, out_steps=single.out_steps)
+            targets=np.repeat(single.targets, 2, axis=0))
         g1, b1, _ = training.backward(model, single)
         g2, b2, _ = training.backward(model, doubled)
         assert b1 == pytest.approx(b2)
@@ -123,12 +126,13 @@ class TestBackward:
         assert np.allclose(grads.out_b, expect, atol=1e-14)
 
 
-def reference_forward(model, inputs, phase_idx, out_steps):
+def reference_forward(model, inputs):
     """The forward pass one step and one fresh array at a time, block-major:
     the bits the workspace forward must reproduce."""
     p_count = model.shape.phases
     r = np.asarray(inputs, dtype=np.float64)
     b, t_steps, _ = r.shape
+    phase_idx, out_steps = unrolled_schedule(p_count, t_steps)
     inputs_, pres, hs = [], [], []
     for in_w, in_b, st_w, st_b in model.layers:
         half = in_b.shape[-1]
@@ -160,8 +164,8 @@ def reference_forward(model, inputs, phase_idx, out_steps):
 def reference_backward(model, batch):
     """Reverse-mode gradients accumulated step by step into fresh arrays."""
     shape = model.shape
-    logp, (inputs, pres, hs, probs) = reference_forward(
-        model, batch.inputs, batch.phase_idx, batch.out_steps)
+    logp, (inputs, pres, hs, probs) = reference_forward(model, batch.inputs)
+    phase_idx, out_steps = unrolled_schedule(shape.phases, batch.inputs.shape[1])
     bits, clamps = training._nll_bits(logp, batch.targets)
     b, n_out, m = logp.shape
     dlogits = probs.copy()
@@ -175,11 +179,11 @@ def reference_backward(model, batch):
     grads = rnn.RnnModel(shape)
     r_last = inputs[-1]
     flat_dl = dlogits.reshape(-1, m)
-    grads.out_w += flat_dl.T @ r_last[:, batch.out_steps].reshape(-1, shape.dims[-1])
+    grads.out_w += flat_dl.T @ r_last[:, out_steps].reshape(-1, shape.dims[-1])
     grads.out_b += flat_dl.sum(axis=0)
     t_steps = r_last.shape[1]
     dr = np.zeros_like(r_last)
-    dr[:, batch.out_steps] = dlogits @ model.out_w
+    dr[:, out_steps] = dlogits @ model.out_w
     for i in range(shape.n_recurrent - 1, -1, -1):
         in_w, _, st_w, _ = model.layers[i]
         g_in_w, g_in_b, g_st_w, g_st_b = grads.layers[i]
@@ -193,7 +197,7 @@ def reference_backward(model, batch):
                                (1, range(t_steps - 1, -1, -1), 1)):
             carry = zero
             for step in reversed(steps):
-                p = batch.phase_idx[step]
+                p = phase_idx[step]
                 q = (p + feed) % shape.phases
                 dz = (dh[:, step, d] + carry) * active[:, step, d]
                 dz_sum = dz.sum(axis=0)
@@ -237,11 +241,9 @@ class TestPerStepOracle:
         for _ in range(3):
             model = rnn.init_model(shape, rng)
             batch = make_batch_for(shape, n_per, rng, batch_size=b)
-            ref_logp, _ = reference_forward(model, batch.inputs, batch.phase_idx,
-                                            batch.out_steps)
+            ref_logp, _ = reference_forward(model, batch.inputs)
             ref_grads, ref_bits, ref_clamps = reference_backward(model, batch)
-            logp, _ = rnn.forward(model, batch.inputs, batch.phase_idx,
-                                  batch.out_steps, ws=ws)
+            logp, _ = rnn.forward(model, batch.inputs, ws=ws)
             assert np.array_equal(logp, ref_logp)
             grads, bits, clamps = training.backward(model, batch, ws)
             assert (bits, clamps) == (ref_bits, ref_clamps)
