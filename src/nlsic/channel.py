@@ -3,9 +3,9 @@
 The ground-truth simulator: symbols are upsampled to a simulation grid,
 shaped by an oversampled transmit filter (optionally including chromatic
 dispersion of a single-mode fiber), passed through a pointwise nonlinearity,
-receiver-filtered, decimated to the output rate, and disturbed by Gaussian
-noise.  All filters are centered FIR filters of odd length; blocks carry
-enough guard zeros that neighbouring blocks cannot interfere.
+receiver-filtered, decimated to the output rate, and disturbed by real
+Gaussian noise.  All filters are centered FIR filters of odd length; blocks
+carry enough guard zeros that neighbouring blocks cannot interfere.
 """
 
 from __future__ import annotations
@@ -177,8 +177,9 @@ class FiberParams:
 
 
 class ChannelConfigError(ValueError):
-    """A ChannelConfig value out of its domain; `fields` names the attribute
-    and any other whose value the check weighs it against."""
+    """A channel value out of its domain; `fields` names the ChannelConfig
+    attribute or make_channel argument, and any other whose value the check
+    weighs it against."""
 
     def __init__(self, field: str, message: str, *others: str):
         super().__init__(message)
@@ -193,7 +194,6 @@ class ChannelConfig:
     n_sim: int = 2
     nonlinearity: Nonlinearity = SquareLaw()
     fiber: Optional[FiberParams] = None
-    noise_kind: str = "real"
     noise_variance: float = 1.0
     precoding: str = "none"
 
@@ -211,9 +211,6 @@ class ChannelConfig:
                 "n_sim",
                 f"n_sim={self.n_sim} must be an integer multiple of n_os={self.n_os}",
                 "n_os")
-        if self.noise_kind not in ("real", "complex"):
-            raise ChannelConfigError("noise_kind",
-                                     f"unknown noise kind {self.noise_kind!r}")
         if not 0.0 <= self.noise_variance < np.inf:
             raise ChannelConfigError(
                 "noise_variance",
@@ -237,7 +234,7 @@ def sinc_pulse(k_taps: int, n_sim: int) -> np.ndarray:
     No window is applied; the tap count alone fixes the symbol memory.
     """
     if k_taps < 1 or k_taps % 2 != 1:
-        raise ValueError(f"tap count {k_taps} must be odd and positive")
+        raise ChannelConfigError("k_g", f"tap count {k_taps} must be odd and positive")
     t = (np.arange(k_taps) - k_taps // 2) / n_sim
     return np.sinc(t)
 
@@ -269,7 +266,8 @@ def build_pulse(config: ChannelConfig, k_g: Optional[int] = None) -> FirFilter:
     before the nonlinearity (sum |g|^2 = n_sim)."""
     if isinstance(config.nonlinearity, SquareLaw) and config.n_sim < 2:
         raise ChannelConfigError(
-            "n_sim", "square-law detection needs n_sim >= 2 for sufficient statistics")
+            "n_sim", "square-law detection needs n_sim >= 2 for sufficient statistics",
+            "nonlinearity")
     if k_g is None:
         k_g = 151 * config.n_sim + 1
     taps = sinc_pulse(k_g, config.n_sim)
@@ -283,7 +281,7 @@ def brickwall_receiver(n_sim: int, k_h: int = 1) -> FirFilter:
     """Receiver filter with twice the transmit bandwidth, sampled on the
     simulation grid.  At n_sim = 2 this collapses to a unit impulse."""
     if k_h < 1 or k_h % 2 != 1:
-        raise ValueError(f"tap count {k_h} must be odd and positive")
+        raise ChannelConfigError("k_h", f"tap count {k_h} must be odd and positive")
     u = np.arange(k_h) - k_h // 2
     taps = np.sinc(2.0 * u / n_sim)
     return FirFilter(taps=taps, rate=n_sim)
@@ -313,13 +311,25 @@ def differential_precode(x: np.ndarray, alphabet: Alphabet) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class DiscreteChannel:
     """Immutable ground-truth channel: transmit filter, nonlinearity,
-    receiver filter, decimation and noise law.  Block simulation is
-    reentrant given a caller-supplied generator."""
+    receiver filter, decimation and real Gaussian noise.  Its observations
+    are real: a complex (dispersed) pulse must meet the square law, and the
+    receiver taps are real.  Block simulation is reentrant given a
+    caller-supplied generator."""
 
     config: ChannelConfig
     g: FirFilter
     h: FirFilter
     amplitude_scale: float = 1.0
+
+    def __post_init__(self):
+        if self.h.taps.dtype.kind == "c":
+            raise ValueError("receiver taps must be real")
+        if self.g.taps.dtype.kind == "c" and \
+                not isinstance(self.config.nonlinearity, SquareLaw):
+            raise ChannelConfigError(
+                "nonlinearity", f"a complex pulse, as a fiber makes, needs "
+                f"square-law detection, not {self.config.nonlinearity.name}",
+                "fiber")
 
     @property
     def memory_g(self) -> int:
@@ -433,12 +443,7 @@ def _simulate_rows(chan: DiscreteChannel, x_rows: np.ndarray,
         if rng is None:
             raise ValueError("rng required when noise variance > 0")
         sigma = np.sqrt(cfg.noise_variance)
-        size = (b, len(idx) if direct else z.shape[1])
-        if cfg.noise_kind == "real":
-            w = sigma * rng.standard_normal(size)
-        else:
-            w = (sigma / np.sqrt(2.0)) * (rng.standard_normal(size)
-                                          + 1j * rng.standard_normal(size))
+        w = sigma * rng.standard_normal((b, len(idx) if direct else z.shape[1]))
         if not direct:
             z = z + chan.h.apply_same(w)
     # without guard symbols the first grid indices fall before the waveform
@@ -447,8 +452,6 @@ def _simulate_rows(chan: DiscreteChannel, x_rows: np.ndarray,
     y[:, ok] = z[:, idx[ok]]
     if noisy and direct:
         y = y + w * np.abs(chan.h.taps[0])
-    if np.iscomplexobj(y) and cfg.noise_kind == "real" and np.allclose(y.imag, 0.0):
-        y = y.real
     return x_emit, y, shaped
 
 

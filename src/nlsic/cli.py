@@ -235,8 +235,8 @@ def _detector_for(cfg, chan, run_dir, p_tx_db):
         for s in range(1, cfg.stages + 1):
             stem = _model_stem(run_dir, s, p_tx_db)
             if not stem.with_suffix(".bin").exists():
-                raise ConfigError(f"evaluate: missing checkpoint {stem}.bin "
-                                  f"(run 'train' first)")
+                raise ConfigError(f"evaluate: detector.kind rnn needs checkpoint "
+                                  f"{stem}.bin (run 'train' first)")
             try:
                 models[s] = rnn.load_model(stem)
             except (OSError, ValueError, KeyError, TypeError) as exc:

@@ -31,15 +31,17 @@ class ConfigError(ValueError):
 
 
 # Every key of the schema: dotted YAML key -> (type, default, least allowed
-# value).  A default of ... marks a required key; null in the YAML means the
-# default.  A type in a list means a non-empty list of it, each entry
-# bounded.  Every float must be finite.
+# value, or for a string the tuple of its allowed values).  A default of ...
+# marks a required key; null in the YAML means the default.  A type in a list
+# means a non-empty list of it, each entry bounded.  Every float must be
+# finite.  A key whose one allowed value is its default is stored nowhere.
 _SCHEMA = {
     "channel.alphabet": (str, ..., None),
     "channel.symbol_rate": (float, 1.0, None),
     "channel.n_os": (int, 2, None),
     "channel.n_sim": (int, 2, None),
-    "channel.nonlinearity": (str, "square-law", None),
+    "channel.nonlinearity": (str, "square-law",
+                             ("square-law", "identity", "rapp")),
     "channel.rapp.p": (float, 3.0, None),
     "channel.rapp.x_sat": (float, 1.0, None),
     "channel.k_g": (int, None, None),
@@ -47,11 +49,12 @@ _SCHEMA = {
     "channel.fiber.length_km": (float, None, None),
     "channel.fiber.beta2_s2_per_km": (float, None, None),
     "channel.fiber.carrier_nm": (float, 1550.0, None),
-    "channel.noise.kind": (str, "real", None),
+    # the detectors model real observations, which the channel guarantees
+    "channel.noise.kind": (str, "real", ("real",)),
     "channel.noise.variance": (float, 1.0, None),
     "channel.precoding": (str, "none", None),
     "sic.stages": (int, 1, 1),
-    "detector.kind": (str, ..., None),
+    "detector.kind": (str, ..., ("fba", "gibbs", "rnn", "uniform")),
     "detector.fba.memory": (int, 1, None),
     "detector.fba.future": (int, None, None),
     "detector.gibbs.memory": (int, 1, 0),
@@ -93,7 +96,6 @@ class ChannelSection:
     fiber_length_km: Optional[float]
     fiber_beta2_s2_per_km: Optional[float]
     fiber_carrier_nm: float
-    noise_kind: str
     noise_variance: float
     precoding: str
 
@@ -219,7 +221,11 @@ def _get(flat: dict, key: str):
     else:
         raise ConfigError(f"{key}: expected a non-empty list of "
                           f"{kind[0].__name__}")
-    if least is not None and \
+    if isinstance(least, tuple):
+        if value not in least:
+            raise ConfigError(f"{key}: {value!r} is not one of "
+                              f"{', '.join(least)}")
+    elif least is not None and \
             min(value if isinstance(value, tuple) else (value,)) < least:
         raise ConfigError(f"{key}: must be >= {least}")
     return value
@@ -229,9 +235,11 @@ def parse_config(data: dict) -> ExperimentConfig:
     flat = _flatten(data, "")
     fields = {attr: {} for attr in _SECTIONS}
     top = {}
-    for key in _SCHEMA:
-        attr, name = _place(key)
-        (fields[attr] if attr else top)[name] = _get(flat, key)
+    for key, (_, default, least) in _SCHEMA.items():
+        value = _get(flat, key)
+        if least != (default,):
+            attr, name = _place(key)
+            (fields[attr] if attr else top)[name] = value
     # with the bounds met, the one check GibbsConfig can still fail
     g = fields["gibbs"]
     if g["burn_in"] >= g["n_iter"]:
@@ -240,16 +248,11 @@ def parse_config(data: dict) -> ExperimentConfig:
     for attr, (_, cls) in _SECTIONS.items():
         top[attr] = cls(**fields[attr])
     cfg = ExperimentConfig(**top)
-    c = cfg.channel
-    if c.nonlinearity not in ("square-law", "identity", "rapp"):
-        raise ConfigError(f"channel.nonlinearity: unknown kind {c.nonlinearity!r}")
     fiber = {k: v for k, v in flat.items()
              if k.startswith("channel.fiber.") and v is not None}
     for key in ("channel.fiber.length_km", "channel.fiber.beta2_s2_per_km"):
         if fiber and key not in fiber:
             raise ConfigError(f"{key}: required with any other channel.fiber key")
-    if cfg.detector_kind not in ("fba", "gibbs", "rnn", "uniform"):
-        raise ConfigError(f"detector.kind: unknown detector {cfg.detector_kind!r}")
     if cfg.eval_n % cfg.stages != 0:
         raise ConfigError(f"eval.n={cfg.eval_n} not divisible by "
                           f"sic.stages={cfg.stages}")
@@ -284,11 +287,7 @@ def _check_run_objects(cfg: ExperimentConfig) -> None:
     alphabet = cfg.channel.alphabet
     m_symbols = _domain_check("channel.alphabet",
                               lambda: ch.Alphabet.from_name(alphabet).size)
-    _channel_parts(cfg.channel)
-    if cfg.channel.noise_kind != "real" and (
-            cfg.detector_kind in ("fba", "gibbs") or cfg.ub_memory is not None):
-        raise ConfigError("channel.noise.kind: the fba and gibbs detectors and "
-                          "eval.ub_memory need real noise")
+    build_channel(cfg)
     n_os = cfg.channel.n_os
     if cfg.detector_kind == "fba":
         _domain_check("detector.fba.memory", lambda: check_table_size(
@@ -323,12 +322,15 @@ def resolved_dict(cfg: ExperimentConfig) -> dict:
     """Fully-resolved canonical structure; parsing it again is a fixpoint.
     The fiber keys are left out when no fiber is given."""
     out = {}
-    for key in _SCHEMA:
+    for key, (_, default, least) in _SCHEMA.items():
         if key.startswith("channel.fiber.") and \
                 cfg.channel.fiber_length_km is None:
             continue
-        attr, name = _place(key)
-        value = getattr(getattr(cfg, attr) if attr else cfg, name)
+        if least == (default,):
+            value = default
+        else:
+            attr, name = _place(key)
+            value = getattr(getattr(cfg, attr) if attr else cfg, name)
         *sections, leaf = key.split(".")
         node = out
         for section in sections:
@@ -342,18 +344,22 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-# YAML key of each ChannelConfig field whose value its checks can reject
+# YAML key of each ChannelConfig field or make_channel argument whose value
+# the channel's checks can reject
 _CHANNEL_KEYS = {"symbol_rate": "channel.symbol_rate",
                  "n_os": "channel.n_os", "n_sim": "channel.n_sim",
-                 "noise_kind": "channel.noise.kind",
+                 "nonlinearity": "channel.nonlinearity",
+                 "fiber": "channel.fiber",
                  "noise_variance": "channel.noise.variance",
                  "precoding": "channel.precoding",
-                 "p": "channel.rapp.p", "x_sat": "channel.rapp.x_sat"}
+                 "p": "channel.rapp.p", "x_sat": "channel.rapp.x_sat",
+                 "k_g": "channel.k_g", "k_h": "channel.k_h"}
 
 
-def _channel_parts(c: ChannelSection):
-    """Channel config, transmit pulse and receiver filter of a channel
-    section; a value they reject raises ConfigError naming its key."""
+def build_channel(cfg: ExperimentConfig) -> ch.DiscreteChannel:
+    """Unscaled channel; sweep points apply with_transmit_power_db.  A value
+    the channel rejects raises ConfigError naming its key."""
+    c = cfg.channel
     fiber = None
     if c.fiber_length_km is not None:
         fiber = ch.FiberParams(length_km=c.fiber_length_km,
@@ -369,21 +375,9 @@ def _channel_parts(c: ChannelSection):
         config = ch.ChannelConfig(
             alphabet=ch.Alphabet.from_name(c.alphabet),
             symbol_rate=c.symbol_rate, n_os=c.n_os, n_sim=c.n_sim,
-            nonlinearity=nonl, fiber=fiber, noise_kind=c.noise_kind,
+            nonlinearity=nonl, fiber=fiber,
             noise_variance=c.noise_variance, precoding=c.precoding)
-        g = ch.build_pulse(config, c.k_g)
+        return ch.make_channel(config, k_g=c.k_g, k_h=c.k_h)
     except ch.ChannelConfigError as exc:
         keys = ", ".join(_CHANNEL_KEYS[field] for field in exc.fields)
         raise ConfigError(f"{keys}: {exc}") from exc
-    except ValueError as exc:
-        # with the config valid, only the pulse's tap count is left to reject
-        raise ConfigError(f"channel.k_g: {exc}") from exc
-    h = _domain_check("channel.k_h",
-                      lambda: ch.brickwall_receiver(c.n_sim, c.k_h))
-    return config, g, h
-
-
-def build_channel(cfg: ExperimentConfig) -> ch.DiscreteChannel:
-    """Unscaled channel; sweep points apply with_transmit_power_db."""
-    config, g, h = _channel_parts(cfg.channel)
-    return ch.make_channel(config, g=g, h=h)

@@ -68,8 +68,6 @@ class AuxChannel:
         if memory < 0:
             raise ValueError("memory must be >= 0")
         cfg = chan.config
-        if cfg.noise_kind != "real":
-            raise NotImplementedError("trellis detection implemented for real noise")
         self.chan = chan
         self.memory = int(memory)
         self.m_symbols = cfg.alphabet.size
@@ -168,10 +166,6 @@ class AuxChannel:
             counter.add("aux-nonlinearity",
                         c * nz * self.chan.config.nonlinearity.mults_per_sample)
             counter.add("aux-receiver", c * self.n_os * nz)
-        if np.iscomplexobj(mu):
-            if not np.allclose(mu.imag, 0.0, atol=1e-12):
-                raise NotImplementedError("complex-valued chunk means not supported")
-            mu = mu.real
         return mu
 
     def masked_mu(self, zeros_left: int, zeros_right: int, input_zeroed: bool) -> np.ndarray:

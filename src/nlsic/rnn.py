@@ -201,7 +201,6 @@ def gather_inputs(indexer: InputIndexer, y: np.ndarray, decided: np.ndarray,
     """Assemble the (B, T, dims[0]) input sequences of B blocks from their
     observations y, (B, n_os*n), and the values of their decided symbols,
     (B, k) at the indexer's plan.known_positions(s)."""
-    y = np.asarray(y, dtype=np.float64)
     y_std = (y - norm.y_mean) / norm.y_std
     yw = y_std[:, np.clip(indexer.y_idx, 0, y.shape[1] - 1)]
     yw[:, indexer.y_idx < 0] = 0.0

@@ -73,8 +73,11 @@ class StageView:
         return self.plan.stage_positions(self.s)
 
     def observations(self, y: np.ndarray, n_os: int) -> np.ndarray:
-        """y as a float array of the blocks' observations, checked to hold
-        n_os samples per symbol for each of the view's blocks."""
+        """y as a float array of the blocks' observations, checked to be
+        real and to hold n_os samples per symbol for each of the view's
+        blocks."""
+        if np.asarray(y).dtype.kind == "c":
+            raise ValueError("observations must be real")
         y = np.asarray(y, dtype=np.float64)
         want = (len(self.known_val), n_os * self.plan.n)
         if y.shape != want:

@@ -93,6 +93,30 @@ class TestPulse:
         assert abs(e_out - e_in) / e_in < 1e-9
         assert np.iscomplexobj(out)
 
+    @pytest.mark.parametrize("nonlinearity", [ch.Identity(), ch.RappPA()])
+    def test_complex_pulse_needs_square_law(self, nonlinearity):
+        """A fiber's complex pulse, or a hand-made one, would give complex
+        observations under any nonlinearity but the square law."""
+        fiber = ch.FiberParams(length_km=30.0, beta2_s2_per_km=-2.168e-23)
+        cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(4), symbol_rate=35e9,
+                               nonlinearity=nonlinearity, fiber=fiber)
+        with pytest.raises(ch.ChannelConfigError) as info:
+            ch.make_channel(cfg, k_g=7)
+        assert info.value.fields == ("nonlinearity", "fiber")
+        g = ch.FirFilter(taps=np.array([0.5j, 1.0, 0.5j]), rate=2)
+        with pytest.raises(ch.ChannelConfigError):
+            ch.make_channel(dataclasses.replace(cfg, fiber=None), g=g)
+        square = ch.make_channel(dataclasses.replace(cfg, nonlinearity=ch.SquareLaw()),
+                                 k_g=7).with_transmit_power_db(3.0)
+        y = ch.random_block(square, 16, seed=1).y
+        assert y.dtype == np.float64 and np.all(np.isfinite(y))
+
+    def test_complex_receiver_taps_refused(self):
+        cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(2))
+        h = ch.FirFilter(taps=np.array([0.1j, 1.0, 0.1j]), rate=2)
+        with pytest.raises(ValueError, match="receiver taps must be real"):
+            ch.make_channel(cfg, k_g=5, h=h)
+
     def test_brickwall_receiver_identity_at_twice_rate(self):
         h = ch.brickwall_receiver(2, k_h=9)
         peak = np.zeros(9)
@@ -239,17 +263,19 @@ class TestSimulateBlock:
                 assert np.array_equal(y[i], blk.y)
 
     def test_one_row_batch_is_the_block(self):
-        """Fiber, complex noise and the Rapp amplifier: a one-row batch is
-        the block under an equally seeded generator."""
+        """Fiber, square law and a multi-tap receiver on the fine-grid noise
+        path: a one-row batch is the block under an equally seeded
+        generator."""
         fiber = ch.FiberParams(length_km=20.0, beta2_s2_per_km=-1e-2)
         cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(4), n_os=2, n_sim=4,
-                               nonlinearity=ch.RappPA(p=2.0, x_sat=1.5), fiber=fiber,
-                               noise_kind="complex", noise_variance=0.5)
+                               nonlinearity=ch.SquareLaw(), fiber=fiber,
+                               noise_variance=0.5)
         chan = ch.make_channel(cfg, k_g=13, k_h=9).with_transmit_power_db(2.0)
+        assert np.iscomplexobj(chan.g.taps)
         x = ch.draw_symbols(chan, 24, np.random.default_rng(4))
         blk = ch.simulate_block(chan, x, np.random.default_rng(5))
         x_emit, y = ch.simulate_batch(chan, x[None], np.random.default_rng(5))
-        assert np.iscomplexobj(blk.y)
+        assert blk.y.dtype == np.float64
         assert np.array_equal(x_emit[0], blk.x)
         assert np.array_equal(y[0], blk.y)
 
@@ -369,17 +395,6 @@ class TestNoise:
                 expect = np.sum(hn[:-lag * dec] * hn[lag * dec:])
                 got = np.mean(y[:-lag] * y[lag:])
                 assert got == pytest.approx(expect, abs=0.01), (n_sim, lag)
-
-    def test_complex_noise_variance(self):
-        cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(2), n_os=1, n_sim=1,
-                               nonlinearity=ch.Identity(), noise_kind="complex",
-                               noise_variance=2.0)
-        chan = ch.make_channel(cfg, g=ch.FirFilter(taps=np.array([1.0]), rate=1))
-        chan = chan.with_transmit_power(1e-12)
-        rng = np.random.default_rng(29)
-        y = ch.random_block(chan, 100_000, rng).y
-        assert np.iscomplexobj(y)
-        assert np.mean(np.abs(y) ** 2) == pytest.approx(2.0, rel=0.02)
 
 
 class TestPrecoding:

@@ -179,7 +179,7 @@ class TestBuildChannel:
 class TestSchemaDocs:
     def test_readme_lists_every_key(self):
         """The README's key table gives each schema key its type, default
-        and least allowed value."""
+        and least allowed value, or a string key its allowed values."""
         readme = Path(__file__).parents[1] / "README.md"
         rows = {}
         for line in readme.read_text().splitlines():
@@ -196,4 +196,6 @@ class TestSchemaDocs:
             else:
                 want = list(default) if isinstance(default, tuple) else default
                 assert yaml.safe_load(default_cell) == want, key
+            if isinstance(least, tuple):
+                least = ", ".join(least)
             assert least_cell == ("" if least is None else str(least)), key

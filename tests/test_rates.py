@@ -211,6 +211,19 @@ def stage_detector(kind, chan, n_stages):
 
 
 class TestDetectorContract:
+    @pytest.mark.parametrize("kind", ["fba-truncated", "gibbs", "rnn"])
+    def test_complex_observations_refused(self, kind):
+        """Observations are real by construction; a complex array passed in
+        by hand is refused, not cast to its real part."""
+        chan = dispersive_4ask_channel(4.0)
+        det = stage_detector(kind, chan, 2)
+        blocks = rates.simulate_eval_blocks(chan, 2, 8, np.random.default_rng(3))
+        x = np.stack([blk.x for blk in blocks])
+        y = np.stack([blk.y for blk in blocks]) + 0.5j
+        with pytest.raises(ValueError, match="observations must be real"):
+            det.apps(y, sic.stage_view(sic.SicPlan(2, 8), 1, x),
+                     np.random.default_rng(0))
+
     @pytest.mark.parametrize("slice_bytes", [apps.SLICE_BYTES, 1])
     @pytest.mark.parametrize("kind", ["fba-exact", "fba-truncated", "gibbs",
                                       "rnn", "uniform"])
