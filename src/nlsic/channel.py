@@ -102,13 +102,11 @@ class FirFilter:
         scale = np.sqrt(energy / self.energy)
         return replace(self, taps=self.taps * scale)
 
-    def apply_same(self, x: np.ndarray) -> np.ndarray:
-        """Centered same-length convolution of a 1-D signal, or of each row
-        of a 2-D batch."""
-        rows = np.atleast_2d(x)
+    def apply_same(self, rows: np.ndarray) -> np.ndarray:
+        """Centered same-length convolution of each row of a 2-D batch."""
         lo = self.half_len
-        out = np.array([np.convolve(r, self.taps)[lo:lo + rows.shape[1]] for r in rows])
-        return out.reshape(np.shape(x))
+        return np.array([np.convolve(r, self.taps)[lo:lo + rows.shape[1]]
+                         for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +171,6 @@ class FiberParams:
 
     length_km: float
     beta2_s2_per_km: float
-    carrier_nm: float = 1550.0
 
 
 class ChannelConfigError(ValueError):
@@ -273,8 +270,7 @@ def build_pulse(config: ChannelConfig, k_g: Optional[int] = None) -> FirFilter:
     taps = sinc_pulse(k_g, config.n_sim)
     if config.fiber is not None:
         taps = apply_dispersion(taps, config.n_sim, config.symbol_rate, config.fiber)
-    taps = taps * np.sqrt(config.n_sim / np.sum(np.abs(taps) ** 2))
-    return FirFilter(taps=taps, rate=config.n_sim)
+    return FirFilter(taps=taps, rate=config.n_sim).normalized(config.n_sim)
 
 
 def brickwall_receiver(n_sim: int, k_h: int = 1) -> FirFilter:
@@ -391,7 +387,6 @@ class Block:
 
     x: np.ndarray
     y: np.ndarray
-    seed: object
     p_tx: float
 
     def __post_init__(self):
@@ -469,8 +464,7 @@ def simulate_batch(chan: DiscreteChannel, x_rows: np.ndarray,
 
 
 def simulate_block(chan: DiscreteChannel, x: np.ndarray,
-                   rng: Optional[np.random.Generator] = None,
-                   seed: object = None) -> Block:
+                   rng: Optional[np.random.Generator] = None) -> Block:
     """Simulate one block of data symbols through the full pipeline.
 
     `x` holds data symbol values at the channel's (scaled) levels; the
@@ -483,7 +477,7 @@ def simulate_block(chan: DiscreteChannel, x: np.ndarray,
         raise ValueError("empty block")
     x_emit, y, shaped = _simulate_rows(chan, x[None, :], rng)
     p_tx = float(np.sum(np.abs(shaped[0]) ** 2) / (len(x) * chan.config.n_sim))
-    return Block(x=x_emit[0], y=y[0], seed=seed, p_tx=p_tx)
+    return Block(x=x_emit[0], y=y[0], p_tx=p_tx)
 
 
 def draw_symbols(chan: DiscreteChannel, size, rng: np.random.Generator) -> np.ndarray:
@@ -493,17 +487,6 @@ def draw_symbols(chan: DiscreteChannel, size, rng: np.random.Generator) -> np.nd
 
 
 def random_block(chan: DiscreteChannel, n: int,
-                 rng: Optional[np.random.Generator] = None,
-                 seed: object = None) -> Block:
-    """Draw uniform data symbols and simulate one block.
-
-    When `seed` is given a fresh generator is derived from it and recorded
-    on the block, making the block reproducible in isolation.
-    """
-    if rng is None:
-        if seed is None:
-            raise ValueError("either rng or seed is required")
-        entropy = list(seed) if isinstance(seed, (tuple, list)) else [int(seed)]
-        rng = np.random.default_rng(np.random.SeedSequence(entropy))
-    x = draw_symbols(chan, n, rng)
-    return simulate_block(chan, x, rng, seed=seed)
+                 rng: np.random.Generator) -> Block:
+    """Draw uniform data symbols and simulate one block."""
+    return simulate_block(chan, draw_symbols(chan, n, rng), rng)

@@ -5,8 +5,10 @@ resolves its configuration, hashes it, and works under
 <output_dir>/<hash>/ so artifacts are reproducible per seed and config:
 blocks/ holds raw block dumps, models/ the per-(stage, power) checkpoints
 and training logs, rates.csv and complexity.csv the evaluation results, and
-manifest.json the bookkeeping needed to re-run bit-identically (timing,
-worker counts and warnings live only there, never in the CSVs).
+manifest.json the bookkeeping needed to re-run bit-identically (timing
+and worker counts live only there, never in the CSVs).  A command writes
+one manifest for all of its work: sweep's lists what train and evaluate
+made, with the wall time of both.
 
 train runs its per-stage chains and evaluate its sweep points in parallel,
 one process per usable CPU (see nlsic.parallel); the Gibbs sampler splits
@@ -43,30 +45,40 @@ def _code_hash() -> str:
     return digest.hexdigest()[:12]
 
 
-def _run_dir(cfg) -> Path:
-    out = Path(cfg.output_dir) / cfgmod.config_hash(cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "config.json", "w") as fh:
+def _run_path(cfg) -> Path:
+    """The run directory of a configuration: <output_dir>/<config hash>."""
+    return Path(cfg.output_dir) / cfgmod.config_hash(cfg)
+
+
+def _run(cfg, *steps) -> int:
+    """Make the run directory, write its config.json, run the steps in it
+    and write one manifest for them all: their artifacts, the wall time of
+    the whole run and the most processes any step ran at once.  Each
+    step(cfg, run_dir) returns (artifacts, workers)."""
+    t0 = time.perf_counter()
+    run_dir = _run_path(cfg)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    with open(run_dir / "config.json", "w") as fh:
         json.dump(cfgmod.resolved_dict(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return out
-
-
-def _manifest(run_dir: Path, cfg, artifacts, warnings, wall_seconds: float,
-              workers: int = 1):
+    artifacts, workers = [], 1
+    for step in steps:
+        paths, step_workers = step(cfg, run_dir)
+        artifacts += paths
+        workers = max(workers, step_workers)
     manifest = {
         "config_hash": cfgmod.config_hash(cfg),
         "code_hash": _code_hash(),
         "seed": cfg.seed,
-        "wall_seconds": wall_seconds,
+        "wall_seconds": time.perf_counter() - t0,
         "workers": workers,
         "usable_cpus": parallel.usable_cpus(),
         "artifacts": sorted(str(p.relative_to(run_dir)) for p in artifacts),
-        "warnings": warnings,
     }
     with open(run_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return 0
 
 
 def _ptx_tag(p_tx_db: float) -> str:
@@ -87,18 +99,19 @@ def _train_seed(cfg, sweep_idx: int, s: int) -> int:
 # simulate
 
 
-def cmd_simulate(cfg) -> int:
-    t0 = time.perf_counter()
-    run_dir = _run_dir(cfg)
+def _simulate(cfg, run_dir: Path):
     block_dir = run_dir / "blocks"
     block_dir.mkdir(exist_ok=True)
     base = cfgmod.build_channel(cfg)
+    config_hash = cfgmod.config_hash(cfg)
+    channel = cfgmod.resolved_dict(cfg)["channel"]
     artifacts = []
     for sweep_idx, p_tx_db in enumerate(cfg.sweep_p_tx_db):
         chan = base.with_transmit_power_db(p_tx_db)
         for b in range(cfg.eval_n_blk):
             seed = [cfg.seed, 1, sweep_idx, b]
-            blk = ch.random_block(chan, cfg.eval_n, seed=seed)
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
+            blk = ch.random_block(chan, cfg.eval_n, rng)
             stem = block_dir / f"{_ptx_tag(p_tx_db)}_block{b:05d}"
             with open(stem.with_suffix(".bin"), "wb") as fh:
                 fh.write(np.ascontiguousarray(blk.x, dtype="<f8").tobytes())
@@ -109,16 +122,19 @@ def cmd_simulate(cfg) -> int:
                 "seed": seed,
                 "p_tx_db_target": p_tx_db,
                 "p_tx_measured": blk.p_tx,
-                "config_hash": cfgmod.config_hash(cfg),
-                "channel": cfgmod.resolved_dict(cfg)["channel"],
+                "config_hash": config_hash,
+                "channel": channel,
             }
             with open(stem.with_suffix(".json"), "w") as fh:
                 json.dump(sidecar, fh, indent=2, sort_keys=True)
                 fh.write("\n")
             artifacts += [stem.with_suffix(".bin"), stem.with_suffix(".json")]
-    _manifest(run_dir, cfg, artifacts, [], time.perf_counter() - t0)
     print(f"wrote {len(artifacts) // 2} blocks under {block_dir}")
-    return 0
+    return artifacts, 1
+
+
+def cmd_simulate(cfg) -> int:
+    return _run(cfg, _simulate)
 
 
 def read_block(stem) -> ch.Block:
@@ -128,37 +144,24 @@ def read_block(stem) -> ch.Block:
     raw = np.frombuffer(stem.with_suffix(".bin").read_bytes(), dtype="<f8")
     x = raw[:meta["n"]]
     y = raw[meta["n"]:meta["n"] + meta["n_y"]]
-    return ch.Block(x=x, y=y, seed=meta["seed"], p_tx=meta["p_tx_measured"])
+    return ch.Block(x=x, y=y, p_tx=meta["p_tx_measured"])
 
 
 # ---------------------------------------------------------------------------
 # train
 
 
-def _load_warm_start(run_dir: Path, s: int, prev_p_tx_db: float, warnings):
-    """Previous sweep point's checkpoint, or None (with a warning appended
-    to warnings)."""
-    stem = _model_stem(run_dir, s, prev_p_tx_db)
-    if stem.with_suffix(".bin").exists():
-        return rnn.load_model(stem)
-    warnings.append(f"missing warm start for stage {s} at "
-                    f"{prev_p_tx_db:+.3f} dB; cold init")
-    return None
-
-
 def _train_chain(cfg, base, run_dir: Path, sweep, s: int) -> list:
     """Train stage s at every sweep point in ascending order, each point
-    warm-started from this stage's checkpoint at the previous one.  Returns
-    one (warnings, message, artifacts) record per point and prints nothing,
+    warm-started from the network this chain trained at the previous one.
+    Returns one (message, artifacts) record per point and prints nothing,
     so chains of different stages can run in different processes."""
     plan = sic.SicPlan(cfg.stages, cfg.eval_n)
     shape = cfgmod.rnn_shape(cfg, s, base.config.alphabet.size)
-    records = []
+    records, model = [], None
     for sweep_idx, p_tx_db in enumerate(sweep):
         chan = base.with_transmit_power_db(p_tx_db)
-        warnings, warm = [], None
-        if cfg.rnn.warm_start and sweep_idx > 0:
-            warm = _load_warm_start(run_dir, s, sweep[sweep_idx - 1], warnings)
+        warm = model if cfg.rnn.warm_start else None
         tcfg = training.TrainConfig(
             learn_rate=cfg.rnn.learn_rate, n_iter=cfg.rnn.n_iter,
             n_batch=cfg.rnn.n_batch, t_rnn=cfg.rnn.t_rnn,
@@ -167,8 +170,7 @@ def _train_chain(cfg, base, run_dir: Path, sweep, s: int) -> list:
                                           warm_model=warm)
         model.provenance.update({
             "p_tx_db": p_tx_db,
-            "warm_start_from": sweep[sweep_idx - 1]
-            if warm is not None and sweep_idx > 0 else None,
+            "warm_start_from": None if warm is None else sweep[sweep_idx - 1],
         })
         stem = _model_stem(run_dir, s, p_tx_db)
         rnn.save_model(model, stem)
@@ -179,36 +181,33 @@ def _train_chain(cfg, base, run_dir: Path, sweep, s: int) -> list:
                    f"final loss {log.loss_bits[-1]:.4f} bits"
                    if log.loss_bits else
                    f"initialized stage {s} at {p_tx_db:+.2f} dB (0 iterations)")
-        records.append((warnings, message, [
+        records.append((message, [
             stem.with_suffix(".bin"), stem.with_suffix(".json"), log_path]))
     return records
 
 
-def cmd_train(cfg) -> int:
-    if cfg.detector_kind != "rnn":
-        raise ConfigError("train: detector.kind must be 'rnn'")
-    t0 = time.perf_counter()
-    run_dir = _run_dir(cfg)
+def _train(cfg, run_dir: Path):
     (run_dir / "models").mkdir(exist_ok=True)
     base = cfgmod.build_channel(cfg)
     sweep = sorted(cfg.sweep_p_tx_db)
     # stage chains are independent: each trains on the true symbols of the
     # earlier stages (the ideal-code assumption) and warm-starts only from
-    # its own checkpoints
+    # its own networks
     stages = range(1, cfg.stages + 1)
     chains, workers = parallel.parallel_map(
         lambda s: _train_chain(cfg, base, run_dir, sweep, s), stages)
-    artifacts, warnings = [], []
+    artifacts = []
     for point in zip(*chains):
-        for point_warnings, message, paths in point:
-            for warning in point_warnings:
-                print(f"warning: {warning}", file=sys.stderr)
+        for message, paths in point:
             print(message)
-            warnings += point_warnings
             artifacts += paths
-    _manifest(run_dir, cfg, artifacts, warnings, time.perf_counter() - t0,
-              workers)
-    return 0
+    return artifacts, workers
+
+
+def cmd_train(cfg) -> int:
+    if cfg.detector_kind != "rnn":
+        raise ConfigError("train: detector.kind must be 'rnn'")
+    return _run(cfg, _train)
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +233,6 @@ def _detector_for(cfg, chan, run_dir, p_tx_db):
         models, counts = {}, {}
         for s in range(1, cfg.stages + 1):
             stem = _model_stem(run_dir, s, p_tx_db)
-            if not stem.with_suffix(".bin").exists():
-                raise ConfigError(f"evaluate: detector.kind rnn needs checkpoint "
-                                  f"{stem}.bin (run 'train' first)")
             try:
                 models[s] = rnn.load_model(stem)
             except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -261,12 +257,11 @@ def _evaluate_point(cfg, base, run_dir, sweep_idx, p_tx_db):
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 3, sweep_idx]))
     plan = sic.SicPlan(cfg.stages, cfg.eval_n)
     report = rates.estimate_sic(det, chan, plan, cfg.eval_n_blk, rng,
-                                ub_aux=ub_aux,
-                                config_hash=cfgmod.config_hash(cfg))
+                                ub_aux=ub_aux)
     return report, counts
 
 
-def _format_rate_rows(cfg, report, counts, p_tx_db):
+def _format_rate_rows(cfg, report, counts, p_tx_db, config_hash):
     rows = []
     for sr in report.stage_rates:
         ub = f"{report.ub:.6f}" if report.ub is not None else ""
@@ -275,8 +270,8 @@ def _format_rate_rows(cfg, report, counts, p_tx_db):
             f"{report.detector},{p_tx_db:.3f},{sr.s},{sr.rate:.6f},"
             f"{sr.stderr:.6f},{sr.clamp_fraction:.6f},{int(sr.flagged)},"
             f"{report.i_sic:.6f},{report.i_sic_stderr:.6f},{ub},{ub_se},"
-            f"{counts[sr.s]:.1f},{report.n_blk},{report.n},"
-            f"{report.config_hash}")
+            f"{counts[sr.s]:.1f},{cfg.eval_n_blk},{cfg.eval_n},"
+            f"{config_hash}")
     return rows
 
 
@@ -285,18 +280,18 @@ RATES_HEADER = ("detector,p_tx_db,stage,rate,stderr,clamp_fraction,flagged,"
                 "config_hash")
 
 
-def cmd_evaluate(cfg) -> int:
-    t0 = time.perf_counter()
-    run_dir = _run_dir(cfg)
+def _evaluate(cfg, run_dir: Path):
     base = cfgmod.build_channel(cfg)
     points = list(enumerate(cfg.sweep_p_tx_db))
     results, workers = parallel.parallel_map(
         lambda point: _evaluate_point(cfg, base, run_dir, *point), points)
 
+    config_hash = cfgmod.config_hash(cfg)
     rate_rows, summary = [], []
     complexity_rows = set()
     for (sweep_idx, p_tx_db), (report, counts) in zip(points, results):
-        rate_rows += _format_rate_rows(cfg, report, counts, p_tx_db)
+        rate_rows += _format_rate_rows(cfg, report, counts, p_tx_db,
+                                       config_hash)
         for s, cnt in counts.items():
             complexity_rows.add((report.detector, s, cnt))
         summary.append({
@@ -321,23 +316,32 @@ def cmd_evaluate(cfg) -> int:
     with open(summary_path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _manifest(run_dir, cfg, [rates_path, complexity_path, summary_path], [],
-              time.perf_counter() - t0, workers)
     print(f"wrote {rates_path}")
-    return 0
+    return [rates_path, complexity_path, summary_path], workers
+
+
+def cmd_evaluate(cfg) -> int:
+    if cfg.detector_kind == "rnn":
+        # refused before the run directory exists, like a parse-time error
+        run_dir = _run_path(cfg)
+        for p_tx_db in cfg.sweep_p_tx_db:
+            for s in range(1, cfg.stages + 1):
+                stem = _model_stem(run_dir, s, p_tx_db)
+                if not stem.with_suffix(".bin").exists():
+                    raise ConfigError(f"evaluate: detector.kind rnn needs "
+                                      f"checkpoint {stem}.bin (run 'train' "
+                                      f"first)")
+    return _run(cfg, _evaluate)
 
 
 def cmd_sweep(cfg) -> int:
-    if cfg.detector_kind == "rnn":
-        status = cmd_train(cfg)
-        if status != 0:
-            return status
-    return cmd_evaluate(cfg)
+    if cfg.detector_kind != "rnn":
+        return cmd_evaluate(cfg)
+    return _run(cfg, _train, _evaluate)
 
 
 def cmd_report(cfg) -> int:
-    run_dir = Path(cfg.output_dir) / cfgmod.config_hash(cfg)
-    rates_path = run_dir / "rates.csv"
+    rates_path = _run_path(cfg) / "rates.csv"
     if not rates_path.exists():
         raise ConfigError(f"report: {rates_path} not found (run 'evaluate')")
     lines = rates_path.read_text().splitlines()

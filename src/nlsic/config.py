@@ -48,7 +48,6 @@ _SCHEMA = {
     "channel.k_h": (int, 1, None),
     "channel.fiber.length_km": (float, None, None),
     "channel.fiber.beta2_s2_per_km": (float, None, None),
-    "channel.fiber.carrier_nm": (float, 1550.0, None),
     # the detectors model real observations, which the channel guarantees
     "channel.noise.kind": (str, "real", ("real",)),
     "channel.noise.variance": (float, 1.0, None),
@@ -95,7 +94,6 @@ class ChannelSection:
     k_h: int
     fiber_length_km: Optional[float]
     fiber_beta2_s2_per_km: Optional[float]
-    fiber_carrier_nm: float
     noise_variance: float
     precoding: str
 
@@ -305,7 +303,7 @@ def _check_run_objects(cfg: ExperimentConfig) -> None:
         if any(t_rnn % p for p in range(1, cfg.stages + 1)):
             raise ConfigError(f"detector.rnn.t_rnn: {t_rnn} is not divisible "
                               f"by every phase count 1..{cfg.stages}")
-        # each stage warm-starts from its checkpoint at the previous power
+        # each stage warm-starts from its network at the previous power
         if cfg.rnn.warm_start and \
                 list(cfg.sweep_p_tx_db) != sorted(cfg.sweep_p_tx_db):
             raise ConfigError("sweep.p_tx_db: must ascend when "
@@ -363,8 +361,7 @@ def build_channel(cfg: ExperimentConfig) -> ch.DiscreteChannel:
     fiber = None
     if c.fiber_length_km is not None:
         fiber = ch.FiberParams(length_km=c.fiber_length_km,
-                               beta2_s2_per_km=c.fiber_beta2_s2_per_km,
-                               carrier_nm=c.fiber_carrier_nm)
+                               beta2_s2_per_km=c.fiber_beta2_s2_per_km)
     try:
         if c.nonlinearity == "square-law":
             nonl = ch.SquareLaw()

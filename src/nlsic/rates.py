@@ -98,15 +98,10 @@ class StageRate:
 @dataclass
 class RateReport:
     detector: str
-    n_stages: int
-    n_blk: int
-    n: int
     stage_rates: list
     i_sic_stderr: float
-    i_sdd: Optional[float] = None
     ub: Optional[float] = None
     ub_stderr: Optional[float] = None
-    config_hash: str = ""
 
     @property
     def i_sic(self) -> float:
@@ -141,9 +136,8 @@ def estimate_stage_rate(detector, chan: ch.DiscreteChannel, plan: SicPlan, s: in
     return evaluate_stage_on_blocks(detector, chan, plan, s, blocks, rng)
 
 
-def estimate_sic(detector, chan: ch.DiscreteChannel, plan: SicPlan,
-                 n_blk: int, rng, ub_aux: Optional[AuxChannel] = None,
-                 config_hash: str = "") -> RateReport:
+def estimate_sic(detector, chan: ch.DiscreteChannel, plan: SicPlan, n_blk: int,
+                 rng, ub_aux: Optional[AuxChannel] = None) -> RateReport:
     """Run every stage on blocks of plan.n symbols, average, and optionally
     attach the upper bound."""
     stage_rates = [estimate_stage_rate(detector, chan, plan, s, n_blk, rng)
@@ -154,8 +148,5 @@ def estimate_sic(detector, chan: ch.DiscreteChannel, plan: SicPlan,
     if ub_aux is not None:
         blocks = simulate_eval_blocks(chan, n_blk, plan.n, rng)
         ub, ub_se = fba_ub(ub_aux, blocks)
-    return RateReport(detector=detector.name, n_stages=plan.n_stages,
-                      n_blk=n_blk, n=plan.n, stage_rates=stage_rates,
-                      i_sic_stderr=i_sic_se,
-                      i_sdd=stage_rates[0].rate if plan.n_stages == 1 else None,
-                      ub=ub, ub_stderr=ub_se, config_hash=config_hash)
+    return RateReport(detector=detector.name, stage_rates=stage_rates,
+                      i_sic_stderr=i_sic_se, ub=ub, ub_stderr=ub_se)

@@ -108,7 +108,7 @@ class TestPulse:
             ch.make_channel(dataclasses.replace(cfg, fiber=None), g=g)
         square = ch.make_channel(dataclasses.replace(cfg, nonlinearity=ch.SquareLaw()),
                                  k_g=7).with_transmit_power_db(3.0)
-        y = ch.random_block(square, 16, seed=1).y
+        y = ch.random_block(square, 16, np.random.default_rng(1)).y
         assert y.dtype == np.float64 and np.all(np.isfinite(y))
 
     def test_complex_receiver_taps_refused(self):

@@ -20,7 +20,6 @@ channel:
   fiber:
     length_km: 30.0
     beta2_s2_per_km: -2.168e-23
-    carrier_nm: 1550.0
   noise: {kind: real, variance: 1.0}
   precoding: differential-phase
 sic:

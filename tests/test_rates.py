@@ -107,8 +107,8 @@ class TestSicAggregation:
         aux = fba.build_aux_channel(chan, memory=chan.memory)
         rep = rates.estimate_sic(rates.FbaDetector(aux), chan, sic.SicPlan(1, 48),
                                  10, np.random.default_rng(4))
-        assert rep.i_sdd == rep.i_sic
-        assert (rep.n_stages, rep.n) == (1, 48)
+        assert [sr.s for sr in rep.stage_rates] == [1]
+        assert rep.i_sic == rep.stage_rates[0].rate
 
     def test_sic_is_exact_stage_average(self):
         chan = dispersive_4ask_channel(4.0)
