@@ -5,10 +5,10 @@ periodically time-varying bidirectional recurrent detector with its trainer,
 and Monte-Carlo achievable-rate estimation."""
 
 from .apps import AppMatrix, MultCounter
-from .channel import (Alphabet, Block, ChannelConfig, DiscreteChannel,
+from .channel import (Alphabet, Blocks, ChannelConfig, DiscreteChannel,
                       FiberParams, FirFilter, Identity, RappPA, SquareLaw,
                       build_pulse, differential_precode, draw_symbols,
-                      make_channel, random_block, simulate_block)
+                      make_channel, random_block, simulate_batch)
 from .fba import (AuxChannel, build_aux_channel, count_fba_multiplications,
                   fba_apps, fba_ub)
 from .gibbs import GibbsConfig, count_gs_multiplications, gibbs_apps

@@ -381,17 +381,23 @@ def make_channel(config: ChannelConfig, k_g: Optional[int] = None,
 
 
 @dataclass(frozen=True, eq=False)
-class Block:
-    """One simulated transmission: emitted symbols, observations, and the
-    measured average transmit power of the shaped waveform."""
+class Blocks:
+    """A batch of simulated transmissions, one block per row: emitted
+    symbols (B, n), observations (B, n_os*n), and the measured average
+    transmit power (B,) of each block's shaped waveform."""
 
     x: np.ndarray
     y: np.ndarray
-    p_tx: float
+    p_tx: np.ndarray
 
     def __post_init__(self):
-        if len(self.y) != 0 and len(self.y) % len(self.x) != 0:
-            raise ValueError("observation length must be a multiple of the symbol count")
+        rows, n = self.x.shape
+        if len(self.y) != rows or n == 0 or self.y.shape[1] % n != 0:
+            raise ValueError("each row of x needs a row of y with a whole, "
+                             "positive number of samples per symbol")
+
+    def __len__(self) -> int:
+        return len(self.x)
 
 
 def _output_grid_indices(n: int, chan: DiscreteChannel) -> np.ndarray:
@@ -406,20 +412,24 @@ def _output_grid_indices(n: int, chan: DiscreteChannel) -> np.ndarray:
     return cfg.n_sim * (g_sym - 1) + cfg.decimation * j
 
 
-def _simulate_rows(chan: DiscreteChannel, x_rows: np.ndarray,
-                   rng: Optional[np.random.Generator]):
-    """The channel pipeline on a batch of blocks, one block per row.
+def simulate_batch(chan: DiscreteChannel, x_rows: np.ndarray,
+                   rng: Optional[np.random.Generator] = None) -> Blocks:
+    """Simulate a batch of blocks, one per row of data symbol values.
 
     Precode, upsample into guard zeros, shape with g, apply the
     nonlinearity, filter with h, take the output grid, then add noise.
     With a single-tap receiver at the output rate the sampled noise is
     white, so it is drawn there directly; otherwise white simulation-rate
     noise passes through the (unit-energy) receiver filter.  The lag-0
-    variance is the configured one in both cases.
+    variance is the configured one in both cases.  Noise is drawn row after
+    row, so a batch consumes the generator as its rows one at a time do.
 
-    Returns (emitted symbol rows, observation rows, shaped waveform rows).
+    The returned batch holds the emitted symbols, which are what detectors
+    target, and each row's average shaped-waveform power on the simulation
+    grid.
     """
     cfg = chan.config
+    x_rows = np.asarray(x_rows, dtype=np.float64)
     x_emit = (differential_precode(x_rows, cfg.alphabet)
               if cfg.precoding == "differential-phase" else x_rows.copy())
     b, n = x_emit.shape
@@ -447,37 +457,8 @@ def _simulate_rows(chan: DiscreteChannel, x_rows: np.ndarray,
     y[:, ok] = z[:, idx[ok]]
     if noisy and direct:
         y = y + w * np.abs(chan.h.taps[0])
-    return x_emit, y, shaped
-
-
-def simulate_batch(chan: DiscreteChannel, x_rows: np.ndarray,
-                   rng: Optional[np.random.Generator] = None):
-    """Simulate a batch of blocks, one per row of data symbol values; the
-    trainer's data producer.
-
-    Returns (emitted symbol rows, observation rows).  The rows follow the
-    same law as :func:`simulate_block`, and a one-row batch equals it bit
-    for bit under an equally seeded generator.
-    """
-    x_emit, y, _ = _simulate_rows(chan, np.asarray(x_rows, dtype=np.float64), rng)
-    return x_emit, y
-
-
-def simulate_block(chan: DiscreteChannel, x: np.ndarray,
-                   rng: Optional[np.random.Generator] = None) -> Block:
-    """Simulate one block of data symbols through the full pipeline.
-
-    `x` holds data symbol values at the channel's (scaled) levels; the
-    configured precoding is applied internally and the returned block
-    records the emitted symbols, which are what detectors target, and the
-    average power of the shaped waveform on the simulation grid.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if len(x) == 0:
-        raise ValueError("empty block")
-    x_emit, y, shaped = _simulate_rows(chan, x[None, :], rng)
-    p_tx = float(np.sum(np.abs(shaped[0]) ** 2) / (len(x) * chan.config.n_sim))
-    return Block(x=x_emit[0], y=y[0], p_tx=p_tx)
+    p_tx = np.sum(np.abs(shaped) ** 2, axis=1) / (n * cfg.n_sim)
+    return Blocks(x=x_emit, y=y, p_tx=p_tx)
 
 
 def draw_symbols(chan: DiscreteChannel, size, rng: np.random.Generator) -> np.ndarray:
@@ -487,6 +468,6 @@ def draw_symbols(chan: DiscreteChannel, size, rng: np.random.Generator) -> np.nd
 
 
 def random_block(chan: DiscreteChannel, n: int,
-                 rng: np.random.Generator) -> Block:
-    """Draw uniform data symbols and simulate one block."""
-    return simulate_block(chan, draw_symbols(chan, n, rng), rng)
+                 rng: np.random.Generator) -> Blocks:
+    """Draw uniform data symbols and simulate a batch of one block."""
+    return simulate_batch(chan, draw_symbols(chan, (1, n), rng), rng)

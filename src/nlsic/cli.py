@@ -112,16 +112,17 @@ def _simulate(cfg, run_dir: Path):
             seed = [cfg.seed, 1, sweep_idx, b]
             rng = np.random.default_rng(np.random.SeedSequence(seed))
             blk = ch.random_block(chan, cfg.eval_n, rng)
+            x, y = blk.x[0], blk.y[0]
             stem = block_dir / f"{_ptx_tag(p_tx_db)}_block{b:05d}"
             with open(stem.with_suffix(".bin"), "wb") as fh:
-                fh.write(np.ascontiguousarray(blk.x, dtype="<f8").tobytes())
-                fh.write(np.ascontiguousarray(blk.y, dtype="<f8").tobytes())
+                fh.write(np.ascontiguousarray(x, dtype="<f8").tobytes())
+                fh.write(np.ascontiguousarray(y, dtype="<f8").tobytes())
             sidecar = {
-                "n": len(blk.x),
-                "n_y": len(blk.y),
+                "n": len(x),
+                "n_y": len(y),
                 "seed": seed,
                 "p_tx_db_target": p_tx_db,
-                "p_tx_measured": blk.p_tx,
+                "p_tx_measured": float(blk.p_tx[0]),
                 "config_hash": config_hash,
                 "channel": channel,
             }
@@ -135,16 +136,6 @@ def _simulate(cfg, run_dir: Path):
 
 def cmd_simulate(cfg) -> int:
     return _run(cfg, _simulate)
-
-
-def read_block(stem) -> ch.Block:
-    stem = Path(stem)
-    with open(stem.with_suffix(".json")) as fh:
-        meta = json.load(fh)
-    raw = np.frombuffer(stem.with_suffix(".bin").read_bytes(), dtype="<f8")
-    x = raw[:meta["n"]]
-    y = raw[meta["n"]:meta["n"] + meta["n_y"]]
-    return ch.Block(x=x, y=y, p_tx=meta["p_tx_measured"])
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ _SCHEMA = {
     # the detectors model real observations, which the channel guarantees
     "channel.noise.kind": (str, "real", ("real",)),
     "channel.noise.variance": (float, 1.0, None),
-    "channel.precoding": (str, "none", None),
+    "channel.precoding": (str, "none", ("none", "differential-phase")),
     "sic.stages": (int, 1, 1),
     "detector.kind": (str, ..., ("fba", "gibbs", "rnn", "uniform")),
     "detector.fba.memory": (int, 1, None),
@@ -349,7 +349,6 @@ _CHANNEL_KEYS = {"symbol_rate": "channel.symbol_rate",
                  "nonlinearity": "channel.nonlinearity",
                  "fiber": "channel.fiber",
                  "noise_variance": "channel.noise.variance",
-                 "precoding": "channel.precoding",
                  "p": "channel.rapp.p", "x_sat": "channel.rapp.x_sat",
                  "k_g": "channel.k_g", "k_h": "channel.k_h"}
 

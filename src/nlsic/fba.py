@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .apps import AppMatrix, MultCounter, block_slices
-from .channel import DiscreteChannel
+from .channel import Blocks, DiscreteChannel
 from .sic import StageView
 
 LOG2PI = np.log(2.0 * np.pi)
@@ -329,29 +329,26 @@ def fba_apps(aux: AuxChannel, y: np.ndarray, view: StageView,
     return AppMatrix.from_logp(logp, positions)
 
 
-def fba_ub(aux: AuxChannel, blocks, counter: Optional[MultCounter] = None):
+def fba_ub(aux: AuxChannel, blocks: Blocks,
+           counter: Optional[MultCounter] = None):
     """Monte-Carlo auxiliary-channel upper bound on the block information
-    rate: average of (log2 q(y|x) - log2 q(y)) / n over blocks of one length.
+    rate: average of (log2 q(y|x) - log2 q(y)) / n over the blocks.
 
     log q(y|x) pins every symbol, log q(y) marginalizes uniform inputs; a
     slice of k blocks runs both as one 2k-row forward pass.
     Returns (bits per channel use, jackknife standard error).
     """
-    blocks = list(blocks)
-    if not blocks:
+    if len(blocks) == 0:
         raise ValueError("need at least one block")
-    n = len(blocks[0].x)
-    if any(len(blk.x) != n for blk in blocks):
-        raise ValueError("upper-bound blocks must share one length")
+    n = blocks.x.shape[1]
     per_block = np.empty(len(blocks))
     # per block: one step's metric differences in its pinned and free rows
     step_bytes = 2 * 8 * aux.n_states * aux.m_symbols * aux.n_os
     for lo, hi in block_slices(len(blocks), step_bytes):
-        part = blocks[lo:hi]
-        k = len(part)
-        y = np.stack([blk.y for blk in part])
+        k = hi - lo
+        y = blocks.y[lo:hi]
         pin = np.full((2 * k, n), -1, dtype=int)
-        pin[:k] = aux.chan.symbol_indices(np.stack([blk.x for blk in part]))
+        pin[:k] = aux.chan.symbol_indices(blocks.x[lo:hi])
         log_z, _, _ = _forward(aux, np.concatenate([y, y]), pin, counter=counter)
         per_block[lo:hi] = (log_z[:k] - log_z[k:]) / (n * np.log(2.0))
     return float(np.mean(per_block)), jackknife_stderr(per_block)

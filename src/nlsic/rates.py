@@ -9,9 +9,9 @@ errors are per-block jackknife estimates, and the auxiliary-channel upper
 bound from the trellis module completes the rate sandwich.
 
 Each stage draws its evaluation blocks one after another from the caller's
-generator, stacks their symbols and observations, and hands the detector
-one StageView and one observation array for the whole stage; the returned
-(B, N, M) AppMatrix is scored without a loop over blocks.
+generator into one batch, and hands the detector one StageView and the
+batch's observation rows for the whole stage; the returned (B, N, M)
+AppMatrix is scored without a loop over blocks.
 """
 
 from __future__ import annotations
@@ -92,7 +92,6 @@ class StageRate:
     stderr: float
     clamp_fraction: float
     flagged: bool
-    per_block: np.ndarray
 
 
 @dataclass
@@ -110,23 +109,25 @@ class RateReport:
 
 
 def evaluate_stage_on_blocks(detector, chan: ch.DiscreteChannel, plan: SicPlan,
-                             s: int, blocks, rng) -> StageRate:
+                             s: int, blocks: ch.Blocks, rng) -> StageRate:
     """Stage rate on caller-supplied blocks (lets detectors share data)."""
-    x = np.stack([blk.x for blk in blocks])
-    y = np.stack([blk.y for blk in blocks])
-    app = detector.apps(y, stage_view(plan, s, x), rng)
-    log2q = app.log2_prob_of(chan.symbol_indices(x[:, app.positions]))
+    app = detector.apps(blocks.y, stage_view(plan, s, blocks.x), rng)
+    log2q = app.log2_prob_of(chan.symbol_indices(blocks.x[:, app.positions]))
     per_block = chan.config.alphabet.bits + log2q.mean(axis=1)
     clamped = log2q <= np.log2(CLAMP_FLOOR) + 1e-9
     frac = np.count_nonzero(clamped) / clamped.size
     return StageRate(s=s, rate=float(np.mean(per_block)),
                      stderr=jackknife_stderr(per_block),
-                     clamp_fraction=frac, flagged=frac > 0.01,
-                     per_block=per_block)
+                     clamp_fraction=frac, flagged=frac > 0.01)
 
 
-def simulate_eval_blocks(chan: ch.DiscreteChannel, n_blk: int, n: int, rng):
-    return [ch.random_block(chan, n, rng) for _ in range(n_blk)]
+def simulate_eval_blocks(chan: ch.DiscreteChannel, n_blk: int, n: int,
+                         rng) -> ch.Blocks:
+    """n_blk fresh blocks of n symbols, drawn one block after another."""
+    parts = [ch.random_block(chan, n, rng) for _ in range(n_blk)]
+    return ch.Blocks(x=np.concatenate([b.x for b in parts]),
+                     y=np.concatenate([b.y for b in parts]),
+                     p_tx=np.concatenate([b.p_tx for b in parts]))
 
 
 def estimate_stage_rate(detector, chan: ch.DiscreteChannel, plan: SicPlan, s: int,

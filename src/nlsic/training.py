@@ -60,13 +60,11 @@ class TrainDivergence(RuntimeError):
 
 @dataclass
 class TrainLog:
-    iters: list = field(default_factory=list)
     loss_bits: list = field(default_factory=list)
     grad_norm: list = field(default_factory=list)
     clamp_events: int = 0
 
-    def append(self, iteration: int, loss: float, gnorm: float):
-        self.iters.append(iteration)
+    def append(self, loss: float, gnorm: float):
         self.loss_bits.append(loss)
         self.grad_norm.append(gnorm)
 
@@ -74,7 +72,7 @@ class TrainLog:
         """Deterministic columns only; wall time lives in the run manifest."""
         with open(path, "w", newline="") as fh:
             fh.write("iter,loss_bits,grad_norm\n")
-            for i, lo, gn in zip(self.iters, self.loss_bits, self.grad_norm):
+            for i, (lo, gn) in enumerate(zip(self.loss_bits, self.grad_norm)):
                 fh.write(f"{i},{lo:.10f},{gn:.10f}\n")
 
 
@@ -268,7 +266,7 @@ def calibrate_normalization(chan: ch.DiscreteChannel,
     operating power: observations to zero mean/unit variance, decided-symbol
     inputs to unit RMS."""
     rows = ch.draw_symbols(chan, (8, CALIBRATION_SYMBOLS // 8), rng)
-    _, y = ch.simulate_batch(chan, rows, rng)
+    y = ch.simulate_batch(chan, rows, rng).y
     sym_rms = float(np.sqrt(np.mean(chan.levels**2)))
     return Normalization(y_mean=float(np.mean(y)), y_std=float(np.std(y)),
                          sym_scale=1.0 / sym_rms)
@@ -279,10 +277,10 @@ def make_batch(chan: ch.DiscreteChannel, indexer: InputIndexer, norm: Normalizat
     """Fresh simulated batch of short blocks in network coordinates."""
     plan, s = indexer.plan, indexer.shape.s
     rows = ch.draw_symbols(chan, (n_batch, plan.n), rng)
-    x_emit, y = ch.simulate_batch(chan, rows, rng)
-    decided = x_emit[:, plan.known_positions(s)]
-    inputs = gather_inputs(indexer, y, decided, norm)
-    targets = chan.symbol_indices(x_emit[:, plan.stage_positions(s)])
+    blocks = ch.simulate_batch(chan, rows, rng)
+    decided = blocks.x[:, plan.known_positions(s)]
+    inputs = gather_inputs(indexer, blocks.y, decided, norm)
+    targets = chan.symbol_indices(blocks.x[:, plan.stage_positions(s)])
     return Batch(inputs=inputs, targets=targets)
 
 
@@ -327,7 +325,7 @@ def train_stage(chan: ch.DiscreteChannel, plan: SicPlan, s: int, shape: RnnShape
         grads, bits, clamps = backward(model, batch, ws)
         opt.step(model, grads)
         log.clamp_events += clamps
-        log.append(it, bits, grad_global_norm(grads))
+        log.append(bits, grad_global_norm(grads))
         over = over + 1 if bits > ceiling else 0
         if over >= DIVERGENCE_PATIENCE:
             raise TrainDivergence(it, log.loss_bits)

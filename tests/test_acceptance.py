@@ -56,19 +56,17 @@ def test_criterion_1_fba_oracle_equivalence():
         clean = dataclasses.replace(
             chan, config=dataclasses.replace(chan.config, noise_variance=0.0))
         seqs = np.array(list(itertools.product(range(2), repeat=n)))
-        means = np.stack([ch.simulate_block(clean, chan.levels[s]).y
-                          for s in seqs])
+        means = ch.simulate_batch(clean, chan.levels[seqs]).y
         worst = 0.0
         for _ in range(100):
             blk = ch.random_block(chan, n, rng)
-            logls = -np.sum((blk.y[None, :] - means) ** 2, axis=1) / 2.0
+            logls = -np.sum((blk.y - means) ** 2, axis=1) / 2.0
             w = np.exp(logls - logls.max())
             w /= w.sum()
             post = np.zeros((n, 2))
             for weight, s in zip(w, seqs):
                 post[np.arange(n), s] += weight
-            app = fba.fba_apps(aux, blk.y[None],
-                               sic.stage_view(plan, 1, blk.x[None]))
+            app = fba.fba_apps(aux, blk.y, sic.stage_view(plan, 1, blk.x))
             worst = max(worst, float(np.abs(app.probs[0] - post).max()))
         assert worst < 1e-9, worst
     elapsed = time.perf_counter() - t0
@@ -213,7 +211,7 @@ def test_criterion_6_noise_model():
                            nonlinearity=ch.SquareLaw(), noise_variance=1.0)
     chan = ch.make_channel(cfg, k_g=303).with_transmit_power(1e-12)
     rng = np.random.default_rng(4242)
-    w = np.concatenate([ch.random_block(chan, 50_000, rng).y for _ in range(10)])
+    w = np.concatenate([ch.random_block(chan, 50_000, rng).y[0] for _ in range(10)])
     assert len(w) >= 1_000_000
     lag0 = float(np.mean(w * w))
     assert abs(lag0 - 1.0) < 0.01
@@ -263,11 +261,11 @@ def test_criterion_8_gibbs_sanity():
     aux = fba.build_aux_channel(chan, memory=0)
     n = 16
     blk = ch.random_block(chan, n, np.random.default_rng(3))
-    view = sic.stage_view(sic.SicPlan(1, n), 1, blk.x[None])
+    view = sic.stage_view(sic.SicPlan(1, n), 1, blk.x)
     gcfg = gibbs.GibbsConfig(memory=0, n_iter=2000, n_par=8, burn_in=25)
-    app = gibbs.gibbs_apps(aux, blk.y[None], view, gcfg, np.random.default_rng(11))
+    app = gibbs.gibbs_apps(aux, blk.y, view, gcfg, np.random.default_rng(11))
     r = chan.levels[1]
-    p_plus = 1.0 / (1.0 + np.exp(-2.0 * blk.y * r))
+    p_plus = 1.0 / (1.0 + np.exp(-2.0 * blk.y[0] * r))
     tv = 0.5 * np.abs(app.probs[0] - np.stack([1 - p_plus, p_plus], axis=1)).sum(axis=1)
     elapsed = time.perf_counter() - t0
     assert tv.max() < 0.02, tv.max()

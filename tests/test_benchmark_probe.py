@@ -1,7 +1,9 @@
 """The benchmark's set-up probe (`perfbench/child.py setup CONFIG`) runs
 against this tree on every workload's config, so its setup_s stays
-measurable when a signature the probe calls changes."""
+measurable when a signature the probe calls changes; and the names its
+tracer binds in this tree still exist and are called as it counts them."""
 
+import collections
 import importlib.util
 import os
 import subprocess
@@ -14,10 +16,16 @@ import yaml
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 
-_spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                               PERFBENCH / "workloads.py")
-workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(workloads)
+
+def _load(name, filename):
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / filename)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load("perfbench_workloads", "workloads.py")
+tracer = _load("perfbench_tracer", "tracer.py")
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
@@ -33,3 +41,24 @@ def test_setup_probe_imports_this_tree(tmp_path, name):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith(str(ROOT / "src")), done.stdout
+
+
+def test_tracer_counts_the_upper_bound_blocks(tmp_path):
+    """The tracer reads the length of fba_ub's `blocks` argument and counts
+    channel.random_block calls: one per block for each stage and for the
+    bound.  One sweep point runs in this process, so every call is seen."""
+    from nlsic import cli
+
+    cfg = workloads.WORKLOADS["fba-sic"].config_for(1)
+    n_blk, stages = 2, cfg["sic"]["stages"]
+    cfg["sweep"] = {"p_tx_db": cfg["sweep"]["p_tx_db"][:1]}
+    cfg["eval"] = {**cfg["eval"], "n_blk": n_blk, "n": 24}
+    cfg["output_dir"] = str(tmp_path / "out")
+    path = tmp_path / "exp.yaml"
+    path.write_text(yaml.safe_dump(cfg, sort_keys=False))
+    with tracer.Tracer() as tr:
+        assert cli.main(["evaluate", "-c", str(path)]) == 0
+    calls = collections.Counter(tr.names[nid] for nid in tr.name_id)
+    assert tr.extra["fba.fba_ub.blocks"] == n_blk
+    assert calls["fba.fba_ub"] == 1
+    assert calls["channel.random_block"] == (stages + 1) * n_blk

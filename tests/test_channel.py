@@ -175,23 +175,23 @@ class TestSimulateBlock:
         cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(2), n_os=1, n_sim=1,
                                nonlinearity=ch.Identity(), noise_variance=0.0)
         chan = ch.make_channel(cfg, g=ch.FirFilter(taps=np.array([1.0]), rate=1))
-        blk = ch.simulate_block(chan, np.array([1.0, -1.0, 1.0]))
-        assert np.allclose(blk.y, [1.0, -1.0, 1.0])
+        blk = ch.simulate_batch(chan, [[1.0, -1.0, 1.0]])
+        assert np.allclose(blk.y[0], [1.0, -1.0, 1.0])
 
     def test_impulse_passthrough_oversampled(self):
         # centered sampling grid: the per-symbol chunk ends at the symbol center
         cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(2), n_os=2, n_sim=2,
                                nonlinearity=ch.Identity(), noise_variance=0.0)
         chan = ch.make_channel(cfg, g=ch.FirFilter(taps=np.array([0.0, 1.0, 0.0]), rate=2))
-        blk = ch.simulate_block(chan, np.array([1.0, -1.0]))
-        assert np.allclose(blk.y, [0.0, 1.0, 0.0, -1.0])
+        blk = ch.simulate_batch(chan, [[1.0, -1.0]])
+        assert np.allclose(blk.y[0], [0.0, 1.0, 0.0, -1.0])
 
     def test_square_law_single_symbol(self):
         cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(4), n_os=1, n_sim=2,
                                nonlinearity=ch.SquareLaw(), noise_variance=0.0)
         chan = ch.make_channel(cfg, g=ch.FirFilter(taps=np.array([0.0, 1.0, 0.0]), rate=2))
-        blk = ch.simulate_block(chan, np.array([-3.0]))
-        assert np.allclose(blk.y, [9.0])
+        blk = ch.simulate_batch(chan, [[-3.0]])
+        assert np.allclose(blk.y[0], [9.0])
 
     def test_matches_plain_numpy_pipeline(self):
         """Production path equals an independently coded linear-conv oracle."""
@@ -202,7 +202,7 @@ class TestSimulateBlock:
         h = ch.FirFilter(taps=np.array([0.25, 0.5, 0.25]), rate=2).normalized(1.0)
         chan = ch.DiscreteChannel(config=cfg, g=g, h=h)
         x = chan.levels[rng.integers(0, 4, 12)]
-        blk = ch.simulate_block(chan, x)
+        y = ch.simulate_batch(chan, x[None]).y[0]
 
         guard = len(g) // 2 + len(h) // 2
         padded = np.concatenate([np.zeros(guard), x, np.zeros(guard)])
@@ -211,7 +211,7 @@ class TestSimulateBlock:
         s = np.convolve(fine, g.taps, mode="same")
         z = np.convolve(s**2, h.taps, mode="same")
         expect = [z[2 * (guard - 1) + k] for k in range(1, 2 * len(x) + 1)]
-        assert np.allclose(blk.y, expect, atol=1e-12)
+        assert np.allclose(y, expect, atol=1e-12)
 
     def test_guard_zero_sufficiency(self):
         """Independently simulated blocks concatenate sample-exactly."""
@@ -221,11 +221,11 @@ class TestSimulateBlock:
         rng = np.random.default_rng(5)
         x1 = ch.draw_symbols(chan, 7, rng)
         x2 = ch.draw_symbols(chan, 9, rng)
-        y1 = ch.simulate_block(chan, x1).y
-        y2 = ch.simulate_block(chan, x2).y
+        y1 = ch.simulate_batch(chan, x1[None]).y[0]
+        y2 = ch.simulate_batch(chan, x2[None]).y[0]
         gap = 2 * chan.guard_symbols
         xcat = np.concatenate([x1, np.zeros(gap), x2])
-        ycat = ch.simulate_block(chan, xcat).y
+        ycat = ch.simulate_batch(chan, xcat[None]).y[0]
         n_os = chan.config.n_os
         assert np.array_equal(ycat[:n_os * 7], y1)
         assert np.array_equal(ycat[n_os * (7 + gap):], y2)
@@ -242,7 +242,11 @@ class TestSimulateBlock:
 
     def test_empty_block_rejected(self):
         with pytest.raises(ValueError):
-            ch.simulate_block(toy_linear_channel(0.0), np.array([]))
+            ch.Blocks(x=np.zeros((1, 0)), y=np.zeros((1, 0)), p_tx=np.zeros(1))
+        with pytest.raises(ValueError):
+            ch.Blocks(x=np.zeros((2, 4)), y=np.zeros((1, 8)), p_tx=np.zeros(2))
+        with pytest.raises(ValueError):
+            ch.Blocks(x=np.zeros((1, 4)), y=np.zeros((1, 6)), p_tx=np.zeros(1))
 
     def test_batch_matches_single(self):
         """Batch rows equal single blocks bit for bit, noise included: real
@@ -255,29 +259,33 @@ class TestSimulateBlock:
             chan = ch.make_channel(cfg, k_g=7, k_h=k_h).with_transmit_power_db(3.0)
             rng = np.random.default_rng(2)
             rows = np.stack([ch.draw_symbols(chan, 10, rng) for _ in range(5)])
-            x_emit, y = ch.simulate_batch(chan, rows, np.random.default_rng(8))
+            batch = ch.simulate_batch(chan, rows, np.random.default_rng(8))
             rng_single = np.random.default_rng(8)
             for i in range(5):
-                blk = ch.simulate_block(chan, rows[i], rng_single)
-                assert np.array_equal(x_emit[i], blk.x)
-                assert np.array_equal(y[i], blk.y)
+                blk = ch.simulate_batch(chan, rows[i:i + 1], rng_single)
+                assert np.array_equal(batch.x[i:i + 1], blk.x)
+                assert np.array_equal(batch.y[i:i + 1], blk.y)
+                assert np.array_equal(batch.p_tx[i:i + 1], blk.p_tx)
 
-    def test_one_row_batch_is_the_block(self):
+    def test_random_block_is_a_one_row_batch(self):
         """Fiber, square law and a multi-tap receiver on the fine-grid noise
-        path: a one-row batch is the block under an equally seeded
-        generator."""
+        path: random_block draws its symbols as n values, then simulates
+        them as a one-row batch, from one generator."""
         fiber = ch.FiberParams(length_km=20.0, beta2_s2_per_km=-1e-2)
         cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(4), n_os=2, n_sim=4,
                                nonlinearity=ch.SquareLaw(), fiber=fiber,
                                noise_variance=0.5)
         chan = ch.make_channel(cfg, k_g=13, k_h=9).with_transmit_power_db(2.0)
         assert np.iscomplexobj(chan.g.taps)
-        x = ch.draw_symbols(chan, 24, np.random.default_rng(4))
-        blk = ch.simulate_block(chan, x, np.random.default_rng(5))
-        x_emit, y = ch.simulate_batch(chan, x[None], np.random.default_rng(5))
+        blk = ch.random_block(chan, 24, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        x = ch.draw_symbols(chan, 24, rng)
+        ref = ch.simulate_batch(chan, x[None], rng)
         assert blk.y.dtype == np.float64
-        assert np.array_equal(x_emit[0], blk.x)
-        assert np.array_equal(y[0], blk.y)
+        assert (len(blk), blk.y.shape) == (1, (1, 48))
+        assert np.array_equal(ref.x, blk.x)
+        assert np.array_equal(ref.y, blk.y)
+        assert np.array_equal(ref.p_tx, blk.p_tx)
 
     def test_batch_leaves_scipy_unimported(self):
         """The simulator runs on numpy alone; scipy is a test dependency."""
@@ -356,7 +364,7 @@ class TestNoise:
         samples = []
         n = 50_000
         for _ in range(10):
-            samples.append(ch.random_block(chan, n, rng).y)
+            samples.append(ch.random_block(chan, n, rng).y[0])
         w = np.concatenate(samples)
         n_tot = len(w)
         assert n_tot >= 1_000_000
@@ -382,9 +390,9 @@ class TestNoise:
             rng = np.random.default_rng(23)
             n = 20_000 // n_os
             if simulate == "random_block":
-                rows = [ch.random_block(chan, n, rng).y for _ in range(10)]
+                rows = [ch.random_block(chan, n, rng).y[0] for _ in range(10)]
             else:
-                rows = ch.simulate_batch(chan, ch.draw_symbols(chan, (10, n), rng), rng)[1]
+                rows = ch.simulate_batch(chan, ch.draw_symbols(chan, (10, n), rng), rng).y
             y = np.concatenate(rows)
             y = y - np.mean(y)
             hn = h.normalized(1.0).taps
@@ -433,15 +441,15 @@ class TestPrecoding:
 
 class TestTransmitPower:
     def test_zero_input(self):
-        blk = ch.simulate_block(toy_linear_channel(0.0), np.zeros(16))
-        assert blk.p_tx == 0.0
+        blk = ch.simulate_batch(toy_linear_channel(0.0), np.zeros((1, 16)))
+        assert blk.p_tx[0] == 0.0
 
     def test_unit_variance_symbols(self):
         cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(2), n_os=2, n_sim=2,
                                nonlinearity=ch.Identity(), noise_variance=0.0)
         chan = ch.make_channel(cfg, k_g=41)
         rng = np.random.default_rng(37)
-        p = np.mean([ch.random_block(chan, 400, rng).p_tx for _ in range(20)])
+        p = np.mean([ch.random_block(chan, 400, rng).p_tx[0] for _ in range(20)])
         assert p == pytest.approx(1.0, rel=0.02)
 
     def test_4ask_mean_power_five(self):
@@ -450,11 +458,11 @@ class TestTransmitPower:
                                nonlinearity=ch.Identity(), noise_variance=0.0)
         chan = ch.make_channel(cfg, k_g=41)
         rng = np.random.default_rng(41)
-        p = np.mean([ch.random_block(chan, 400, rng).p_tx for _ in range(20)])
+        p = np.mean([ch.random_block(chan, 400, rng).p_tx[0] for _ in range(20)])
         assert p == pytest.approx(5.0, rel=0.03)
 
     def test_power_scaling_hits_target(self):
         chan = toy_linear_channel(0.0).with_transmit_power_db(7.0)
         rng = np.random.default_rng(43)
-        p = np.mean([ch.random_block(chan, 500, rng).p_tx for _ in range(20)])
+        p = np.mean([ch.random_block(chan, 500, rng).p_tx[0] for _ in range(20)])
         assert 10 * np.log10(p) == pytest.approx(7.0, abs=0.15)

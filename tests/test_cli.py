@@ -79,6 +79,15 @@ def sidecar_rng(stem):
     return np.random.default_rng(np.random.SeedSequence(seed))
 
 
+def read_block(stem) -> ch.Blocks:
+    """The block simulate dumped at stem, as a batch of one."""
+    meta = json.loads(stem.with_suffix(".json").read_text())
+    raw = np.frombuffer(stem.with_suffix(".bin").read_bytes(), dtype="<f8")
+    assert len(raw) == meta["n"] + meta["n_y"]
+    return ch.Blocks(x=raw[None, :meta["n"]], y=raw[None, meta["n"]:],
+                     p_tx=np.array([meta["p_tx_measured"]]))
+
+
 class TestSimulate:
     def test_dumps_are_byte_identical_across_runs(self, tmp_path):
         path = toy_yaml(tmp_path, sweep=(3.0,), n_blk=3)
@@ -96,12 +105,13 @@ class TestSimulate:
         cli.main(["simulate", "-c", str(path)])
         run_dir = run_dir_for(path)
         stem = sorted((run_dir / "blocks").glob("*.bin"))[0].with_suffix("")
-        blk = cli.read_block(stem)
+        blk = read_block(stem)
         cfg = cfgmod.load_config(path)
         chan = cfgmod.build_channel(cfg).with_transmit_power_db(3.0)
         direct = ch.random_block(chan, cfg.eval_n, sidecar_rng(stem))
         assert np.array_equal(blk.x, direct.x)
         assert np.array_equal(blk.y, direct.y)
+        assert np.array_equal(blk.p_tx, direct.p_tx)
 
     def test_points_sharing_a_file_tag_rejected(self, tmp_path, capsys):
         path = toy_yaml(tmp_path, sweep=(3.0, 3.0004), n_blk=1)
@@ -148,7 +158,7 @@ class TestDispersiveFiber:
         stems = sorted((run_dir_for(path) / "blocks").glob("*.bin"))
         assert len(stems) == 2
         for stem in stems:
-            blk = cli.read_block(stem.with_suffix(""))
+            blk = read_block(stem.with_suffix(""))
             direct = ch.random_block(chan, cfg.eval_n,
                                      sidecar_rng(stem.with_suffix("")))
             assert direct.y.dtype == np.float64

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from nlsic import channel as ch
-from nlsic import apps, fba, sic
+from nlsic import apps, fba, rates, sic
 from nlsic.apps import MultCounter
 
 
@@ -37,9 +37,9 @@ def noiseless(chan):
         chan, config=dataclasses.replace(chan.config, noise_variance=0.0))
 
 
-def block_apps(aux, blk, plan, s=1):
-    """APPs of one block at stage s, as an AppMatrix over one block."""
-    return fba.fba_apps(aux, blk.y[None], sic.stage_view(plan, s, blk.x[None]))
+def block_apps(aux, blocks, plan, s=1):
+    """APPs of a batch of blocks at stage s."""
+    return fba.fba_apps(aux, blocks.y, sic.stage_view(plan, s, blocks.x))
 
 
 def exhaustive_posteriors(chan, y, n, sigma2, view=None):
@@ -54,8 +54,8 @@ def exhaustive_posteriors(chan, y, n, sigma2, view=None):
         if view is not None and len(view.known_idx):
             if not np.allclose(xs[view.known_idx], view.known_val[0], atol=1e-12):
                 continue
-        blk = ch.simulate_block(clean, xs)
-        logls[i] = -np.sum((y - blk.y) ** 2) / (2.0 * sigma2)
+        mean = ch.simulate_batch(clean, xs[None]).y[0]
+        logls[i] = -np.sum((y - mean) ** 2) / (2.0 * sigma2)
     w = np.exp(logls - logls.max())
     w /= w.sum()
     post = np.zeros((n, m))
@@ -79,10 +79,10 @@ class TestAuxChannel:
         assert aux.is_exact
         rng = np.random.default_rng(1)
         ctx = chan.levels[rng.integers(0, 2, 3)]
-        blk = ch.simulate_block(noiseless(chan), ctx)
+        y = ch.simulate_batch(noiseless(chan), ctx[None]).y[0]
         q = len(ctx) - aux.future            # chunk slot of the newest window
         got = aux.mean_contexts(ctx[None, :])[0]
-        assert np.allclose(got, blk.y[aux.n_os * (q - 1):aux.n_os * q], atol=1e-12)
+        assert np.allclose(got, y[aux.n_os * (q - 1):aux.n_os * q], atol=1e-12)
 
     def test_truncated_memory_is_documented_mismatch(self):
         chan = linear_2ask_channel()
@@ -108,10 +108,10 @@ class TestAuxChannel:
         aux = fba.build_aux_channel(chan, memory=chan.memory)
         rng = np.random.default_rng(2)
         ctx = chan.levels[rng.integers(0, 2, aux.window)]
-        blk = ch.simulate_block(noiseless(chan), ctx)
+        y = ch.simulate_batch(noiseless(chan), ctx[None]).y[0]
         q = aux.window - aux.future
         got = aux.mean_contexts(ctx[None, :])[0]
-        assert np.allclose(got, blk.y[aux.n_os * (q - 1):aux.n_os * q], atol=1e-12)
+        assert np.allclose(got, y[aux.n_os * (q - 1):aux.n_os * q], atol=1e-12)
 
 
 class TestFbaApp:
@@ -124,7 +124,7 @@ class TestFbaApp:
         n = 12
         blk = ch.random_block(chan, n, rng)
         app = block_apps(aux, blk, sic.SicPlan(1, n))
-        expect = 1.0 / (1.0 + np.exp(-2.0 * blk.y * r))
+        expect = 1.0 / (1.0 + np.exp(-2.0 * blk.y[0] * r))
         assert np.allclose(app.probs[0, :, 1], expect, atol=1e-12)
 
     @pytest.mark.parametrize("maker,power_db", [
@@ -140,7 +140,7 @@ class TestFbaApp:
         for _ in range(5):
             blk = ch.random_block(chan, n, rng)
             app = block_apps(aux, blk, plan)
-            post = exhaustive_posteriors(chan, blk.y, n, 1.0)
+            post = exhaustive_posteriors(chan, blk.y[0], n, 1.0)
             assert np.abs(app.probs[0] - post).max() < 1e-9
 
     def test_exhaustive_posterior_with_pinning(self):
@@ -150,9 +150,9 @@ class TestFbaApp:
         n = 6
         plan = sic.SicPlan(2, n)
         blk = ch.random_block(chan, n, rng)
-        view = sic.stage_view(plan, 2, blk.x[None])
-        app = fba.fba_apps(aux, blk.y[None], view)
-        post = exhaustive_posteriors(chan, blk.y, n, 1.0, view=view)
+        view = sic.stage_view(plan, 2, blk.x)
+        app = fba.fba_apps(aux, blk.y, view)
+        post = exhaustive_posteriors(chan, blk.y[0], n, 1.0, view=view)
         assert np.abs(app.probs[0] - post[view.targets]).max() < 1e-9
 
     def test_all_known_but_one_noiseless_point_mass(self):
@@ -161,13 +161,13 @@ class TestFbaApp:
         rng = np.random.default_rng(9)
         n = 7
         x = ch.draw_symbols(chan, n, rng)
-        blk = ch.simulate_block(noiseless(chan), x)
+        blk = ch.simulate_batch(noiseless(chan), x[None])
         free = 3
         idx = np.array([i for i in range(n) if i != free])
         # one symbol per stage: stage free+1 targets the free position only
         view = sic.StageView(plan=sic.SicPlan(n, n), s=free + 1,
                              known_idx=idx, known_val=x[idx][None])
-        app = fba.fba_apps(aux, blk.y[None], view)
+        app = fba.fba_apps(aux, blk.y, view)
         truth = chan.symbol_indices(x[free:free + 1])[0]
         assert app.positions.tolist() == [free]
         assert app.probs[0, 0, truth] == pytest.approx(1.0, abs=1e-9)
@@ -193,7 +193,7 @@ class TestFbaApp:
         for _ in range(120):
             blk = ch.random_block(chan, n, rng)
             targets = plan.stage_positions(2)
-            truth = chan.symbol_indices(blk.x[targets])
+            truth = chan.symbol_indices(blk.x[0, targets])
             sdd = block_apps(aux, blk, sic.SicPlan(1, n)).probs[0, targets]
             cond = block_apps(aux, blk, plan, 2).probs[0]
             p_sdd = sdd[np.arange(len(targets)), truth]
@@ -210,11 +210,11 @@ class TestFbaApp:
         rng = np.random.default_rng(15)
         n, shift = 80, 2
         blk = ch.random_block(chan, n, rng)
-        x2 = np.roll(blk.x, shift)
-        y2 = np.roll(blk.y, shift * chan.config.n_os)
+        x2 = np.roll(blk.x, shift, axis=1)
+        y2 = np.roll(blk.y, shift * chan.config.n_os, axis=1)
         plan = sic.SicPlan(1, n)
-        app1 = fba.fba_apps(aux, blk.y[None], sic.stage_view(plan, 1, blk.x[None]))
-        app2 = fba.fba_apps(aux, y2[None], sic.stage_view(plan, 1, x2[None]))
+        app1 = block_apps(aux, blk, plan)
+        app2 = fba.fba_apps(aux, y2, sic.stage_view(plan, 1, x2))
         margin = 20
         inner = np.arange(margin, n - margin)
         assert np.abs(app2.probs[0, inner + shift]
@@ -238,9 +238,11 @@ class TestBatchedStage:
         chan = square_law_4ask_channel()
         aux = fba.build_aux_channel(chan, memory=3)
         rng = np.random.default_rng(33)
-        blocks = [ch.random_block(chan, 24, rng) for _ in range(5)]
         # a one-block bound is that block's (log q(y|x) - log q(y)) / (n ln 2)
-        terms = np.array([fba.fba_ub(aux, [blk])[0] for blk in blocks])
+        terms = np.array([fba.fba_ub(aux, ch.random_block(chan, 24, rng))[0]
+                          for _ in range(5)])
+        # the same five blocks as one batch
+        blocks = rates.simulate_eval_blocks(chan, 5, 24, np.random.default_rng(33))
         monkeypatch.setattr(apps, "SLICE_BYTES", slice_bytes)
         ub, se = fba.fba_ub(aux, blocks)
         assert ub == np.mean(terms)
@@ -276,7 +278,7 @@ class TestUpperBound:
         chan = ch.make_channel(cfg, g=ch.FirFilter(taps=np.array([1.0]), rate=1))
         aux = fba.build_aux_channel(chan, memory=0)
         rng = np.random.default_rng(17)
-        blocks = [ch.random_block(chan, 64, rng) for _ in range(8)]
+        blocks = rates.simulate_eval_blocks(chan, 8, 64, rng)
         ub, se = fba.fba_ub(aux, blocks)
         assert ub == pytest.approx(2.0, abs=max(3 * se, 1e-3))
 
@@ -284,7 +286,7 @@ class TestUpperBound:
         chan = linear_2ask_channel().with_transmit_power(1e-10)
         aux = fba.build_aux_channel(chan, memory=2)
         rng = np.random.default_rng(19)
-        blocks = [ch.random_block(chan, 64, rng) for _ in range(8)]
+        blocks = rates.simulate_eval_blocks(chan, 8, 64, rng)
         ub, se = fba.fba_ub(aux, blocks)
         assert abs(ub) < max(3 * se, 1e-3)
 
@@ -295,21 +297,20 @@ class TestUpperBound:
         aux = fba.build_aux_channel(chan, memory=2)
         rng = np.random.default_rng(21)
         n, n_blk = 48, 30
-        blocks = [ch.random_block(chan, n, rng) for _ in range(n_blk)]
-        x = np.stack([blk.x for blk in blocks])
-        app = fba.fba_apps(aux, np.stack([blk.y for blk in blocks]),
-                           sic.stage_view(sic.SicPlan(1, n), 1, x))
-        lb_vals = 1.0 + app.log2_prob_of(chan.symbol_indices(x)).mean(axis=1)
+        blocks = rates.simulate_eval_blocks(chan, n_blk, n, rng)
+        app = block_apps(aux, blocks, sic.SicPlan(1, n))
+        lb_vals = 1.0 + app.log2_prob_of(chan.symbol_indices(blocks.x)).mean(axis=1)
         lb = float(np.mean(lb_vals))
         lb_se = fba.jackknife_stderr(lb_vals)
         ub, ub_se = fba.fba_ub(aux, blocks)
         assert ub >= lb - 3.0 * np.hypot(lb_se, ub_se)
 
-    def test_empty_block_list_rejected(self):
+    def test_empty_batch_rejected(self):
         chan = linear_2ask_channel()
         aux = fba.build_aux_channel(chan, memory=2)
+        empty = ch.Blocks(x=np.zeros((0, 8)), y=np.zeros((0, 8)), p_tx=np.zeros(0))
         with pytest.raises(ValueError):
-            fba.fba_ub(aux, [])
+            fba.fba_ub(aux, empty)
 
 
 class TestCounting:
@@ -320,9 +321,9 @@ class TestCounting:
         n = 16
         rng = np.random.default_rng(23)
         blk = ch.random_block(chan, n, rng)
-        view = sic.stage_view(sic.SicPlan(1, n), 1, blk.x[None])
+        view = sic.stage_view(sic.SicPlan(1, n), 1, blk.x)
         counter = MultCounter()
-        fba.fba_apps(aux, blk.y[None], view, counter=counter)
+        fba.fba_apps(aux, blk.y, view, counter=counter)
         w = 2  # |A|^(memory+1)
         hand = n * 2 * aux.n_os * w + 2 * (n + aux.future) * w + n * 2 * w
         assert counter.total == hand
@@ -333,19 +334,17 @@ class TestCounting:
         aux = fba.build_aux_channel(chan, memory=2)
         n, s_stages = 12, 2
         rng = np.random.default_rng(25)
-        blk = ch.random_block(chan, n, rng)
+        blocks = rates.simulate_eval_blocks(chan, 3, n, rng)
+        x, y = blocks.x, blocks.y
         counter = MultCounter()
         for s in range(1, s_stages + 1):
-            view = sic.stage_view(sic.SicPlan(s_stages, n), s, blk.x[None])
-            fba.fba_apps(aux, blk.y[None], view, counter=counter)
+            view = sic.stage_view(sic.SicPlan(s_stages, n), s, x[:1])
+            fba.fba_apps(aux, y[:1], view, counter=counter)
         per_app = counter.total / n
         assert per_app == pytest.approx(fba.count_fba_multiplications(aux, n, s_stages))
 
         # a whole stage in one call executes exactly the per-block counts
         plan = sic.SicPlan(s_stages, n)
-        blocks = [blk] + [ch.random_block(chan, n, rng) for _ in range(2)]
-        x = np.stack([b.x for b in blocks])
-        y = np.stack([b.y for b in blocks])
         per_block, batched = MultCounter(), MultCounter()
         for s in range(1, s_stages + 1):
             for i in range(len(blocks)):

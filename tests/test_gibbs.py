@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from nlsic import channel as ch
-from nlsic import apps, fba, gibbs, parallel, sic
+from nlsic import apps, fba, gibbs, parallel, rates, sic
 from nlsic.apps import MultCounter
 
 
@@ -19,14 +19,10 @@ def memoryless_channel(alphabet, p_tx=1.5, noise=1.0):
     return chan.with_transmit_power(p_tx)
 
 
-def block_apps(aux, blk, plan, cfg, rng, s=1):
-    """Sampled APPs of one block at stage s, (N, M)."""
-    view = sic.stage_view(plan, s, blk.x[None])
-    return gibbs.gibbs_apps(aux, blk.y[None], view, cfg, rng).probs[0]
-
-
-def stacked(blocks):
-    return np.stack([blk.x for blk in blocks]), np.stack([blk.y for blk in blocks])
+def block_apps(aux, blk, cfg, rng):
+    """Sampled stage-1 APPs of a one-block batch, (N, M)."""
+    view = sic.stage_view(sic.SicPlan(1, blk.x.shape[1]), 1, blk.x)
+    return gibbs.gibbs_apps(aux, blk.y, view, cfg, rng).probs[0]
 
 
 def memoryless_posterior(chan, y):
@@ -79,9 +75,8 @@ class TestStationaryDistribution:
         n = 16
         blk = ch.random_block(chan, n, rng)
         cfg = gibbs.GibbsConfig(memory=0, n_iter=2000, n_par=8, burn_in=25)
-        probs = block_apps(aux, blk, sic.SicPlan(1, n), cfg,
-                           np.random.default_rng(11))
-        post = memoryless_posterior(chan, blk.y)
+        probs = block_apps(aux, blk, cfg, np.random.default_rng(11))
+        post = memoryless_posterior(chan, blk.y[0])
         tv = 0.5 * np.abs(probs - post).sum(axis=1)
         assert tv.max() < 0.02
 
@@ -92,9 +87,8 @@ class TestStationaryDistribution:
         rng = np.random.default_rng(5)
         blk = ch.random_block(chan, 3, rng)
         cfg = gibbs.GibbsConfig(memory=0, n_iter=10_000, n_par=4, burn_in=100)
-        probs = block_apps(aux, blk, sic.SicPlan(1, 3), cfg,
-                           np.random.default_rng(13))
-        post = memoryless_posterior(chan, blk.y)
+        probs = block_apps(aux, blk, cfg, np.random.default_rng(13))
+        post = memoryless_posterior(chan, blk.y[0])
         tv = 0.5 * np.abs(probs - post).sum(axis=1)
         assert tv.max() < 0.02
 
@@ -107,11 +101,10 @@ class TestStationaryDistribution:
         import dataclasses
         clean = dataclasses.replace(
             chan, config=dataclasses.replace(chan.config, noise_variance=0.0))
-        blk = ch.simulate_block(clean, x)
+        blk = ch.simulate_batch(clean, x[None])
         cfg = gibbs.GibbsConfig(memory=0, n_iter=300, n_par=4, burn_in=25)
-        probs = block_apps(aux, blk, sic.SicPlan(1, n), cfg,
-                           np.random.default_rng(17))
-        truth = chan.symbol_indices(blk.x)
+        probs = block_apps(aux, blk, cfg, np.random.default_rng(17))
+        truth = chan.symbol_indices(blk.x[0])
         assert np.all(np.argmax(probs, axis=1) == truth)
         assert probs[np.arange(n), truth].min() > 0.99
 
@@ -124,13 +117,13 @@ class TestStationaryDistribution:
         rng = np.random.default_rng(19)
         n, n_par, n_iter, burn_in = 8, 2, 60, 10
         blk = ch.random_block(chan, n, rng)
-        truth = chan.symbol_indices(blk.x)
+        truth = chan.symbol_indices(blk.x[0])
         unknown = sic.SicPlan(2, n).stage_positions(2)
         known = sic.SicPlan(2, n).known_positions(2)
         chain_rngs = np.random.default_rng(23).spawn(n_par)
         states = np.tile(truth, (n_par, 1))
         states[:, unknown] = 0
-        counts = gibbs._sweep_chains(aux, blk.y[None], unknown, states,
+        counts = gibbs._sweep_chains(aux, blk.y, unknown, states,
                                      chain_rngs, n_iter, burn_in)[0]
         kept = (n_iter - burn_in) * n_par
         assert np.all(counts[known, truth[known]] == kept)
@@ -147,10 +140,10 @@ class TestStationaryDistribution:
         rng = np.random.default_rng(29)
         n = 10
         blk = ch.random_block(chan, n, rng)
-        view = sic.stage_view(sic.SicPlan(1, n), 1, blk.x[None])
-        exact = fba.fba_apps(aux, blk.y[None], view)
+        view = sic.stage_view(sic.SicPlan(1, n), 1, blk.x)
+        exact = fba.fba_apps(aux, blk.y, view)
         cfg = gibbs.GibbsConfig(memory=2, n_iter=4000, n_par=8, burn_in=50)
-        app = gibbs.gibbs_apps(aux, blk.y[None], view, cfg,
+        app = gibbs.gibbs_apps(aux, blk.y, view, cfg,
                                np.random.default_rng(31))
         tv = 0.5 * np.abs(app.probs - exact.probs).sum(axis=2)
         assert tv.max() < 0.05
@@ -173,12 +166,12 @@ class TestChainIndependence:
 
         unknown = np.arange(n)
         states, chain_rngs = draws(99)
-        batched = gibbs._sweep_chains(aux, blk.y[None], unknown, states,
+        batched = gibbs._sweep_chains(aux, blk.y, unknown, states,
                                       chain_rngs, n_iter, burn)
         states, chain_rngs = draws(99)
         serial = np.zeros_like(batched)
         for c in range(n_par):
-            serial += gibbs._sweep_chains(aux, blk.y[None], unknown,
+            serial += gibbs._sweep_chains(aux, blk.y, unknown,
                                           states[c:c + 1], chain_rngs[c:c + 1],
                                           n_iter, burn)
         assert np.array_equal(batched, serial)
@@ -201,10 +194,11 @@ class TestBatchedStage:
         aux, chan, cfg = self.make()
         n = 12
         rng = np.random.default_rng(53)
-        x, y = stacked([ch.random_block(chan, n, rng) for _ in range(3)])
+        blocks = rates.simulate_eval_blocks(chan, 3, n, rng)
+        view = sic.stage_view(sic.SicPlan(1, n), 1, blocks.x)
         counter = MultCounter()
-        gibbs.gibbs_apps(aux, y, sic.stage_view(sic.SicPlan(1, n), 1, x), cfg,
-                         np.random.default_rng(59), counter=counter)
+        gibbs.gibbs_apps(aux, blocks.y, view, cfg, np.random.default_rng(59),
+                         counter=counter)
         assert counter.total == pytest.approx(
             3 * gibbs.count_gs_multiplications(aux, cfg, 2, n) * n)
 
@@ -221,11 +215,11 @@ class TestChainSplit:
         aux, chan, cfg = TestBatchedStage().make()
         n = 12
         rng = np.random.default_rng(71)
-        x, y = stacked([ch.random_block(chan, n, rng) for _ in range(n_blk)])
-        view = sic.stage_view(sic.SicPlan(2, n), 2, x)
+        blocks = rates.simulate_eval_blocks(chan, n_blk, n, rng)
+        view = sic.stage_view(sic.SicPlan(2, n), 2, blocks.x)
         counter = MultCounter()
         [app], processes = parallel.parallel_map(
-            lambda _: gibbs.gibbs_apps(aux, y, view, cfg,
+            lambda _: gibbs.gibbs_apps(aux, blocks.y, view, cfg,
                                        np.random.default_rng(73),
                                        counter=counter), [0])
         return app, counter, processes
@@ -302,19 +296,19 @@ class TestColourSteps:
                                                 memory):
         aux, chan, cfg = self.make(m_symbols, memory)
         rng = np.random.default_rng(100 + 10 * m_symbols + memory)
-        x, y = stacked([ch.random_block(chan, 12, rng) for _ in range(3)])
+        blocks = rates.simulate_eval_blocks(chan, 3, 12, rng)
         for n_stages in (1, 2, 3, 4):
             plan = sic.SicPlan(n_stages, 12)
             s = n_stages
-            view = sic.stage_view(plan, s, x)
+            view = sic.stage_view(plan, s, blocks.x)
             ref_app, ref_counts, ref_next = self.run(
-                monkeypatch, aux, cfg, y, view, s, gibbs.STEP_ROWS,
+                monkeypatch, aux, cfg, blocks.y, view, s, gibbs.STEP_ROWS,
                 apps.SLICE_BYTES)
             # one site per step (the serial scan), a few, a whole group
             for step_rows in (1, 64, 1 << 40):
                 for slice_bytes in (1, apps.SLICE_BYTES):
                     got_app, counts, nxt = self.run(
-                        monkeypatch, aux, cfg, y, view, s, step_rows,
+                        monkeypatch, aux, cfg, blocks.y, view, s, step_rows,
                         slice_bytes)
                     assert np.array_equal(counts, ref_counts)
                     assert nxt == ref_next
@@ -362,13 +356,13 @@ class TestStallingRecord:
         rng = np.random.default_rng(71)
         n = 24
         blk = ch.random_block(chan, n, rng)
-        view = sic.stage_view(sic.SicPlan(2, n), 2, blk.x[None])
-        exact = fba.fba_apps(aux, blk.y[None], view)
+        view = sic.stage_view(sic.SicPlan(2, n), 2, blk.x)
+        exact = fba.fba_apps(aux, blk.y, view)
         cfg = gibbs.GibbsConfig(memory=chan.memory, n_iter=150, n_par=8,
                                 burn_in=25)
-        approx = gibbs.gibbs_apps(aux, blk.y[None], view, cfg,
+        approx = gibbs.gibbs_apps(aux, blk.y, view, cfg,
                                   np.random.default_rng(72))
-        truth = chan.symbol_indices(blk.x[view.targets])[None]
+        truth = chan.symbol_indices(blk.x[:, view.targets])
         ce_exact = -np.mean(exact.log2_prob_of(truth))
         ce_gibbs = -np.mean(approx.log2_prob_of(truth))
         print(f"high-power cross-entropy: trellis {ce_exact:.3f} bits, "
@@ -421,10 +415,10 @@ class TestCounting:
         rng = np.random.default_rng(41)
         n = 12
         blk = ch.random_block(chan, n, rng)
-        view = sic.stage_view(sic.SicPlan(1, n), 1, blk.x[None])
+        view = sic.stage_view(sic.SicPlan(1, n), 1, blk.x)
         cfg = gibbs.GibbsConfig(memory=2, n_iter=6, n_par=3, burn_in=1)
         counter = MultCounter()
-        gibbs.gibbs_apps(aux, blk.y[None], view, cfg, np.random.default_rng(43),
+        gibbs.gibbs_apps(aux, blk.y, view, cfg, np.random.default_rng(43),
                          counter=counter)
         assert counter.total == pytest.approx(
             gibbs.count_gs_multiplications(aux, cfg, 2, n) * n)

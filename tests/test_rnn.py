@@ -408,8 +408,8 @@ class TestDetectorApi:
                            m_symbols=4, n_os=2)
         model = rnn.init_model(shape, np.random.default_rng(9))
         blk = ch.random_block(chan, 12, np.random.default_rng(10))
-        view = sic.stage_view(plan, 2, blk.x[None])
-        app = rnn.rnn_apps(model, blk.y[None], view)
+        view = sic.stage_view(plan, 2, blk.x)
+        app = rnn.rnn_apps(model, blk.y, view)
         assert np.array_equal(app.positions, view.targets)
         assert app.probs.shape == (1, 6, 4)
         assert np.abs(app.probs.sum(axis=2) - 1.0).max() < 1e-12

@@ -323,7 +323,7 @@ class TestTrainStage:
                                    t_rnn=8, seed=7)
         model_a, log = training.train_stage(chan, plan, 1, shape, cfg)
         model_b, _ = training.train_stage(chan, plan, 1, shape, cfg)
-        assert log.iters == []
+        assert log.loss_bits == []
         for (_, a), (_, b) in zip(model_a.parameters(), model_b.parameters()):
             assert np.array_equal(a, b)
 
@@ -386,10 +386,11 @@ class TestTrainStage:
 
     def test_trainlog_csv(self, tmp_path):
         log = training.TrainLog()
-        log.append(0, 1.25, 0.5)
-        log.append(1, 1.20, 0.4)
+        log.append(1.25, 0.5)
+        log.append(1.20, 0.4)
         path = tmp_path / "log.csv"
         log.to_csv(path)
         lines = path.read_text().splitlines()
         assert lines[0] == "iter,loss_bits,grad_norm"
         assert lines[1].startswith("0,1.2500000000,")
+        assert lines[2] == "1,1.2000000000,0.4000000000"
