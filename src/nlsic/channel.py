@@ -390,11 +390,13 @@ class Blocks:
     y: np.ndarray
     p_tx: np.ndarray
 
+    SHAPE_ERROR = ("each row of x needs a row of y with a whole, "
+                   "positive number of samples per symbol")
+
     def __post_init__(self):
         rows, n = self.x.shape
         if len(self.y) != rows or n == 0 or self.y.shape[1] % n != 0:
-            raise ValueError("each row of x needs a row of y with a whole, "
-                             "positive number of samples per symbol")
+            raise ValueError(self.SHAPE_ERROR)
 
     def __len__(self) -> int:
         return len(self.x)
@@ -430,6 +432,8 @@ def simulate_batch(chan: DiscreteChannel, x_rows: np.ndarray,
     """
     cfg = chan.config
     x_rows = np.asarray(x_rows, dtype=np.float64)
+    if x_rows.shape[-1] == 0:
+        raise ValueError(Blocks.SHAPE_ERROR)
     x_emit = (differential_precode(x_rows, cfg.alphabet)
               if cfg.precoding == "differential-phase" else x_rows.copy())
     b, n = x_emit.shape

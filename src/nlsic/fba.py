@@ -29,13 +29,43 @@ from .sic import StageView
 LOG2PI = np.log(2.0 * np.pi)
 
 
-def _lse(a: np.ndarray, axis: int) -> np.ndarray:
-    """log-sum-exp with max-star stabilization; all -inf rows stay -inf."""
+def _sum_in_numpy_order(parts) -> np.ndarray:
+    """Elementwise sum of equal-shape arrays, rounded as numpy's sum along a
+    contiguous axis of these terms rounds: sequential below 8 terms, eight
+    interleaved accumulators combined pairwise up to 128 (the rest added
+    after them), and two halves split at a multiple of 8 beyond."""
+    n = len(parts)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _sum_in_numpy_order(parts[:half]) + _sum_in_numpy_order(parts[half:])
+    if n < 8:
+        total, rest = parts[0], parts[1:]
+    else:
+        acc = parts[:8]
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            acc = [a + p for a, p in zip(acc, parts[i:i + 8])]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        rest = parts[tail:]
+    for p in rest:
+        total = total + p
+    return total
+
+
+def _sum_over_inputs(e: np.ndarray, axis: int) -> np.ndarray:
+    """Sum of input-major (B, M, w) terms over the M inputs, in numpy's
+    order for a contiguous axis."""
+    return _sum_in_numpy_order(list(e.swapaxes(0, axis)))
+
+
+def _lse(a: np.ndarray, axis: int, total=np.add.reduce) -> np.ndarray:
+    """log-sum-exp with max-star stabilization; all -inf rows stay -inf.
+    `total(e, axis)` sums the exponentials along the axis."""
     m = a.max(axis=axis, keepdims=True)
     finite = np.isfinite(m)
     safe = np.where(finite, m, 0.0)
     with np.errstate(divide="ignore"):
-        out = np.log(np.exp(a - safe).sum(axis=axis)) + safe.squeeze(axis)
+        out = np.log(total(np.exp(a - safe), axis)) + safe.squeeze(axis)
     return np.where(finite.squeeze(axis), out, -np.inf)
 
 
@@ -60,7 +90,8 @@ class AuxChannel:
         memory: symbol memory of the trellis state.
         future: symbols after the current one that a chunk may depend on.
         sigma2: noise variance per output sample.
-        mu_table: (M^memory, M, n_os) branch means for pure-alphabet windows.
+        mu_table: (n_os, M^memory, M) branch means for pure-alphabet windows,
+            sample-major: mu_table[j, state, input] is sample j of the chunk.
     """
 
     def __init__(self, chan: DiscreteChannel, memory: int,
@@ -93,8 +124,7 @@ class AuxChannel:
         if build_table:
             check_table_size(self.m_symbols, memory, self.n_os)
             digits = self._all_digits()
-            self.mu_table = self.mean_contexts(self.levels[digits]).reshape(
-                self.n_states, self.m_symbols, self.n_os)
+            self.mu_table = self._sample_major(self.mean_contexts(self.levels[digits]))
         else:
             # sampler-only use: branch means are evaluated on demand
             self.mu_table = None
@@ -168,9 +198,14 @@ class AuxChannel:
             counter.add("aux-receiver", c * self.n_os * nz)
         return mu
 
+    def _sample_major(self, mu: np.ndarray) -> np.ndarray:
+        """(n_os, M^memory, M) table from (M^memory * M, n_os) branch means."""
+        return np.ascontiguousarray(mu.T).reshape(self.n_os, self.n_states, self.m_symbols)
+
     def masked_mu(self, zeros_left: int, zeros_right: int, input_zeroed: bool) -> np.ndarray:
-        """Branch means with out-of-range window slots forced to zero, as at
-        block edges and during flush steps.  Cached per mask pattern."""
+        """Branch means, laid out as mu_table, with out-of-range window slots
+        forced to zero, as at block edges and during flush steps.  Cached per
+        mask pattern."""
         if zeros_left == 0 and zeros_right == 0 and not input_zeroed:
             return self.mu_table
         key = (zeros_left, zeros_right, input_zeroed)
@@ -183,8 +218,7 @@ class AuxChannel:
                 vals[:, -1] = 0.0
             if zeros_right:
                 vals[:, self.memory - zeros_right:self.memory] = 0.0
-            cached = self.mean_contexts(vals).reshape(
-                self.n_states, self.m_symbols, self.n_os)
+            cached = self._sample_major(self.mean_contexts(vals))
             self._edge_cache[key] = cached
         return cached
 
@@ -223,6 +257,32 @@ def _priors(aux: AuxChannel, pin: np.ndarray) -> np.ndarray:
     return lp
 
 
+def _step_metrics(aux: AuxChannel, chunks: np.ndarray, prior: np.ndarray,
+                  kappa: int) -> np.ndarray:
+    """Log branch metrics, priors included, of trellis step kappa, as
+    (B, n_states, M), or (B, 1, M) for the prior alone before the first chunk.
+
+    chunks: (B, n, n_os) observation chunks; prior: _priors' (B, n+future, M).
+    The squared differences to the sample-major means are whole (B, n_states*M)
+    arrays, one per sample, summed over samples in numpy's order.
+    """
+    b, n, n_os = chunks.shape
+    lg = prior[:, kappa - 1, None, :]
+    if kappa <= aux.future:
+        return lg
+    c = chunks[:, kappa - aux.future - 1, :, None]
+    mu = _step_mu(aux, kappa, n).reshape(n_os, -1)
+    sq = []
+    for j in range(n_os):
+        d = c[:, j] - mu[j]
+        d *= d
+        sq.append(d)
+    metric = _sum_in_numpy_order(sq)
+    metric *= -1.0 / (2.0 * aux.sigma2)
+    metric += -0.5 * n_os * (LOG2PI + np.log(aux.sigma2))
+    return lg + metric.reshape(b, aux.n_states, aux.m_symbols)
+
+
 def _forward(aux: AuxChannel, y: np.ndarray, pin: np.ndarray,
              counter: Optional[MultCounter] = None, keep: bool = False):
     """Normalized forward recursion over B blocks at once.
@@ -232,14 +292,15 @@ def _forward(aux: AuxChannel, y: np.ndarray, pin: np.ndarray,
     likelihoods and, when `keep`, the per-step normalized log alpha
     (steps, B, n_states) and branch metrics incl. priors
     (steps, B, n_states, M); otherwise those two are None.
+
+    Each step's metrics come from _step_metrics; the sum over a new state's
+    M predecessors is numpy's along the middle axis of (B, M, n_states).
     """
     if aux.mu_table is None:
         raise ValueError("auxiliary channel was built without the mean table")
     b, n = pin.shape
     m, w = aux.m_symbols, aux.n_states
     n_os, f = aux.n_os, aux.future
-    inv2s = 1.0 / (2.0 * aux.sigma2)
-    const = -0.5 * n_os * (LOG2PI + np.log(aux.sigma2))
     steps = n + f
     prior = _priors(aux, pin)
     chunks = y.reshape(b, n, n_os)
@@ -250,12 +311,9 @@ def _forward(aux: AuxChannel, y: np.ndarray, pin: np.ndarray,
     alphas = np.empty((steps, b, w)) if keep else None
     gammas = np.empty((steps, b, w, m)) if keep else None
     for kappa in range(1, steps + 1):
-        lg = prior[:, kappa - 1, None, :]
-        if kappa > f:
-            diff = chunks[:, kappa - f - 1, None, None, :] - _step_mu(aux, kappa, n)
-            lg = lg + (-(diff * diff).sum(axis=3) * inv2s + const)
-            if counter is not None:
-                counter.add("metric", 2 * n_os * w * m * b)
+        lg = _step_metrics(aux, chunks, prior, kappa)
+        if counter is not None and kappa > f:
+            counter.add("metric", 2 * n_os * w * m * b)
         trans = log_alpha[:, :, None] + lg
         if counter is not None:
             counter.add("forward", w * m * b)
@@ -276,21 +334,30 @@ def _backward_apps(log_alpha: np.ndarray, log_gamma: np.ndarray,
                    positions: np.ndarray,
                    counter: Optional[MultCounter] = None) -> np.ndarray:
     """Backward recursion combined with the stored forward pass into
-    unnormalized log APPs (B, len(positions), M)."""
+    unnormalized log APPs (B, len(positions), M).
+
+    Each step gathers the backward messages input-major, (B, M, n_states),
+    and sums over the M inputs in numpy's order for a contiguous axis
+    (_sum_in_numpy_order); at a target step the APP sums over states along
+    the middle axis of a contiguous (B, n_states, M) copy.
+    """
     steps, b, w, m = log_gamma.shape
-    next_state = (np.arange(w)[:, None] * m + np.arange(m)[None, :]) % w
+    # next_state[a, s]: the state that input a leads to from state s
+    next_state = (np.arange(w)[None, :] * m + np.arange(m)[:, None]) % w
     start = np.where(np.arange(w) == 0, 0.0, -np.inf)
     row_of = {int(p) + 1: i for i, p in enumerate(positions)}
     log_beta = np.zeros((b, w))
     logp = np.empty((b, len(positions), m))
     for kappa in range(steps, 0, -1):
-        contrib = log_gamma[kappa - 1] + log_beta[:, next_state]
+        contrib = log_beta.take(next_state, axis=1)
+        contrib += log_gamma[kappa - 1].transpose(0, 2, 1)
         if kappa in row_of:
             la_prev = log_alpha[kappa - 2] if kappa >= 2 else start[None, :]
-            logp[:, row_of[kappa]] = _lse(la_prev[:, :, None] + contrib, axis=1)
+            by_state = np.ascontiguousarray(contrib.transpose(0, 2, 1))
+            logp[:, row_of[kappa]] = _lse(la_prev[:, :, None] + by_state, axis=1)
             if counter is not None:
                 counter.add("app", 2 * w * m * b)
-        log_beta = _lse(contrib, axis=2)
+        log_beta = _lse(contrib, axis=1, total=_sum_over_inputs)
         log_beta = log_beta - log_beta.max(axis=1, keepdims=True)
         if counter is not None:
             counter.add("backward", w * m * b)

@@ -248,6 +248,12 @@ class TestSimulateBlock:
         with pytest.raises(ValueError):
             ch.Blocks(x=np.zeros((1, 4)), y=np.zeros((1, 6)), p_tx=np.zeros(1))
 
+    def test_zero_symbol_rows_rejected_before_arithmetic(self):
+        """Rows without symbols are refused as Blocks refuses them, before
+        the power average divides by the zero symbol count."""
+        with pytest.raises(ValueError, match=ch.Blocks.SHAPE_ERROR):
+            ch.simulate_batch(toy_linear_channel(0.0), np.zeros((1, 0)))
+
     def test_batch_matches_single(self):
         """Batch rows equal single blocks bit for bit, noise included: real
         noise is drawn row after row, so a batch consumes the generator as

@@ -71,7 +71,7 @@ class TestAuxChannel:
         chan = ch.make_channel(cfg, g=ch.FirFilter(taps=np.array([0.0, 1.0, 0.0]), rate=2))
         aux = fba.build_aux_channel(chan, memory=0)
         for a in range(4):
-            assert aux.mu_table[0, a, 0] == pytest.approx(chan.levels[a] ** 2)
+            assert aux.mu_table[0, 0, a] == pytest.approx(chan.levels[a] ** 2)
 
     def test_exact_memory_means_match_simulation(self):
         chan = linear_2ask_channel()
@@ -93,8 +93,8 @@ class TestAuxChannel:
         diffs = []
         for a in range(2):
             for b in range(2):
-                w_full = full.mu_table[a * 2 + b, :, :]      # oldest digit varies
-                diffs.append(np.abs(trunc.mu_table[b, :, :] - w_full).max())
+                w_full = full.mu_table[:, a * 2 + b, :]      # oldest digit varies
+                diffs.append(np.abs(trunc.mu_table[:, b, :] - w_full).max())
         assert max(diffs) > 1e-3
 
     def test_table_budget(self, monkeypatch):
@@ -372,3 +372,179 @@ class TestCounting:
         c = [fba.count_fba_multiplications(aux, 24, s) for s in (1, 2, 3)]
         assert c[1] - c[0] == pytest.approx(c[2] - c[1])
         assert c[1] > c[0]
+
+
+# -- frozen reference of the trellis recursions -------------------------------
+# The recursions in their plain state-major form: a (w, M, n_os) mean table
+# and (B, w, M) backward contributions, each summed by numpy along its last
+# axis.  The sample-major forward and input-major backward must reproduce
+# their bits.
+
+def reference_lse(a, axis):
+    m = a.max(axis=axis, keepdims=True)
+    finite = np.isfinite(m)
+    safe = np.where(finite, m, 0.0)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.exp(a - safe).sum(axis=axis)) + safe.squeeze(axis)
+    return np.where(finite.squeeze(axis), out, -np.inf)
+
+
+def reference_step_mu(aux, kappa, n):
+    """The step's branch means state-major, (n_states, M, n_os)."""
+    zl = min(max(aux.memory - kappa + 1, 0), aux.memory)
+    zr = min(max(kappa - 1 - n, 0), aux.memory)
+    mu = aux.masked_mu(zl, zr, input_zeroed=kappa > n)
+    return np.ascontiguousarray(mu.transpose(1, 2, 0))
+
+
+def reference_forward(aux, y, pin, counter=None, keep=False):
+    """fba._forward's signature, so that fba_ub can run on it; no counting."""
+    b, n = pin.shape
+    m, w = aux.m_symbols, aux.n_states
+    n_os, f = aux.n_os, aux.future
+    inv2s = 1.0 / (2.0 * aux.sigma2)
+    const = -0.5 * n_os * (fba.LOG2PI + np.log(aux.sigma2))
+    steps = n + f
+    prior = fba._priors(aux, pin)
+    chunks = y.reshape(b, n, n_os)
+    log_alpha = np.full((b, w), -np.inf)
+    log_alpha[:, 0] = 0.0
+    log_z = np.zeros(b)
+    alphas = np.empty((steps, b, w)) if keep else None
+    gammas = np.empty((steps, b, w, m)) if keep else None
+    for kappa in range(1, steps + 1):
+        lg = prior[:, kappa - 1, None, :]
+        if kappa > f:
+            diff = chunks[:, kappa - f - 1, None, None, :] - reference_step_mu(aux, kappa, n)
+            lg = lg + (-(diff * diff).sum(axis=3) * inv2s + const)
+        trans = log_alpha[:, :, None] + lg
+        new_alpha = reference_lse(trans.reshape(b, m, w), axis=1)
+        peak = new_alpha.max(axis=1)
+        if not np.all(np.isfinite(peak)):
+            raise RuntimeError(f"inconsistent pinning: no surviving path at step {kappa}")
+        log_alpha = new_alpha - peak[:, None]
+        log_z += peak
+        if keep:
+            alphas[kappa - 1] = log_alpha
+            gammas[kappa - 1] = lg
+    log_z += reference_lse(log_alpha, axis=1)
+    return log_z, alphas, gammas
+
+
+def reference_backward_apps(log_alpha, log_gamma, positions):
+    steps, b, w, m = log_gamma.shape
+    next_state = (np.arange(w)[:, None] * m + np.arange(m)[None, :]) % w
+    start = np.where(np.arange(w) == 0, 0.0, -np.inf)
+    row_of = {int(p) + 1: i for i, p in enumerate(positions)}
+    log_beta = np.zeros((b, w))
+    logp = np.empty((b, len(positions), m))
+    for kappa in range(steps, 0, -1):
+        contrib = log_gamma[kappa - 1] + log_beta[:, next_state]
+        if kappa in row_of:
+            la_prev = log_alpha[kappa - 2] if kappa >= 2 else start[None, :]
+            logp[:, row_of[kappa]] = reference_lse(la_prev[:, :, None] + contrib, axis=1)
+        log_beta = reference_lse(contrib, axis=2)
+        log_beta = log_beta - log_beta.max(axis=1, keepdims=True)
+    empty = ~np.any(np.isfinite(logp), axis=2)
+    if np.any(empty):
+        p = positions[np.nonzero(empty)[1][0]]
+        raise RuntimeError(f"inconsistent pinning: empty posterior at position {p}")
+    return logp
+
+
+def oracle_channel(m_symbols, n_os):
+    cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(m_symbols), n_os=n_os,
+                           n_sim=max(n_os, 2), nonlinearity=ch.SquareLaw(),
+                           noise_variance=1.0)
+    return ch.make_channel(cfg, k_g=7).with_transmit_power_db(3.0)
+
+
+class TestRecursionOracle:
+    """The trellis recursions equal the frozen state-major reference bit for
+    bit: log-likelihoods, forward messages, branch metrics, APPs and the
+    upper bound, over alphabet sizes whose sums over inputs take numpy's
+    sequential (M < 8) and pairwise (M >= 8) orders, 1, 2 and 4 samples per
+    symbol, memories 0-3, the default and another future span, one to 40
+    blocks, the first and last SIC stage and a fully pinned block."""
+
+    N, STAGES = 8, 4
+
+    @pytest.mark.parametrize("memory", range(4))
+    @pytest.mark.parametrize("n_os", [1, 2, 4])
+    @pytest.mark.parametrize("m_symbols", [2, 4, 8, 16])
+    def test_equal_to_reference(self, m_symbols, n_os, memory, monkeypatch):
+        fba.check_table_size(m_symbols, memory, n_os)
+        chan = oracle_channel(m_symbols, n_os)
+        default = fba.build_aux_channel(chan, memory).future
+        futures = sorted({default, 0 if default else memory})
+        auxes = [fba.build_aux_channel(chan, memory, future=f) for f in futures]
+        branches = m_symbols ** (memory + 1)
+        rng = np.random.default_rng(1000 * m_symbols + 10 * n_os + memory)
+        plan = sic.SicPlan(self.STAGES, self.N)
+        for aux in auxes:
+            for b in (1, 5, 40):
+                if b > 1 and b * branches > 1 << 16:
+                    continue
+                blocks = rates.simulate_eval_blocks(chan, b, self.N, rng)
+                pins = [sic.stage_view(plan, s, blocks.x) for s in (1, self.STAGES)]
+                pinned = sic.StageView(plan=sic.SicPlan(1, self.N), s=1,
+                                       known_idx=np.arange(self.N), known_val=blocks.x)
+                for view in pins + [pinned]:
+                    pin = np.full((b, self.N), -1, dtype=int)
+                    pin[:, view.known_idx] = chan.symbol_indices(view.known_val)
+                    positions = np.arange(self.N) if view is pinned else view.targets
+                    got = fba._forward(aux, blocks.y, pin, keep=True)
+                    ref = reference_forward(aux, blocks.y, pin, keep=True)
+                    for g, r in zip(got, ref):
+                        assert np.array_equal(g, r)
+                    assert np.array_equal(
+                        fba._forward(aux, blocks.y, pin)[0], ref[0])
+                    assert np.array_equal(
+                        fba._backward_apps(got[1], got[2], positions),
+                        reference_backward_apps(ref[1], ref[2], positions))
+                ub = fba.fba_ub(aux, blocks)
+                with monkeypatch.context() as mp:
+                    mp.setattr(fba, "_forward", reference_forward)
+                    assert np.array_equal(fba.fba_ub(aux, blocks), ub, equal_nan=True)
+
+    def test_pinning_errors_name_the_same_step_and_position(self):
+        chan = memoryless_binary_channel(p_tx=1e10, noise=1e-300)
+        aux = fba.build_aux_channel(chan, memory=0)
+        x = ch.draw_symbols(chan, (3, 8), np.random.default_rng(37))
+        pin = chan.symbol_indices(x)
+        pin[1, 5] = 1 - pin[1, 5]
+        messages = []
+        for forward in (fba._forward, reference_forward):
+            with pytest.raises(RuntimeError, match="at step 6") as err, \
+                    np.errstate(over="ignore"):
+                forward(aux, x.copy(), pin)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+        # a block whose branch metrics all vanish at one step of the stored
+        # forward pass has no posterior there or before
+        rng = np.random.default_rng(39)
+        log_alpha = rng.normal(size=(9, 3, 4))
+        log_gamma = rng.normal(size=(9, 3, 4, 2))
+        log_gamma[5, 2] = -np.inf
+        positions = np.array([1, 4, 7])
+        messages = []
+        for backward in (fba._backward_apps, reference_backward_apps):
+            with pytest.raises(RuntimeError, match="at position 1") as err, \
+                    np.errstate(invalid="ignore"):
+                backward(log_alpha, log_gamma, positions)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("n_terms", list(range(1, 129)) + [129, 200, 256, 300])
+def test_sum_in_numpy_order_matches_numpy(n_terms):
+    """The helper rounds as numpy's sum along a contiguous axis does, on
+    log-sum-exp-like terms in [0, 1] with exact zeros; a numpy whose order
+    changes fails here rather than drifting the trellis bits."""
+    rng = np.random.default_rng(n_terms)
+    terms = rng.random((n_terms, 6, 33))
+    terms[rng.random(terms.shape) < 0.25] = 0.0
+    parts = list(terms)
+    assert np.array_equal(fba._sum_in_numpy_order(parts),
+                          np.stack(parts, -1).sum(axis=-1))
