@@ -12,9 +12,7 @@ from .channel import (Alphabet, Blocks, ChannelConfig, DiscreteChannel,
 from .fba import (AuxChannel, build_aux_channel, count_fba_multiplications,
                   fba_apps, fba_ub)
 from .gibbs import GibbsConfig, count_gs_multiplications, gibbs_apps
-from .rates import (FbaDetector, GibbsDetector, RateReport, RnnDetector,
-                    StageRate, UniformDetector, estimate_sic,
-                    estimate_stage_rate)
+from .rates import RateReport, StageRate, estimate_sic, uniform_apps
 from .rnn import (Normalization, RnnModel, RnnShape, build_indexer,
                   count_rnn_multiplications, forward, gather_inputs,
                   init_model, load_model, rnn_apps, save_model)

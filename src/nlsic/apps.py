@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-LOG2 = np.log(2.0)
-
 # Smallest probability a scored symbol may receive: the training loss, its
 # gradient and the rate estimates clamp below it so every log stays finite.
 CLAMP_FLOOR = 1e-30

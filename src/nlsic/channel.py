@@ -269,7 +269,15 @@ def build_pulse(config: ChannelConfig, k_g: Optional[int] = None) -> FirFilter:
         k_g = 151 * config.n_sim + 1
     taps = sinc_pulse(k_g, config.n_sim)
     if config.fiber is not None:
-        taps = apply_dispersion(taps, config.n_sim, config.symbol_rate, config.fiber)
+        # a phase that overflows leaves non-finite taps, refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            taps = apply_dispersion(taps, config.n_sim, config.symbol_rate,
+                                    config.fiber)
+        if not np.isfinite(taps).all():
+            raise ChannelConfigError(
+                "symbol_rate", f"the dispersion phase of {config.fiber} at "
+                f"symbol rate {config.symbol_rate} overflows: the pulse taps "
+                f"are not finite", "fiber")
     return FirFilter(taps=taps, rate=config.n_sim).normalized(config.n_sim)
 
 

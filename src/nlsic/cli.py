@@ -206,23 +206,23 @@ def cmd_train(cfg) -> int:
 
 
 def _detector_for(cfg, chan, run_dir, p_tx_db):
-    """Detector instance plus per-stage multiplication counts per APP."""
-    m_symbols = chan.config.alphabet.size
-    m_bits = chan.config.alphabet.bits
-    n = cfg.eval_n
+    """The stage detector apps(y, view, rng), the trellis it runs on (None
+    for the others), and its multiplications per APP by stage."""
+    stages = range(1, cfg.stages + 1)
     if cfg.detector_kind == "fba":
         aux = fba.build_aux_channel(chan, cfg.fba.memory, future=cfg.fba.future)
-        det = rates.FbaDetector(aux)
-        count = fba.count_fba_multiplications(aux, n, cfg.stages)
-        return det, aux, {s: count for s in range(1, cfg.stages + 1)}
+        count = fba.count_fba_multiplications(aux, cfg.eval_n, cfg.stages)
+        return (lambda y, view, rng: fba.fba_apps(aux, y, view),
+                aux, dict.fromkeys(stages, count))
     if cfg.detector_kind == "gibbs":
         aux = fba.build_aux_channel(chan, cfg.gibbs.memory, build_table=False)
-        det = rates.GibbsDetector(aux, cfg.gibbs)
-        count = gibbs.count_gs_multiplications(aux, cfg.gibbs, m_bits, n)
-        return det, None, {s: count for s in range(1, cfg.stages + 1)}
+        count = gibbs.count_gs_multiplications(aux, cfg.gibbs, cfg.eval_n)
+        return (lambda y, view, rng:
+                gibbs.gibbs_apps(aux, y, view, cfg.gibbs, rng),
+                None, dict.fromkeys(stages, count))
     if cfg.detector_kind == "rnn":
         models, counts = {}, {}
-        for s in range(1, cfg.stages + 1):
+        for s in stages:
             stem = _model_stem(run_dir, s, p_tx_db)
             try:
                 models[s] = rnn.load_model(stem)
@@ -231,14 +231,15 @@ def _detector_for(cfg, chan, run_dir, p_tx_db):
                     from exc
             # per input step, the convention of the published profiles
             counts[s] = rnn.count_rnn_multiplications(models[s].shape)
-        return rates.RnnDetector(models), None, counts
-    det = rates.UniformDetector(m_symbols)
-    return det, None, {s: 0 for s in range(1, cfg.stages + 1)}
+        return (lambda y, view, rng: rnn.rnn_apps(models[view.s], y, view),
+                None, counts)
+    return (rates.uniform_apps(chan.config.alphabet.size),
+            None, dict.fromkeys(stages, 0))
 
 
 def _evaluate_point(cfg, base, run_dir, sweep_idx, p_tx_db):
     chan = base.with_transmit_power_db(p_tx_db)
-    det, det_aux, counts = _detector_for(cfg, chan, run_dir, p_tx_db)
+    apps, det_aux, counts = _detector_for(cfg, chan, run_dir, p_tx_db)
     ub_aux = det_aux
     # the detector's table serves the bound when both are built alike
     if cfg.ub_memory is not None and (
@@ -247,7 +248,7 @@ def _evaluate_point(cfg, base, run_dir, sweep_idx, p_tx_db):
         ub_aux = fba.build_aux_channel(chan, cfg.ub_memory)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 3, sweep_idx]))
     plan = sic.SicPlan(cfg.stages, cfg.eval_n)
-    report = rates.estimate_sic(det, chan, plan, cfg.eval_n_blk, rng,
+    report = rates.estimate_sic(apps, chan, plan, cfg.eval_n_blk, rng,
                                 ub_aux=ub_aux)
     return report, counts
 
@@ -258,7 +259,7 @@ def _format_rate_rows(cfg, report, counts, p_tx_db, config_hash):
         ub = f"{report.ub:.6f}" if report.ub is not None else ""
         ub_se = f"{report.ub_stderr:.6f}" if report.ub is not None else ""
         rows.append(
-            f"{report.detector},{p_tx_db:.3f},{sr.s},{sr.rate:.6f},"
+            f"{cfg.detector_kind},{p_tx_db:.3f},{sr.s},{sr.rate:.6f},"
             f"{sr.stderr:.6f},{sr.clamp_fraction:.6f},{int(sr.flagged)},"
             f"{report.i_sic:.6f},{report.i_sic_stderr:.6f},{ub},{ub_se},"
             f"{counts[sr.s]:.1f},{cfg.eval_n_blk},{cfg.eval_n},"
@@ -284,10 +285,10 @@ def _evaluate(cfg, run_dir: Path):
         rate_rows += _format_rate_rows(cfg, report, counts, p_tx_db,
                                        config_hash)
         for s, cnt in counts.items():
-            complexity_rows.add((report.detector, s, cnt))
+            complexity_rows.add((s, cnt))
         summary.append({
             "p_tx_db": p_tx_db,
-            "detector": report.detector,
+            "detector": cfg.detector_kind,
             "i_sdd": report.stage_rates[0].rate,
             "i_sic": report.i_sic,
             "i_sic_stderr": report.i_sic_stderr,
@@ -301,8 +302,8 @@ def _evaluate(cfg, run_dir: Path):
     complexity_path = run_dir / "complexity.csv"
     with open(complexity_path, "w", newline="") as fh:
         fh.write("detector,stage,mults_per_app\n")
-        for det, s, cnt in sorted(complexity_rows):
-            fh.write(f"{det},{s},{cnt:.1f}\n")
+        for s, cnt in sorted(complexity_rows):
+            fh.write(f"{cfg.detector_kind},{s},{cnt:.1f}\n")
     summary_path = run_dir / "summary.json"
     with open(summary_path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -342,7 +343,7 @@ def cmd_report(cfg) -> int:
           f"{'I_SIC':>9} {'UB':>9}")
     for line in lines[1:]:
         f = line.split(",")
-        ub = f[idx['ub']] or "-"
+        ub = f"{float(f[idx['ub']]):.4f}" if f[idx['ub']] else "-"
         print(f"{float(f[idx['p_tx_db']]):>9.2f} {f[idx['stage']]:>5} "
               f"{float(f[idx['rate']]):>9.4f} {float(f[idx['stderr']]):>9.4f} "
               f"{float(f[idx['i_sic']]):>9.4f} {ub:>9}")

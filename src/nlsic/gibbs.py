@@ -168,6 +168,13 @@ def _sweep_chains(aux: AuxChannel, ys: np.ndarray, unknown: np.ndarray,
                 if counter is not None:
                     counter.add("gs-metric", 2 * n_chains * tgt.size * aux.n_os
                                 + 2 * n_chains * len(ps))
+                # one infinite metric decides the bit; two leave no odds
+                both_inf = np.isinf(np.minimum(metric[0], metric[1]))
+                if both_inf.any():
+                    pos = ps[both_inf.any(axis=0)][0]
+                    raise FloatingPointError(
+                        f"Gibbs sweep {sweep}: both candidates of bit {b} at "
+                        f"position {pos} have infinite metrics")
                 # stable sigmoid: 1/(1+e^d) = (1 - tanh(d/2))/2
                 p_one = 0.5 * (1.0 - np.tanh(0.5 * (metric[1] - metric[0])))
                 cur_label = np.where(uniforms[:, ks, b] < p_one, labs[1], labs[0])
@@ -248,7 +255,7 @@ def gibbs_apps(aux: AuxChannel, y: np.ndarray, view: StageView,
     return AppMatrix(probs=probs, positions=positions)
 
 
-def count_gs_multiplications(aux: AuxChannel, cfg: GibbsConfig, m_bits: int,
+def count_gs_multiplications(aux: AuxChannel, cfg: GibbsConfig,
                              n: int) -> float:
     """Real multiplications per APP estimate of the sampler on an n-symbol
     block with every position unknown.  Mirrors the instrumented kernel
@@ -263,5 +270,6 @@ def count_gs_multiplications(aux: AuxChannel, cfg: GibbsConfig, m_bits: int,
     visits = [len(_chunk_windows(aux, pos, n)[0]) for pos in range(n)]
     mean_per_chain = 2 * sum(visits) * per_context
     metric_per_chain = sum(2 * v * aux.n_os + 2 for v in visits)
+    m_bits = int(np.log2(aux.m_symbols))
     total = cfg.n_par * cfg.n_iter * m_bits * (mean_per_chain + metric_per_chain)
     return total / n

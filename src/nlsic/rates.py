@@ -8,10 +8,12 @@ stages is the SIC rate; one stage is plain separate detection.  Standard
 errors are per-block jackknife estimates, and the auxiliary-channel upper
 bound from the trellis module completes the rate sandwich.
 
-Each stage draws its evaluation blocks one after another from the caller's
-generator into one batch, and hands the detector one StageView and the
-batch's observation rows for the whole stage; the returned (B, N, M)
-AppMatrix is scored without a loop over blocks.
+A detector is any callable apps(y, view, rng) -> AppMatrix: one call per
+SIC stage, over all of that stage's blocks, whose observations are the rows
+of y and whose decided symbols `view` holds.  Each stage draws its
+evaluation blocks one after another from the caller's generator into one
+batch; the returned (B, N, M) AppMatrix is scored without a loop over
+blocks.
 """
 
 from __future__ import annotations
@@ -23,66 +25,16 @@ import numpy as np
 
 from . import channel as ch
 from .apps import CLAMP_FLOOR, AppMatrix
-from .fba import AuxChannel, fba_apps, fba_ub, jackknife_stderr
-from .gibbs import GibbsConfig, gibbs_apps
-from .rnn import rnn_apps
+from .fba import AuxChannel, fba_ub, jackknife_stderr
 from .sic import SicPlan, stage_view
 
 
-# ---------------------------------------------------------------------------
-# Detector adaptors: one call per SIC stage, over all of that stage's blocks.
-# apps(y, view, rng) returns one AppMatrix over the blocks `view` describes,
-# whose observations are the rows of y.
-
-
-class FbaDetector:
-    name = "fba"
-
-    def __init__(self, aux: AuxChannel):
-        self.aux = aux
-
-    def apps(self, y, view, rng) -> AppMatrix:
-        return fba_apps(self.aux, y, view)
-
-
-class GibbsDetector:
-    name = "gibbs"
-
-    def __init__(self, aux: AuxChannel, cfg: GibbsConfig):
-        self.aux = aux
-        self.cfg = cfg
-
-    def apps(self, y, view, rng) -> AppMatrix:
-        return gibbs_apps(self.aux, y, view, self.cfg, rng)
-
-
-class RnnDetector:
-    name = "rnn"
-
-    def __init__(self, models: dict):
-        """models: stage index (1-based) -> trained RnnModel."""
-        self.models = models
-
-    def apps(self, y, view, rng) -> AppMatrix:
-        return rnn_apps(self.models[view.s], y, view)
-
-
-class UniformDetector:
+def uniform_apps(m_symbols: int):
     """Dummy detector: uniform PMFs, zero rate by construction."""
-
-    name = "uniform"
-
-    def __init__(self, m_symbols: int):
-        self.m_symbols = m_symbols
-
-    def apps(self, y, view, rng) -> AppMatrix:
-        probs = np.full((len(y), len(view.targets), self.m_symbols),
-                        1.0 / self.m_symbols)
+    def apps(y, view, rng) -> AppMatrix:
+        probs = np.full((len(y), len(view.targets), m_symbols), 1.0 / m_symbols)
         return AppMatrix(probs=probs, positions=view.targets)
-
-
-# ---------------------------------------------------------------------------
-# Estimators
+    return apps
 
 
 @dataclass
@@ -96,7 +48,6 @@ class StageRate:
 
 @dataclass
 class RateReport:
-    detector: str
     stage_rates: list
     i_sic_stderr: float
     ub: Optional[float] = None
@@ -108,10 +59,10 @@ class RateReport:
         return float(np.mean([sr.rate for sr in self.stage_rates]))
 
 
-def evaluate_stage_on_blocks(detector, chan: ch.DiscreteChannel, plan: SicPlan,
+def evaluate_stage_on_blocks(apps, chan: ch.DiscreteChannel, plan: SicPlan,
                              s: int, blocks: ch.Blocks, rng) -> StageRate:
     """Stage rate on caller-supplied blocks (lets detectors share data)."""
-    app = detector.apps(blocks.y, stage_view(plan, s, blocks.x), rng)
+    app = apps(blocks.y, stage_view(plan, s, blocks.x), rng)
     log2q = app.log2_prob_of(chan.symbol_indices(blocks.x[:, app.positions]))
     per_block = chan.config.alphabet.bits + log2q.mean(axis=1)
     clamped = log2q <= np.log2(CLAMP_FLOOR) + 1e-9
@@ -130,24 +81,21 @@ def simulate_eval_blocks(chan: ch.DiscreteChannel, n_blk: int, n: int,
                      p_tx=np.concatenate([b.p_tx for b in parts]))
 
 
-def estimate_stage_rate(detector, chan: ch.DiscreteChannel, plan: SicPlan, s: int,
-                        n_blk: int, rng) -> StageRate:
-    """rate = m + <log2 Q(truth)> over n_blk fresh blocks of plan.n symbols."""
-    blocks = simulate_eval_blocks(chan, n_blk, plan.n, rng)
-    return evaluate_stage_on_blocks(detector, chan, plan, s, blocks, rng)
-
-
-def estimate_sic(detector, chan: ch.DiscreteChannel, plan: SicPlan, n_blk: int,
+def estimate_sic(apps, chan: ch.DiscreteChannel, plan: SicPlan, n_blk: int,
                  rng, ub_aux: Optional[AuxChannel] = None) -> RateReport:
-    """Run every stage on blocks of plan.n symbols, average, and optionally
-    attach the upper bound."""
-    stage_rates = [estimate_stage_rate(detector, chan, plan, s, n_blk, rng)
-                   for s in range(1, plan.n_stages + 1)]
+    """Run every stage on n_blk fresh blocks of plan.n symbols, each stage
+    drawing its own after the previous stage ran, average, and optionally
+    attach the upper bound on fresh blocks of its own."""
+    stage_rates = []
+    for s in range(1, plan.n_stages + 1):
+        blocks = simulate_eval_blocks(chan, n_blk, plan.n, rng)
+        stage_rates.append(evaluate_stage_on_blocks(apps, chan, plan, s,
+                                                    blocks, rng))
     i_sic_se = float(np.sqrt(np.sum([sr.stderr**2 for sr in stage_rates]))
                      / plan.n_stages)
     ub = ub_se = None
     if ub_aux is not None:
         blocks = simulate_eval_blocks(chan, n_blk, plan.n, rng)
         ub, ub_se = fba_ub(ub_aux, blocks)
-    return RateReport(detector=detector.name, stage_rates=stage_rates,
-                      i_sic_stderr=i_sic_se, ub=ub, ub_stderr=ub_se)
+    return RateReport(stage_rates=stage_rates, i_sic_stderr=i_sic_se, ub=ub,
+                      ub_stderr=ub_se)

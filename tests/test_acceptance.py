@@ -40,6 +40,10 @@ def dispersive_4ask_channel(power_db):
     return ch.make_channel(cfg, k_g=7).with_transmit_power_db(power_db)
 
 
+def fba_detector(aux):
+    return lambda y, view, rng: fba.fba_apps(aux, y, view)
+
+
 def test_criterion_1_fba_oracle_equivalence():
     """Exact-memory trellis APPs equal exhaustive Bayes posteriors to 1e-9
     over 100 noise draws on two three-tap toys (linear and square-law)."""
@@ -136,7 +140,7 @@ def test_criterion_3_rate_sandwich():
         assert chan.memory == 3
         aux = fba.build_aux_channel(chan, memory=chan.memory)
         assert aux.is_exact
-        det = rates.FbaDetector(aux)
+        det = fba_detector(aux)
         rng = np.random.default_rng(int(1000 + power_db * 10))
         reports = {s: rates.estimate_sic(det, chan, sic.SicPlan(s, n), n_blk,
                                          rng, ub_aux=aux if s == 1 else None)
@@ -173,10 +177,11 @@ def test_criterion_4_nn_vs_fba_parity():
     model, _ = training.train_stage(chan, plan, 1, shape, tcfg)
 
     blocks = rates.simulate_eval_blocks(chan, 40, 96, np.random.default_rng(555))
-    r_fba = rates.evaluate_stage_on_blocks(rates.FbaDetector(aux), chan, plan,
+    r_fba = rates.evaluate_stage_on_blocks(fba_detector(aux), chan, plan,
                                            1, blocks, None)
-    r_rnn = rates.evaluate_stage_on_blocks(rates.RnnDetector({1: model}), chan,
-                                           plan, 1, blocks, None)
+    r_rnn = rates.evaluate_stage_on_blocks(
+        lambda y, view, rng: rnn.rnn_apps(model, y, view), chan, plan, 1,
+        blocks, None)
     gap = abs(r_fba.rate - r_rnn.rate)
     elapsed = time.perf_counter() - t0
     assert gap <= 0.05, (r_fba.rate, r_rnn.rate)
@@ -191,7 +196,7 @@ def test_criterion_5_sic_gain_direction():
     three standard errors of the difference at a mid power."""
     chan = dispersive_4ask_channel(6.0)
     aux = fba.build_aux_channel(chan, memory=chan.memory)
-    det = rates.FbaDetector(aux)
+    det = fba_detector(aux)
     n, n_blk = 96, 30
     rng = np.random.default_rng(77)
     r1 = rates.estimate_sic(det, chan, sic.SicPlan(1, n), n_blk, rng)

@@ -62,3 +62,5 @@ def test_tracer_counts_the_upper_bound_blocks(tmp_path):
     assert tr.extra["fba.fba_ub.blocks"] == n_blk
     assert calls["fba.fba_ub"] == 1
     assert calls["channel.random_block"] == (stages + 1) * n_blk
+    # perfbench/layers.py reads this span as rates.estimate_sic.self_ms
+    assert calls["rates.estimate_sic"] == 1

@@ -3,6 +3,7 @@ warm-start chaining, and exit codes."""
 
 import contextlib
 import copy
+import csv
 import io
 import json
 import os
@@ -196,9 +197,9 @@ class TestEvaluate:
         chan = cfgmod.build_channel(cfg).with_transmit_power_db(5.0)
         aux = fba.build_aux_channel(chan, 3)
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 3, 0]))
-        report = rates.estimate_sic(rates.FbaDetector(aux), chan,
-                                    sic.SicPlan(2, cfg.eval_n), 5, rng,
-                                    ub_aux=aux)
+        report = rates.estimate_sic(
+            lambda y, view, rng: fba.fba_apps(aux, y, view), chan,
+            sic.SicPlan(2, cfg.eval_n), 5, rng, ub_aux=aux)
         lines = (run_dir_for(path) / "rates.csv").read_text().splitlines()
         got = [float(line.split(",")[3]) for line in lines[1:]]
         want = [round(sr.rate, 6) for sr in report.stage_rates]
@@ -420,6 +421,13 @@ class TestExitCodes:
         ("uniform", "p_tx_db: [4.0]", "p_tx_db: [1.0e+306]", "sweep.p_tx_db"),
         ("uniform", "p_tx_db: [4.0]", "p_tx_db: [-1.0e+306]", "sweep.p_tx_db"),
         ("uniform", "p_tx_db: [4.0]", "p_tx_db: [5000.0]", "sweep.p_tx_db"),
+        # finite fiber values whose dispersion phase overflows
+        ("fba", "k_g: 7", "k_g: 41\n  symbol_rate: 1.0e300\n  fiber: "
+         "{length_km: 10.0, beta2_s2_per_km: -2.17e-26}",
+         "channel.symbol_rate, channel.fiber"),
+        ("fba", "k_g: 7", "k_g: 41\n  symbol_rate: 3.5e10\n  fiber: "
+         "{length_km: 1.0e300, beta2_s2_per_km: -1.0e10}",
+         "channel.symbol_rate, channel.fiber"),
     ])
     def test_values_rejected_by_run_objects(self, tmp_path, capsys, detector,
                                             old, new, key):
@@ -463,6 +471,46 @@ class TestExitCodes:
     def test_report_without_results(self, tmp_path):
         path = toy_yaml(tmp_path, sweep=(1.0,))
         assert cli.main(["report", "-c", str(path)]) == 2
+
+    def test_report_prints_each_rate_row(self, tmp_path, capsys):
+        """report prints one row per (power, stage) with the rates.csv
+        values to four decimals, and '-' where there is no upper bound:
+        the fba detector's run has one, the gibbs detector's none."""
+        for detector, has_ub in (("fba", True), ("gibbs", False)):
+            (tmp_path / detector).mkdir()
+            path = toy_yaml(tmp_path / detector, detector=detector, n_blk=2,
+                            n=8)
+            assert cli.main(["evaluate", "-c", str(path)]) == 0
+            capsys.readouterr()
+            assert cli.main(["report", "-c", str(path)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[0].split() == ["P_tx[dB]", "stage", "rate", "stderr",
+                                        "I_SIC", "UB"]
+            with open(run_dir_for(path) / "rates.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == 2 * 2
+            assert len(lines) == 1 + len(rows)
+            for line, row in zip(lines[1:], rows):
+                assert bool(row["ub"]) == has_ub
+                ub = f"{float(row['ub']):.4f}" if has_ub else "-"
+                assert line.split() == [
+                    f"{float(row['p_tx_db']):.2f}", row["stage"],
+                    f"{float(row['rate']):.4f}", f"{float(row['stderr']):.4f}",
+                    f"{float(row['i_sic']):.4f}", ub]
+
+    def test_gibbs_metrics_that_both_overflow_exit_3(self, tmp_path, capsys):
+        """At a power where both candidates' metrics of a bit overflow, the
+        sampler has no odds to draw from: a numeric failure, not a bit
+        decided on NaN."""
+        path = toy_yaml(tmp_path, detector="gibbs", n_blk=2, n=8,
+                        sweep=(1600.0,), seed=0)
+        text = path.read_text()
+        old = "gibbs: {memory: 3, n_iter: 30, n_par: 2, burn_in: 5}"
+        assert old in text
+        path.write_text(text.replace(
+            old, "gibbs: {memory: 1, n_iter: 3, n_par: 2, burn_in: 1}"))
+        assert cli.main(["evaluate", "-c", str(path)]) == 3
+        assert "numeric failure" in capsys.readouterr().err
 
 
 class TestManifest:

@@ -46,26 +46,30 @@ def quadrature_mutual_information(levels, sigma2=1.0):
     return np.log2(m) - h_xy
 
 
-class OracleDetector:
+def fba_detector(aux):
+    return lambda y, view, rng: fba.fba_apps(aux, y, view)
+
+
+def rnn_detector(models):
+    """models: stage index (1-based) -> RnnModel."""
+    return lambda y, view, rng: rnn.rnn_apps(models[view.s], y, view)
+
+
+def oracle_apps(chan, x, shift=0):
     """Test double that reads the truth: a point mass on each target's true
     symbol, or `shift` alphabet indices above it."""
-
-    name = "oracle"
-
-    def __init__(self, chan, x, shift=0):
-        self.chan, self.x, self.shift = chan, x, shift
-
-    def apps(self, y, view, rng):
-        m = self.chan.config.alphabet.size
-        truth = (self.chan.symbol_indices(self.x[:, view.targets]) + self.shift) % m
+    def apps(y, view, rng):
+        m = chan.config.alphabet.size
+        truth = (chan.symbol_indices(x[:, view.targets]) + shift) % m
         probs = np.zeros(truth.shape + (m,))
         np.put_along_axis(probs, truth[..., None], 1.0, axis=-1)
         return AppMatrix(probs=probs, positions=view.targets)
+    return apps
 
 
 def oracle_stage_rate(chan, n, n_blk, seed, shift=0):
     blocks = rates.simulate_eval_blocks(chan, n_blk, n, np.random.default_rng(seed))
-    det = OracleDetector(chan, blocks.x, shift)
+    det = oracle_apps(chan, blocks.x, shift)
     return rates.evaluate_stage_on_blocks(det, chan, sic.SicPlan(1, n), 1,
                                           blocks, None)
 
@@ -73,9 +77,9 @@ def oracle_stage_rate(chan, n, n_blk, seed, shift=0):
 class TestCeilings:
     def test_uniform_detector_zero_rate(self):
         chan = memoryless_4ask_channel(3.0)
-        det = rates.UniformDetector(4)
-        sr = rates.estimate_stage_rate(det, chan, sic.SicPlan(1, 32), 1, 5,
-                                       np.random.default_rng(0))
+        det = rates.uniform_apps(4)
+        sr = rates.estimate_sic(det, chan, sic.SicPlan(1, 32), 5,
+                                np.random.default_rng(0)).stage_rates[0]
         assert sr.rate == pytest.approx(0.0, abs=1e-12)
         assert not sr.flagged
 
@@ -94,9 +98,10 @@ class TestAgainstQuadrature:
     def test_memoryless_exact_fba_matches_mutual_information(self):
         chan = memoryless_4ask_channel(6.0)
         aux = fba.build_aux_channel(chan, memory=0)
-        det = rates.FbaDetector(aux)
+        det = fba_detector(aux)
         rng = np.random.default_rng(3)
-        sr = rates.estimate_stage_rate(det, chan, sic.SicPlan(1, 256), 1, 40, rng)
+        sr = rates.estimate_sic(det, chan, sic.SicPlan(1, 256), 40,
+                                rng).stage_rates[0]
         target = quadrature_mutual_information(chan.levels)
         assert sr.rate == pytest.approx(target, abs=3 * sr.stderr + 1e-6)
 
@@ -105,7 +110,7 @@ class TestSicAggregation:
     def test_single_stage_is_sdd(self):
         chan = dispersive_4ask_channel(4.0)
         aux = fba.build_aux_channel(chan, memory=chan.memory)
-        rep = rates.estimate_sic(rates.FbaDetector(aux), chan, sic.SicPlan(1, 48),
+        rep = rates.estimate_sic(fba_detector(aux), chan, sic.SicPlan(1, 48),
                                  10, np.random.default_rng(4))
         assert [sr.s for sr in rep.stage_rates] == [1]
         assert rep.i_sic == rep.stage_rates[0].rate
@@ -113,7 +118,7 @@ class TestSicAggregation:
     def test_sic_is_exact_stage_average(self):
         chan = dispersive_4ask_channel(4.0)
         aux = fba.build_aux_channel(chan, memory=chan.memory)
-        rep = rates.estimate_sic(rates.FbaDetector(aux), chan, sic.SicPlan(4, 48),
+        rep = rates.estimate_sic(fba_detector(aux), chan, sic.SicPlan(4, 48),
                                  8, np.random.default_rng(5))
         assert rep.i_sic == pytest.approx(
             np.mean([sr.rate for sr in rep.stage_rates]), abs=1e-15)
@@ -121,7 +126,7 @@ class TestSicAggregation:
     def test_rate_sandwich_and_entropy_bound(self):
         chan = dispersive_4ask_channel(6.0)
         aux = fba.build_aux_channel(chan, memory=chan.memory)
-        det = rates.FbaDetector(aux)
+        det = fba_detector(aux)
         rng = np.random.default_rng(6)
         n, n_blk = 96, 24
         sdd = rates.estimate_sic(det, chan, sic.SicPlan(1, n), n_blk, rng,
@@ -137,7 +142,7 @@ class TestSicAggregation:
     def test_stage_rates_soft_monotone(self):
         chan = dispersive_4ask_channel(6.0)
         aux = fba.build_aux_channel(chan, memory=chan.memory)
-        rep = rates.estimate_sic(rates.FbaDetector(aux), chan, sic.SicPlan(4, 96),
+        rep = rates.estimate_sic(fba_detector(aux), chan, sic.SicPlan(4, 96),
                                  24, np.random.default_rng(7))
         for lo, hi in zip(rep.stage_rates[:-1], rep.stage_rates[1:]):
             assert hi.rate >= lo.rate - 3 * np.hypot(lo.stderr, hi.stderr)
@@ -148,7 +153,7 @@ class TestSicAggregation:
         chan = ch.make_channel(cfg, g=ch.FirFilter(taps=np.array([1.0]), rate=1))
         chan = chan.with_transmit_power(10.0)
         aux = fba.build_aux_channel(chan, memory=0)
-        rep = rates.estimate_sic(rates.FbaDetector(aux), chan, sic.SicPlan(2, 32),
+        rep = rates.estimate_sic(fba_detector(aux), chan, sic.SicPlan(2, 32),
                                  6, np.random.default_rng(8))
         for sr in rep.stage_rates:
             assert sr.rate == pytest.approx(2.0, abs=1e-6)
@@ -156,7 +161,7 @@ class TestSicAggregation:
     def test_reproducible_to_the_last_bit(self):
         chan = dispersive_4ask_channel(5.0)
         aux = fba.build_aux_channel(chan, memory=chan.memory)
-        det = rates.FbaDetector(aux)
+        det = fba_detector(aux)
         rep1 = rates.estimate_sic(det, chan, sic.SicPlan(2, 48), 6,
                                   np.random.default_rng(99), ub_aux=aux)
         rep2 = rates.estimate_sic(det, chan, sic.SicPlan(2, 48), 6,
@@ -177,7 +182,7 @@ class TestLossRateDuality:
         n = 24
         plan = sic.SicPlan(1, n)
         blocks = rates.simulate_eval_blocks(chan, 6, n, np.random.default_rng(10))
-        det = rates.RnnDetector({1: model})
+        det = rnn_detector({1: model})
         sr = rates.evaluate_stage_on_blocks(det, chan, plan, 1, blocks, None)
 
         indexer = rnn.build_indexer(plan, 1, shape)
@@ -194,19 +199,19 @@ class TestLossRateDuality:
 
 def stage_detector(kind, chan, n_stages):
     if kind == "fba-exact":
-        return rates.FbaDetector(fba.build_aux_channel(chan, memory=chan.memory))
+        return fba_detector(fba.build_aux_channel(chan, memory=chan.memory))
     if kind == "fba-truncated":
-        return rates.FbaDetector(fba.build_aux_channel(chan, memory=1))
+        return fba_detector(fba.build_aux_channel(chan, memory=1))
     if kind == "gibbs":
         aux = fba.build_aux_channel(chan, memory=2, build_table=False)
-        return rates.GibbsDetector(aux, gibbs.GibbsConfig(
-            memory=2, n_iter=6, n_par=3, burn_in=1))
+        cfg = gibbs.GibbsConfig(memory=2, n_iter=6, n_par=3, burn_in=1)
+        return lambda y, view, rng: gibbs.gibbs_apps(aux, y, view, cfg, rng)
     if kind == "rnn":
-        return rates.RnnDetector({s: rnn.init_model(
+        return rnn_detector({s: rnn.init_model(
             rnn.RnnShape(dims=(12, 16), l_y=8, l_ic=4, n_stages=n_stages, s=s,
                          m_symbols=4, n_os=2), np.random.default_rng(12 + s))
             for s in range(1, n_stages + 1)})
-    return rates.UniformDetector(4)
+    return rates.uniform_apps(4)
 
 
 class TestDetectorContract:
@@ -218,8 +223,8 @@ class TestDetectorContract:
         det = stage_detector(kind, chan, 2)
         blocks = rates.simulate_eval_blocks(chan, 2, 8, np.random.default_rng(3))
         with pytest.raises(ValueError, match="observations must be real"):
-            det.apps(blocks.y + 0.5j, sic.stage_view(sic.SicPlan(2, 8), 1, blocks.x),
-                     np.random.default_rng(0))
+            det(blocks.y + 0.5j, sic.stage_view(sic.SicPlan(2, 8), 1, blocks.x),
+                np.random.default_rng(0))
 
     @pytest.mark.parametrize("slice_bytes", [apps.SLICE_BYTES, 1])
     @pytest.mark.parametrize("kind", ["fba-exact", "fba-truncated", "gibbs",
@@ -240,10 +245,10 @@ class TestDetectorContract:
         monkeypatch.setattr(apps, "SLICE_BYTES", slice_bytes)
         for s in range(1, n_stages + 1):
             stage_rng = np.random.default_rng(s)
-            stage = det.apps(y, sic.stage_view(plan, s, x), stage_rng)
+            stage = det(y, sic.stage_view(plan, s, x), stage_rng)
             serial_rng = np.random.default_rng(s)
-            ones = [det.apps(y[i:i + 1], sic.stage_view(plan, s, x[i:i + 1]),
-                             serial_rng) for i in range(len(blocks))]
+            ones = [det(y[i:i + 1], sic.stage_view(plan, s, x[i:i + 1]),
+                        serial_rng) for i in range(len(blocks))]
             assert stage.probs.shape == (len(blocks), n // n_stages, 4)
             want = np.concatenate([o.probs for o in ones])
             if kind == "rnn" and slice_bytes != 1:
