@@ -123,8 +123,7 @@ class AuxChannel:
         self._edge_cache: dict = {}
         if build_table:
             check_table_size(self.m_symbols, memory, self.n_os)
-            digits = self._all_digits()
-            self.mu_table = self._sample_major(self.mean_contexts(self.levels[digits]))
+            self.mu_table = self._branch_means(self.levels[self._all_digits()])
         else:
             # sampler-only use: branch means are evaluated on demand
             self.mu_table = None
@@ -147,9 +146,9 @@ class AuxChannel:
     def _build_maps(self):
         """Linear maps realizing the truncated pipeline for one chunk.
 
-        s = ctx @ S_map.T gives the shaping-filter output on the fine grid
+        s = S_map @ ctx gives the shaping-filter output on the fine grid
         around the chunk, the nonlinearity acts pointwise, and
-        mu = xi(s) @ H_map.T applies the receiver filter at the chunk's
+        mu = H_map @ xi(s) applies the receiver filter at the chunk's
         output-grid positions.
         """
         chan, cfg = self.chan, self.chan.config
@@ -183,14 +182,15 @@ class AuxChannel:
 
     def mean_contexts(self, contexts: np.ndarray,
                       counter: Optional[MultCounter] = None) -> np.ndarray:
-        """Noiseless chunk means for symbol windows (C, memory+1), oldest
-        symbol first; the chunk belongs to the window's (future+1)-last slot."""
-        contexts = np.atleast_2d(np.asarray(contexts, dtype=np.float64))
-        s = contexts @ self._s_map.T
+        """Noiseless chunk means, (n_os, C), of C symbol windows given
+        feature-major as (memory+1, C), oldest symbol first; the chunk
+        belongs to the window's (future+1)-last slot."""
+        contexts = np.asarray(contexts, dtype=np.float64)
+        s = self._s_map @ contexts
         z = self.chan.config.nonlinearity(s)
-        mu = z @ self._h_map.T
+        mu = self._h_map @ z
         if counter is not None:
-            c = contexts.shape[0]
+            c = contexts.shape[1]
             nz = self._s_map.shape[0]
             counter.add("aux-shaping", c * nz * self.window)
             counter.add("aux-nonlinearity",
@@ -198,9 +198,11 @@ class AuxChannel:
             counter.add("aux-receiver", c * self.n_os * nz)
         return mu
 
-    def _sample_major(self, mu: np.ndarray) -> np.ndarray:
-        """(n_os, M^memory, M) table from (M^memory * M, n_os) branch means."""
-        return np.ascontiguousarray(mu.T).reshape(self.n_os, self.n_states, self.m_symbols)
+    def _branch_means(self, windows: np.ndarray) -> np.ndarray:
+        """(n_os, M^memory, M) table of the (M^memory * M, memory+1) windows
+        of every (state, input) pair."""
+        return self.mean_contexts(windows.T).reshape(
+            self.n_os, self.n_states, self.m_symbols)
 
     def masked_mu(self, zeros_left: int, zeros_right: int, input_zeroed: bool) -> np.ndarray:
         """Branch means, laid out as mu_table, with out-of-range window slots
@@ -218,7 +220,7 @@ class AuxChannel:
                 vals[:, -1] = 0.0
             if zeros_right:
                 vals[:, self.memory - zeros_right:self.memory] = 0.0
-            cached = self._sample_major(self.mean_contexts(vals))
+            cached = self._branch_means(vals)
             self._edge_cache[key] = cached
         return cached
 
@@ -295,6 +297,9 @@ def _forward(aux: AuxChannel, y: np.ndarray, pin: np.ndarray,
 
     Each step's metrics come from _step_metrics; the sum over a new state's
     M predecessors is numpy's along the middle axis of (B, M, n_states).
+    When no path survives a step, raises FloatingPointError if every branch
+    metric of a dead block overflowed, priors aside, and RuntimeError
+    otherwise.
     """
     if aux.mu_table is None:
         raise ValueError("auxiliary channel was built without the mean table")
@@ -310,22 +315,32 @@ def _forward(aux: AuxChannel, y: np.ndarray, pin: np.ndarray,
     log_z = np.zeros(b)
     alphas = np.empty((steps, b, w)) if keep else None
     gammas = np.empty((steps, b, w, m)) if keep else None
-    for kappa in range(1, steps + 1):
-        lg = _step_metrics(aux, chunks, prior, kappa)
-        if counter is not None and kappa > f:
-            counter.add("metric", 2 * n_os * w * m * b)
-        trans = log_alpha[:, :, None] + lg
-        if counter is not None:
-            counter.add("forward", w * m * b)
-        new_alpha = _lse(trans.reshape(b, m, w), axis=1)
-        peak = new_alpha.max(axis=1)
-        if not np.all(np.isfinite(peak)):
-            raise RuntimeError(f"inconsistent pinning: no surviving path at step {kappa}")
-        log_alpha = new_alpha - peak[:, None]
-        log_z += peak
-        if keep:
-            alphas[kappa - 1] = log_alpha
-            gammas[kappa - 1] = lg
+    # a squared difference that overflows gives a -inf branch metric, legal
+    # as long as some path survives
+    with np.errstate(over="ignore"):
+        for kappa in range(1, steps + 1):
+            lg = _step_metrics(aux, chunks, prior, kappa)
+            if counter is not None and kappa > f:
+                counter.add("metric", 2 * n_os * w * m * b)
+            trans = log_alpha[:, :, None] + lg
+            if counter is not None:
+                counter.add("forward", w * m * b)
+            new_alpha = _lse(trans.reshape(b, m, w), axis=1)
+            peak = new_alpha.max(axis=1)
+            dead = ~np.isfinite(peak)
+            if np.any(dead):
+                unpinned = _step_metrics(aux, chunks, np.zeros_like(prior), kappa)
+                if np.any(dead & ~np.isfinite(unpinned).any(axis=(1, 2))):
+                    raise FloatingPointError(
+                        f"trellis step {kappa}: branch metric overflow, no "
+                        f"branch is finite before pinning")
+                raise RuntimeError(
+                    f"inconsistent pinning: no surviving path at step {kappa}")
+            log_alpha = new_alpha - peak[:, None]
+            log_z += peak
+            if keep:
+                alphas[kappa - 1] = log_alpha
+                gammas[kappa - 1] = lg
     log_z += _lse(log_alpha, axis=1)
     return log_z, alphas, gammas
 

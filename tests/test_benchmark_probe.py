@@ -64,3 +64,37 @@ def test_tracer_counts_the_upper_bound_blocks(tmp_path):
     assert calls["channel.random_block"] == (stages + 1) * n_blk
     # perfbench/layers.py reads this span as rates.estimate_sic.self_ms
     assert calls["rates.estimate_sic"] == 1
+
+
+def test_tracer_times_the_sampler_means(tmp_path):
+    """The tracer wraps AuxChannel.mean_contexts (its METHODS), and
+    perfbench/layers.py reads the fba.mean_contexts.* metrics from those
+    spans: a one-point, one-block Gibbs evaluate records them inside the
+    sampler's span, and the multiplications the sampler tallies equal the
+    closed form for the block.  The block is small enough to sweep in this
+    process."""
+    from nlsic import cli, config, fba, gibbs
+
+    cfg = workloads.WORKLOADS["gibbs-long"].config_for(1)
+    n = 16
+    assert cfg["sic"]["stages"] == 1
+    cfg["sweep"] = {"p_tx_db": cfg["sweep"]["p_tx_db"][:1]}
+    cfg["eval"] = {**cfg["eval"], "n_blk": 1, "n": n}
+    cfg["output_dir"] = str(tmp_path / "out")
+    path = tmp_path / "exp.yaml"
+    path.write_text(yaml.safe_dump(cfg, sort_keys=False))
+    with tracer.Tracer() as tr:
+        assert cli.main(["evaluate", "-c", str(path)]) == 0
+    names = [tr.names[nid] for nid in tr.name_id]
+    [sampler] = [i for i, name in enumerate(names)
+                 if name == "gibbs.gibbs_apps"]
+    means = [i for i, name in enumerate(names)
+             if name == "fba.mean_contexts"]
+    assert means
+    assert all(tr.parent[i] == sampler for i in means)
+
+    run = config.load_config(path)
+    aux = fba.build_aux_channel(config.build_channel(run), run.gibbs.memory,
+                                build_table=False)
+    assert tr.counters["gibbs.gibbs_apps"].total == pytest.approx(
+        gibbs.count_gs_multiplications(aux, run.gibbs, n) * n)

@@ -512,6 +512,19 @@ class TestExitCodes:
         assert cli.main(["evaluate", "-c", str(path)]) == 3
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_trellis_metric_overflow_exit_3(self, tmp_path, capsys):
+        """At a power where the squared differences of a trellis step
+        overflow, no path survives it: a numeric failure named as the
+        metric overflow, not as inconsistent pinning, and no warning."""
+        path = toy_yaml(tmp_path, detector="fba", n_blk=2, n=8,
+                        sweep=(1600.0,), seed=0)
+        text = path.read_text()
+        assert "fba: {memory: 3}" in text
+        path.write_text(text.replace("fba: {memory: 3}", "fba: {memory: 1}"))
+        assert cli.main(["evaluate", "-c", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "numeric failure: trellis step 1: branch metric overflow" in err
+
 
 class TestManifest:
     def test_manifest_reproducibility_fields(self, tmp_path):

@@ -81,7 +81,7 @@ class TestAuxChannel:
         ctx = chan.levels[rng.integers(0, 2, 3)]
         y = ch.simulate_batch(noiseless(chan), ctx[None]).y[0]
         q = len(ctx) - aux.future            # chunk slot of the newest window
-        got = aux.mean_contexts(ctx[None, :])[0]
+        got = aux.mean_contexts(ctx[:, None])[:, 0]
         assert np.allclose(got, y[aux.n_os * (q - 1):aux.n_os * q], atol=1e-12)
 
     def test_truncated_memory_is_documented_mismatch(self):
@@ -110,7 +110,7 @@ class TestAuxChannel:
         ctx = chan.levels[rng.integers(0, 2, aux.window)]
         y = ch.simulate_batch(noiseless(chan), ctx[None]).y[0]
         q = aux.window - aux.future
-        got = aux.mean_contexts(ctx[None, :])[0]
+        got = aux.mean_contexts(ctx[:, None])[:, 0]
         assert np.allclose(got, y[aux.n_os * (q - 1):aux.n_os * q], atol=1e-12)
 
 

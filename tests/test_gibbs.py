@@ -1,6 +1,7 @@
 """Gibbs sampler: stationary distribution against closed-form posteriors,
 chain independence, whole-stage calls, chains split across processes,
-pinning, and multiplication accounting."""
+pinning, multiplication accounting, and the frozen chain-major kernel as a
+reference."""
 
 import os
 
@@ -355,6 +356,159 @@ class TestColourSteps:
                 # colour order
                 firsts = [c[0] for c in colours]
                 assert firsts == sorted(firsts)
+
+
+def rowmajor_means(aux, contexts):
+    """Chunk means of (C, memory+1) windows, one window per row, (C, n_os)."""
+    s = contexts @ aux._s_map.T
+    return aux.chan.config.nonlinearity(s) @ aux._h_map.T
+
+
+def reference_colour_steps(aux, ys, unknown, n_chains):
+    """The chain-major colour steps: indices into `unknown`, positions, the
+    clipped window positions, the window slots outside the block, the flat
+    offsets of the target slots and the observation chunks,
+    (n_blk, 1, sites, n_q * n_os)."""
+    n = ys.shape[1] // aux.n_os
+    groups = {}
+    for k, pos in enumerate(unknown):
+        chunks, wpos = gibbs._chunk_windows(aux, int(pos), n)
+        groups.setdefault((pos % aux.window, len(chunks)), []).append(
+            (k, pos, chunks, wpos))
+    steps = []
+    for (_, n_q), sites in sorted(groups.items()):
+        per_step = max(1, gibbs.STEP_ROWS // (2 * n_chains * n_q))
+        for i in range(0, len(sites), per_step):
+            ks, ps, chunks, wpos = map(np.array, zip(*sites[i:i + per_step]))
+            rows = (chunks[..., None] - 1) * aux.n_os + np.arange(aux.n_os)
+            tgt = np.flatnonzero(wpos == ps[:, None, None]).reshape(len(ps), n_q)
+            steps.append((ks, ps, np.clip(wpos, 0, n - 1),
+                          (wpos < 0) | (wpos >= n), tgt,
+                          ys[:, None, rows.reshape(len(ps), -1)]))
+    return steps
+
+
+def reference_sweep_chains(aux, ys, unknown, states, chain_rngs, n_iter,
+                           burn_in, counter=None):
+    """The chain-major kernel: (C, n) states, one row of context per
+    (candidate, chain, chunk), row-major means and einsum metrics."""
+    n_blk = len(ys)
+    n_chains, n = states.shape
+    n_par = n_chains // n_blk
+    m_sym = aux.m_symbols
+    m_bits = int(np.log2(m_sym))
+    inv2s = 1.0 / (2.0 * aux.sigma2)
+    gray = gibbs.gray_labels(m_sym)
+    ungray = gibbs.gray_to_index(m_sym)
+    label_level = aux.levels[ungray]
+    steps = reference_colour_steps(aux, ys, unknown, n_chains)
+    values = aux.levels[states]
+    bins = ((np.arange(n_chains)[:, None] // n_par) * n + np.arange(n)) * m_sym
+    counts = np.zeros(n_blk * n * m_sym, dtype=np.int64)
+    uniforms = np.empty((n_chains, len(unknown), m_bits))
+    for sweep in range(n_iter):
+        for crng, u in zip(chain_rngs, uniforms):
+            crng.random(out=u)
+        for ks, ps, safe, outside, tgt, y_sites in steps:
+            ctx = values[:, safe]
+            ctx[:, outside] = 0.0
+            pair = np.stack([ctx, ctx]).reshape(2, n_chains, -1)
+            cur_label = gray[states[:, ps]]
+            for b in range(m_bits):
+                labs = np.stack([cur_label & ~(1 << b), cur_label | (1 << b)])
+                pair[:, :, tgt] = label_level[labs][..., None]
+                mu = rowmajor_means(aux, pair.reshape(-1, aux.window))
+                diff = y_sites - mu.reshape((2, n_blk, n_par) + y_sites.shape[2:])
+                metric = np.einsum("...k,...k->...", diff, diff).reshape(
+                    2, n_chains, -1) * inv2s
+                p_one = 0.5 * (1.0 - np.tanh(0.5 * (metric[1] - metric[0])))
+                cur_label = np.where(uniforms[:, ks, b] < p_one, labs[1], labs[0])
+            states[:, ps] = ungray[cur_label]
+            values[:, ps] = aux.levels[states[:, ps]]
+        if sweep >= burn_in:
+            counts += np.bincount((bins + states).ravel(), minlength=counts.size)
+    return counts.reshape(n_blk, n, m_sym)
+
+
+# (nonlinearity, n_sim, n_os, k_g, k_h)
+ORACLE_CHANNELS = {
+    "square-law": (ch.SquareLaw(), 2, 2, 7, 1),
+    "identity-n_os-1": (ch.Identity(), 2, 1, 5, 1),
+    "square-law-k_h-3": (ch.SquareLaw(), 2, 2, 7, 3),
+}
+
+
+def oracle_channel(m_symbols, name):
+    nl, n_sim, n_os, k_g, k_h = ORACLE_CHANNELS[name]
+    cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(m_symbols),
+                           n_os=n_os, n_sim=n_sim, nonlinearity=nl,
+                           noise_variance=1.0)
+    return ch.make_channel(cfg, k_g=k_g, k_h=k_h).with_transmit_power_db(6.0)
+
+
+class TestKernelOracle:
+    """The position-major kernel equals the frozen chain-major reference:
+    counts of direct sweeps and the APPs of whole stages, over 2-, 4- and
+    8-ASK, three channels, memories 0-4, the first and last of three SIC
+    stages, and one site per step, the default step and whole colours."""
+
+    N, STAGES, N_BLK = 12, 3, 2
+
+    @pytest.mark.parametrize("memory", range(5))
+    @pytest.mark.parametrize("channel", sorted(ORACLE_CHANNELS))
+    @pytest.mark.parametrize("m_symbols", [2, 4, 8])
+    def test_equal_to_reference(self, monkeypatch, m_symbols, channel,
+                                memory):
+        chan = oracle_channel(m_symbols, channel)
+        aux = fba.build_aux_channel(chan, memory=memory, build_table=False)
+        cfg = gibbs.GibbsConfig(memory=memory, n_iter=4, n_par=3, burn_in=1)
+        rng = np.random.default_rng(1000 * m_symbols + memory)
+        blocks = rates.simulate_eval_blocks(chan, self.N_BLK, self.N, rng)
+        plan = sic.SicPlan(self.STAGES, self.N)
+        for s in (1, self.STAGES):
+            view = sic.stage_view(plan, s, blocks.x)
+            unknown = np.delete(np.arange(self.N), view.known_idx)
+            truth = chan.symbol_indices(blocks.x)
+            for step_rows in (1, gibbs.STEP_ROWS, 1 << 40):
+                monkeypatch.setattr(gibbs, "STEP_ROWS", step_rows)
+                counts, apps_ = [], []
+                for sweep in (gibbs._sweep_chains, reference_sweep_chains):
+                    chain_rngs = np.random.default_rng(s).spawn(
+                        self.N_BLK * cfg.n_par)
+                    states = np.repeat(truth, cfg.n_par, axis=0)
+                    for c, crng in enumerate(chain_rngs):
+                        states[c, unknown] = crng.integers(
+                            0, m_symbols, size=len(unknown))
+                    counts.append(sweep(aux, blocks.y, unknown, states,
+                                        chain_rngs, cfg.n_iter, cfg.burn_in))
+                    monkeypatch.setattr(gibbs, "_sweep_chains", sweep)
+                    apps_.append(gibbs.gibbs_apps(
+                        aux, blocks.y, view, cfg,
+                        np.random.default_rng(s)).probs)
+                monkeypatch.undo()
+                assert np.array_equal(counts[0], counts[1])
+                assert np.array_equal(apps_[0], apps_[1])
+
+    @pytest.mark.parametrize("memory", range(5))
+    @pytest.mark.parametrize("shape", [(2, 2, 7, 1), (2, 2, 7, 3), (4, 2, 9, 3),
+                                       (2, 2, 5, 5), (4, 4, 9, 1)])
+    @pytest.mark.parametrize("nl", [ch.SquareLaw(), ch.Identity()],
+                             ids=["square-law", "identity"])
+    def test_means_equal_row_major(self, nl, shape, memory):
+        """Feature-major means equal the row-major nl(c @ S.T) @ H.T bit for
+        bit with two or more samples per symbol, from one window to more
+        than a colour step holds."""
+        n_sim, n_os, k_g, k_h = shape
+        cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(4), n_os=n_os,
+                               n_sim=n_sim, nonlinearity=nl,
+                               noise_variance=1.0)
+        chan = ch.make_channel(cfg, k_g=k_g, k_h=k_h).with_transmit_power_db(6.0)
+        aux = fba.build_aux_channel(chan, memory=memory, build_table=False)
+        rng = np.random.default_rng(memory)
+        for n_ctx in (1, 7, 2 * gibbs.STEP_ROWS):
+            windows = chan.levels[rng.integers(0, 4, (aux.window, n_ctx))]
+            assert np.array_equal(aux.mean_contexts(windows),
+                                  rowmajor_means(aux, windows.T).T)
 
 
 class TestStallingRecord:
