@@ -16,7 +16,7 @@ from .rates import RateReport, StageRate, estimate_sic, uniform_apps
 from .rnn import (Normalization, RnnModel, RnnShape, build_indexer,
                   count_rnn_multiplications, forward, gather_inputs,
                   init_model, load_model, rnn_apps, save_model)
-from .sic import SicPlan, StageView, ic_window_indices, kappa, stage_view
+from .sic import SicPlan, StageView, ic_window_indices, stage_view
 from .training import (Adam, TrainConfig, TrainDivergence, TrainLog, backward,
                        loss, train_stage)
 

@@ -72,8 +72,7 @@ class FirFilter:
     """Centered FIR filter on the simulation grid.
 
     `taps[half_len]` multiplies lag zero; taps must have odd length so the
-    filter is symmetric around its center and the symbol memory accounting
-    (K-1)//rate holds exactly.
+    filter is symmetric around its center.
     """
 
     taps: np.ndarray
@@ -85,10 +84,6 @@ class FirFilter:
 
     def __len__(self) -> int:
         return len(self.taps)
-
-    @property
-    def symbol_memory(self) -> int:
-        return (len(self.taps) - 1) // self.rate
 
     @property
     def half_len(self) -> int:
@@ -336,20 +331,23 @@ class DiscreteChannel:
                 "fiber")
 
     @property
-    def memory_g(self) -> int:
-        return self.g.symbol_memory
+    def guard_symbols(self) -> int:
+        return self.g.half_len + self.h.half_len
 
     @property
-    def memory_h(self) -> int:
-        return self.h.symbol_memory
+    def future(self) -> int:
+        """Symbols after its own that an observation chunk depends on: the
+        combined filter span past the chunk's last sample, at its center."""
+        return self.guard_symbols // self.config.n_sim
 
     @property
     def memory(self) -> int:
-        return self.memory_g + self.memory_h
-
-    @property
-    def guard_symbols(self) -> int:
-        return self.g.half_len + self.h.half_len
+        """Symbol memory of the exact trellis: the symbols after a chunk's
+        own that it depends on, plus those before, whose span reaches back
+        from the chunk's first sample, n_os - 1 output samples earlier."""
+        cfg = self.config
+        past = (self.guard_symbols + cfg.n_sim - cfg.decimation) // cfg.n_sim
+        return self.future + past
 
     @property
     def levels(self) -> np.ndarray:

@@ -239,12 +239,9 @@ def _detector_for(cfg, chan, run_dir, p_tx_db):
 
 def _evaluate_point(cfg, base, run_dir, sweep_idx, p_tx_db):
     chan = base.with_transmit_power_db(p_tx_db)
-    apps, det_aux, counts = _detector_for(cfg, chan, run_dir, p_tx_db)
-    ub_aux = det_aux
-    # the detector's table serves the bound when both are built alike
-    if cfg.ub_memory is not None and (
-            det_aux is None or cfg.ub_memory != det_aux.memory
-            or cfg.fba.future is not None):
+    apps, ub_aux, counts = _detector_for(cfg, chan, run_dir, p_tx_db)
+    # the bound runs on the detector's trellis unless it has its own memory
+    if cfg.ub_memory is not None:
         ub_aux = fba.build_aux_channel(chan, cfg.ub_memory)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 3, sweep_idx]))
     plan = sic.SicPlan(cfg.stages, cfg.eval_n)
@@ -384,6 +381,10 @@ def main(argv=None) -> int:
         return 2
     except (FloatingPointError, training.TrainDivergence, RuntimeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"numeric failure: {args.command}: out of memory: {exc}",
+              file=sys.stderr)
         return 3
 
 

@@ -2,12 +2,12 @@
 
 Sections mirror the module configs (channel, sic, detector, sweep, eval).
 `_SCHEMA` states every key once, with its type, default and least allowed
-value; parsing, defaults, range checks and the resolved configuration all
-read it.  Parsing is strict: unknown keys are rejected with their full
-dotted path, and missing required keys, wrong types and out-of-range values
-name the offending key.  The resolved configuration (all defaults filled
-in) serializes to canonical JSON, whose hash names the run's output
-directory.
+value; parsing, defaults, range checks, the config classes and the resolved
+configuration all read it.  Parsing is strict: unknown keys are rejected
+with their full dotted path, and missing required keys, wrong types and
+out-of-range values name the offending key.  The resolved configuration
+(all defaults filled in) serializes to canonical JSON, whose hash names the
+run's output directory.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import make_dataclass
+from functools import partial
 from typing import Optional
 
 import yaml
@@ -79,67 +80,51 @@ _SECTION_PATHS = {key[:i] for key in _SCHEMA
                   for i, c in enumerate(key) if c == "."}
 
 
-# A section dataclass field is its key minus the section prefix, with dots
-# turned into underscores.
-@dataclass(frozen=True)
-class ChannelSection:
-    alphabet: str
-    symbol_rate: float
-    n_os: int
-    n_sim: int
-    nonlinearity: str
-    rapp_p: float
-    rapp_x_sat: float
-    k_g: Optional[int]
-    k_h: int
-    fiber_length_km: Optional[float]
-    fiber_beta2_s2_per_km: Optional[float]
-    noise_variance: float
-    precoding: str
-
-
-@dataclass(frozen=True)
-class FbaSection:
-    memory: int
-    future: Optional[int]
-
-
-@dataclass(frozen=True)
-class RnnSection:
-    l_y: int
-    l_ic: int
-    hidden: tuple
-    t_rnn: int
-    learn_rate: float
-    n_batch: int
-    n_iter: int
-    warm_start: bool
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    channel: ChannelSection
-    stages: int
-    detector_kind: str
-    fba: FbaSection
-    gibbs: GibbsConfig
-    rnn: RnnSection
-    sweep_p_tx_db: tuple
-    eval_n_blk: int
-    eval_n: int
-    ub_memory: Optional[int]
-    seed: int
-    output_dir: str
-
-
-# ExperimentConfig attribute -> (key prefix, dataclass) of each section
-_SECTIONS = {"channel": ("channel.", ChannelSection),
-             "fba": ("detector.fba.", FbaSection),
-             "gibbs": ("detector.gibbs.", GibbsConfig),
-             "rnn": ("detector.rnn.", RnnSection)}
-# the other keys name their ExperimentConfig attribute with dots turned into
-# underscores, except these
+# ExperimentConfig attribute -> key prefix of each section.  A section's
+# field is its key minus the prefix, with dots turned into underscores; the
+# other keys name their ExperimentConfig attribute that way, except these.
+_SECTIONS = {"channel": "channel.", "fba": "detector.fba.",
+             "gibbs": "detector.gibbs.", "rnn": "detector.rnn."}
 _RENAMED = {"sic.stages": "stages", "eval.ub_memory": "ub_memory"}
+
+
+def _place(key: str):
+    """(section attribute or None, field name) holding a key's value."""
+    for attr, prefix in _SECTIONS.items():
+        if key.startswith(prefix):
+            return attr, key[len(prefix):].replace(".", "_")
+    return None, _RENAMED.get(key, key.replace(".", "_"))
+
+
+def _config_classes() -> dict:
+    """ExperimentConfig, under None, and its section dataclasses by
+    attribute, their fields in _SCHEMA order and typed from it.  A section
+    sits where its first key does; the gibbs section is the sampler's own
+    GibbsConfig."""
+    fields = {attr: [] for attr in (None, *_SECTIONS)}
+    for key, (kind, default, least) in _SCHEMA.items():
+        if least == (default,):
+            continue
+        attr, name = _place(key)
+        if attr and not fields[attr]:
+            fields[None].append((attr, attr))
+        kind = tuple if isinstance(kind, list) else kind
+        fields[attr].append((name, Optional[kind] if default is None else kind))
+    frozen = partial(make_dataclass, frozen=True,
+                     namespace={"__module__": __name__})
+    classes = {attr: frozen(f"{attr.capitalize()}Section", fields[attr])
+               for attr in _SECTIONS if attr != "gibbs"}
+    classes["gibbs"] = GibbsConfig
+    classes[None] = frozen("ExperimentConfig", [
+        (name, classes.get(name, kind)) for name, kind in fields[None]])
+    return classes
+
+
+_CLASSES = _config_classes()
+ChannelSection = _CLASSES["channel"]
+FbaSection = _CLASSES["fba"]
+RnnSection = _CLASSES["rnn"]
+ExperimentConfig = _CLASSES[None]
 
 
 def millidb(p_tx_db: float) -> int:
@@ -155,14 +140,6 @@ def _finite_point(p_tx_db: float) -> bool:
             math.isfinite(10.0 ** (p_tx_db / 10.0))
     except OverflowError:
         return False
-
-
-def _place(key: str):
-    """(section attribute or None, field name) holding a key's value."""
-    for attr, (prefix, _) in _SECTIONS.items():
-        if key.startswith(prefix):
-            return attr, key[len(prefix):].replace(".", "_")
-    return None, _RENAMED.get(key, key.replace(".", "_"))
 
 
 def _flatten(data, path: str) -> dict:
@@ -231,21 +208,19 @@ def _get(flat: dict, key: str):
 
 def parse_config(data: dict) -> ExperimentConfig:
     flat = _flatten(data, "")
-    fields = {attr: {} for attr in _SECTIONS}
-    top = {}
+    fields = {attr: {} for attr in (None, *_SECTIONS)}
     for key, (_, default, least) in _SCHEMA.items():
         value = _get(flat, key)
         if least != (default,):
             attr, name = _place(key)
-            (fields[attr] if attr else top)[name] = value
+            fields[attr][name] = value
     # with the bounds met, the one check GibbsConfig can still fail
     g = fields["gibbs"]
     if g["burn_in"] >= g["n_iter"]:
         raise ConfigError(f"detector.gibbs.burn_in: must be less than "
                           f"detector.gibbs.n_iter={g['n_iter']}")
-    for attr, (_, cls) in _SECTIONS.items():
-        top[attr] = cls(**fields[attr])
-    cfg = ExperimentConfig(**top)
+    cfg = ExperimentConfig(**fields[None], **{
+        attr: _CLASSES[attr](**fields[attr]) for attr in _SECTIONS})
     fiber = {k: v for k, v in flat.items()
              if k.startswith("channel.fiber.") and v is not None}
     for key in ("channel.fiber.length_km", "channel.fiber.beta2_s2_per_km"):

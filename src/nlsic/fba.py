@@ -106,15 +106,10 @@ class AuxChannel:
         self.sigma2 = cfg.noise_variance if cfg.noise_variance > 0 else 1.0
         self.levels = chan.levels.copy()
 
-        span = chan.g.half_len + chan.h.half_len
-        f_true = span // cfg.n_sim
-        p_true = (span + cfg.n_sim - cfg.decimation) // cfg.n_sim
-        self._exact_span = f_true + p_true
         if future is None:
-            if memory >= self._exact_span or self._exact_span == 0:
-                future = f_true
-            else:
-                future = min(f_true, (memory * f_true) // self._exact_span)
+            # a shorter window keeps its share of the exact look-ahead
+            future = chan.future if self.is_exact else \
+                memory * chan.future // chan.memory
         if not 0 <= future <= memory:
             raise ValueError(f"future span {future} incompatible with memory {memory}")
         self.future = int(future)
@@ -141,7 +136,7 @@ class AuxChannel:
     @property
     def is_exact(self) -> bool:
         """True when the window covers the full combined filter span."""
-        return self.memory >= self._exact_span
+        return self.memory >= self.chan.memory
 
     def _build_maps(self):
         """Linear maps realizing the truncated pipeline for one chunk.

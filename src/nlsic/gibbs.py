@@ -264,7 +264,7 @@ def gibbs_apps(aux: AuxChannel, y: np.ndarray, view: StageView,
     b, n = len(y), view.plan.n
     m_sym = aux.m_symbols
     m_bits = int(np.log2(m_sym))
-    unknown = np.delete(np.arange(n), view.known_idx)
+    unknown = view.plan.undecided_positions(view.s)
     pinned = aux.chan.symbol_indices(view.known_val)
     positions = view.targets
     total = (cfg.n_iter - cfg.burn_in) * cfg.n_par

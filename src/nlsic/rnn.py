@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .apps import AppMatrix, MultCounter, block_slices
-from .sic import SicPlan, StageView, ic_window_indices, kappa
+from .sic import SicPlan, StageView, ic_window_indices
 
 _MAGIC = b"NLSICRNN"
 _FORMAT_VERSION = 1
@@ -173,26 +173,15 @@ class InputIndexer:
 def build_indexer(plan: SicPlan, s: int, shape: RnnShape) -> InputIndexer:
     if plan.n_stages != shape.n_stages or s != shape.s:
         raise ValueError("indexer stage geometry does not match the model shape")
-    n_big = plan.n_stages
-    per = plan.per_stage
-    phases = shape.phases
-    t_steps = per * phases
     delta = (shape.l_y - 1) // 2
-    nabla = shape.l_y - 1 - delta
-
-    y_idx = np.full((t_steps, shape.l_y), -1, dtype=int)
-    v_idx = np.full((t_steps, shape.l_ic), -1, dtype=int)
+    # input step k targets the k-th undecided symbol, whose output chunk
+    # ends at observation n_os*(position+1) (1-based)
+    targets = plan.undecided_positions(s)
+    y_idx = shape.n_os * (targets[:, None] + 1) - 1 - delta + np.arange(shape.l_y)
+    y_idx[(y_idx < 0) | (y_idx >= shape.n_os * plan.n)] = -1
     known_idx = plan.known_positions(s)
-    step = 0
-    n_y = shape.n_os * plan.n
-    for t in range(1, per + 1):
-        for j in range(s, n_big + 1):
-            center = shape.n_os * kappa(j, t, n_big)  # 1-based observation index
-            window = center - 1 - delta + np.arange(shape.l_y)
-            window[(window < 0) | (window >= n_y)] = -1
-            y_idx[step] = window
-            v_idx[step] = ic_window_indices(j, t, plan, known_idx, shape.l_ic)
-            step += 1
+    v_idx = np.array([ic_window_indices(p, known_idx, shape.l_ic)
+                      for p in targets], dtype=int)
     return InputIndexer(shape=shape, plan=plan, y_idx=y_idx, v_idx=v_idx)
 
 

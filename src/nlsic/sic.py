@@ -14,15 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def kappa(s: int, t: int, n_stages: int) -> int:
-    """Serial 1-based index of the t-th symbol of stage s: s + (t-1)*S."""
-    if not 1 <= s <= n_stages:
-        raise ValueError(f"stage {s} out of range 1..{n_stages}")
-    if t < 1:
-        raise ValueError(f"within-stage index {t} must be >= 1")
-    return s + (t - 1) * n_stages
-
-
 @dataclass(frozen=True)
 class SicPlan:
     """Stage count S and block length n, with N = n/S symbols per stage."""
@@ -40,18 +31,27 @@ class SicPlan:
     def per_stage(self) -> int:
         return self.n // self.n_stages
 
-    def stage_positions(self, s: int) -> np.ndarray:
-        """Serial 0-based positions of stage s, ascending."""
+    def _stage_of_position(self, s: int) -> np.ndarray:
+        """The 0-based stage of each serial position, once s is checked to
+        be a stage."""
         if not 1 <= s <= self.n_stages:
             raise ValueError(f"stage {s} out of range 1..{self.n_stages}")
-        return np.arange(s - 1, self.n, self.n_stages)
+        return np.arange(self.n) % self.n_stages
+
+    def stage_positions(self, s: int) -> np.ndarray:
+        """Serial 0-based positions of stage s, ascending."""
+        return np.flatnonzero(self._stage_of_position(s) == s - 1)
 
     def known_positions(self, s: int) -> np.ndarray:
         """Serial 0-based positions decided before stage s, those of
         stages 1..s-1, ascending."""
-        if not 1 <= s <= self.n_stages:
-            raise ValueError(f"stage {s} out of range 1..{self.n_stages}")
-        return np.flatnonzero(np.arange(self.n) % self.n_stages < s - 1)
+        return np.flatnonzero(self._stage_of_position(s) < s - 1)
+
+    def undecided_positions(self, s: int) -> np.ndarray:
+        """Serial 0-based positions not yet decided at stage s, those of
+        stages s..S, ascending: the t-th symbol of stages s..S in turn, for
+        t = 1, 2, ..."""
+        return np.flatnonzero(self._stage_of_position(s) >= s - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,10 +96,10 @@ def stage_view(plan: SicPlan, s: int, x: np.ndarray) -> StageView:
     return StageView(plan=plan, s=s, known_idx=idx, known_val=x[:, idx])
 
 
-def ic_window_indices(j: int, t: int, plan: SicPlan, known_idx: np.ndarray,
+def ic_window_indices(target: int, known_idx: np.ndarray,
                       l_ic: int) -> np.ndarray:
-    """The l_ic decided symbols closest (in serial index) to kappa(j,t), as
-    indices into the ascending positions `known_idx`.
+    """The l_ic decided symbols closest to the serial 0-based position
+    `target`, as indices into the ascending positions `known_idx`.
 
     Ties prefer the smaller serial index; the chosen indices are ascending
     and padded with -1 (a zero-filled slot) on the left when fewer than
@@ -107,7 +107,6 @@ def ic_window_indices(j: int, t: int, plan: SicPlan, known_idx: np.ndarray,
     """
     if l_ic < 0:
         raise ValueError("l_ic must be >= 0")
-    target = kappa(j, t, plan.n_stages) - 1
     dist = np.abs(known_idx - target)
     chosen = np.sort(np.lexsort((known_idx, dist))[:l_ic])
     return np.concatenate([np.full(l_ic - len(chosen), -1, dtype=int), chosen])

@@ -65,7 +65,7 @@ class TestPulse:
         cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(4), n_os=2, n_sim=2)
         g = ch.build_pulse(cfg)
         assert len(g) == 151 * 2 + 1
-        assert g.symbol_memory == 151
+        assert ch.make_channel(cfg, g=g).memory == 151
 
     def test_odd_length_required(self):
         with pytest.raises(ValueError):
@@ -128,8 +128,7 @@ class TestPulse:
                                n_sim=2, nonlinearity=ch.SquareLaw())
         chan = ch.make_channel(cfg, k_g=9,
                                h=ch.FirFilter(taps=np.ones(5), rate=2))
-        assert chan.memory_g == 4
-        assert chan.memory_h == 2
+        assert chan.future == 3
         assert chan.memory == 6
 
 

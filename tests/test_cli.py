@@ -662,6 +662,21 @@ class TestParallel:
         assert cli.main(["train", "-c", str(path)]) == 3
         assert capsys.readouterr().err == f"numeric failure: {exc}\n"
 
+    @pytest.mark.parametrize("sweep", [(0.0,), (0.0, 1.0)])
+    def test_allocation_that_cannot_succeed_exits_3(self, tmp_path,
+                                                     monkeypatch, capsys,
+                                                     sweep):
+        """eval.n = 10^17 asks for 711 PiB of symbols per block, which no
+        overcommit policy grants: numpy's MemoryError, raised in this
+        process or a forked sweep point, exits 3 naming the command."""
+        path = toy_yaml(tmp_path, detector="uniform", stages=1, n_blk=1,
+                        n=10**17, sweep=sweep)
+        set_cpus(monkeypatch, 2)
+        assert cli.main(["evaluate", "-c", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: evaluate: out of memory: "
+                              "Unable to allocate 711. PiB"), err
+
     def test_map_keeps_order_and_raises_first_failure(self, monkeypatch):
         set_cpus(monkeypatch, 2)
         assert parallel.parallel_map(lambda x: x * x, range(7)) == \

@@ -157,7 +157,6 @@ class TestBuildChannel:
     def test_full_scale_memory(self):
         cfg = cfgmod.parse_config(yaml.safe_load(FULL_SCALE_YAML))
         chan = cfgmod.build_channel(cfg)
-        assert chan.memory_g == 151
         assert chan.memory == 151
 
     def test_invalid_combination_is_config_error(self):

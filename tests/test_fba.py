@@ -113,6 +113,47 @@ class TestAuxChannel:
         got = aux.mean_contexts(ctx[:, None])[:, 0]
         assert np.allclose(got, y[aux.n_os * (q - 1):aux.n_os * q], atol=1e-12)
 
+    def test_channel_memory_is_the_exact_span(self):
+        """At every (k_g, n_sim, n_os, k_h) of the grid, a window of
+        chan.memory symbols gives every chunk's noiseless mean, guard zeros
+        at the block edges included, and one symbol less does not.  The taps
+        are random, so no tap is zero and the span is the true dependence."""
+        # first the points where a sum of per-filter memories, (k-1)//n_sim
+        # each, gives too little (1 for 2) and too much (3 for 2)
+        grid = [(7, 4, 2, 3), (7, 2, 1, 1)] + [
+            g for g in itertools.product((1, 3, 7, 9), (1, 2, 3, 4),
+                                         (1, 2, 4), (1, 3, 5))
+            if g[1] % g[2] == 0]
+        for k_g, n_sim, n_os, k_h in grid:
+            rng = np.random.default_rng([k_g, n_sim, n_os, k_h])
+            cfg = ch.ChannelConfig(
+                alphabet=ch.Alphabet.bipolar_ask(4), n_os=n_os, n_sim=n_sim,
+                nonlinearity=ch.SquareLaw() if n_sim > 1 else ch.Identity(),
+                noise_variance=0.0)
+            chan = ch.make_channel(
+                cfg, g=ch.FirFilter(rng.uniform(0.5, 1.5, k_g), n_sim),
+                h=ch.FirFilter(rng.uniform(0.5, 1.5, k_h), n_sim))
+            x = ch.draw_symbols(chan, 16, rng)
+            y = ch.simulate_batch(chan, x[None]).y[0]
+
+            def chunk_means(memory):
+                aux = fba.build_aux_channel(chan, memory, build_table=False)
+                # chunk k's window: symbols k-(memory-future)..k+future
+                pos = np.arange(len(x))[:, None] - (memory - aux.future) \
+                    + np.arange(memory + 1)
+                inside = (pos >= 0) & (pos < len(x))
+                ctx = np.where(inside, x[np.clip(pos, 0, len(x) - 1)], 0.0)
+                return aux.is_exact, aux.mean_contexts(ctx.T).T.reshape(-1)
+
+            point = (k_g, n_sim, n_os, k_h, chan.memory)
+            exact, means = chunk_means(chan.memory)
+            assert exact, point
+            assert np.allclose(means, y, rtol=0, atol=1e-12), point
+            if chan.memory > 0:
+                exact, means = chunk_means(chan.memory - 1)
+                assert not exact, point
+                assert not np.allclose(means, y, rtol=0, atol=1e-9), point
+
 
 class TestFbaApp:
     def test_memoryless_binary_closed_form(self):

@@ -10,25 +10,6 @@ from hypothesis import strategies as st
 from nlsic import sic
 
 
-class TestKappa:
-    def test_first_stage_first_symbol(self):
-        assert sic.kappa(1, 1, 3) == 1
-
-    def test_first_stage_row(self):
-        assert [sic.kappa(1, t, 3) for t in range(1, 6)] == [1, 4, 7, 10, 13]
-
-    def test_last_entry_of_grid(self):
-        assert sic.kappa(3, 5, 3) == 15
-
-    def test_out_of_range_stage(self):
-        with pytest.raises(ValueError):
-            sic.kappa(0, 1, 3)
-        with pytest.raises(ValueError):
-            sic.kappa(4, 1, 3)
-        with pytest.raises(ValueError):
-            sic.kappa(1, 0, 3)
-
-
 class TestPartition:
     def test_single_stage_identity(self):
         assert np.array_equal(sic.SicPlan(1, 10).stage_positions(1), np.arange(10))
@@ -62,7 +43,7 @@ class TestPartition:
         for s in range(1, s_total + 1):
             v = x[plan.stage_positions(s)]
             for t in range(1, len(v) + 1):
-                assert v[t - 1] == x[sic.kappa(s, t, s_total) - 1]
+                assert v[t - 1] == x[s + (t - 1) * s_total - 1]
 
 
 def brute_force_window(known_idx, known_val, target, l_ic):
@@ -83,9 +64,11 @@ def brute_force_window(known_idx, known_val, target, l_ic):
 
 
 def ic_window(j, t, view, l_ic):
-    """Values of the decided symbols ic_window_indices picks in the view's
-    first block, with 0 in a zero-filled slot."""
-    slots = sic.ic_window_indices(j, t, view.plan, view.known_idx, l_ic)
+    """Values of the decided symbols ic_window_indices picks around the t-th
+    symbol of stage j in the view's first block, with 0 in a zero-filled
+    slot."""
+    target = j + (t - 1) * view.plan.n_stages - 1
+    slots = sic.ic_window_indices(target, view.known_idx, l_ic)
     return np.append(view.known_val[0], 0.0)[slots]
 
 
@@ -98,8 +81,7 @@ class TestIcWindow:
     def test_stage_one_all_zeros(self):
         view = self.make_view(1, 3, 12)
         assert np.array_equal(ic_window(1, 2, view, 6), np.zeros(6))
-        assert np.array_equal(sic.ic_window_indices(1, 2, view.plan,
-                                                    view.known_idx, 6),
+        assert np.array_equal(sic.ic_window_indices(3, view.known_idx, 6),
                               np.full(6, -1))
 
     def test_l_ic_zero_empty(self):
@@ -107,12 +89,12 @@ class TestIcWindow:
         assert len(ic_window(2, 1, view, 0)) == 0
 
     def test_two_stage_example(self):
-        # S=2, s=2: known serial (1-based) {1,3,5,...}; target kappa(2,3)=6
+        # S=2, s=2: known serial (1-based) {1,3,5,...}; target 2 + 2*2 = 6
         view = self.make_view(2, 2, 16)
         assert np.array_equal(ic_window(2, 3, view, 2), [5.0, 7.0])
         # serial 0-based 4 and 6 are the third and fourth decided symbols
         assert np.array_equal(
-            sic.ic_window_indices(2, 3, view.plan, view.known_idx, 2), [2, 3])
+            sic.ic_window_indices(5, view.known_idx, 2), [2, 3])
 
     def test_against_brute_force(self):
         rng = np.random.default_rng(77)
@@ -126,7 +108,7 @@ class TestIcWindow:
                     l_ic = int(rng.integers(1, 9))
                     got = ic_window(j, t, view, l_ic)
                     want = brute_force_window(view.known_idx, view.known_val[0],
-                                              sic.kappa(j, t, n_stages) - 1, l_ic)
+                                              j + (t - 1) * n_stages - 1, l_ic)
                     assert np.array_equal(got, want), (j, t, l_ic)
 
     def test_tie_breaks_toward_smaller_serial(self):
@@ -172,6 +154,25 @@ class TestStageView:
         plan = sic.SicPlan(2, 8)
         view = sic.stage_view(plan, 2, np.arange(8.0)[None])
         assert np.array_equal(view.targets, [1, 3, 5, 7])
+
+    def test_undecided_positions_in_unrolled_order(self):
+        plan = sic.SicPlan(3, 12)
+        for s in range(1, 4):
+            # the t-th symbol of stages s..S in turn, for t = 1, 2, ...
+            expect = [j - 1 + (t - 1) * 3 for t in range(1, 5)
+                      for j in range(s, 4)]
+            assert np.array_equal(plan.undecided_positions(s), expect)
+            assert np.array_equal(np.sort(np.concatenate(
+                [plan.known_positions(s), plan.undecided_positions(s)])),
+                np.arange(12))
+
+    def test_positions_reject_a_stage_out_of_range(self):
+        plan = sic.SicPlan(3, 12)
+        for positions in (plan.stage_positions, plan.known_positions,
+                          plan.undecided_positions):
+            for s in (0, 4):
+                with pytest.raises(ValueError, match="out of range"):
+                    positions(s)
 
     def test_stage_one_has_no_knowns(self):
         plan = sic.SicPlan(4, 8)
