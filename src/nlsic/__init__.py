@@ -10,9 +10,10 @@ from .channel import (Alphabet, Blocks, ChannelConfig, DiscreteChannel,
                       build_pulse, differential_precode, draw_symbols,
                       make_channel, random_block, simulate_batch)
 from .fba import (AuxChannel, build_aux_channel, count_fba_multiplications,
-                  fba_apps, fba_ub)
+                  fba_apps, fba_point_apps, fba_ub)
 from .gibbs import GibbsConfig, count_gs_multiplications, gibbs_apps
-from .rates import RateReport, StageRate, estimate_sic, uniform_apps
+from .rates import (RateReport, StageRate, estimate_sic, stage_by_stage,
+                    uniform_apps)
 from .rnn import (Normalization, RnnModel, RnnShape, build_indexer,
                   count_rnn_multiplications, forward, gather_inputs,
                   init_model, load_model, rnn_apps, save_model)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -54,18 +55,25 @@ def _run(cfg, *steps) -> int:
     """Make the run directory, write its config.json, run the steps in it
     and write one manifest for them all: their artifacts, the wall time of
     the whole run and the most processes any step ran at once.  Each
-    step(cfg, run_dir) returns (artifacts, workers)."""
+    step(cfg, run_dir) returns (artifacts, workers).  When a step raises,
+    a run directory this call made is removed before the error goes on."""
     t0 = time.perf_counter()
     run_dir = _run_path(cfg)
+    made = not run_dir.exists()
     run_dir.mkdir(parents=True, exist_ok=True)
-    with open(run_dir / "config.json", "w") as fh:
-        json.dump(cfgmod.resolved_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
     artifacts, workers = [], 1
-    for step in steps:
-        paths, step_workers = step(cfg, run_dir)
-        artifacts += paths
-        workers = max(workers, step_workers)
+    try:
+        with open(run_dir / "config.json", "w") as fh:
+            json.dump(cfgmod.resolved_dict(cfg), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        for step in steps:
+            paths, step_workers = step(cfg, run_dir)
+            artifacts += paths
+            workers = max(workers, step_workers)
+    except BaseException:
+        if made:
+            shutil.rmtree(run_dir, ignore_errors=True)
+        raise
     manifest = {
         "config_hash": cfgmod.config_hash(cfg),
         "code_hash": _code_hash(),
@@ -206,19 +214,20 @@ def cmd_train(cfg) -> int:
 
 
 def _detector_for(cfg, chan, run_dir, p_tx_db):
-    """The stage detector apps(y, view, rng), the trellis it runs on (None
-    for the others), and its multiplications per APP by stage."""
+    """The sweep point's detector apps(ys, views, rng), the trellis it runs
+    on (None for the others), and its multiplications per APP by stage."""
     stages = range(1, cfg.stages + 1)
     if cfg.detector_kind == "fba":
         aux = fba.build_aux_channel(chan, cfg.fba.memory, future=cfg.fba.future)
         count = fba.count_fba_multiplications(aux, cfg.eval_n, cfg.stages)
-        return (lambda y, view, rng: fba.fba_apps(aux, y, view),
+        return (lambda ys, views, rng: fba.fba_point_apps(aux, ys, views),
                 aux, dict.fromkeys(stages, count))
     if cfg.detector_kind == "gibbs":
         aux = fba.build_aux_channel(chan, cfg.gibbs.memory, build_table=False)
         count = gibbs.count_gs_multiplications(aux, cfg.gibbs, cfg.eval_n)
-        return (lambda y, view, rng:
-                gibbs.gibbs_apps(aux, y, view, cfg.gibbs, rng),
+        return (rates.stage_by_stage(lambda y, view, rng:
+                                     gibbs.gibbs_apps(aux, y, view, cfg.gibbs,
+                                                      rng)),
                 None, dict.fromkeys(stages, count))
     if cfg.detector_kind == "rnn":
         models, counts = {}, {}
@@ -231,7 +240,8 @@ def _detector_for(cfg, chan, run_dir, p_tx_db):
                     from exc
             # per input step, the convention of the published profiles
             counts[s] = rnn.count_rnn_multiplications(models[s].shape)
-        return (lambda y, view, rng: rnn.rnn_apps(models[view.s], y, view),
+        return (rates.stage_by_stage(lambda y, view, rng:
+                                     rnn.rnn_apps(models[view.s], y, view)),
                 None, counts)
     return (rates.uniform_apps(chan.config.alphabet.size),
             None, dict.fromkeys(stages, 0))

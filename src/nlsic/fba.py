@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .apps import AppMatrix, MultCounter, block_slices
 from .channel import Blocks, DiscreteChannel
@@ -254,29 +255,38 @@ def _priors(aux: AuxChannel, pin: np.ndarray) -> np.ndarray:
     return lp
 
 
+def _log_density(aux: AuxChannel, c: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Gaussian log densities of observation samples c against branch means
+    mu, both sample-major, (n_os, ...), and broadcast together.  The squared
+    differences are whole arrays, one per sample, summed over the samples in
+    numpy's order."""
+    sq = []
+    for c_j, mu_j in zip(c, mu):
+        d = c_j - mu_j
+        d *= d
+        sq.append(d)
+    metric = _sum_in_numpy_order(sq)
+    metric *= -1.0 / (2.0 * aux.sigma2)
+    metric += -0.5 * aux.n_os * (LOG2PI + np.log(aux.sigma2))
+    return metric
+
+
 def _step_metrics(aux: AuxChannel, chunks: np.ndarray, prior: np.ndarray,
                   kappa: int) -> np.ndarray:
     """Log branch metrics, priors included, of trellis step kappa, as
     (B, n_states, M), or (B, 1, M) for the prior alone before the first chunk.
 
     chunks: (B, n, n_os) observation chunks; prior: _priors' (B, n+future, M).
-    The squared differences to the sample-major means are whole (B, n_states*M)
-    arrays, one per sample, summed over samples in numpy's order.
+    The densities are taken against the sample-major means as whole
+    (B, n_states*M) arrays.
     """
     b, n, n_os = chunks.shape
     lg = prior[:, kappa - 1, None, :]
     if kappa <= aux.future:
         return lg
-    c = chunks[:, kappa - aux.future - 1, :, None]
+    c = chunks[:, kappa - aux.future - 1].T[:, :, None]
     mu = _step_mu(aux, kappa, n).reshape(n_os, -1)
-    sq = []
-    for j in range(n_os):
-        d = c[:, j] - mu[j]
-        d *= d
-        sq.append(d)
-    metric = _sum_in_numpy_order(sq)
-    metric *= -1.0 / (2.0 * aux.sigma2)
-    metric += -0.5 * n_os * (LOG2PI + np.log(aux.sigma2))
+    metric = _log_density(aux, c, mu)
     return lg + metric.reshape(b, aux.n_states, aux.m_symbols)
 
 
@@ -285,10 +295,10 @@ def _forward(aux: AuxChannel, y: np.ndarray, pin: np.ndarray,
     """Normalized forward recursion over B blocks at once.
 
     y: (B, n_os*n) observations; pin: (B, n) symbol indices, -1 for free
-    positions.  Returns (log_z, log_alpha, log_gamma): the (B,) total log
-    likelihoods and, when `keep`, the per-step normalized log alpha
-    (steps, B, n_states) and branch metrics incl. priors
-    (steps, B, n_states, M); otherwise those two are None.
+    positions.  Returns (log_z, log_alpha): the (B,) total log likelihoods
+    and, when `keep`, the per-step normalized log alpha (steps, B, n_states),
+    otherwise None.  Branch metrics are not kept: the backward pass
+    recomputes them.
 
     Each step's metrics come from _step_metrics; the sum over a new state's
     M predecessors is numpy's along the middle axis of (B, M, n_states).
@@ -309,7 +319,6 @@ def _forward(aux: AuxChannel, y: np.ndarray, pin: np.ndarray,
     log_alpha[:, 0] = 0.0
     log_z = np.zeros(b)
     alphas = np.empty((steps, b, w)) if keep else None
-    gammas = np.empty((steps, b, w, m)) if keep else None
     # a squared difference that overflows gives a -inf branch metric, legal
     # as long as some path survives
     with np.errstate(over="ignore"):
@@ -335,75 +344,160 @@ def _forward(aux: AuxChannel, y: np.ndarray, pin: np.ndarray,
             log_z += peak
             if keep:
                 alphas[kappa - 1] = log_alpha
-                gammas[kappa - 1] = lg
     log_z += _lse(log_alpha, axis=1)
-    return log_z, alphas, gammas
+    return log_z, alphas
 
 
-def _backward_apps(log_alpha: np.ndarray, log_gamma: np.ndarray,
-                   positions: np.ndarray,
+def _backward_apps(aux: AuxChannel, y: np.ndarray, pin: np.ndarray,
+                   log_alpha: np.ndarray, groups: list,
                    counter: Optional[MultCounter] = None) -> np.ndarray:
-    """Backward recursion combined with the stored forward pass into
-    unnormalized log APPs (B, len(positions), M).
+    """Backward recursion combined with the stored forward messages into
+    unnormalized log APPs, (B, N, M).
+
+    y, pin and log_alpha are _forward's inputs and kept output.  Each step's
+    branch metrics are recomputed by _step_metrics from the same inputs, so
+    they are the bits the forward pass used.  groups: (lo, hi, positions)
+    for disjoint row ranges, rows lo..hi-1 taking APPs at the N ascending
+    serial 0-based `positions`; a step combines APPs only on the rows of the
+    groups with a target there.
 
     Each step gathers the backward messages input-major, (B, M, n_states),
     and sums over the M inputs in numpy's order for a contiguous axis
     (_sum_in_numpy_order); at a target step the APP sums over states along
-    the middle axis of a contiguous (B, n_states, M) copy.
+    the middle axis of a contiguous (rows, n_states, M) copy.
     """
-    steps, b, w, m = log_gamma.shape
+    steps, b, w = log_alpha.shape
+    m, n = aux.m_symbols, pin.shape[1]
+    prior = _priors(aux, pin)
+    chunks = y.reshape(b, n, aux.n_os)
     # next_state[a, s]: the state that input a leads to from state s
     next_state = (np.arange(w)[None, :] * m + np.arange(m)[:, None]) % w
     start = np.where(np.arange(w) == 0, 0.0, -np.inf)
-    row_of = {int(p) + 1: i for i, p in enumerate(positions)}
+    # walking back, the column of each group's next target
+    cols = [len(positions) - 1 for _, _, positions in groups]
     log_beta = np.zeros((b, w))
-    logp = np.empty((b, len(positions), m))
-    for kappa in range(steps, 0, -1):
-        contrib = log_beta.take(next_state, axis=1)
-        contrib += log_gamma[kappa - 1].transpose(0, 2, 1)
-        if kappa in row_of:
-            la_prev = log_alpha[kappa - 2] if kappa >= 2 else start[None, :]
-            by_state = np.ascontiguousarray(contrib.transpose(0, 2, 1))
-            logp[:, row_of[kappa]] = _lse(la_prev[:, :, None] + by_state, axis=1)
+    logp = np.empty((b, len(groups[0][2]), m))
+    with np.errstate(over="ignore"):
+        for kappa in range(steps, 0, -1):
+            lg = _step_metrics(aux, chunks, prior, kappa)
+            if counter is not None and kappa > aux.future:
+                counter.add("recomputed-metric", 2 * aux.n_os * w * m * b)
+            contrib = log_beta.take(next_state, axis=1)
+            contrib += lg.transpose(0, 2, 1)
+            for g, (lo, hi, positions) in enumerate(groups):
+                col = cols[g]
+                if col < 0 or positions[col] + 1 != kappa:
+                    continue
+                cols[g] -= 1
+                la_prev = log_alpha[kappa - 2, lo:hi] if kappa >= 2 else start[None, :]
+                by_state = np.ascontiguousarray(contrib[lo:hi].transpose(0, 2, 1))
+                logp[lo:hi, col] = _lse(la_prev[:, :, None] + by_state, axis=1)
+                if counter is not None:
+                    counter.add("app", 2 * w * m * (hi - lo))
+            log_beta = _lse(contrib, axis=1, total=_sum_over_inputs)
+            log_beta = log_beta - log_beta.max(axis=1, keepdims=True)
             if counter is not None:
-                counter.add("app", 2 * w * m * b)
-        log_beta = _lse(contrib, axis=1, total=_sum_over_inputs)
-        log_beta = log_beta - log_beta.max(axis=1, keepdims=True)
-        if counter is not None:
-            counter.add("backward", w * m * b)
+                counter.add("backward", w * m * b)
     empty = ~np.any(np.isfinite(logp), axis=2)
     if np.any(empty):
-        p = positions[np.nonzero(empty)[1][0]]
+        row, col = np.argwhere(empty)[0]
+        p = next(pos[col] for lo, hi, pos in groups if lo <= row < hi)
         raise RuntimeError(f"inconsistent pinning: empty posterior at position {p}")
     return logp
+
+
+def fba_point_apps(aux: AuxChannel, ys: list, views: list,
+                   counter: Optional[MultCounter] = None) -> list:
+    """Symbol-wise APPs at the targets of every block of several SIC stages,
+    typically all stages of a sweep point, by one run of log-domain
+    forward-backward recursions over all their blocks at once.  Returns one
+    AppMatrix per view.
+
+    ys[i]: (B_i, n_os*n) observations of the blocks views[i] describes; the
+    views share one plan.  Each row is pinned to the known symbols of its
+    own stage's earlier stages: trellis branches carrying a different value
+    get -inf metric.  The stages' rows are stacked, in order, and run in
+    slices of bounded memory, which may cut across stages; a stage's APPs
+    are combined only on its own rows, at its own target steps.
+    """
+    plan = views[0].plan
+    if any(view.plan != plan for view in views):
+        raise ValueError("the stages of one trellis pass must share a SIC plan")
+    y = np.concatenate([view.observations(y_i, aux.n_os)
+                        for y_i, view in zip(ys, views)])
+    bounds = np.cumsum([0] + [len(view.known_val) for view in views])
+    pin = np.full((len(y), plan.n), -1, dtype=int)
+    for lo, view in zip(bounds, views):
+        pin[lo:lo + len(view.known_val), view.known_idx] = \
+            aux.chan.symbol_indices(view.known_val)
+
+    # per block: the forward messages and priors of all steps, the log
+    # APPs, and one step's branch metrics with the temporaries that combine
+    # them
+    m, w, steps = aux.m_symbols, aux.n_states, plan.n + aux.future
+    stored = 8 * ((w + m) * steps + m * plan.per_stage
+                  + w * m * (aux.n_os + 5))
+    logp = np.empty((len(y), plan.per_stage, m))
+    for lo, hi in block_slices(len(y), stored):
+        groups = [(max(a, lo) - lo, min(b, hi) - lo, view.targets)
+                  for a, b, view in zip(bounds, bounds[1:], views)
+                  if a < hi and b > lo]
+        _, log_alpha = _forward(aux, y[lo:hi], pin[lo:hi], counter=counter,
+                                keep=True)
+        logp[lo:hi] = _backward_apps(aux, y[lo:hi], pin[lo:hi], log_alpha,
+                                     groups, counter)
+    return [AppMatrix.from_logp(logp[a:b], view.targets)
+            for a, b, view in zip(bounds, bounds[1:], views)]
 
 
 def fba_apps(aux: AuxChannel, y: np.ndarray, view: StageView,
              counter: Optional[MultCounter] = None) -> AppMatrix:
     """Symbol-wise APPs at the stage targets of every block of one SIC
-    stage, by log-domain forward-backward recursions run over all blocks at
-    once.
+    stage: fba_point_apps on that stage alone.
 
-    y: (B, n_os*n) observations of the blocks `view` describes.  Known
-    symbols of earlier stages are pinned: trellis branches carrying a
-    different value get -inf metric.
+    y: (B, n_os*n) observations of the blocks `view` describes.
     """
-    y = view.observations(y, aux.n_os)
-    b, n = len(y), view.plan.n
-    pin = np.full((b, n), -1, dtype=int)
-    pin[:, view.known_idx] = aux.chan.symbol_indices(view.known_val)
-    positions = view.targets
+    return fba_point_apps(aux, [y], [view], counter)[0]
 
-    # per block: one step's metric differences, and the branch metrics and
-    # forward messages of all steps, kept for the backward pass
-    m, w = aux.m_symbols, aux.n_states
-    stored = 8 * w * (m * aux.n_os + (n + aux.future) * (m + 1))
-    logp = np.empty((b, len(positions), m))
-    for lo, hi in block_slices(b, stored):
-        _, log_alpha, log_gamma = _forward(aux, y[lo:hi], pin[lo:hi],
-                                           counter=counter, keep=True)
-        logp[lo:hi] = _backward_apps(log_alpha, log_gamma, positions, counter)
-    return AppMatrix.from_logp(logp, positions)
+
+def _path_log_z(aux: AuxChannel, y: np.ndarray, pin: np.ndarray,
+                counter: Optional[MultCounter] = None) -> np.ndarray:
+    """log q(y|x) of fully pinned rows, (B,): the sum, step after step, of
+    the branch metrics along each row's one path.  For such a row _forward's
+    log_z adds the same metrics in the same order, since 0 + x and the
+    log-sum-exp of one finite term are exact, so the bits agree.  A metric
+    on the path that is not finite raises FloatingPointError naming its
+    step.
+
+    y: (B, n_os*n) observations; pin: (B, n) symbol indices, none free.
+    """
+    b, n = pin.shape
+    m, mem, f, n_os = aux.m_symbols, aux.memory, aux.future, aux.n_os
+    steps = n + f
+    # each step's window of memory+1 symbol indices, oldest first, guard
+    # zeros before and after the block, read as its base-M branch number
+    digits = np.zeros((b, mem + steps), dtype=int)
+    digits[:, mem:mem + n] = pin
+    branch = sliding_window_view(digits, mem + 1, axis=1) @ \
+        m ** np.arange(mem, -1, -1)
+    # the means of each emitting step's branch, (n_os, B, n): the plain
+    # table, and the masked one at the edge steps
+    mu = aux.mu_table.reshape(n_os, -1)[:, branch[:, f:]]
+    for kappa in range(f + 1, steps + 1):
+        if kappa <= mem or kappa > n:
+            edge = _step_mu(aux, kappa, n).reshape(n_os, -1)
+            mu[:, :, kappa - f - 1] = edge[:, branch[:, kappa - 1]]
+    with np.errstate(over="ignore"):
+        metric = _log_density(aux, y.reshape(b, n, n_os).transpose(2, 0, 1), mu)
+    if counter is not None:
+        counter.add("path-metric", 2 * n_os * n * b)
+    dead = ~np.isfinite(metric).all(axis=0)
+    if np.any(dead):
+        raise FloatingPointError(
+            f"trellis step {f + 1 + np.flatnonzero(dead)[0]}: branch metric "
+            f"overflow on the pinned path")
+    # accumulate adds strictly in sequence, as the forward pass's log_z does
+    return np.add.accumulate(metric, axis=1)[:, -1]
 
 
 def fba_ub(aux: AuxChannel, blocks: Blocks,
@@ -411,23 +505,28 @@ def fba_ub(aux: AuxChannel, blocks: Blocks,
     """Monte-Carlo auxiliary-channel upper bound on the block information
     rate: average of (log2 q(y|x) - log2 q(y)) / n over the blocks.
 
-    log q(y|x) pins every symbol, log q(y) marginalizes uniform inputs; a
-    slice of k blocks runs both as one 2k-row forward pass.
+    log q(y|x) is the sum of the branch metrics along the true path
+    (_path_log_z); log q(y) marginalizes uniform inputs in one forward pass
+    over a slice's blocks.
     Returns (bits per channel use, jackknife standard error).
     """
     if len(blocks) == 0:
         raise ValueError("need at least one block")
     n = blocks.x.shape[1]
+    m, w, steps = aux.m_symbols, aux.n_states, n + aux.future
     per_block = np.empty(len(blocks))
-    # per block: one step's metric differences in its pinned and free rows
-    step_bytes = 2 * 8 * aux.n_states * aux.m_symbols * aux.n_os
-    for lo, hi in block_slices(len(blocks), step_bytes):
-        k = hi - lo
+    # per block, the largest of: the nearest-level search for its pins, two
+    # (n, M) arrays; the true path's pins, digits, branches, means and
+    # squared differences; and the free row's pins and priors with one
+    # step's branch metrics and the temporaries that combine them
+    stored = 8 * max(2 * m * n, (2 * aux.n_os + 4) * steps,
+                     (m + 1) * steps + w * m * (aux.n_os + 5))
+    for lo, hi in block_slices(len(blocks), stored):
         y = blocks.y[lo:hi]
-        pin = np.full((2 * k, n), -1, dtype=int)
-        pin[:k] = aux.chan.symbol_indices(blocks.x[lo:hi])
-        log_z, _, _ = _forward(aux, np.concatenate([y, y]), pin, counter=counter)
-        per_block[lo:hi] = (log_z[:k] - log_z[k:]) / (n * np.log(2.0))
+        log_q = _forward(aux, y, np.full((hi - lo, n), -1), counter=counter)[0]
+        log_qx = _path_log_z(aux, y, aux.chan.symbol_indices(blocks.x[lo:hi]),
+                             counter)
+        per_block[lo:hi] = (log_qx - log_q) / (n * np.log(2.0))
     return float(np.mean(per_block)), jackknife_stderr(per_block)
 
 

@@ -8,11 +8,15 @@ stages is the SIC rate; one stage is plain separate detection.  Standard
 errors are per-block jackknife estimates, and the auxiliary-channel upper
 bound from the trellis module completes the rate sandwich.
 
-A detector is any callable apps(y, view, rng) -> AppMatrix: one call per
-SIC stage, over all of that stage's blocks, whose observations are the rows
-of y and whose decided symbols `view` holds.  Each stage draws its
-evaluation blocks one after another from the caller's generator into one
-batch; the returned (B, N, M) AppMatrix is scored without a loop over
+A detector is any callable apps(ys, views, rng) -> [AppMatrix]: one call
+per sweep point over the blocks of every SIC stage, where ys[i] holds the
+observations of the blocks views[i] describes and the i-th AppMatrix their
+(B, N, M) PMFs at that stage's targets.  The trellis detector runs all
+stages in one pass; `stage_by_stage` makes a per-point detector of one that
+takes a single stage.  Each stage draws its evaluation blocks one after
+another from the caller's generator into one batch, stage after stage,
+before the detector runs; so a detector may spawn generators from `rng` but
+must not draw from it.  The returned APPs are scored without a loop over
 blocks.
 """
 
@@ -31,9 +35,19 @@ from .sic import SicPlan, stage_view
 
 def uniform_apps(m_symbols: int):
     """Dummy detector: uniform PMFs, zero rate by construction."""
-    def apps(y, view, rng) -> AppMatrix:
-        probs = np.full((len(y), len(view.targets), m_symbols), 1.0 / m_symbols)
-        return AppMatrix(probs=probs, positions=view.targets)
+    def apps(ys, views, rng) -> list:
+        return [AppMatrix(probs=np.full((len(y), len(view.targets), m_symbols),
+                                        1.0 / m_symbols),
+                          positions=view.targets)
+                for y, view in zip(ys, views)]
+    return apps
+
+
+def stage_by_stage(stage_apps):
+    """The detector apps(ys, views, rng) that calls the one-stage detector
+    stage_apps(y, view, rng) on each stage in turn."""
+    def apps(ys, views, rng) -> list:
+        return [stage_apps(y, view, rng) for y, view in zip(ys, views)]
     return apps
 
 
@@ -59,11 +73,11 @@ class RateReport:
         return float(np.mean([sr.rate for sr in self.stage_rates]))
 
 
-def evaluate_stage_on_blocks(apps, chan: ch.DiscreteChannel, plan: SicPlan,
-                             s: int, blocks: ch.Blocks, rng) -> StageRate:
-    """Stage rate on caller-supplied blocks (lets detectors share data)."""
-    app = apps(blocks.y, stage_view(plan, s, blocks.x), rng)
-    log2q = app.log2_prob_of(chan.symbol_indices(blocks.x[:, app.positions]))
+def _score_stage(chan: ch.DiscreteChannel, s: int, app: AppMatrix,
+                 x: np.ndarray) -> StageRate:
+    """Stage rate of APPs at the stage targets of the blocks whose emitted
+    symbols are the rows of x."""
+    log2q = app.log2_prob_of(chan.symbol_indices(x[:, app.positions]))
     per_block = chan.config.alphabet.bits + log2q.mean(axis=1)
     clamped = log2q <= np.log2(CLAMP_FLOOR) + 1e-9
     frac = np.count_nonzero(clamped) / clamped.size
@@ -72,30 +86,44 @@ def evaluate_stage_on_blocks(apps, chan: ch.DiscreteChannel, plan: SicPlan,
                      clamp_fraction=frac, flagged=frac > 0.01)
 
 
+def evaluate_stage_on_blocks(apps, chan: ch.DiscreteChannel, plan: SicPlan,
+                             s: int, blocks: ch.Blocks, rng) -> StageRate:
+    """Stage rate on caller-supplied blocks (lets detectors share data)."""
+    [app] = apps([blocks.y], [stage_view(plan, s, blocks.x)], rng)
+    return _score_stage(chan, s, app, blocks.x)
+
+
 def simulate_eval_blocks(chan: ch.DiscreteChannel, n_blk: int, n: int,
                          rng) -> ch.Blocks:
-    """n_blk fresh blocks of n symbols, drawn one block after another."""
-    parts = [ch.random_block(chan, n, rng) for _ in range(n_blk)]
-    return ch.Blocks(x=np.concatenate([b.x for b in parts]),
-                     y=np.concatenate([b.y for b in parts]),
-                     p_tx=np.concatenate([b.p_tx for b in parts]))
+    """n_blk fresh blocks of n symbols, drawn one block after another into
+    one batch."""
+    blocks = ch.Blocks(x=np.empty((n_blk, n)),
+                       y=np.empty((n_blk, chan.config.n_os * n)),
+                       p_tx=np.empty(n_blk))
+    for i in range(n_blk):
+        block = ch.random_block(chan, n, rng)
+        blocks.x[i], blocks.y[i] = block.x[0], block.y[0]
+        blocks.p_tx[i] = block.p_tx[0]
+    return blocks
 
 
 def estimate_sic(apps, chan: ch.DiscreteChannel, plan: SicPlan, n_blk: int,
                  rng, ub_aux: Optional[AuxChannel] = None) -> RateReport:
-    """Run every stage on n_blk fresh blocks of plan.n symbols, each stage
-    drawing its own after the previous stage ran, average, and optionally
-    attach the upper bound on fresh blocks of its own."""
-    stage_rates = []
-    for s in range(1, plan.n_stages + 1):
-        blocks = simulate_eval_blocks(chan, n_blk, plan.n, rng)
-        stage_rates.append(evaluate_stage_on_blocks(apps, chan, plan, s,
-                                                    blocks, rng))
+    """Draw n_blk fresh blocks of plan.n symbols for every stage, stage
+    after stage, detect all stages in one detector call, average the stage
+    rates, and optionally attach the upper bound on fresh blocks of its own,
+    drawn after the stages' blocks."""
+    stages = range(1, plan.n_stages + 1)
+    blocks = [simulate_eval_blocks(chan, n_blk, plan.n, rng) for _ in stages]
+    views = [stage_view(plan, s, b.x) for s, b in zip(stages, blocks)]
+    stage_apps = apps([b.y for b in blocks], views, rng)
+    stage_rates = [_score_stage(chan, s, app, b.x)
+                   for s, app, b in zip(stages, stage_apps, blocks)]
     i_sic_se = float(np.sqrt(np.sum([sr.stderr**2 for sr in stage_rates]))
                      / plan.n_stages)
     ub = ub_se = None
     if ub_aux is not None:
-        blocks = simulate_eval_blocks(chan, n_blk, plan.n, rng)
-        ub, ub_se = fba_ub(ub_aux, blocks)
+        ub, ub_se = fba_ub(ub_aux, simulate_eval_blocks(chan, n_blk, plan.n,
+                                                        rng))
     return RateReport(stage_rates=stage_rates, i_sic_stderr=i_sic_se, ub=ub,
                       ub_stderr=ub_se)

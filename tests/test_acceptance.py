@@ -41,7 +41,7 @@ def dispersive_4ask_channel(power_db):
 
 
 def fba_detector(aux):
-    return lambda y, view, rng: fba.fba_apps(aux, y, view)
+    return lambda ys, views, rng: fba.fba_point_apps(aux, ys, views)
 
 
 def test_criterion_1_fba_oracle_equivalence():
@@ -180,8 +180,8 @@ def test_criterion_4_nn_vs_fba_parity():
     r_fba = rates.evaluate_stage_on_blocks(fba_detector(aux), chan, plan,
                                            1, blocks, None)
     r_rnn = rates.evaluate_stage_on_blocks(
-        lambda y, view, rng: rnn.rnn_apps(model, y, view), chan, plan, 1,
-        blocks, None)
+        rates.stage_by_stage(lambda y, view, rng: rnn.rnn_apps(model, y, view)),
+        chan, plan, 1, blocks, None)
     gap = abs(r_fba.rate - r_rnn.rate)
     elapsed = time.perf_counter() - t0
     assert gap <= 0.05, (r_fba.rate, r_rnn.rate)

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlsic import channel as ch
-from nlsic import cli, fba, gibbs, parallel, rates, sic, training
+from nlsic import apps, cli, fba, gibbs, parallel, rates, sic, training
 from nlsic import config as cfgmod
 
 
@@ -198,12 +198,28 @@ class TestEvaluate:
         aux = fba.build_aux_channel(chan, 3)
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 3, 0]))
         report = rates.estimate_sic(
-            lambda y, view, rng: fba.fba_apps(aux, y, view), chan,
+            lambda ys, views, rng: fba.fba_point_apps(aux, ys, views), chan,
             sic.SicPlan(2, cfg.eval_n), 5, rng, ub_aux=aux)
         lines = (run_dir_for(path) / "rates.csv").read_text().splitlines()
         got = [float(line.split(",")[3]) for line in lines[1:]]
         want = [round(sr.rate, 6) for sr in report.stage_rates]
         assert got == pytest.approx(want, abs=1e-6)
+
+    @pytest.mark.parametrize("detector", ["fba", "gibbs"])
+    def test_rates_independent_of_slice_bytes(self, tmp_path, monkeypatch,
+                                              detector):
+        """The trellis runs a sweep point's stages in one pass, cut into
+        slices that may cross stage boundaries, and the sampler sweeps its
+        blocks slice by slice: rates.csv does not depend on the slice
+        size, down to one block per slice."""
+        path = toy_yaml(tmp_path, detector=detector, stages=2, n_blk=3,
+                        sweep=(4.0,))
+        runs = []
+        for slice_bytes in (apps.SLICE_BYTES, 1):
+            monkeypatch.setattr(apps, "SLICE_BYTES", slice_bytes)
+            assert cli.main(["evaluate", "-c", str(path)]) == 0
+            runs.append((run_dir_for(path) / "rates.csv").read_bytes())
+        assert runs[0] == runs[1]
 
     def test_byte_identical_across_runs(self, tmp_path):
         path = toy_yaml(tmp_path, n_blk=4)
@@ -512,18 +528,27 @@ class TestExitCodes:
         assert cli.main(["evaluate", "-c", str(path)]) == 3
         assert "numeric failure" in capsys.readouterr().err
 
-    def test_trellis_metric_overflow_exit_3(self, tmp_path, capsys):
-        """At a power where the squared differences of a trellis step
-        overflow, no path survives it: a numeric failure named as the
-        metric overflow, not as inconsistent pinning, and no warning."""
-        path = toy_yaml(tmp_path, detector="fba", n_blk=2, n=8,
-                        sweep=(1600.0,), seed=0)
+    def overflowing_trellis_run(self, tmp_path, capsys, detector, extra=""):
+        path = toy_yaml(tmp_path, detector=detector, n_blk=2, n=8,
+                        sweep=(1600.0,), seed=0, extra=extra)
         text = path.read_text()
         assert "fba: {memory: 3}" in text
         path.write_text(text.replace("fba: {memory: 3}", "fba: {memory: 1}"))
         assert cli.main(["evaluate", "-c", str(path)]) == 3
         err = capsys.readouterr().err
         assert "numeric failure: trellis step 1: branch metric overflow" in err
+        assert not run_dir_for(path).exists()
+
+    def test_trellis_metric_overflow_exit_3(self, tmp_path, capsys):
+        """At a power where the squared differences of a trellis step
+        overflow, no path survives it: a numeric failure named as the
+        metric overflow, not as inconsistent pinning, and no warning."""
+        self.overflowing_trellis_run(tmp_path, capsys, "fba")
+
+    def test_bound_metric_overflow_exit_3(self, tmp_path, capsys):
+        """The same for the bound's trellis beside another detector."""
+        self.overflowing_trellis_run(tmp_path, capsys, "uniform",
+                                     extra=", ub_memory: 1")
 
 
 class TestManifest:
@@ -643,6 +668,8 @@ class TestParallel:
         assert cli.main(["evaluate", "-c", str(path)]) == 2
         assert f"bad checkpoint {bin_path.with_suffix('')}" in \
             capsys.readouterr().err
+        # the failed command did not make the run directory, so it stays
+        assert bin_path.exists()
 
     @pytest.mark.parametrize("exc", [
         FloatingPointError("overflow injected in stage 2"),
@@ -668,7 +695,8 @@ class TestParallel:
                                                      sweep):
         """eval.n = 10^17 asks for 711 PiB of symbols per block, which no
         overcommit policy grants: numpy's MemoryError, raised in this
-        process or a forked sweep point, exits 3 naming the command."""
+        process or a forked sweep point, exits 3 naming the command and
+        leaves no run directory behind."""
         path = toy_yaml(tmp_path, detector="uniform", stages=1, n_blk=1,
                         n=10**17, sweep=sweep)
         set_cpus(monkeypatch, 2)
@@ -676,6 +704,7 @@ class TestParallel:
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: evaluate: out of memory: "
                               "Unable to allocate 711. PiB"), err
+        assert not run_dir_for(path).exists()
 
     def test_map_keeps_order_and_raises_first_failure(self, monkeypatch):
         set_cpus(monkeypatch, 2)

@@ -4,6 +4,7 @@ multiplication accounting."""
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -312,6 +313,66 @@ class TestBatchedStage:
             fba.fba_apps(aux, y, bad)
 
 
+def traced_peak(fn):
+    """Peak bytes that numpy and Python allocate while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestByteEstimates:
+    """The per-block byte formulas that size the trellis slices state what
+    a call holds."""
+
+    def spy_slices(self, monkeypatch):
+        seen = []
+
+        def spy(n_blocks, bytes_per_block):
+            seen.append(bytes_per_block)
+            return apps.block_slices(n_blocks, bytes_per_block)
+        monkeypatch.setattr(fba, "block_slices", spy)
+        return seen
+
+    def test_formulas_match_the_peak_of_one_call(self, monkeypatch):
+        """At n = 2,000 on the 64-state trellis, a call over two blocks, in
+        one slice, peaks between its formula and 1.25 times it."""
+        chan = square_law_4ask_channel()
+        aux = fba.build_aux_channel(chan, memory=3)
+        n = 2000
+        blocks = rates.simulate_eval_blocks(chan, 2, n, np.random.default_rng(3))
+        view = sic.stage_view(sic.SicPlan(1, n), 1, blocks.x)
+        fba.fba_apps(aux, blocks.y, view)   # fills the edge mean tables
+        seen = self.spy_slices(monkeypatch)
+        calls = [lambda: fba.fba_apps(aux, blocks.y, view),
+                 lambda: fba.fba_ub(aux, blocks)]
+        for call in calls:
+            peak = traced_peak(call)
+            estimate = len(blocks) * seen[-1]
+            assert estimate <= apps.SLICE_BYTES
+            assert estimate <= peak <= 1.25 * estimate, (peak, estimate)
+
+    def test_one_long_block_within_the_slice_budget(self):
+        """One block of n = 20,000 on a 16-state trellis holds at most
+        SLICE_BYTES besides its O(n) inputs and outputs: the observations
+        and pins of the stacked rows, and the log APPs with the two arrays
+        that normalize them.  Every step's branch metrics, stored, would
+        alone take 2.4 times the budget."""
+        chan = square_law_4ask_channel()
+        aux = fba.build_aux_channel(chan, memory=2)
+        n, m = 20000, aux.m_symbols
+        blocks = rates.simulate_eval_blocks(chan, 1, n, np.random.default_rng(4))
+        view = sic.stage_view(sic.SicPlan(1, n), 1, blocks.x)
+        # a short call fills the edge mean tables
+        fba.fba_apps(aux, blocks.y[:, :aux.n_os * 40], sic.stage_view(
+            sic.SicPlan(1, 40), 1, blocks.x[:, :40]))
+        peak = traced_peak(lambda: fba.fba_apps(aux, blocks.y, view))
+        inputs_outputs = 8 * (aux.n_os * n + n + 3 * n * m)
+        assert peak <= apps.SLICE_BYTES + inputs_outputs
+
+
 class TestUpperBound:
     def test_invertible_channel_reaches_entropy(self):
         cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(4), n_os=1, n_sim=1,
@@ -354,6 +415,16 @@ class TestUpperBound:
             fba.fba_ub(aux, empty)
 
 
+# the MultCounter kind of the branch metrics the backward pass recomputes
+RECOMPUTED = "recomputed-metric"
+
+
+def algorithmic(counter):
+    """The multiplications of the recursions themselves, which the closed
+    form counts: all but the recomputed branch metrics."""
+    return counter.total - counter.by_kind.get(RECOMPUTED, 0)
+
+
 class TestCounting:
     def test_instrumented_run_matches_formula(self):
         """The closed form reproduces the instrumented trellis exactly."""
@@ -367,8 +438,12 @@ class TestCounting:
         fba.fba_apps(aux, blk.y, view, counter=counter)
         w = 2  # |A|^(memory+1)
         hand = n * 2 * aux.n_os * w + 2 * (n + aux.future) * w + n * 2 * w
-        assert counter.total == hand
-        assert counter.total == fba.count_fba_multiplications(aux, n, 1) * n / 1
+        assert algorithmic(counter) == hand
+        assert algorithmic(counter) == \
+            fba.count_fba_multiplications(aux, n, 1) * n / 1
+        # the backward pass recomputes the forward pass's branch metrics
+        assert counter.by_kind[RECOMPUTED] == counter.by_kind["metric"] == \
+            n * 2 * aux.n_os * w
 
     def test_instrumented_run_with_memory(self):
         chan = linear_2ask_channel().with_transmit_power_db(0.0)
@@ -381,20 +456,26 @@ class TestCounting:
         for s in range(1, s_stages + 1):
             view = sic.stage_view(sic.SicPlan(s_stages, n), s, x[:1])
             fba.fba_apps(aux, y[:1], view, counter=counter)
-        per_app = counter.total / n
+        per_app = algorithmic(counter) / n
         assert per_app == pytest.approx(fba.count_fba_multiplications(aux, n, s_stages))
+        w = aux.m_symbols ** (aux.memory + 1)
+        assert counter.by_kind[RECOMPUTED] == s_stages * n * 2 * aux.n_os * w
 
-        # a whole stage in one call executes exactly the per-block counts
+        # a whole stage in one call, and all stages in one pass, execute
+        # exactly the per-block counts
         plan = sic.SicPlan(s_stages, n)
-        per_block, batched = MultCounter(), MultCounter()
+        per_block, batched, joint = MultCounter(), MultCounter(), MultCounter()
+        views = [sic.stage_view(plan, s, x) for s in range(1, s_stages + 1)]
         for s in range(1, s_stages + 1):
             for i in range(len(blocks)):
                 fba.fba_apps(aux, y[i:i + 1], sic.stage_view(plan, s, x[i:i + 1]),
                              counter=per_block)
-            fba.fba_apps(aux, y, sic.stage_view(plan, s, x), counter=batched)
-        assert batched.by_kind == per_block.by_kind
+            fba.fba_apps(aux, y, views[s - 1], counter=batched)
+        fba.fba_point_apps(aux, [y] * s_stages, views, counter=joint)
+        assert batched.by_kind == per_block.by_kind == joint.by_kind
         closed = fba.count_fba_multiplications(aux, n, s_stages) * n
-        assert batched.total == per_block.total == pytest.approx(closed * len(blocks))
+        assert algorithmic(batched) == algorithmic(per_block) == \
+            pytest.approx(closed * len(blocks))
 
     def test_alphabet_scaling_is_exact(self):
         cfg4 = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(4), n_os=1, n_sim=1,
@@ -493,6 +574,19 @@ def reference_backward_apps(log_alpha, log_gamma, positions):
     return logp
 
 
+def stepwise_metrics(aux, y, pin):
+    """fba._step_metrics of every step, as the reference stores its branch
+    metrics, (steps, B, n_states, M)."""
+    b, n = pin.shape
+    prior = fba._priors(aux, pin)
+    chunks = y.reshape(b, n, aux.n_os)
+    with np.errstate(over="ignore"):
+        return np.stack([
+            np.broadcast_to(fba._step_metrics(aux, chunks, prior, kappa),
+                            (b, aux.n_states, aux.m_symbols))
+            for kappa in range(1, n + aux.future + 1)])
+
+
 def oracle_channel(m_symbols, n_os):
     cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(m_symbols), n_os=n_os,
                            n_sim=max(n_os, 2), nonlinearity=ch.SquareLaw(),
@@ -502,8 +596,9 @@ def oracle_channel(m_symbols, n_os):
 
 class TestRecursionOracle:
     """The trellis recursions equal the frozen state-major reference bit for
-    bit: log-likelihoods, forward messages, branch metrics, APPs and the
-    upper bound, over alphabet sizes whose sums over inputs take numpy's
+    bit: log-likelihoods, forward messages, branch metrics (recomputed in
+    the backward pass), APPs, the bound's path sums over a fully pinned
+    block and the upper bound, over alphabet sizes whose sums over inputs take numpy's
     sequential (M < 8) and pairwise (M >= 8) orders, 1, 2 and 4 samples per
     symbol, memories 0-3, the default and another future span, one to 40
     blocks, the first and last SIC stage and a fully pinned block."""
@@ -536,13 +631,20 @@ class TestRecursionOracle:
                     positions = np.arange(self.N) if view is pinned else view.targets
                     got = fba._forward(aux, blocks.y, pin, keep=True)
                     ref = reference_forward(aux, blocks.y, pin, keep=True)
-                    for g, r in zip(got, ref):
-                        assert np.array_equal(g, r)
+                    assert np.array_equal(got[0], ref[0])
+                    assert np.array_equal(got[1], ref[1])
+                    assert np.array_equal(
+                        stepwise_metrics(aux, blocks.y, pin), ref[2])
                     assert np.array_equal(
                         fba._forward(aux, blocks.y, pin)[0], ref[0])
                     assert np.array_equal(
-                        fba._backward_apps(got[1], got[2], positions),
+                        fba._backward_apps(aux, blocks.y, pin, got[1],
+                                           [(0, b, positions)]),
                         reference_backward_apps(ref[1], ref[2], positions))
+                    if view is pinned:
+                        # the bound's pinned rows as path sums
+                        assert np.array_equal(
+                            fba._path_log_z(aux, blocks.y, pin), ref[0])
                 ub = fba.fba_ub(aux, blocks)
                 with monkeypatch.context() as mp:
                     mp.setattr(fba, "_forward", reference_forward)
@@ -562,20 +664,88 @@ class TestRecursionOracle:
             messages.append(str(err.value))
         assert messages[0] == messages[1]
 
-        # a block whose branch metrics all vanish at one step of the stored
-        # forward pass has no posterior there or before
+        # a block whose branch metrics all vanish at one step of the
+        # backward pass has no posterior there or before: its chunk there
+        # overflows every squared difference
+        aux = fba.build_aux_channel(memoryless_binary_channel(), memory=2)
         rng = np.random.default_rng(39)
+        y = rng.normal(size=(3, 9))
+        y[2, 5] = 1e300
+        pin = np.full((3, 9), -1)
         log_alpha = rng.normal(size=(9, 3, 4))
-        log_gamma = rng.normal(size=(9, 3, 4, 2))
-        log_gamma[5, 2] = -np.inf
+        log_gamma = stepwise_metrics(aux, y, pin)
+        assert np.all(log_gamma[5, 2] == -np.inf)
         positions = np.array([1, 4, 7])
         messages = []
-        for backward in (fba._backward_apps, reference_backward_apps):
+        for backward in (
+                lambda: fba._backward_apps(aux, y, pin, log_alpha,
+                                           [(0, 3, positions)]),
+                lambda: reference_backward_apps(log_alpha, log_gamma, positions)):
             with pytest.raises(RuntimeError, match="at position 1") as err, \
                     np.errstate(invalid="ignore"):
-                backward(log_alpha, log_gamma, positions)
+                backward()
             messages.append(str(err.value))
         assert messages[0] == messages[1]
+
+
+def three_row_slices(n_blocks, bytes_per_block):
+    return [(lo, min(lo + 3, n_blocks)) for lo in range(0, n_blocks, 3)]
+
+
+class TestJointPass:
+    """All stages of a sweep point in one trellis pass give each stage the
+    APPs of its own pass through the frozen reference recursions, bit for
+    bit: 2- and 4-ASK, memories 0-3, one to four stages, 1, 5 and 17 blocks
+    per stage, in one slice, one row per slice, and three-row slices that
+    cut across stage boundaries."""
+
+    N = 12
+
+    @pytest.mark.parametrize("n_stages", [1, 2, 3, 4])
+    @pytest.mark.parametrize("memory", range(4))
+    @pytest.mark.parametrize("m_symbols", [2, 4])
+    def test_equal_to_reference_stage_passes(self, m_symbols, memory, n_stages,
+                                             monkeypatch):
+        chan = oracle_channel(m_symbols, 2)
+        aux = fba.build_aux_channel(chan, memory)
+        plan = sic.SicPlan(n_stages, self.N)
+        rng = np.random.default_rng(100 * m_symbols + 10 * memory + n_stages)
+        for b in (1, 5, 17):
+            blocks = [rates.simulate_eval_blocks(chan, b, self.N, rng)
+                      for _ in range(n_stages)]
+            views = [sic.stage_view(plan, s, blk.x)
+                     for s, blk in zip(range(1, n_stages + 1), blocks)]
+            want = []
+            for blk, view in zip(blocks, views):
+                pin = np.full((b, self.N), -1, dtype=int)
+                pin[:, view.known_idx] = chan.symbol_indices(view.known_val)
+                _, log_alpha, log_gamma = reference_forward(aux, blk.y, pin,
+                                                            keep=True)
+                logp = reference_backward_apps(log_alpha, log_gamma,
+                                               view.targets)
+                want.append(apps.AppMatrix.from_logp(logp, view.targets).probs)
+            for slicing in ("default", "one row", "three rows"):
+                with monkeypatch.context() as mp:
+                    if slicing == "one row":
+                        mp.setattr(apps, "SLICE_BYTES", 1)
+                    if slicing == "three rows":
+                        mp.setattr(fba, "block_slices", three_row_slices)
+                    got = fba.fba_point_apps(aux, [blk.y for blk in blocks],
+                                             views)
+                assert len(got) == n_stages
+                for app, probs, view in zip(got, want, views):
+                    assert np.array_equal(app.probs, probs), (b, slicing)
+                    assert np.array_equal(app.positions, view.targets)
+
+    def test_views_of_another_plan_refused(self):
+        chan = oracle_channel(2, 2)
+        aux = fba.build_aux_channel(chan, 1)
+        blk = rates.simulate_eval_blocks(chan, 2, self.N,
+                                         np.random.default_rng(5))
+        views = [sic.stage_view(sic.SicPlan(s, self.N), s, blk.x)
+                 for s in (1, 2)]
+        with pytest.raises(ValueError, match="share a SIC plan"):
+            fba.fba_point_apps(aux, [blk.y, blk.y], views)
 
 
 @pytest.mark.parametrize("n_terms", list(range(1, 129)) + [129, 200, 256, 300])

@@ -47,12 +47,13 @@ def quadrature_mutual_information(levels, sigma2=1.0):
 
 
 def fba_detector(aux):
-    return lambda y, view, rng: fba.fba_apps(aux, y, view)
+    return lambda ys, views, rng: fba.fba_point_apps(aux, ys, views)
 
 
 def rnn_detector(models):
     """models: stage index (1-based) -> RnnModel."""
-    return lambda y, view, rng: rnn.rnn_apps(models[view.s], y, view)
+    return rates.stage_by_stage(
+        lambda y, view, rng: rnn.rnn_apps(models[view.s], y, view))
 
 
 def oracle_apps(chan, x, shift=0):
@@ -64,7 +65,7 @@ def oracle_apps(chan, x, shift=0):
         probs = np.zeros(truth.shape + (m,))
         np.put_along_axis(probs, truth[..., None], 1.0, axis=-1)
         return AppMatrix(probs=probs, positions=view.targets)
-    return apps
+    return rates.stage_by_stage(apps)
 
 
 def oracle_stage_rate(chan, n, n_blk, seed, shift=0):
@@ -205,7 +206,8 @@ def stage_detector(kind, chan, n_stages):
     if kind == "gibbs":
         aux = fba.build_aux_channel(chan, memory=2, build_table=False)
         cfg = gibbs.GibbsConfig(memory=2, n_iter=6, n_par=3, burn_in=1)
-        return lambda y, view, rng: gibbs.gibbs_apps(aux, y, view, cfg, rng)
+        return rates.stage_by_stage(
+            lambda y, view, rng: gibbs.gibbs_apps(aux, y, view, cfg, rng))
     if kind == "rnn":
         return rnn_detector({s: rnn.init_model(
             rnn.RnnShape(dims=(12, 16), l_y=8, l_ic=4, n_stages=n_stages, s=s,
@@ -223,8 +225,35 @@ class TestDetectorContract:
         det = stage_detector(kind, chan, 2)
         blocks = rates.simulate_eval_blocks(chan, 2, 8, np.random.default_rng(3))
         with pytest.raises(ValueError, match="observations must be real"):
-            det(blocks.y + 0.5j, sic.stage_view(sic.SicPlan(2, 8), 1, blocks.x),
+            det([blocks.y + 0.5j],
+                [sic.stage_view(sic.SicPlan(2, 8), 1, blocks.x)],
                 np.random.default_rng(0))
+
+    @pytest.mark.parametrize("kind", ["fba-exact", "fba-truncated", "gibbs",
+                                      "rnn", "uniform"])
+    def test_point_call_equals_its_stage_calls(self, kind):
+        """One call over every stage of a sweep point gives, bit for bit,
+        the APPs of one call per stage, in stage order, and leaves the
+        caller's generator where those calls leave it."""
+        chan = dispersive_4ask_channel(4.0)
+        n_stages, n = 4, 24
+        det = stage_detector(kind, chan, n_stages)
+        plan = sic.SicPlan(n_stages, n)
+        rng = np.random.default_rng(41)
+        blocks = [rates.simulate_eval_blocks(chan, 3, n, rng)
+                  for _ in range(n_stages)]
+        views = [sic.stage_view(plan, s, b.x)
+                 for s, b in zip(range(1, n_stages + 1), blocks)]
+        point_rng, serial_rng = np.random.default_rng(5), np.random.default_rng(5)
+        point = det([b.y for b in blocks], views, point_rng)
+        serial = [det([b.y], [view], serial_rng)[0]
+                  for b, view in zip(blocks, views)]
+        assert len(point) == n_stages
+        for got, want, view in zip(point, serial, views):
+            assert np.array_equal(got.probs, want.probs)
+            assert np.array_equal(got.positions, view.targets)
+        assert point_rng.random() == serial_rng.random()
+        assert point_rng.spawn(1)[0].random() == serial_rng.spawn(1)[0].random()
 
     @pytest.mark.parametrize("slice_bytes", [apps.SLICE_BYTES, 1])
     @pytest.mark.parametrize("kind", ["fba-exact", "fba-truncated", "gibbs",
@@ -245,10 +274,10 @@ class TestDetectorContract:
         monkeypatch.setattr(apps, "SLICE_BYTES", slice_bytes)
         for s in range(1, n_stages + 1):
             stage_rng = np.random.default_rng(s)
-            stage = det(y, sic.stage_view(plan, s, x), stage_rng)
+            [stage] = det([y], [sic.stage_view(plan, s, x)], stage_rng)
             serial_rng = np.random.default_rng(s)
-            ones = [det(y[i:i + 1], sic.stage_view(plan, s, x[i:i + 1]),
-                        serial_rng) for i in range(len(blocks))]
+            ones = [det([y[i:i + 1]], [sic.stage_view(plan, s, x[i:i + 1])],
+                        serial_rng)[0] for i in range(len(blocks))]
             assert stage.probs.shape == (len(blocks), n // n_stages, 4)
             want = np.concatenate([o.probs for o in ones])
             if kind == "rnn" and slice_bytes != 1:
