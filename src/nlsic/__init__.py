@@ -10,7 +10,7 @@ from .channel import (Alphabet, Blocks, ChannelConfig, DiscreteChannel,
                       build_pulse, differential_precode, draw_symbols,
                       make_channel, random_block, simulate_batch)
 from .fba import (AuxChannel, build_aux_channel, count_fba_multiplications,
-                  fba_apps, fba_point_apps, fba_ub)
+                  fba_point_apps, fba_ub)
 from .gibbs import GibbsConfig, count_gs_multiplications, gibbs_apps
 from .rates import (RateReport, StageRate, estimate_sic, stage_by_stage,
                     uniform_apps)

@@ -76,7 +76,6 @@ class FirFilter:
     """
 
     taps: np.ndarray
-    rate: int
 
     def __post_init__(self):
         if len(self.taps) % 2 != 1:
@@ -273,7 +272,7 @@ def build_pulse(config: ChannelConfig, k_g: Optional[int] = None) -> FirFilter:
                 "symbol_rate", f"the dispersion phase of {config.fiber} at "
                 f"symbol rate {config.symbol_rate} overflows: the pulse taps "
                 f"are not finite", "fiber")
-    return FirFilter(taps=taps, rate=config.n_sim).normalized(config.n_sim)
+    return FirFilter(taps=taps).normalized(config.n_sim)
 
 
 def brickwall_receiver(n_sim: int, k_h: int = 1) -> FirFilter:
@@ -283,7 +282,7 @@ def brickwall_receiver(n_sim: int, k_h: int = 1) -> FirFilter:
         raise ChannelConfigError("k_h", f"tap count {k_h} must be odd and positive")
     u = np.arange(k_h) - k_h // 2
     taps = np.sinc(2.0 * u / n_sim)
-    return FirFilter(taps=taps, rate=n_sim)
+    return FirFilter(taps=taps)
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +364,9 @@ class DiscreteChannel:
         return self.with_transmit_power(10.0 ** (p_tx_db / 10.0))
 
     def symbol_indices(self, values: np.ndarray) -> np.ndarray:
-        """Map emitted symbol values back to alphabet indices (nearest level)."""
-        return np.argmin(np.abs(np.subtract.outer(np.asarray(values), self.levels)), axis=-1)
+        """Alphabet indices of emitted symbol values: the nearest level, by a
+        search over the levels' midpoints; a midpoint maps to the lower level."""
+        return np.searchsorted((self.levels[:-1] + self.levels[1:]) / 2, values)
 
 
 def make_channel(config: ChannelConfig, k_g: Optional[int] = None,

@@ -14,6 +14,9 @@ sample.  With centered filters a chunk depends on `future` symbols past its
 own, so the trellis runs that many guard-zero flush steps at the end of each
 block and zeroes out-of-range window slots at the edges, which reproduces the
 transmitted guard zeros exactly.
+
+The APPs have one entry, fba_point_apps: one trellis pass over the blocks of
+one or more SIC stages, each pinned at its stage's known positions.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .apps import AppMatrix, MultCounter, block_slices
 from .channel import Blocks, DiscreteChannel
-from .sic import StageView
 
 LOG2PI = np.log(2.0 * np.pi)
 
@@ -450,16 +452,6 @@ def fba_point_apps(aux: AuxChannel, ys: list, views: list,
             for a, b, view in zip(bounds, bounds[1:], views)]
 
 
-def fba_apps(aux: AuxChannel, y: np.ndarray, view: StageView,
-             counter: Optional[MultCounter] = None) -> AppMatrix:
-    """Symbol-wise APPs at the stage targets of every block of one SIC
-    stage: fba_point_apps on that stage alone.
-
-    y: (B, n_os*n) observations of the blocks `view` describes.
-    """
-    return fba_point_apps(aux, [y], [view], counter)[0]
-
-
 def _path_log_z(aux: AuxChannel, y: np.ndarray, pin: np.ndarray,
                 counter: Optional[MultCounter] = None) -> np.ndarray:
     """log q(y|x) of fully pinned rows, (B,): the sum, step after step, of
@@ -515,11 +507,10 @@ def fba_ub(aux: AuxChannel, blocks: Blocks,
     n = blocks.x.shape[1]
     m, w, steps = aux.m_symbols, aux.n_states, n + aux.future
     per_block = np.empty(len(blocks))
-    # per block, the largest of: the nearest-level search for its pins, two
-    # (n, M) arrays; the true path's pins, digits, branches, means and
-    # squared differences; and the free row's pins and priors with one
-    # step's branch metrics and the temporaries that combine them
-    stored = 8 * max(2 * m * n, (2 * aux.n_os + 4) * steps,
+    # per block, the larger of: the true path's pins, digits, branches,
+    # means and squared differences; and the free row's pins and priors with
+    # one step's branch metrics and the temporaries that combine them
+    stored = 8 * max((2 * aux.n_os + 4) * steps,
                      (m + 1) * steps + w * m * (aux.n_os + 5))
     for lo, hi in block_slices(len(blocks), stored):
         y = blocks.y[lo:hi]

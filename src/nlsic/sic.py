@@ -58,15 +58,23 @@ class SicPlan:
 class StageView:
     """Detector-side view of one SIC stage over a batch of B blocks.
 
-    known_idx holds the serial 0-based positions of the decided symbols of
-    stages < s (ascending, the same in every block) and known_val their
-    values, (B, len(known_idx)); `targets` are the positions of stage s.
+    The plan alone gives `known_idx`, the serial 0-based positions of stages
+    < s (ascending, the same in every block), and `targets`, those of stage
+    s; known_val holds the decided values at known_idx, (B, len(known_idx)).
     """
 
     plan: SicPlan
     s: int
-    known_idx: np.ndarray
     known_val: np.ndarray
+
+    def __post_init__(self):
+        shape, width = np.shape(self.known_val), len(self.known_idx)
+        if len(shape) != 2 or shape[1] != width:
+            raise ValueError(f"decided symbols of shape {shape}, not (B, {width})")
+
+    @property
+    def known_idx(self) -> np.ndarray:
+        return self.plan.known_positions(self.s)
 
     @property
     def targets(self) -> np.ndarray:
@@ -89,11 +97,10 @@ def stage_view(plan: SicPlan, s: int, x: np.ndarray) -> StageView:
     """Build the stage-s view of the blocks whose emitted symbols are the
     rows of x, (B, n), with the true prior-stage symbols as the decided ones
     (the ideal-code assumption used throughout rate estimation)."""
-    idx = plan.known_positions(s)
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != plan.n:
         raise ValueError(f"symbols of shape {x.shape} are not (blocks, n={plan.n})")
-    return StageView(plan=plan, s=s, known_idx=idx, known_val=x[:, idx])
+    return StageView(plan=plan, s=s, known_val=x[:, plan.known_positions(s)])
 
 
 def ic_window_indices(target: int, known_idx: np.ndarray,

@@ -21,7 +21,7 @@ from .apps import CLAMP_FLOOR
 from .rnn import (InputIndexer, Normalization, RnnModel, RnnShape, Workspace,
                   _directions, build_indexer, forward, gather_inputs,
                   init_model)
-from .sic import SicPlan
+from .sic import SicPlan, stage_view
 
 LN2 = np.log(2.0)
 
@@ -278,9 +278,9 @@ def make_batch(chan: ch.DiscreteChannel, indexer: InputIndexer, norm: Normalizat
     plan, s = indexer.plan, indexer.shape.s
     rows = ch.draw_symbols(chan, (n_batch, plan.n), rng)
     blocks = ch.simulate_batch(chan, rows, rng)
-    decided = blocks.x[:, plan.known_positions(s)]
-    inputs = gather_inputs(indexer, blocks.y, decided, norm)
-    targets = chan.symbol_indices(blocks.x[:, plan.stage_positions(s)])
+    view = stage_view(plan, s, blocks.x)
+    inputs = gather_inputs(indexer, blocks.y, view.known_val, norm)
+    targets = chan.symbol_indices(blocks.x[:, view.targets])
     return Batch(inputs=inputs, targets=targets)
 
 

@@ -22,8 +22,7 @@ def _announce(num, name, detail=""):
 def linear_2ask_channel(power_db):
     cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(2), n_os=1, n_sim=1,
                            nonlinearity=ch.Identity(), noise_variance=1.0)
-    chan = ch.make_channel(cfg, g=ch.FirFilter(taps=np.array([0.4, 1.0, 0.3]),
-                                               rate=1))
+    chan = ch.make_channel(cfg, g=ch.FirFilter(taps=np.array([0.4, 1.0, 0.3])))
     return chan.with_transmit_power_db(power_db)
 
 
@@ -70,7 +69,7 @@ def test_criterion_1_fba_oracle_equivalence():
             post = np.zeros((n, 2))
             for weight, s in zip(w, seqs):
                 post[np.arange(n), s] += weight
-            app = fba.fba_apps(aux, blk.y, sic.stage_view(plan, 1, blk.x))
+            app = fba.fba_point_apps(aux, [blk.y], [sic.stage_view(plan, 1, blk.x)])[0]
             worst = max(worst, float(np.abs(app.probs[0] - post).max()))
         assert worst < 1e-9, worst
     elapsed = time.perf_counter() - t0
@@ -261,7 +260,7 @@ def test_criterion_8_gibbs_sanity():
     t0 = time.perf_counter()
     cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(2), n_os=1, n_sim=1,
                            nonlinearity=ch.Identity(), noise_variance=1.0)
-    chan = ch.make_channel(cfg, g=ch.FirFilter(taps=np.array([1.0]), rate=1))
+    chan = ch.make_channel(cfg, g=ch.FirFilter(taps=np.array([1.0])))
     chan = chan.with_transmit_power(1.5)
     aux = fba.build_aux_channel(chan, memory=0)
     n = 16

@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 from nlsic import channel as ch
+from nlsic import sic
 
 
 def toy_linear_channel(noise=1.0, taps=(0.4, 1.0, 0.3), power_db=None):
     cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(2), n_os=1, n_sim=1,
                            nonlinearity=ch.Identity(), noise_variance=noise)
-    chan = ch.make_channel(cfg, g=ch.FirFilter(taps=np.asarray(taps, float), rate=1))
+    chan = ch.make_channel(cfg, g=ch.FirFilter(taps=np.asarray(taps, float)))
     return chan.with_transmit_power_db(power_db) if power_db is not None else chan
 
 
@@ -71,7 +72,7 @@ class TestPulse:
         with pytest.raises(ValueError):
             ch.sinc_pulse(4, 2)
         with pytest.raises(ValueError):
-            ch.FirFilter(taps=np.ones(4), rate=2)
+            ch.FirFilter(taps=np.ones(4))
 
     def test_square_law_needs_oversampling(self):
         cfg = ch.ChannelConfig(alphabet=ch.Alphabet.unipolar_pam(2), n_os=1, n_sim=1,
@@ -103,7 +104,7 @@ class TestPulse:
         with pytest.raises(ch.ChannelConfigError) as info:
             ch.make_channel(cfg, k_g=7)
         assert info.value.fields == ("nonlinearity", "fiber")
-        g = ch.FirFilter(taps=np.array([0.5j, 1.0, 0.5j]), rate=2)
+        g = ch.FirFilter(taps=np.array([0.5j, 1.0, 0.5j]))
         with pytest.raises(ch.ChannelConfigError):
             ch.make_channel(dataclasses.replace(cfg, fiber=None), g=g)
         square = ch.make_channel(dataclasses.replace(cfg, nonlinearity=ch.SquareLaw()),
@@ -113,7 +114,7 @@ class TestPulse:
 
     def test_complex_receiver_taps_refused(self):
         cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(2))
-        h = ch.FirFilter(taps=np.array([0.1j, 1.0, 0.1j]), rate=2)
+        h = ch.FirFilter(taps=np.array([0.1j, 1.0, 0.1j]))
         with pytest.raises(ValueError, match="receiver taps must be real"):
             ch.make_channel(cfg, k_g=5, h=h)
 
@@ -127,7 +128,7 @@ class TestPulse:
         cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(2), n_os=1,
                                n_sim=2, nonlinearity=ch.SquareLaw())
         chan = ch.make_channel(cfg, k_g=9,
-                               h=ch.FirFilter(taps=np.ones(5), rate=2))
+                               h=ch.FirFilter(taps=np.ones(5)))
         assert chan.future == 3
         assert chan.memory == 6
 
@@ -173,7 +174,7 @@ class TestSimulateBlock:
     def test_impulse_passthrough(self):
         cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(2), n_os=1, n_sim=1,
                                nonlinearity=ch.Identity(), noise_variance=0.0)
-        chan = ch.make_channel(cfg, g=ch.FirFilter(taps=np.array([1.0]), rate=1))
+        chan = ch.make_channel(cfg, g=ch.FirFilter(taps=np.array([1.0])))
         blk = ch.simulate_batch(chan, [[1.0, -1.0, 1.0]])
         assert np.allclose(blk.y[0], [1.0, -1.0, 1.0])
 
@@ -181,14 +182,14 @@ class TestSimulateBlock:
         # centered sampling grid: the per-symbol chunk ends at the symbol center
         cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(2), n_os=2, n_sim=2,
                                nonlinearity=ch.Identity(), noise_variance=0.0)
-        chan = ch.make_channel(cfg, g=ch.FirFilter(taps=np.array([0.0, 1.0, 0.0]), rate=2))
+        chan = ch.make_channel(cfg, g=ch.FirFilter(taps=np.array([0.0, 1.0, 0.0])))
         blk = ch.simulate_batch(chan, [[1.0, -1.0]])
         assert np.allclose(blk.y[0], [0.0, 1.0, 0.0, -1.0])
 
     def test_square_law_single_symbol(self):
         cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(4), n_os=1, n_sim=2,
                                nonlinearity=ch.SquareLaw(), noise_variance=0.0)
-        chan = ch.make_channel(cfg, g=ch.FirFilter(taps=np.array([0.0, 1.0, 0.0]), rate=2))
+        chan = ch.make_channel(cfg, g=ch.FirFilter(taps=np.array([0.0, 1.0, 0.0])))
         blk = ch.simulate_batch(chan, [[-3.0]])
         assert np.allclose(blk.y[0], [9.0])
 
@@ -198,7 +199,7 @@ class TestSimulateBlock:
         cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(4), n_os=2, n_sim=2,
                                nonlinearity=ch.SquareLaw(), noise_variance=0.0)
         g = ch.build_pulse(cfg, k_g=9)
-        h = ch.FirFilter(taps=np.array([0.25, 0.5, 0.25]), rate=2).normalized(1.0)
+        h = ch.FirFilter(taps=np.array([0.25, 0.5, 0.25])).normalized(1.0)
         chan = ch.DiscreteChannel(config=cfg, g=g, h=h)
         x = chan.levels[rng.integers(0, 4, 12)]
         y = ch.simulate_batch(chan, x[None]).y[0]
@@ -384,13 +385,13 @@ class TestNoise:
         """Multi-tap receiver: ACF tracks the filter autocorrelation at the
         decimated lags, lag 0 normalized to sigma^2, for evaluation blocks
         and training batches alike."""
-        receivers = [(2, 1, ch.FirFilter(taps=np.array([0.5, 1.0, 0.5]), rate=2)),
+        receivers = [(2, 1, ch.FirFilter(taps=np.array([0.5, 1.0, 0.5]))),
                      (4, 2, ch.brickwall_receiver(4, k_h=9))]
         for n_sim, n_os, h in receivers:
             cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(2), n_os=n_os,
                                    n_sim=n_sim, nonlinearity=ch.Identity(),
                                    noise_variance=1.0)
-            g = ch.FirFilter(taps=np.eye(1, n_sim + 1, n_sim // 2).ravel(), rate=n_sim)
+            g = ch.FirFilter(taps=np.eye(1, n_sim + 1, n_sim // 2).ravel())
             chan = ch.make_channel(cfg, g=g, h=h).with_transmit_power(1e-12)
             rng = np.random.default_rng(23)
             n = 20_000 // n_os
@@ -471,3 +472,40 @@ class TestTransmitPower:
         rng = np.random.default_rng(43)
         p = np.mean([ch.random_block(chan, 500, rng).p_tx[0] for _ in range(20)])
         assert 10 * np.log10(p) == pytest.approx(7.0, abs=0.15)
+
+
+def argmin_indices(chan, values):
+    """Nearest-level indices by an argmin over the distances to every
+    level."""
+    return np.argmin(np.abs(np.subtract.outer(np.asarray(values), chan.levels)),
+                     axis=-1)
+
+
+class TestSymbolIndices:
+    @pytest.mark.parametrize("m", [2, 4, 8, 16])
+    @pytest.mark.parametrize("kind", ["ASK", "PAM"])
+    def test_equals_nearest_level_argmin(self, kind, m):
+        """On every level, on emitted blocks (precoded for ASK) and on the
+        empty (B, 0) pins of stage 1, at -300 to +300 dB, the search gives
+        the argmin's indices, dtype and shape."""
+        precoding = "differential-phase" if kind == "ASK" else "none"
+        cfg = ch.ChannelConfig(alphabet=ch.Alphabet.from_name(f"{m}-{kind}"),
+                               n_os=1, n_sim=1, nonlinearity=ch.Identity(),
+                               noise_variance=1.0, precoding=precoding)
+        base = ch.make_channel(cfg, g=ch.FirFilter(taps=np.array([1.0])))
+        rng = np.random.default_rng(m)
+        known = sic.SicPlan(4, 64).known_positions(1)
+        for p_tx_db in (-300.0, -30.0, 0.0, 30.0, 300.0):
+            chan = base.with_transmit_power_db(p_tx_db)
+            x = ch.simulate_batch(chan, ch.draw_symbols(chan, (3, 64), rng), rng).x
+            assert np.array_equal(chan.symbol_indices(chan.levels), np.arange(m))
+            for values in (chan.levels, x, x[:, known]):
+                got, want = chan.symbol_indices(values), argmin_indices(chan, values)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want), p_tx_db
+
+    def test_midpoint_maps_to_lower_level(self):
+        cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(4), n_os=1,
+                               n_sim=1, nonlinearity=ch.Identity())
+        chan = ch.make_channel(cfg, g=ch.FirFilter(taps=np.array([1.0])))
+        assert np.array_equal(chan.symbol_indices([-2.0, 0.0, 2.0]), [0, 1, 2])

@@ -17,7 +17,7 @@ from nlsic.apps import MultCounter
 def linear_2ask_channel(taps=(0.4, 1.0, 0.3), noise=1.0):
     cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(2), n_os=1, n_sim=1,
                            nonlinearity=ch.Identity(), noise_variance=noise)
-    return ch.make_channel(cfg, g=ch.FirFilter(taps=np.asarray(taps, float), rate=1))
+    return ch.make_channel(cfg, g=ch.FirFilter(taps=np.asarray(taps, float)))
 
 
 def sld_2pam_channel(k_g=5, noise=1.0):
@@ -29,7 +29,7 @@ def sld_2pam_channel(k_g=5, noise=1.0):
 def memoryless_binary_channel(p_tx=1.0, noise=1.0):
     cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(2), n_os=1, n_sim=1,
                            nonlinearity=ch.Identity(), noise_variance=noise)
-    chan = ch.make_channel(cfg, g=ch.FirFilter(taps=np.array([1.0]), rate=1))
+    chan = ch.make_channel(cfg, g=ch.FirFilter(taps=np.array([1.0])))
     return chan.with_transmit_power(p_tx)
 
 
@@ -40,7 +40,7 @@ def noiseless(chan):
 
 def block_apps(aux, blocks, plan, s=1):
     """APPs of a batch of blocks at stage s."""
-    return fba.fba_apps(aux, blocks.y, sic.stage_view(plan, s, blocks.x))
+    return fba.fba_point_apps(aux, [blocks.y], [sic.stage_view(plan, s, blocks.x)])[0]
 
 
 def exhaustive_posteriors(chan, y, n, sigma2, view=None):
@@ -69,7 +69,7 @@ class TestAuxChannel:
     def test_memoryless_square_law_means(self):
         cfg = ch.ChannelConfig(alphabet=ch.Alphabet.unipolar_pam(4), n_os=1, n_sim=2,
                                nonlinearity=ch.SquareLaw(), noise_variance=1.0)
-        chan = ch.make_channel(cfg, g=ch.FirFilter(taps=np.array([0.0, 1.0, 0.0]), rate=2))
+        chan = ch.make_channel(cfg, g=ch.FirFilter(taps=np.array([0.0, 1.0, 0.0])))
         aux = fba.build_aux_channel(chan, memory=0)
         for a in range(4):
             assert aux.mu_table[0, 0, a] == pytest.approx(chan.levels[a] ** 2)
@@ -132,8 +132,8 @@ class TestAuxChannel:
                 nonlinearity=ch.SquareLaw() if n_sim > 1 else ch.Identity(),
                 noise_variance=0.0)
             chan = ch.make_channel(
-                cfg, g=ch.FirFilter(rng.uniform(0.5, 1.5, k_g), n_sim),
-                h=ch.FirFilter(rng.uniform(0.5, 1.5, k_h), n_sim))
+                cfg, g=ch.FirFilter(rng.uniform(0.5, 1.5, k_g)),
+                h=ch.FirFilter(rng.uniform(0.5, 1.5, k_h)))
             x = ch.draw_symbols(chan, 16, rng)
             y = ch.simulate_batch(chan, x[None]).y[0]
 
@@ -193,7 +193,7 @@ class TestFbaApp:
         plan = sic.SicPlan(2, n)
         blk = ch.random_block(chan, n, rng)
         view = sic.stage_view(plan, 2, blk.x)
-        app = fba.fba_apps(aux, blk.y, view)
+        app = fba.fba_point_apps(aux, [blk.y], [view])[0]
         post = exhaustive_posteriors(chan, blk.y[0], n, 1.0, view=view)
         assert np.abs(app.probs[0] - post[view.targets]).max() < 1e-9
 
@@ -204,12 +204,11 @@ class TestFbaApp:
         n = 7
         x = ch.draw_symbols(chan, n, rng)
         blk = ch.simulate_batch(noiseless(chan), x[None])
-        free = 3
-        idx = np.array([i for i in range(n) if i != free])
-        # one symbol per stage: stage free+1 targets the free position only
-        view = sic.StageView(plan=sic.SicPlan(n, n), s=free + 1,
-                             known_idx=idx, known_val=x[idx][None])
-        app = fba.fba_apps(aux, blk.y, view)
+        # one symbol per stage: the last stage knows every position but the
+        # last, its only target
+        free = n - 1
+        view = sic.stage_view(sic.SicPlan(n, n), n, x[None])
+        app = fba.fba_point_apps(aux, [blk.y], [view])[0]
         truth = chan.symbol_indices(x[free:free + 1])[0]
         assert app.positions.tolist() == [free]
         assert app.probs[0, 0, truth] == pytest.approx(1.0, abs=1e-9)
@@ -256,7 +255,7 @@ class TestFbaApp:
         y2 = np.roll(blk.y, shift * chan.config.n_os, axis=1)
         plan = sic.SicPlan(1, n)
         app1 = block_apps(aux, blk, plan)
-        app2 = fba.fba_apps(aux, y2, sic.stage_view(plan, 1, x2))
+        app2 = fba.fba_point_apps(aux, [y2], [sic.stage_view(plan, 1, x2)])[0]
         margin = 20
         inner = np.arange(margin, n - margin)
         assert np.abs(app2.probs[0, inner + shift]
@@ -302,7 +301,7 @@ class TestBatchedStage:
         view = sic.stage_view(plan, 2, x)
         y = x.copy()                     # y = x on this channel without noise
         with np.errstate(over="ignore"):  # the metrics of wrong values
-            good = fba.fba_apps(aux, y, view)
+            good = fba.fba_point_apps(aux, [y], [view])[0]
         truth = chan.symbol_indices(x[:, view.targets])
         assert np.array_equal(np.argmax(good.probs, axis=2), truth)
         known_val = view.known_val.copy()
@@ -310,7 +309,7 @@ class TestBatchedStage:
         bad = dataclasses.replace(view, known_val=known_val)
         with pytest.raises(RuntimeError, match="inconsistent pinning"), \
                 np.errstate(over="ignore"):
-            fba.fba_apps(aux, y, bad)
+            fba.fba_point_apps(aux, [y], [bad])
 
 
 def traced_peak(fn):
@@ -344,9 +343,9 @@ class TestByteEstimates:
         n = 2000
         blocks = rates.simulate_eval_blocks(chan, 2, n, np.random.default_rng(3))
         view = sic.stage_view(sic.SicPlan(1, n), 1, blocks.x)
-        fba.fba_apps(aux, blocks.y, view)   # fills the edge mean tables
+        fba.fba_point_apps(aux, [blocks.y], [view])   # fills the edge mean tables
         seen = self.spy_slices(monkeypatch)
-        calls = [lambda: fba.fba_apps(aux, blocks.y, view),
+        calls = [lambda: fba.fba_point_apps(aux, [blocks.y], [view]),
                  lambda: fba.fba_ub(aux, blocks)]
         for call in calls:
             peak = traced_peak(call)
@@ -366,9 +365,9 @@ class TestByteEstimates:
         blocks = rates.simulate_eval_blocks(chan, 1, n, np.random.default_rng(4))
         view = sic.stage_view(sic.SicPlan(1, n), 1, blocks.x)
         # a short call fills the edge mean tables
-        fba.fba_apps(aux, blocks.y[:, :aux.n_os * 40], sic.stage_view(
-            sic.SicPlan(1, 40), 1, blocks.x[:, :40]))
-        peak = traced_peak(lambda: fba.fba_apps(aux, blocks.y, view))
+        fba.fba_point_apps(aux, [blocks.y[:, :aux.n_os * 40]], [sic.stage_view(
+            sic.SicPlan(1, 40), 1, blocks.x[:, :40])])
+        peak = traced_peak(lambda: fba.fba_point_apps(aux, [blocks.y], [view]))
         inputs_outputs = 8 * (aux.n_os * n + n + 3 * n * m)
         assert peak <= apps.SLICE_BYTES + inputs_outputs
 
@@ -377,7 +376,7 @@ class TestUpperBound:
     def test_invertible_channel_reaches_entropy(self):
         cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(4), n_os=1, n_sim=1,
                                nonlinearity=ch.Identity(), noise_variance=1e-4)
-        chan = ch.make_channel(cfg, g=ch.FirFilter(taps=np.array([1.0]), rate=1))
+        chan = ch.make_channel(cfg, g=ch.FirFilter(taps=np.array([1.0])))
         aux = fba.build_aux_channel(chan, memory=0)
         rng = np.random.default_rng(17)
         blocks = rates.simulate_eval_blocks(chan, 8, 64, rng)
@@ -435,7 +434,7 @@ class TestCounting:
         blk = ch.random_block(chan, n, rng)
         view = sic.stage_view(sic.SicPlan(1, n), 1, blk.x)
         counter = MultCounter()
-        fba.fba_apps(aux, blk.y, view, counter=counter)
+        fba.fba_point_apps(aux, [blk.y], [view], counter=counter)
         w = 2  # |A|^(memory+1)
         hand = n * 2 * aux.n_os * w + 2 * (n + aux.future) * w + n * 2 * w
         assert algorithmic(counter) == hand
@@ -455,7 +454,7 @@ class TestCounting:
         counter = MultCounter()
         for s in range(1, s_stages + 1):
             view = sic.stage_view(sic.SicPlan(s_stages, n), s, x[:1])
-            fba.fba_apps(aux, y[:1], view, counter=counter)
+            fba.fba_point_apps(aux, [y[:1]], [view], counter=counter)
         per_app = algorithmic(counter) / n
         assert per_app == pytest.approx(fba.count_fba_multiplications(aux, n, s_stages))
         w = aux.m_symbols ** (aux.memory + 1)
@@ -468,9 +467,10 @@ class TestCounting:
         views = [sic.stage_view(plan, s, x) for s in range(1, s_stages + 1)]
         for s in range(1, s_stages + 1):
             for i in range(len(blocks)):
-                fba.fba_apps(aux, y[i:i + 1], sic.stage_view(plan, s, x[i:i + 1]),
-                             counter=per_block)
-            fba.fba_apps(aux, y, views[s - 1], counter=batched)
+                fba.fba_point_apps(
+                    aux, [y[i:i + 1]], [sic.stage_view(plan, s, x[i:i + 1])],
+                    counter=per_block)
+            fba.fba_point_apps(aux, [y], [views[s - 1]], counter=batched)
         fba.fba_point_apps(aux, [y] * s_stages, views, counter=joint)
         assert batched.by_kind == per_block.by_kind == joint.by_kind
         closed = fba.count_fba_multiplications(aux, n, s_stages) * n
@@ -481,7 +481,7 @@ class TestCounting:
         cfg4 = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(4), n_os=1, n_sim=1,
                                 nonlinearity=ch.Identity(), noise_variance=1.0)
         cfg8 = dataclasses.replace(cfg4, alphabet=ch.Alphabet.bipolar_ask(8))
-        g = ch.FirFilter(taps=np.array([0.3, 1.0, 0.2]), rate=1)
+        g = ch.FirFilter(taps=np.array([0.3, 1.0, 0.2]))
         aux4 = fba.build_aux_channel(ch.make_channel(cfg4, g=g), memory=1)
         aux8 = fba.build_aux_channel(ch.make_channel(cfg8, g=g), memory=1)
         c4 = fba.count_fba_multiplications(aux4, 32, 1)
@@ -622,13 +622,15 @@ class TestRecursionOracle:
                 if b > 1 and b * branches > 1 << 16:
                     continue
                 blocks = rates.simulate_eval_blocks(chan, b, self.N, rng)
-                pins = [sic.stage_view(plan, s, blocks.x) for s in (1, self.STAGES)]
-                pinned = sic.StageView(plan=sic.SicPlan(1, self.N), s=1,
-                                       known_idx=np.arange(self.N), known_val=blocks.x)
-                for view in pins + [pinned]:
+                # (known, target) positions of the first and last stage,
+                # and of a fully pinned block
+                cases = [(plan.known_positions(s), plan.stage_positions(s))
+                         for s in (1, self.STAGES)]
+                cases.append((np.arange(self.N), np.arange(self.N)))
+                for known, positions in cases:
                     pin = np.full((b, self.N), -1, dtype=int)
-                    pin[:, view.known_idx] = chan.symbol_indices(view.known_val)
-                    positions = np.arange(self.N) if view is pinned else view.targets
+                    pin[:, known] = chan.symbol_indices(blocks.x[:, known])
+                    pinned = len(known) == self.N
                     got = fba._forward(aux, blocks.y, pin, keep=True)
                     ref = reference_forward(aux, blocks.y, pin, keep=True)
                     assert np.array_equal(got[0], ref[0])
@@ -641,7 +643,7 @@ class TestRecursionOracle:
                         fba._backward_apps(aux, blocks.y, pin, got[1],
                                            [(0, b, positions)]),
                         reference_backward_apps(ref[1], ref[2], positions))
-                    if view is pinned:
+                    if pinned:
                         # the bound's pinned rows as path sums
                         assert np.array_equal(
                             fba._path_log_z(aux, blocks.y, pin), ref[0])

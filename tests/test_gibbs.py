@@ -16,7 +16,7 @@ from nlsic.apps import MultCounter
 def memoryless_channel(alphabet, p_tx=1.5, noise=1.0):
     cfg = ch.ChannelConfig(alphabet=alphabet, n_os=1, n_sim=1,
                            nonlinearity=ch.Identity(), noise_variance=noise)
-    chan = ch.make_channel(cfg, g=ch.FirFilter(taps=np.array([1.0]), rate=1))
+    chan = ch.make_channel(cfg, g=ch.FirFilter(taps=np.array([1.0])))
     return chan.with_transmit_power(p_tx)
 
 
@@ -126,7 +126,7 @@ class TestStationaryDistribution:
 
     def test_pinned_positions_are_never_resampled(self):
         chan = memoryless_channel(ch.Alphabet.bipolar_ask(2))
-        g = ch.FirFilter(taps=np.array([0.4, 1.0, 0.3]), rate=1)
+        g = ch.FirFilter(taps=np.array([0.4, 1.0, 0.3]))
         import dataclasses
         chan = dataclasses.replace(chan, g=g)
         aux = fba.build_aux_channel(chan, memory=2)
@@ -150,14 +150,14 @@ class TestStationaryDistribution:
         cfg_ch = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(2), n_os=1, n_sim=1,
                                   nonlinearity=ch.Identity(), noise_variance=1.0)
         chan = ch.make_channel(
-            cfg_ch, g=ch.FirFilter(taps=np.array([0.4, 1.0, 0.3]), rate=1))
+            cfg_ch, g=ch.FirFilter(taps=np.array([0.4, 1.0, 0.3])))
         chan = chan.with_transmit_power_db(3.0)
         aux = fba.build_aux_channel(chan, memory=2)
         rng = np.random.default_rng(29)
         n = 10
         blk = ch.random_block(chan, n, rng)
         view = sic.stage_view(sic.SicPlan(1, n), 1, blk.x)
-        exact = fba.fba_apps(aux, blk.y, view)
+        exact = fba.fba_point_apps(aux, [blk.y], [view])[0]
         cfg = gibbs.GibbsConfig(memory=2, n_iter=4000, n_par=8, burn_in=50)
         app = gibbs.gibbs_apps(aux, blk.y, view, cfg,
                                np.random.default_rng(31))
@@ -201,7 +201,7 @@ class TestBatchedStage:
         chan = memoryless_channel(ch.Alphabet.bipolar_ask(4), p_tx=2.0)
         import dataclasses
         chan = dataclasses.replace(
-            chan, g=ch.FirFilter(taps=np.array([0.3, 1.0, 0.2]), rate=1))
+            chan, g=ch.FirFilter(taps=np.array([0.3, 1.0, 0.2])))
         aux = fba.build_aux_channel(chan, memory=2, build_table=False)
         return aux, chan, gibbs.GibbsConfig(memory=2, n_iter=6, n_par=3,
                                             burn_in=1)
@@ -526,7 +526,7 @@ class TestStallingRecord:
         n = 24
         blk = ch.random_block(chan, n, rng)
         view = sic.stage_view(sic.SicPlan(2, n), 2, blk.x)
-        exact = fba.fba_apps(aux, blk.y, view)
+        exact = fba.fba_point_apps(aux, [blk.y], [view])[0]
         cfg = gibbs.GibbsConfig(memory=chan.memory, n_iter=150, n_par=8,
                                 burn_in=25)
         approx = gibbs.gibbs_apps(aux, blk.y, view, cfg,
@@ -560,7 +560,7 @@ class TestCounting:
         chan = memoryless_channel(ch.Alphabet.bipolar_ask(4), p_tx=2.0)
         import dataclasses
         chan = dataclasses.replace(
-            chan, g=ch.FirFilter(taps=np.array([0.3, 1.0, 0.2]), rate=1))
+            chan, g=ch.FirFilter(taps=np.array([0.3, 1.0, 0.2])))
         return fba.build_aux_channel(chan, memory=2), chan
 
     def test_doubling_chains_doubles_count(self):

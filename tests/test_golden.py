@@ -96,7 +96,7 @@ def _stage_apps(path: Path, run_dir: Path) -> np.ndarray:
                           blocks.x)
     if cfg.detector_kind == "fba":
         aux = fba.build_aux_channel(chan, cfg.fba.memory, future=cfg.fba.future)
-        return fba.fba_apps(aux, blocks.y, view).probs
+        return fba.fba_point_apps(aux, [blocks.y], [view])[0].probs
     if cfg.detector_kind == "gibbs":
         aux = fba.build_aux_channel(chan, cfg.gibbs.memory, build_table=False)
         return gibbs.gibbs_apps(aux, blocks.y, view, cfg.gibbs, rng).probs

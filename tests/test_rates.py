@@ -24,7 +24,7 @@ def dispersive_4ask_channel(p_tx_db):
 def memoryless_4ask_channel(p_tx_db):
     cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(4), n_os=1, n_sim=1,
                            nonlinearity=ch.Identity(), noise_variance=1.0)
-    chan = ch.make_channel(cfg, g=ch.FirFilter(taps=np.array([1.0]), rate=1))
+    chan = ch.make_channel(cfg, g=ch.FirFilter(taps=np.array([1.0])))
     return chan.with_transmit_power_db(p_tx_db)
 
 
@@ -151,7 +151,7 @@ class TestSicAggregation:
     def test_noiseless_invertible_all_stages_full_rate(self):
         cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(4), n_os=1, n_sim=1,
                                nonlinearity=ch.Identity(), noise_variance=1e-6)
-        chan = ch.make_channel(cfg, g=ch.FirFilter(taps=np.array([1.0]), rate=1))
+        chan = ch.make_channel(cfg, g=ch.FirFilter(taps=np.array([1.0])))
         chan = chan.with_transmit_power(10.0)
         aux = fba.build_aux_channel(chan, memory=0)
         rep = rates.estimate_sic(fba_detector(aux), chan, sic.SicPlan(2, 32),

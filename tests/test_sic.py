@@ -1,5 +1,6 @@
 """Stage positions, serial/parallel index maps and known-symbol windows."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -113,10 +114,9 @@ class TestIcWindow:
 
     def test_tie_breaks_toward_smaller_serial(self):
         # known at serial 0-based {2, 6}, target 4: both at distance 2
-        plan = sic.SicPlan(4, 8)
-        view = sic.StageView(plan=plan, s=3, known_idx=np.array([2, 6]),
-                             known_val=np.array([[20.0, 60.0]]))
-        assert np.array_equal(ic_window(1, 2, view, 1), [20.0])
+        known_idx, known_val = np.array([2, 6]), np.array([20.0, 60.0])
+        slots = sic.ic_window_indices(4, known_idx, 1)
+        assert np.array_equal(np.append(known_val, 0.0)[slots], [20.0])
 
     def test_deterministic(self):
         view = self.make_view(3, 3, 18)
@@ -195,3 +195,24 @@ class TestStageView:
         for shape in ((2, 16), (3, 8), (48,)):
             with pytest.raises(ValueError):
                 view.observations(np.ones(shape), 2)
+
+    @pytest.mark.parametrize("per_stage", [1, 3])
+    @pytest.mark.parametrize("n_stages", range(1, 6))
+    def test_known_positions_come_from_the_plan(self, n_stages, per_stage):
+        plan = sic.SicPlan(n_stages, n_stages * per_stage)
+        x = np.arange(2.0 * plan.n).reshape(2, plan.n)
+        for s in range(1, n_stages + 1):
+            view = sic.stage_view(plan, s, x)
+            assert np.array_equal(view.known_idx, plan.known_positions(s))
+
+    def test_decided_symbols_of_another_shape_refused(self):
+        plan = sic.SicPlan(2, 8)
+        view = sic.stage_view(plan, 2, np.zeros((3, 8)))
+        for known_val in (np.zeros((3, 3)), np.zeros((3, 5)), np.zeros(4),
+                          np.zeros((3, 4, 1))):
+            with pytest.raises(ValueError, match="shape"):
+                sic.StageView(plan=plan, s=2, known_val=known_val)
+            with pytest.raises(ValueError, match="shape"):
+                dataclasses.replace(view, known_val=known_val)
+        with pytest.raises(ValueError, match="out of range"):
+            sic.StageView(plan=plan, s=3, known_val=np.zeros((3, 4)))

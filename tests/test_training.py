@@ -268,6 +268,35 @@ class TestPerStepOracle:
             (ref_log.loss_bits, ref_log.grad_norm, ref_log.clamp_events)
 
 
+class TestMakeBatch:
+    def test_same_batch_as_plan_indexing(self):
+        """make_batch, which reads a stage's decided symbols and targets
+        through its view, gives the batch of the plan's positions indexed
+        directly, with targets by an argmin over the levels, bit for bit, on
+        the rnn-sweep benchmark's batches of both stages."""
+        cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(4), n_os=2,
+                               n_sim=2, nonlinearity=ch.SquareLaw(),
+                               noise_variance=1.0, precoding="differential-phase")
+        chan = ch.make_channel(cfg, k_g=7).with_transmit_power_db(4.0)
+        for s in (1, 2):
+            shape = rnn.RnnShape(dims=(20, 32), l_y=16, l_ic=4, n_stages=2,
+                                 s=s, m_symbols=4, n_os=2)
+            plan = sic.SicPlan(2, 2 * 32 // shape.phases)
+            indexer = rnn.build_indexer(plan, s, shape)
+            norm = training.calibrate_normalization(chan, np.random.default_rng(5))
+            batch = training.make_batch(chan, indexer, norm, 64,
+                                        np.random.default_rng(s))
+            rng = np.random.default_rng(s)
+            blocks = ch.simulate_batch(chan, ch.draw_symbols(chan, (64, plan.n), rng),
+                                       rng)
+            inputs = rnn.gather_inputs(indexer, blocks.y,
+                                       blocks.x[:, plan.known_positions(s)], norm)
+            x = blocks.x[:, plan.stage_positions(s)]
+            targets = np.argmin(np.abs(np.subtract.outer(x, chan.levels)), axis=-1)
+            assert np.array_equal(batch.inputs, inputs)
+            assert np.array_equal(batch.targets, targets)
+
+
 def binary_conditional_entropy(level, sigma2=1.0):
     """H(X | Y) of +-level through a real Gaussian channel, by quadrature."""
     def phi(y, mu):
@@ -291,7 +320,7 @@ class TestTrainStage:
     def memoryless_channel(self, p_tx=1.5):
         cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(2), n_os=1, n_sim=1,
                                nonlinearity=ch.Identity(), noise_variance=1.0)
-        chan = ch.make_channel(cfg, g=ch.FirFilter(taps=np.array([1.0]), rate=1))
+        chan = ch.make_channel(cfg, g=ch.FirFilter(taps=np.array([1.0])))
         return chan.with_transmit_power(p_tx)
 
     def test_reaches_conditional_entropy_on_memoryless_toy(self):
