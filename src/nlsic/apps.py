@@ -21,9 +21,10 @@ CLAMP_FLOOR = 1e-30
 SLICE_BYTES = 1 << 22
 
 
-def block_slices(n_blocks: int, bytes_per_block: int) -> list:
-    """(lo, hi) bounds of consecutive block slices within SLICE_BYTES."""
-    step = max(1, SLICE_BYTES // bytes_per_block)
+def block_slices(n_blocks: int, bytes_per_block: int, shared: int = 0) -> list:
+    """(lo, hi) bounds of consecutive block slices within SLICE_BYTES, of
+    which the call holds `shared` bytes whatever its slices."""
+    step = max(1, (SLICE_BYTES - shared) // bytes_per_block)
     return [(lo, min(lo + step, n_blocks)) for lo in range(0, n_blocks, step)]
 
 

@@ -33,24 +33,32 @@ LOG2PI = np.log(2.0 * np.pi)
 
 
 def _sum_in_numpy_order(parts) -> np.ndarray:
-    """Elementwise sum of equal-shape arrays, rounded as numpy's sum along a
+    """Elementwise sum of equal-shape terms, rounded as numpy's sum along a
     contiguous axis of these terms rounds: sequential below 8 terms, eight
     interleaved accumulators combined pairwise up to 128 (the rest added
-    after them), and two halves split at a multiple of 8 beyond."""
+    after them), and two halves split at a multiple of 8 beyond.
+
+    parts: a list of arrays, or one array (any strides) whose leading axis
+    holds the terms.  From 8 terms on the accumulators are one array, so
+    the pairwise tree is three strided adds."""
     n = len(parts)
     if n > 128:
         half = n // 2 - (n // 2) % 8
         return _sum_in_numpy_order(parts[:half]) + _sum_in_numpy_order(parts[half:])
     if n < 8:
-        total, rest = parts[0], parts[1:]
-    else:
-        acc = parts[:8]
-        tail = n - n % 8
-        for i in range(8, tail, 8):
-            acc = [a + p for a, p in zip(acc, parts[i:i + 8])]
-        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-        rest = parts[tail:]
-    for p in rest:
+        total = parts[0]
+        for p in parts[1:]:
+            total = total + p
+        return total
+    parts = np.asarray(parts)
+    tail = n - n % 8
+    acc = parts[:8]
+    for i in range(8, tail, 8):
+        acc = acc + parts[i:i + 8]
+    while len(acc) > 1:
+        acc = acc[0::2] + acc[1::2]
+    total = acc[0]
+    for p in parts[tail:]:
         total = total + p
     return total
 
@@ -58,7 +66,7 @@ def _sum_in_numpy_order(parts) -> np.ndarray:
 def _sum_over_inputs(e: np.ndarray, axis: int) -> np.ndarray:
     """Sum of input-major (B, M, w) terms over the M inputs, in numpy's
     order for a contiguous axis."""
-    return _sum_in_numpy_order(list(e.swapaxes(0, axis)))
+    return _sum_in_numpy_order(e.swapaxes(0, axis))
 
 
 def _lse(a: np.ndarray, axis: int, total=np.add.reduce) -> np.ndarray:
@@ -169,6 +177,13 @@ class AuxChannel:
 
         self._s_map = s_map
         self._h_map = h_map
+        # numpy hands a one-row product to gemv, whose bits for a column
+        # depend on where the column sits in the product; a zero second row
+        # keeps every product of mean_contexts a gemm, whose column bits
+        # do not (a one-column product is gemv all the same)
+        self._s_gemm, self._h_gemm = (
+            np.vstack([m, np.zeros_like(m)]) if len(m) == 1 else m
+            for m in (s_map, h_map))
 
     def _all_digits(self) -> np.ndarray:
         """Base-M digit expansion of every (state, input) pair, oldest first."""
@@ -182,24 +197,43 @@ class AuxChannel:
                       counter: Optional[MultCounter] = None) -> np.ndarray:
         """Noiseless chunk means, (n_os, C), of C symbol windows given
         feature-major as (memory+1, C), oldest symbol first; the chunk
-        belongs to the window's (future+1)-last slot."""
+        belongs to the window's (future+1)-last slot.
+
+        A one-tap receiver only picks every decimation-th sample, times its
+        tap (skipped when it is 1.0), so no product runs for it.  Through a
+        longer receiver, a sample that overflows to inf would make the
+        neighbouring means NaN (0 * inf) where the receiver's zero taps meet
+        it; such means are summed again over their own receiver span."""
         contexts = np.asarray(contexts, dtype=np.float64)
-        s = self._s_map @ contexts
+        s = (self._s_gemm @ contexts)[:len(self._s_map)]
         z = self.chan.config.nonlinearity(s)
-        mu = self._h_map @ z
+        c = contexts.shape[1]
+        h, step = self.chan.h.taps, self.chan.config.decimation
+        if len(h) > 1:
+            receiver = c * self.n_os * z.shape[0]
+            with np.errstate(invalid="ignore"):
+                mu = (self._h_gemm @ z)[:self.n_os]
+                bad = ~np.isfinite(mu)
+                for j in np.flatnonzero(bad.any(axis=1)):
+                    span = slice(j * step, j * step + len(h))
+                    mu[j, bad[j]] = self._h_map[j, span] @ z[span][:, bad[j]]
+        elif h[0] == 1.0:
+            mu, receiver = z[::step], 0
+        else:
+            mu, receiver = z[::step] * h[0], c * self.n_os
         if counter is not None:
-            c = contexts.shape[1]
             nz = self._s_map.shape[0]
             counter.add("aux-shaping", c * nz * self.window)
             counter.add("aux-nonlinearity",
                         c * nz * self.chan.config.nonlinearity.mults_per_sample)
-            counter.add("aux-receiver", c * self.n_os * nz)
+            counter.add("aux-receiver", receiver)
         return mu
 
     def _branch_means(self, windows: np.ndarray) -> np.ndarray:
         """(n_os, M^memory, M) table of the (M^memory * M, memory+1) windows
-        of every (state, input) pair."""
-        return self.mean_contexts(windows.T).reshape(
+        of every (state, input) pair, in an array of its own (a one-tap
+        receiver's means are a view of every fine-grid sample)."""
+        return np.ascontiguousarray(self.mean_contexts(windows.T)).reshape(
             self.n_os, self.n_states, self.m_symbols)
 
     def masked_mu(self, zeros_left: int, zeros_right: int, input_zeroed: bool) -> np.ndarray:

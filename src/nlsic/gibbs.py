@@ -23,19 +23,30 @@ do not depend on which blocks share its call.
 
 The state is position-major: symbol values are an (n + 2W, C) array over
 the C chains, W = memory+1, with W guard zeros on each side, so a window
-slot outside the block reads a zero.  A colour step gathers its windows
-feature-major, (W, chunks, sites, 2 candidates, C), and evaluates the
-chunk means of all of them in two wide products (AuxChannel.mean_contexts);
-per bit only the target slots are rewritten, and each candidate's metric
-sums its squared differences plane by plane in one fixed order.
+slot outside the block reads a zero, and a sweep's uniforms are one
+site-major (n_unknown, bits, C) array.  A colour step gathers its windows
+once, feature-major, (W, chunks, sites, C), and evaluates one candidate
+label per site and chain at a time: the target slots are rewritten, the
+chunk means of all windows come from wide products
+(AuxChannel.mean_contexts), and each window's squared differences are
+summed plane by plane in one fixed order.  A site's first bit evaluates
+both candidates.  From its second bit on one candidate is the current
+label, whose windows and metric the previous bit evaluated and left
+unchanged, so only the flipped label is evaluated: m_bits + 1 evaluations
+per site and sweep instead of 2 m_bits.  The kept metric has the bits a
+fresh evaluation would have, because a gemm gives a column the same bits
+whatever its place among the columns and their count; a lone window,
+which numpy would hand to gemv, is evaluated beside a copy of itself.
 
 Chains are independent, so once a slice has FORK_UPDATES bit updates each
 block's chains are cut into contiguous groups, one per CPU the caller has
 to itself (see nlsic.parallel), and the groups sweep in forked workers;
 smaller slices sweep in the calling process, where a fork would cost more
 than it saves.  Generators and initial states are drawn in the calling
-process; the groups' integer counts and multiplication tallies add up
-exactly, so the APPs do not depend on the number of processes.
+process; the groups' integer counts add up exactly, so the APPs do not
+depend on the number of processes.  Their multiplication tallies add up
+too, except for the copy beside a lone window, which only a group of one
+chain can need.
 """
 
 from __future__ import annotations
@@ -50,14 +61,20 @@ from .apps import AppMatrix, MultCounter, block_slices
 from .fba import AuxChannel, _sum_in_numpy_order
 from .sic import StageView
 
-# Chain windows (chains x chunks) per colour step; each is evaluated for
-# both candidates of a bit, so a step holds twice as many context columns.
-# Serial gibbs_apps on 2 blocks of 512 symbols (4-ASK, memory 3, 20 sweeps,
-# one CPU) took 383, 344 and 376 ms at 2048, 4096 and 8192 windows with 32
-# chains per block, 772, 611 and 612 ms with 64, and 129, 97 and 165 ms
-# with 8: smaller steps pay more per-call overhead, and a whole colour
-# class at once falls out of cache.
-STEP_ROWS = 4096
+# Chain windows (chains x chunks) per colour step: the columns of each of
+# its mean products, one candidate label at a time.  Serial gibbs_apps on 2
+# blocks of 512 symbols (4-ASK, memory 3, 20 sweeps, one CPU) took medians
+# of 278, 244, 209 and 288 ms at 4096, 8192, 16384 and 32768 windows with
+# 64 chains per block, and 144, 114, 106 and 155 ms with 32: smaller steps
+# pay more per-call overhead, and larger ones fall out of cache.  The
+# benchmark's gibbs-long evaluate ran as fast at 8192 as at 16384, whose
+# step temporaries raised its peak RSS by 0.8 MB.
+STEP_ROWS = 8192
+
+# Chains whose uniforms are drawn into one scratch block, then copied into
+# the site-major array together: a generator draws only into a contiguous
+# array, and copying one chain's row at a time took twice as long.
+DRAW_CHAINS = 16
 
 # Bit updates a block slice needs before its chains are split across
 # processes.  On 2 CPUs a split slice ran up to 3x slower below 60k updates,
@@ -94,16 +111,13 @@ def gray_to_index(m_symbols: int) -> np.ndarray:
     return inv
 
 
-def _chunk_windows(aux: AuxChannel, pos: int, n: int):
-    """Chunks (1-based) whose symbol window contains 0-based position `pos`,
-    and the window's symbol positions for mean evaluation."""
-    kappa = pos + 1
-    lo = max(kappa - aux.future, 1)
-    hi = min(kappa + aux.memory - aux.future, n)
-    chunks = np.arange(lo, hi + 1)
-    # window of chunk q covers positions q - past .. q + future, oldest first
-    wpos = chunks[:, None] - (aux.memory - aux.future) + np.arange(aux.window)[None, :]
-    return chunks, wpos - 1  # symbol positions 0-based, may be out of range
+def _chunk_windows(aux: AuxChannel, positions: np.ndarray, n: int):
+    """First chunk (1-based) whose symbol window contains each 0-based
+    position, and how many chunks' windows contain it."""
+    kappa = np.asarray(positions) + 1
+    lo = np.maximum(kappa - aux.future, 1)
+    hi = np.minimum(kappa + aux.memory - aux.future, n)
+    return lo, hi - lo + 1
 
 
 def _colour_steps(aux: AuxChannel, ys: np.ndarray, unknown: np.ndarray,
@@ -112,33 +126,63 @@ def _colour_steps(aux: AuxChannel, ys: np.ndarray, unknown: np.ndarray,
     colour (position mod memory+1) and one chunk count, as many as fit in
     STEP_ROWS chain windows (chains x chunks), at least one.
     A step holds their indices into `unknown`; their positions; the row of
-    each window slot in the guarded value array of _sweep_chains, once per
-    candidate, (W, n_q, sites, 2); the row of each target slot when the
-    gathered windows are viewed as (W * n_q * sites, 2 * chains), shaped
-    (n_q, sites); and every block's observation chunks,
-    (n_os, n_q, sites, 1, n_blk, 1)."""
+    each window slot in the guarded value array of _sweep_chains, flat in
+    (W, n_q, sites) order; the index of each target slot among those,
+    shaped (n_q, sites); and every block's observation chunks,
+    (n_os, n_q, sites, n_blk, 1)."""
     n = ys.shape[1] // aux.n_os
     w = aux.window
-    groups = {}
-    for k, pos in enumerate(unknown):
-        chunks, wpos = _chunk_windows(aux, int(pos), n)
-        groups.setdefault((pos % w, len(chunks)), []).append(
-            (k, pos, chunks, wpos))
+    first, n_qs = _chunk_windows(aux, unknown, n)
+    colours = unknown % w
     steps = []
-    for (_, n_q), sites in sorted(groups.items()):
+    for colour, n_q in sorted(set(zip(colours.tolist(), n_qs.tolist()))):
+        group = np.flatnonzero((colours == colour) & (n_qs == n_q))
         per_step = max(1, STEP_ROWS // (n_chains * n_q))
-        for i in range(0, len(sites), per_step):
-            ks, ps, chunks, wpos = map(np.array, zip(*sites[i:i + per_step]))
+        for i in range(0, len(group), per_step):
+            ks = group[i:i + per_step]
+            ps = unknown[ks]
             n_s = len(ps)
-            slots = wpos.transpose(2, 1, 0) + w
-            # the target's slot in window (q, s) is j = pos - wpos[s, q, 0]
-            tgt = ((ps - wpos[:, :, 0].T) * n_q
-                   + np.arange(n_q)[:, None]) * n_s + np.arange(n_s)
+            chunks = first[ks, None] + np.arange(n_q)             # (S, n_q)
+            # window of chunk q covers positions q - past .. q + future,
+            # oldest first: slot j of window (q, s) holds position start + j
+            start = (chunks - (aux.memory - aux.future) - 1).T    # (n_q, S)
+            slots = (start + np.arange(w)[:, None, None] + w).ravel()
+            tgt = ((ps - start) * n_q + np.arange(n_q)[:, None]) * n_s \
+                + np.arange(n_s)
             rows = (chunks[..., None] - 1) * aux.n_os + np.arange(aux.n_os)
-            y_sites = ys[:, rows].transpose(3, 2, 1, 0)[:, :, :, None, :, None]
-            steps.append((ks, ps, np.repeat(slots[..., None], 2, axis=-1), tgt,
-                          np.ascontiguousarray(y_sites)))
+            y_sites = ys[:, rows].transpose(3, 2, 1, 0)[..., None]
+            steps.append((ks, ps, slots, tgt, np.ascontiguousarray(y_sites)))
     return steps
+
+
+def _metric(aux: AuxChannel, ctx: np.ndarray, tgt: np.ndarray,
+            target: np.ndarray, y_sites: np.ndarray,
+            counter: Optional[MultCounter]) -> np.ndarray:
+    """Gaussian metric, (sites, chains), of one candidate per site and
+    chain: the step's window slots ctx, (W * n_q * sites, chains), get the
+    target slots tgt set to the candidate's `target` values, (sites,
+    chains), and each window's squared differences against y_sites are
+    summed over the (sample, chunk) planes in one fixed order."""
+    n_os, n_q, n_s = y_sites.shape[:3]
+    ctx[tgt] = target
+    windows = ctx.reshape(aux.window, -1)
+    if windows.shape[1] > 1:
+        mu = aux.mean_contexts(windows, counter=counter)
+    else:
+        # numpy rounds a one-column product as gemv, not as a column of
+        # the wider products; the lone window goes beside a copy of itself
+        mu = aux.mean_contexts(np.repeat(windows, 2, axis=1),
+                               counter=counter)[:, :1]
+    # the means are this call's own array, so they become the differences;
+    # an overflow to inf is a legal metric: the bit is certain
+    with np.errstate(over="ignore"):
+        d = mu.reshape(y_sites.shape[:-1] + (-1,))
+        d -= y_sites
+        d *= d
+        metric = _sum_in_numpy_order(d.reshape(n_os * n_q, -1))
+    if counter is not None:
+        counter.add("gs-metric", d.size + metric.size)
+    return metric.reshape(n_s, -1) * (1.0 / (2.0 * aux.sigma2))
 
 
 def _sweep_chains(aux: AuxChannel, ys: np.ndarray, unknown: np.ndarray,
@@ -159,13 +203,10 @@ def _sweep_chains(aux: AuxChannel, ys: np.ndarray, unknown: np.ndarray,
     n_par = n_chains // n_blk
     m_sym = aux.m_symbols
     m_bits = int(np.log2(m_sym))
-    w, n_os = aux.window, aux.n_os
-    inv2s = 1.0 / (2.0 * aux.sigma2)
+    w = aux.window
     gray = gray_labels(m_sym)
     ungray = gray_to_index(m_sym)
     label_level = aux.levels[ungray]
-    # flips[b]: the labels' bit b for the two candidates, as (2, 1)
-    flips = np.array([[0], [1]]) << np.arange(m_bits)[:, None, None]
     steps = _colour_steps(aux, ys, unknown, n_chains)
     digits = np.ascontiguousarray(states.T)
     values = np.zeros((n + 2 * w, n_chains))
@@ -173,41 +214,47 @@ def _sweep_chains(aux: AuxChannel, ys: np.ndarray, unknown: np.ndarray,
     # flat (block, position, symbol) bin of each chain's position
     bins = ((np.arange(n_chains) // n_par) * n + np.arange(n)[:, None]) * m_sym
     counts = np.zeros(n_blk * n * m_sym, dtype=np.int64)
-    uniforms = np.empty((n_chains, len(unknown), m_bits))
+    # one sweep's uniforms, site-major, so a step reads its sites' rows
+    uniforms = np.empty((len(unknown), m_bits, n_chains))
+    rows = np.empty((DRAW_CHAINS, len(unknown), m_bits))
 
     for sweep in range(n_iter):
-        for crng, u in zip(chain_rngs, uniforms):
-            crng.random(out=u)
+        for lo in range(0, n_chains, DRAW_CHAINS):
+            block = rows[:n_chains - lo]
+            for crng, row in zip(chain_rngs[lo:], block):
+                crng.random(out=row)
+            uniforms[:, :, lo:lo + len(block)] = block.transpose(1, 2, 0)
         for ks, ps, slots, tgt, y_sites in steps:
-            n_q, n_s = tgt.shape
-            ctx = values[slots]                        # (W, n_q, S, 2, C)
-            by_slot = ctx.reshape(-1, 2 * n_chains)
-            cur_label = gray[digits[ps]]               # (S, C)
-            u_sites = uniforms[:, ks].T                # (m_bits, S, C)
+            ctx = values[slots]                        # (W * n_q * S, C)
+            u_sites = uniforms[ks]                     # (S, m_bits, C)
+            cur = gray[digits[ps]]                     # (S, C)
             for b in range(m_bits):
-                labs = (cur_label & ~(1 << b))[:, None] | flips[b]  # (S, 2, C)
-                by_slot[tgt] = label_level[labs].reshape(n_s, -1)
-                mu = aux.mean_contexts(ctx.reshape(w, -1), counter=counter)
-                # an overflow to inf is a legal metric: the bit is certain
-                with np.errstate(over="ignore"):
-                    d = mu.reshape(n_os, n_q, n_s, 2, n_blk, n_par) - y_sites
-                    d *= d
-                    metric = _sum_in_numpy_order(list(d.reshape(n_os * n_q, -1)))
-                metric = metric.reshape(n_s, 2, n_chains) * inv2s
-                if counter is not None:
-                    counter.add("gs-metric", 2 * n_chains * tgt.size * n_os
-                                + 2 * n_chains * n_s)
-                # one infinite metric decides the bit; two leave no odds
-                both_inf = np.isinf(np.minimum(metric[:, 0], metric[:, 1]))
-                if both_inf.any():
-                    pos = ps[both_inf.any(axis=1)][0]
+                zero, one = cur & ~(1 << b), cur | (1 << b)
+                if b == 0:
+                    metric = [_metric(aux, ctx, tgt, label_level[lab], y_sites,
+                                      counter) for lab in (zero, one)]
+                else:
+                    # the current label's windows and metric are those of
+                    # the last bit's choice: only the flipped label is new
+                    flipped = _metric(aux, ctx, tgt, label_level[cur ^ (1 << b)],
+                                      y_sites, counter)
+                    is_one = cur == one
+                    metric = [np.where(is_one, flipped, kept),
+                              np.where(is_one, kept, flipped)]
+                # one infinite metric decides the bit; two, or a NaN, leave
+                # no odds
+                no_odds = ~np.isfinite(np.minimum(metric[0], metric[1]))
+                if no_odds.any():
+                    pos = ps[no_odds.any(axis=1)][0]
                     raise FloatingPointError(
                         f"Gibbs sweep {sweep}: both candidates of bit {b} at "
-                        f"position {pos} have infinite metrics")
+                        f"position {pos} have infinite or undefined metrics")
                 # stable sigmoid: 1/(1+e^d) = (1 - tanh(d/2))/2
-                p_one = 0.5 * (1.0 - np.tanh(0.5 * (metric[:, 1] - metric[:, 0])))
-                cur_label = np.where(u_sites[b] < p_one, labs[:, 1], labs[:, 0])
-            digits[ps] = ungray[cur_label]
+                p_one = 0.5 * (1.0 - np.tanh(0.5 * (metric[1] - metric[0])))
+                choose_one = u_sites[:, b] < p_one
+                cur = np.where(choose_one, one, zero)
+                kept = np.where(choose_one, metric[1], metric[0])
+            digits[ps] = ungray[cur]
             values[ps + w] = aux.levels[digits[ps]]
         if sweep >= burn_in:
             counts += np.bincount((bins + digits).ravel(), minlength=counts.size)
@@ -220,7 +267,8 @@ def _sweep_split(aux: AuxChannel, ys: np.ndarray, unknown: np.ndarray,
     """:func:`_sweep_chains` with each block's chains cut into contiguous
     groups, one per worker of a parallel map, once the slice has at least
     FORK_UPDATES bit updates.  Chains are independent, so the groups'
-    counts and multiplication tallies add up to the whole's.  states:
+    counts add up to the whole's, and so do their multiplication tallies
+    but for the copy a lone window is evaluated beside.  states:
     (n, n_blk * n_par) digits, position-major."""
     n_blk, n_par = len(ys), cfg.n_par
     updates = n_blk * n_par * len(unknown) * int(np.log2(aux.m_symbols)) * cfg.n_iter
@@ -270,11 +318,18 @@ def gibbs_apps(aux: AuxChannel, y: np.ndarray, view: StageView,
     total = (cfg.n_iter - cfg.burn_in) * cfg.n_par
 
     # per block: the chains' position-major digits, guarded values and
-    # count bins and one sweep's uniforms, plus the block's counts and the
-    # observation chunks of every position
-    stored = 8 * n * (cfg.n_par * (3 + m_bits) + m_sym + aux.window * aux.n_os)
+    # count bins and one sweep's site-major uniforms, plus the block's
+    # counts and APPs and the observation chunks of every position
+    w = aux.window
+    stored = 8 * n * (cfg.n_par * (3 + m_bits) + 2 * m_sym + w * aux.n_os)
+    # per call: the uniforms' scratch rows, every colour step's window slots
+    # and target rows, and one step's windows, one candidate's shaping
+    # product and nonlinearity, and the sites' labels and metrics
+    nz = max(len(aux._s_map), 2)
+    shared = 8 * (DRAW_CHAINS * n * m_bits + (w + 1) * w * n
+                  + (w + 2 * nz + 1) * STEP_ROWS)
     probs = np.empty((b, len(positions), m_sym))
-    for lo, hi in block_slices(b, stored):
+    for lo, hi in block_slices(b, stored, shared):
         chain_rngs = rng.spawn((hi - lo) * cfg.n_par)
         states = np.zeros((n, len(chain_rngs)), dtype=int)
         states[view.known_idx] = np.repeat(pinned[lo:hi], cfg.n_par, axis=0).T
@@ -289,18 +344,24 @@ def gibbs_apps(aux: AuxChannel, y: np.ndarray, view: StageView,
 def count_gs_multiplications(aux: AuxChannel, cfg: GibbsConfig,
                              n: int) -> float:
     """Real multiplications per APP estimate of the sampler on an n-symbol
-    block with every position unknown.  Mirrors the instrumented kernel
-    exactly: per bit update, both symbol candidates re-evaluate the affected
-    chunk windows through the truncated pipeline and their Gaussian metrics.
-    Exactly proportional to n_iter and n_par.
+    block with every position unknown, by the per-bit convention: each bit
+    update evaluates both symbol candidates' chunk windows through the
+    truncated pipeline (shaping, nonlinearity and receiver products) and
+    their Gaussian metrics.  Exactly proportional to n_iter and n_par.
+
+    complexity.csv and rates.csv report this convention.  The kernel
+    executes less, as its MultCounter tally shows: from a site's second bit
+    on it evaluates only the flipped candidate, and a one-tap receiver
+    multiplies by its tap, or not at all when that tap is 1.0, instead of
+    running the receiver product.
     """
     nz = aux._s_map.shape[0]
     per_context = (nz * aux.window
                    + nz * aux.chan.config.nonlinearity.mults_per_sample
                    + aux.n_os * nz)
-    visits = [len(_chunk_windows(aux, pos, n)[0]) for pos in range(n)]
-    mean_per_chain = 2 * sum(visits) * per_context
-    metric_per_chain = sum(2 * v * aux.n_os + 2 for v in visits)
+    visits = int(_chunk_windows(aux, np.arange(n), n)[1].sum())
+    mean_per_chain = 2 * visits * per_context
+    metric_per_chain = 2 * visits * aux.n_os + 2 * n
     m_bits = int(np.log2(aux.m_symbols))
     total = cfg.n_par * cfg.n_iter * m_bits * (mean_per_chain + metric_per_chain)
     return total / n

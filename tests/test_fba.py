@@ -156,6 +156,44 @@ class TestAuxChannel:
                 assert not np.allclose(means, y, rtol=0, atol=1e-9), point
 
 
+class TestMeanOverflow:
+    """A chunk sample whose receiver span holds no overflow keeps a finite
+    mean when a neighbouring sample of the same chunk overflows to inf:
+    the zero taps of the receiver map must not make it 0 * inf = NaN."""
+
+    def aux(self, k_h, memory):
+        cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(4), n_os=2,
+                               n_sim=2, nonlinearity=ch.SquareLaw(),
+                               noise_variance=1.0)
+        chan = ch.make_channel(cfg, k_g=7, k_h=k_h).with_transmit_power(1e308)
+        return fba.build_aux_channel(chan, memory=memory, build_table=False)
+
+    def means(self, aux, window):
+        ctx = np.array(window)[:, None]
+        with np.errstate(over="ignore"):
+            return aux.mean_contexts(ctx)[:, 0], (aux._s_map @ ctx)[:, 0] ** 2
+
+    def test_one_tap_receiver(self):
+        """The benchmark channel, one symbol at the top level among guard
+        zeros: the receiver takes sample 0 of the squared shaping output as
+        it is, 7.68e307, beside an inf."""
+        aux = self.aux(k_h=1, memory=3)
+        mu, z = self.means(aux, (0.0, 0.0, aux.levels[3], 0.0))
+        assert np.isinf(z[1]) and np.isinf(mu[1])
+        assert np.isfinite(z[0]) and mu[0] == z[0]
+        assert mu[0] == pytest.approx(7.68e307, rel=1e-3)
+
+    def test_three_tap_receiver(self):
+        """Sample 0's span holds the inf, sample 1's (fine rows 1-3) does
+        not: its mean is its own span's sum."""
+        aux = self.aux(k_h=3, memory=1)
+        mu, z = self.means(aux, aux.levels[[0, 1]])
+        assert np.isinf(z[0]) and np.isfinite(z[1:]).all()
+        assert np.isinf(mu[0])
+        assert np.isfinite(mu[1])
+        assert mu[1] == pytest.approx(aux._h_map[1, 1:] @ z[1:], rel=1e-15)
+
+
 class TestFbaApp:
     def test_memoryless_binary_closed_form(self):
         """MAP oracle: APP(+r | y) = 1 / (1 + exp(-2 y r / sigma^2))."""
@@ -759,5 +797,9 @@ def test_sum_in_numpy_order_matches_numpy(n_terms):
     terms = rng.random((n_terms, 6, 33))
     terms[rng.random(terms.shape) < 0.25] = 0.0
     parts = list(terms)
-    assert np.array_equal(fba._sum_in_numpy_order(parts),
-                          np.stack(parts, -1).sum(axis=-1))
+    expected = np.stack(parts, -1).sum(axis=-1)
+    assert np.array_equal(fba._sum_in_numpy_order(parts), expected)
+    # the terms as one array, also a strided one, take the same tree
+    assert np.array_equal(fba._sum_in_numpy_order(terms), expected)
+    assert np.array_equal(
+        fba._sum_in_numpy_order(terms.transpose(0, 2, 1)), expected.T)

@@ -4,6 +4,7 @@ pinning, multiplication accounting, and the frozen chain-major kernel as a
 reference."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,32 @@ def block_apps(aux, blk, cfg, rng):
     """Sampled stage-1 APPs of a one-block batch, (N, M)."""
     view = sic.stage_view(sic.SicPlan(1, blk.x.shape[1]), 1, blk.x)
     return gibbs.gibbs_apps(aux, blk.y, view, cfg, rng).probs[0]
+
+
+def unexecuted_multiplications(aux, cfg, n):
+    """Multiplications per block that count_gs_multiplications' per-bit,
+    two-candidate convention counts and the kernel does not execute, with
+    every position of an n-symbol block unknown, no colour step holding a
+    lone window, and a one-tap receiver whose tap is 1.0: per chain and
+    sweep, the kept candidate of each bit after a site's first (m_bits - 1
+    of its 2 m_bits evaluations), and the receiver product of each window
+    the m_bits + 1 evaluations run (n_os * nz)."""
+    assert len(aux.chan.h) == 1 and aux.chan.h.taps[0] == 1.0
+    nz = aux._s_map.shape[0]
+    m_bits = int(np.log2(aux.m_symbols))
+    visits = int(gibbs._chunk_windows(aux, np.arange(n), n)[1].sum())
+    per_window = (nz * aux.window
+                  + nz * aux.chan.config.nonlinearity.mults_per_sample
+                  + aux.n_os * nz + aux.n_os)
+    evaluation = visits * per_window + n
+    receiver = (m_bits + 1) * visits * aux.n_os * nz
+    return cfg.n_par * cfg.n_iter * ((m_bits - 1) * evaluation + receiver)
+
+
+def executed_multiplications(aux, cfg, n):
+    """The kernel's MultCounter tally for one such block, in closed form."""
+    convention = round(gibbs.count_gs_multiplications(aux, cfg, n) * n)
+    return convention - unexecuted_multiplications(aux, cfg, n)
 
 
 def memoryless_posterior(chan, y):
@@ -215,8 +242,7 @@ class TestBatchedStage:
         counter = MultCounter()
         gibbs.gibbs_apps(aux, blocks.y, view, cfg, np.random.default_rng(59),
                          counter=counter)
-        assert counter.total == pytest.approx(
-            3 * gibbs.count_gs_multiplications(aux, cfg, n) * n)
+        assert counter.total == 3 * executed_multiplications(aux, cfg, n)
 
 
 class TestChainSplit:
@@ -277,6 +303,46 @@ class TestChainSplit:
             os.waitpid(-1, os.WNOHANG)
 
 
+class TestByteEstimate:
+    """The per-block and per-call byte formulas that size the sampler's
+    block slices state what a call holds: per block the chains' state, the
+    site-major uniforms, the counts, the APPs and the observation chunks;
+    per call the uniforms' scratch rows, the colour steps' index arrays and
+    one step's windows, products and metrics."""
+
+    def test_formula_matches_the_peak_of_one_call(self, monkeypatch):
+        """At n = 2,000 on the gibbs-long channel with 8 chains per block, a
+        call over two blocks, in one slice, peaks between its formula and
+        1.25 times it."""
+        cfg_ch = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(4), n_os=2,
+                                  n_sim=2, nonlinearity=ch.SquareLaw(),
+                                  noise_variance=1.0,
+                                  precoding="differential-phase")
+        chan = ch.make_channel(cfg_ch, k_g=7).with_transmit_power_db(4.0)
+        aux = fba.build_aux_channel(chan, memory=3, build_table=False)
+        cfg = gibbs.GibbsConfig(memory=3, n_iter=2, n_par=8, burn_in=1)
+        n = 2000
+        blocks = rates.simulate_eval_blocks(chan, 2, n, np.random.default_rng(3))
+        view = sic.stage_view(sic.SicPlan(1, n), 1, blocks.x)
+        seen = []
+
+        def spy(n_blocks, bytes_per_block, shared):
+            seen.append((bytes_per_block, shared))
+            return apps.block_slices(n_blocks, bytes_per_block, shared)
+        monkeypatch.setattr(gibbs, "block_slices", spy)
+        monkeypatch.setattr(gibbs, "FORK_UPDATES", 1 << 62)
+        tracemalloc.start()
+        try:
+            gibbs.gibbs_apps(aux, blocks.y, view, cfg, np.random.default_rng(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        [(per_block, shared)] = seen
+        estimate = len(blocks) * per_block + shared
+        assert estimate <= apps.SLICE_BYTES
+        assert estimate <= peak <= 1.25 * estimate, (peak, estimate)
+
+
 class TestColourSteps:
     """One colour step resamples conditionally independent positions at
     once, so the kernel equals a serial scan in colour order whatever
@@ -332,7 +398,8 @@ class TestColourSteps:
                     assert np.array_equal(got_app.probs, ref_app.probs)
 
     @pytest.mark.parametrize("memory", range(5))
-    @pytest.mark.parametrize("step_rows", [1, 64, gibbs.STEP_ROWS, 1 << 40])
+    @pytest.mark.parametrize("step_rows",
+                             [1, 64, 4096, gibbs.STEP_ROWS, 1 << 40])
     def test_steps_are_independent_and_cover_each_position_once(
             self, monkeypatch, step_rows, memory):
         aux, chan, _ = self.make(4, memory)
@@ -364,6 +431,18 @@ def rowmajor_means(aux, contexts):
     return aux.chan.config.nonlinearity(s) @ aux._h_map.T
 
 
+def reference_chunk_windows(aux, pos, n):
+    """Chunks (1-based) whose symbol window contains 0-based position `pos`,
+    and the window's symbol positions for mean evaluation."""
+    kappa = pos + 1
+    lo = max(kappa - aux.future, 1)
+    hi = min(kappa + aux.memory - aux.future, n)
+    chunks = np.arange(lo, hi + 1)
+    # window of chunk q covers positions q - past .. q + future, oldest first
+    wpos = chunks[:, None] - (aux.memory - aux.future) + np.arange(aux.window)[None, :]
+    return chunks, wpos - 1  # symbol positions 0-based, may be out of range
+
+
 def reference_colour_steps(aux, ys, unknown, n_chains):
     """The chain-major colour steps: indices into `unknown`, positions, the
     clipped window positions, the window slots outside the block, the flat
@@ -372,7 +451,7 @@ def reference_colour_steps(aux, ys, unknown, n_chains):
     n = ys.shape[1] // aux.n_os
     groups = {}
     for k, pos in enumerate(unknown):
-        chunks, wpos = gibbs._chunk_windows(aux, int(pos), n)
+        chunks, wpos = reference_chunk_windows(aux, int(pos), n)
         groups.setdefault((pos % aux.window, len(chunks)), []).append(
             (k, pos, chunks, wpos))
     steps = []
@@ -511,6 +590,43 @@ class TestKernelOracle:
                                   rowmajor_means(aux, windows.T).T)
 
 
+class TestColumnBits:
+    """The kernel evaluates a site's kept candidate once and reuses its
+    metric, and evaluates the other candidate in a product of another
+    width.  That keeps the bits only if mean_contexts gives a window the
+    same bits wherever it sits among the columns and however many columns
+    there are.  It does from two columns on; a one-column product is the
+    exception (numpy hands it to gemv, which rounds otherwise), so the
+    kernel never makes one.  The one-row shaping map of a memoryless
+    three-tap channel is checked too: its product would go to gemv as well,
+    had mean_contexts not given it a zero second row."""
+
+    N_COLUMNS = 2 * gibbs.STEP_ROWS
+
+    def channel(self, name):
+        if name == "memoryless-3-tap":
+            chan = memoryless_channel(ch.Alphabet.bipolar_ask(4), p_tx=2.0)
+            import dataclasses
+            return dataclasses.replace(
+                chan, g=ch.FirFilter(taps=np.array([0.3, 1.0, 0.2])))
+        return oracle_channel(4, name)
+
+    @pytest.mark.parametrize("memory", range(5))
+    @pytest.mark.parametrize("channel",
+                             sorted(ORACLE_CHANNELS) + ["memoryless-3-tap"])
+    def test_independent_of_place_and_count(self, channel, memory):
+        chan = self.channel(channel)
+        aux = fba.build_aux_channel(chan, memory=memory, build_table=False)
+        rng = np.random.default_rng(memory)
+        windows = chan.levels[rng.integers(0, 4, (aux.window, self.N_COLUMNS))]
+        whole = aux.mean_contexts(windows)
+        for count in (2, 3, 4, 5, 7, 8, 9, 63, 1000, gibbs.STEP_ROWS + 1):
+            for start in rng.integers(0, self.N_COLUMNS - count, 4):
+                part = np.ascontiguousarray(windows[:, start:start + count])
+                assert np.array_equal(aux.mean_contexts(part),
+                                      whole[:, start:start + count])
+
+
 class TestStallingRecord:
     def test_high_snr_quality_gap_recorded(self, capsys):
         """At high power on a dispersive square-law channel the sampler's
@@ -589,5 +705,8 @@ class TestCounting:
         counter = MultCounter()
         gibbs.gibbs_apps(aux, blk.y, view, cfg, np.random.default_rng(43),
                          counter=counter)
-        assert counter.total == pytest.approx(
-            gibbs.count_gs_multiplications(aux, cfg, n) * n)
+        # the convention counts both candidates of every bit and the
+        # receiver product; the kernel runs neither the kept candidates nor
+        # the product of a one-tap receiver
+        assert counter.total == executed_multiplications(aux, cfg, n)
+        assert counter.total < gibbs.count_gs_multiplications(aux, cfg, n) * n
