@@ -233,6 +233,9 @@ def _detector_for(cfg, chan, run_dir, p_tx_db):
         models, counts = {}, {}
         for s in stages:
             stem = _model_stem(run_dir, s, p_tx_db)
+            if not stem.with_suffix(".bin").exists():
+                raise ConfigError(f"evaluate: detector.kind rnn needs "
+                                  f"checkpoint {stem}.bin (run 'train' first)")
             try:
                 models[s] = rnn.load_model(stem)
             except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -320,16 +323,6 @@ def _evaluate(cfg, run_dir: Path):
 
 
 def cmd_evaluate(cfg) -> int:
-    if cfg.detector_kind == "rnn":
-        # refused before the run directory exists, like a parse-time error
-        run_dir = _run_path(cfg)
-        for p_tx_db in cfg.sweep_p_tx_db:
-            for s in range(1, cfg.stages + 1):
-                stem = _model_stem(run_dir, s, p_tx_db)
-                if not stem.with_suffix(".bin").exists():
-                    raise ConfigError(f"evaluate: detector.kind rnn needs "
-                                      f"checkpoint {stem}.bin (run 'train' "
-                                      f"first)")
     return _run(cfg, _evaluate)
 
 

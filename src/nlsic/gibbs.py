@@ -21,22 +21,22 @@ generator spawned in block order and draws its uniforms one sweep at a
 time, one per (unknown position, bit) in position order, so a block's APPs
 do not depend on which blocks share its call.
 
-The state is position-major: symbol values are an (n + 2W, C) array over
-the C chains, W = memory+1, with W guard zeros on each side, so a window
-slot outside the block reads a zero, and a sweep's uniforms are one
-site-major (n_unknown, bits, C) array.  A colour step gathers its windows
-once, feature-major, (W, chunks, sites, C), and evaluates one candidate
-label per site and chain at a time: the target slots are rewritten, the
-chunk means of all windows come from wide products
-(AuxChannel.mean_contexts), and each window's squared differences are
-summed plane by plane in one fixed order.  A site's first bit evaluates
-both candidates.  From its second bit on one candidate is the current
-label, whose windows and metric the previous bit evaluated and left
-unchanged, so only the flipped label is evaluated: m_bits + 1 evaluations
-per site and sweep instead of 2 m_bits.  The kept metric has the bits a
-fresh evaluation would have, because a gemm gives a column the same bits
-whatever its place among the columns and their count; a lone window,
-which numpy would hand to gemv, is evaluated beside a copy of itself.
+The state is position-major: the chains sweep their Gray labels, one
+(n, C) array over the C chains, their symbol values are an (n + 2W, C)
+array, W = memory+1, with W guard zeros on each side, so a window slot
+outside the block reads a zero, and a sweep's uniforms are one site-major
+(n_unknown, bits, C) array.  A colour step gathers its windows once,
+feature-major, (W, chunks, sites, C), and evaluates one candidate label
+per site and chain at a time: the target slots are rewritten, the chunk
+means of all windows come from wide products (AuxChannel.mean_contexts),
+and each window's squared differences are summed plane by plane in one
+fixed order.  The step evaluates each site's current label once; then,
+for each bit, only the label with that bit flipped, and flips or keeps
+the bit from the two metrics: m_bits + 1 evaluations per site and sweep
+instead of 2 m_bits.  The kept metric has the bits a fresh evaluation
+would have, because a gemm gives a column the same bits whatever its
+place among the columns and their count; a lone window, which numpy
+would hand to gemv, is evaluated beside a copy of itself.
 
 Chains are independent, so once a slice has FORK_UPDATES bit updates each
 block's chains are cut into contiguous groups, one per CPU the caller has
@@ -186,32 +186,32 @@ def _metric(aux: AuxChannel, ctx: np.ndarray, tgt: np.ndarray,
 
 
 def _sweep_chains(aux: AuxChannel, ys: np.ndarray, unknown: np.ndarray,
-                  states: np.ndarray, chain_rngs, n_iter: int, burn_in: int,
+                  digits: np.ndarray, chain_rngs, n_iter: int, burn_in: int,
                   counter: Optional[MultCounter] = None) -> np.ndarray:
     """Sweep the chains of every block in lockstep; returns post-burn-in
     counts, (n_blk, n, M).
 
     ys: (n_blk, n_os * n) observations.  unknown: the ascending positions
-    to resample.  states: (n_blk * n_par, n) symbol digits, block-major,
-    pinned columns already correct; chain_rngs[c] draws chain c's
-    uniforms, one (n_unknown, m_bits) array per sweep.  The sweep works on
-    states.T, position-major: in place, without a copy, when that is a
-    contiguous array.
+    to resample.  digits: (n, n_blk * n_par) symbol indices,
+    position-major with the chains block-major, pinned rows already
+    correct; the chains sweep them in place, as Gray labels.
+    chain_rngs[c] draws chain c's uniforms, one (n_unknown, m_bits) array
+    per sweep.
     """
     n_blk = len(ys)
-    n_chains, n = states.shape
+    n, n_chains = digits.shape
     n_par = n_chains // n_blk
     m_sym = aux.m_symbols
     m_bits = int(np.log2(m_sym))
     w = aux.window
     gray = gray_labels(m_sym)
-    ungray = gray_to_index(m_sym)
-    label_level = aux.levels[ungray]
+    label_level = aux.levels[gray_to_index(m_sym)]
     steps = _colour_steps(aux, ys, unknown, n_chains)
-    digits = np.ascontiguousarray(states.T)
+    labels = digits
+    labels[...] = gray[digits]
     values = np.zeros((n + 2 * w, n_chains))
-    values[w:w + n] = aux.levels[digits]
-    # flat (block, position, symbol) bin of each chain's position
+    values[w:w + n] = label_level[labels]
+    # flat (block, position, label) bin of each chain's position
     bins = ((np.arange(n_chains) // n_par) * n + np.arange(n)[:, None]) * m_sym
     counts = np.zeros(n_blk * n * m_sym, dtype=np.int64)
     # one sweep's uniforms, site-major, so a step reads its sites' rows
@@ -227,38 +227,33 @@ def _sweep_chains(aux: AuxChannel, ys: np.ndarray, unknown: np.ndarray,
         for ks, ps, slots, tgt, y_sites in steps:
             ctx = values[slots]                        # (W * n_q * S, C)
             u_sites = uniforms[ks]                     # (S, m_bits, C)
-            cur = gray[digits[ps]]                     # (S, C)
+            cur = labels[ps]                           # (S, C)
+            kept = _metric(aux, ctx, tgt, label_level[cur], y_sites, counter)
             for b in range(m_bits):
-                zero, one = cur & ~(1 << b), cur | (1 << b)
-                if b == 0:
-                    metric = [_metric(aux, ctx, tgt, label_level[lab], y_sites,
-                                      counter) for lab in (zero, one)]
-                else:
-                    # the current label's windows and metric are those of
-                    # the last bit's choice: only the flipped label is new
-                    flipped = _metric(aux, ctx, tgt, label_level[cur ^ (1 << b)],
-                                      y_sites, counter)
-                    is_one = cur == one
-                    metric = [np.where(is_one, flipped, kept),
-                              np.where(is_one, kept, flipped)]
+                flip = cur ^ (1 << b)
+                flipped = _metric(aux, ctx, tgt, label_level[flip], y_sites,
+                                  counter)
                 # one infinite metric decides the bit; two, or a NaN, leave
                 # no odds
-                no_odds = ~np.isfinite(np.minimum(metric[0], metric[1]))
+                no_odds = ~np.isfinite(np.minimum(kept, flipped))
                 if no_odds.any():
                     pos = ps[no_odds.any(axis=1)][0]
                     raise FloatingPointError(
                         f"Gibbs sweep {sweep}: both candidates of bit {b} at "
                         f"position {pos} have infinite or undefined metrics")
-                # stable sigmoid: 1/(1+e^d) = (1 - tanh(d/2))/2
-                p_one = 0.5 * (1.0 - np.tanh(0.5 * (metric[1] - metric[0])))
-                choose_one = u_sites[:, b] < p_one
-                cur = np.where(choose_one, one, zero)
-                kept = np.where(choose_one, metric[1], metric[0])
-            digits[ps] = ungray[cur]
-            values[ps + w] = aux.levels[digits[ps]]
+                # d = metric of bit 1 - metric of bit 0, and the stable
+                # sigmoid 1/(1+e^d) = (1 - tanh(d/2))/2
+                is_one = (cur & (1 << b)) != 0
+                d = np.where(is_one, kept - flipped, flipped - kept)
+                p_one = 0.5 * (1.0 - np.tanh(0.5 * d))
+                flips = (u_sites[:, b] < p_one) != is_one
+                cur = np.where(flips, flip, cur)
+                kept = np.where(flips, flipped, kept)
+            labels[ps] = cur
+            values[ps + w] = label_level[cur]
         if sweep >= burn_in:
-            counts += np.bincount((bins + digits).ravel(), minlength=counts.size)
-    return counts.reshape(n_blk, n, m_sym)
+            counts += np.bincount((bins + labels).ravel(), minlength=counts.size)
+    return counts.reshape(n_blk, n, m_sym)[:, :, gray]
 
 
 def _sweep_split(aux: AuxChannel, ys: np.ndarray, unknown: np.ndarray,
@@ -269,7 +264,8 @@ def _sweep_split(aux: AuxChannel, ys: np.ndarray, unknown: np.ndarray,
     FORK_UPDATES bit updates.  Chains are independent, so the groups'
     counts add up to the whole's, and so do their multiplication tallies
     but for the copy a lone window is evaluated beside.  states:
-    (n, n_blk * n_par) digits, position-major."""
+    (n, n_blk * n_par) digits, position-major, as _sweep_chains takes
+    them."""
     n_blk, n_par = len(ys), cfg.n_par
     updates = n_blk * n_par * len(unknown) * int(np.log2(aux.m_symbols)) * cfg.n_iter
     k = parallel.workers(n_par) if updates >= FORK_UPDATES else 1
@@ -280,7 +276,7 @@ def _sweep_split(aux: AuxChannel, ys: np.ndarray, unknown: np.ndarray,
         a, b = bounds[w], bounds[w + 1]
         tally = None if counter is None else MultCounter()
         counts = _sweep_chains(
-            aux, ys, unknown, by_block[:, :, a:b].reshape(len(states), -1).T,
+            aux, ys, unknown, by_block[:, :, a:b].reshape(len(states), -1),
             [chain_rngs[i * n_par + c] for i in range(n_blk) for c in range(a, b)],
             cfg.n_iter, cfg.burn_in, counter=tally)
         return counts, tally
@@ -317,7 +313,7 @@ def gibbs_apps(aux: AuxChannel, y: np.ndarray, view: StageView,
     positions = view.targets
     total = (cfg.n_iter - cfg.burn_in) * cfg.n_par
 
-    # per block: the chains' position-major digits, guarded values and
+    # per block: the chains' position-major labels, guarded values and
     # count bins and one sweep's site-major uniforms, plus the block's
     # counts and APPs and the observation chunks of every position
     w = aux.window
@@ -350,10 +346,11 @@ def count_gs_multiplications(aux: AuxChannel, cfg: GibbsConfig,
     their Gaussian metrics.  Exactly proportional to n_iter and n_par.
 
     complexity.csv and rates.csv report this convention.  The kernel
-    executes less, as its MultCounter tally shows: from a site's second bit
-    on it evaluates only the flipped candidate, and a one-tap receiver
-    multiplies by its tap, or not at all when that tap is 1.0, instead of
-    running the receiver product.
+    executes less, as its MultCounter tally shows: per site and sweep it
+    evaluates the current label once and, for each bit, only the label with
+    that bit flipped (m_bits + 1 evaluations, not 2 m_bits), and a one-tap
+    receiver multiplies by its tap, or not at all when that tap is 1.0,
+    instead of running the receiver product.
     """
     nz = aux._s_map.shape[0]
     per_context = (nz * aux.window

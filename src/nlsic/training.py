@@ -264,12 +264,16 @@ def calibrate_normalization(chan: ch.DiscreteChannel,
                             rng: np.random.Generator) -> Normalization:
     """Standardization constants from a fresh calibration run at the
     operating power: observations to zero mean/unit variance, decided-symbol
-    inputs to unit RMS."""
+    inputs to unit RMS.  The symbol RMS is exactly 0 only where the power
+    underflows every level, and the observation spread only where, besides,
+    there is no noise: the inputs it scales are all 0 then, and their
+    scale is 1."""
     rows = ch.draw_symbols(chan, (8, CALIBRATION_SYMBOLS // 8), rng)
     y = ch.simulate_batch(chan, rows, rng).y
     sym_rms = float(np.sqrt(np.mean(chan.levels**2)))
-    return Normalization(y_mean=float(np.mean(y)), y_std=float(np.std(y)),
-                         sym_scale=1.0 / sym_rms)
+    return Normalization(y_mean=float(np.mean(y)),
+                         y_std=float(np.std(y)) or 1.0,
+                         sym_scale=1.0 / (sym_rms or 1.0))
 
 
 def make_batch(chan: ch.DiscreteChannel, indexer: InputIndexer, norm: Normalization,

@@ -232,8 +232,8 @@ class TestEvaluate:
             assert (run_dir / name).read_bytes() == blob
 
     def test_missing_checkpoint_is_config_error(self, tmp_path, capsys):
-        """Refused before the run directory is made, naming the first
-        checkpoint it lacks."""
+        """Refused naming the first checkpoint it lacks, and the run
+        directory evaluate made is removed."""
         path = toy_yaml(tmp_path, detector="rnn", sweep=(4.0,))
         assert cli.main(["evaluate", "-c", str(path)]) == 2
         stem = cli._model_stem(run_dir_for(path), 1, 4.0)
@@ -479,10 +479,18 @@ class TestExitCodes:
 
     def test_extreme_finite_powers_run(self, tmp_path):
         """Powers whose milli-dB tag and linear power are finite run, also
-        where the linear power underflows to zero."""
+        where the linear power underflows to zero; there the rnn detector
+        trains and evaluates on all-zero inputs, with noise and without."""
         path = toy_yaml(tmp_path, detector="uniform", n_blk=2,
                         sweep=(-5000.0, -400.0, 400.0))
         assert cli.main(["evaluate", "-c", str(path)]) == 0
+        for variance in ("1.0", "0"):
+            (tmp_path / variance).mkdir()
+            path = toy_yaml(tmp_path / variance, detector="rnn", stages=1,
+                            n_blk=2, sweep=(-5000.0,))
+            path.write_text(path.read_text().replace(
+                "variance: 1.0}", f"variance: {variance}}}"))
+            assert cli.main(["sweep", "-c", str(path)]) == 0
 
     def test_report_without_results(self, tmp_path):
         path = toy_yaml(tmp_path, sweep=(1.0,))

@@ -166,7 +166,7 @@ class TestStationaryDistribution:
         chain_rngs = np.random.default_rng(23).spawn(n_par)
         states = np.tile(truth, (n_par, 1))
         states[:, unknown] = 0
-        counts = gibbs._sweep_chains(aux, blk.y, unknown, states,
+        counts = gibbs._sweep_chains(aux, blk.y, unknown, states.T,
                                      chain_rngs, n_iter, burn_in)[0]
         kept = (n_iter - burn_in) * n_par
         assert np.all(counts[known, truth[known]] == kept)
@@ -209,13 +209,13 @@ class TestChainIndependence:
 
         unknown = np.arange(n)
         states, chain_rngs = draws(99)
-        batched = gibbs._sweep_chains(aux, blk.y, unknown, states,
+        batched = gibbs._sweep_chains(aux, blk.y, unknown, states.T,
                                       chain_rngs, n_iter, burn)
         states, chain_rngs = draws(99)
         serial = np.zeros_like(batched)
         for c in range(n_par):
             serial += gibbs._sweep_chains(aux, blk.y, unknown,
-                                          states[c:c + 1], chain_rngs[c:c + 1],
+                                          states[c:c + 1].T, chain_rngs[c:c + 1],
                                           n_iter, burn)
         assert np.array_equal(batched, serial)
 
@@ -368,7 +368,7 @@ class TestColourSteps:
             states = np.array([crng.integers(0, aux.m_symbols, size=12)
                                for crng in chain_rngs])
             counts = gibbs._sweep_chains(
-                aux, y[:1], np.arange(12), states, chain_rngs, cfg.n_iter,
+                aux, y[:1], np.arange(12), states.T, chain_rngs, cfg.n_iter,
                 cfg.burn_in)
         return result, counts, rng.random()
 
@@ -509,6 +509,11 @@ def reference_sweep_chains(aux, ys, unknown, states, chain_rngs, n_iter,
     return counts.reshape(n_blk, n, m_sym)
 
 
+def reference_position_major(aux, ys, unknown, digits, *args, **kwargs):
+    """reference_sweep_chains on the kernel's position-major (n, C) digits."""
+    return reference_sweep_chains(aux, ys, unknown, digits.T, *args, **kwargs)
+
+
 # (nonlinearity, n_sim, n_os, k_g, k_h)
 ORACLE_CHANNELS = {
     "square-law": (ch.SquareLaw(), 2, 2, 7, 1),
@@ -529,36 +534,35 @@ class TestKernelOracle:
     """The position-major kernel equals the frozen chain-major reference:
     counts of direct sweeps and the APPs of whole stages, over 2-, 4- and
     8-ASK, three channels, memories 0-4, the first and last of three SIC
-    stages, and one site per step, the default step and whole colours."""
+    stages, and one site per step, the default step and whole colours;
+    one block of one chain, whose lone windows are evaluated beside a copy
+    of themselves, at one site per step and the default step."""
 
-    N, STAGES, N_BLK = 12, 3, 2
+    N, STAGES = 12, 3
 
-    @pytest.mark.parametrize("memory", range(5))
-    @pytest.mark.parametrize("channel", sorted(ORACLE_CHANNELS))
-    @pytest.mark.parametrize("m_symbols", [2, 4, 8])
-    def test_equal_to_reference(self, monkeypatch, m_symbols, channel,
-                                memory):
+    def check(self, monkeypatch, m_symbols, channel, memory, n_blk, n_par,
+              all_step_rows):
         chan = oracle_channel(m_symbols, channel)
         aux = fba.build_aux_channel(chan, memory=memory, build_table=False)
-        cfg = gibbs.GibbsConfig(memory=memory, n_iter=4, n_par=3, burn_in=1)
+        cfg = gibbs.GibbsConfig(memory=memory, n_iter=4, n_par=n_par,
+                                burn_in=1)
         rng = np.random.default_rng(1000 * m_symbols + memory)
-        blocks = rates.simulate_eval_blocks(chan, self.N_BLK, self.N, rng)
+        blocks = rates.simulate_eval_blocks(chan, n_blk, self.N, rng)
         plan = sic.SicPlan(self.STAGES, self.N)
         for s in (1, self.STAGES):
             view = sic.stage_view(plan, s, blocks.x)
             unknown = np.delete(np.arange(self.N), view.known_idx)
             truth = chan.symbol_indices(blocks.x)
-            for step_rows in (1, gibbs.STEP_ROWS, 1 << 40):
+            for step_rows in all_step_rows:
                 monkeypatch.setattr(gibbs, "STEP_ROWS", step_rows)
                 counts, apps_ = [], []
-                for sweep in (gibbs._sweep_chains, reference_sweep_chains):
-                    chain_rngs = np.random.default_rng(s).spawn(
-                        self.N_BLK * cfg.n_par)
-                    states = np.repeat(truth, cfg.n_par, axis=0)
+                for sweep in (gibbs._sweep_chains, reference_position_major):
+                    chain_rngs = np.random.default_rng(s).spawn(n_blk * n_par)
+                    states = np.repeat(truth, n_par, axis=0)
                     for c, crng in enumerate(chain_rngs):
                         states[c, unknown] = crng.integers(
                             0, m_symbols, size=len(unknown))
-                    counts.append(sweep(aux, blocks.y, unknown, states,
+                    counts.append(sweep(aux, blocks.y, unknown, states.T,
                                         chain_rngs, cfg.n_iter, cfg.burn_in))
                     monkeypatch.setattr(gibbs, "_sweep_chains", sweep)
                     apps_.append(gibbs.gibbs_apps(
@@ -567,6 +571,22 @@ class TestKernelOracle:
                 monkeypatch.undo()
                 assert np.array_equal(counts[0], counts[1])
                 assert np.array_equal(apps_[0], apps_[1])
+
+    @pytest.mark.parametrize("memory", range(5))
+    @pytest.mark.parametrize("channel", sorted(ORACLE_CHANNELS))
+    @pytest.mark.parametrize("m_symbols", [2, 4, 8])
+    def test_equal_to_reference(self, monkeypatch, m_symbols, channel,
+                                memory):
+        self.check(monkeypatch, m_symbols, channel, memory, n_blk=2, n_par=3,
+                   all_step_rows=(1, gibbs.STEP_ROWS, 1 << 40))
+
+    @pytest.mark.parametrize("memory", range(5))
+    @pytest.mark.parametrize("channel", sorted(ORACLE_CHANNELS))
+    @pytest.mark.parametrize("m_symbols", [2, 4, 8])
+    def test_one_chain_equal_to_reference(self, monkeypatch, m_symbols,
+                                          channel, memory):
+        self.check(monkeypatch, m_symbols, channel, memory, n_blk=1, n_par=1,
+                   all_step_rows=(1, gibbs.STEP_ROWS))
 
     @pytest.mark.parametrize("memory", range(5))
     @pytest.mark.parametrize("shape", [(2, 2, 7, 1), (2, 2, 7, 3), (4, 2, 9, 3),
