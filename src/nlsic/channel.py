@@ -97,10 +97,32 @@ class FirFilter:
         return replace(self, taps=self.taps * scale)
 
     def apply_same(self, rows: np.ndarray) -> np.ndarray:
-        """Centered same-length convolution of each row of a 2-D batch."""
+        """Centered same-length convolution of each row of a 2-D batch.
+
+        One np.convolve call serves the batch: the rows lie end to end, each
+        followed by half_len zeros, as far as a centered output reaches, so
+        no output of a row reaches into the next.  An output's dot product is
+        the one a per-row convolution makes, except for a row's first and
+        last half_len outputs, whose dot products get longer with zero terms
+        added and so can round differently.  simulate_batch never reads them
+        into y: the guard symbols put every output-grid sample at least
+        h.half_len samples inside the receiver's rows, and every pulse
+        sample that reaches it at least g.half_len inside the pulse's rows.
+        p_tx sums all of the pulse's outputs, but at n_sim >= 2 the guard
+        makes its edge outputs sums of zero products, exact in any order.
+        (At n_sim = 1 they hold the end symbols' tails, and a last-bit change
+        there could reach p_tx.)  A one-tap filter, or a batch of no rows,
+        is a product by the tap.
+        """
+        b, n = rows.shape
         lo = self.half_len
-        return np.array([np.convolve(r, self.taps)[lo:lo + rows.shape[1]]
-                         for r in rows])
+        if lo == 0 or b == 0:
+            return rows * self.taps[0]
+        # the padding takes the rows' dtype, so complex rows stay complex
+        laid = np.zeros((b, n + lo), dtype=rows.dtype)
+        laid[:, :n] = rows
+        full = np.convolve(laid.ravel(), self.taps)[:laid.size]
+        return full.reshape(b, n + lo)[:, lo:]
 
 
 # ---------------------------------------------------------------------------

@@ -289,11 +289,13 @@ def forward(model: RnnModel, inputs: np.ndarray,
     Every activation is written into `ws` (a fresh workspace if none is
     given), laid out as ForwardCache describes, so a caller that passes the
     same workspace to every call allocates no activations after the first.
-    Each step makes the products (B, dims[i]) @ (dims[i], half) and
-    (B, half) @ (half, half), and adds ((x@W + in_b) + s@U) + st_b: a row's
-    bits depend on the shape of the product that computes it, so these
-    per-step shapes and this order keep the results of the step-by-step
-    computation bit for bit.
+    Before a direction's recursion, each phase's input products run as one
+    stacked product, (T/P, B, dims[i]) @ (dims[i], half), plus in_b; the
+    recursion then makes one (B, half) @ (half, half) state product per step
+    and adds ((x@W + in_b) + s@U) + st_b.  A row's bits depend on the shape
+    of the product that computes it, and a stacked product gives each of its
+    matrices the bits of that matrix's own product, so these shapes and this
+    order keep the results of the step-by-step computation bit for bit.
     """
     if ws is None:
         ws = Workspace()
@@ -314,16 +316,18 @@ def forward(model: RnnModel, inputs: np.ndarray,
         fed = ws.empty("fed", (b, half))
         for d, steps, feed in _directions(t_steps):
             h_d = h[:, :, d * half:(d + 1) * half]
-            in_maps = [(in_w[p, d].T, in_b[p, d]) for p in range(p_count)]
-            st_maps = [(st_w[q, d].T, st_b[q, d]) for q in range(p_count)]
+            for p in range(p_count):
+                np.matmul(r[p::p_count], in_w[p, d].T, out=pre[p::p_count, d])
+                pre[p::p_count, d] += in_b[p, d]
+            # the state biases as whole (B, half) blocks: a same-shape add
+            # takes less time than a broadcast one, with the same sums
+            st_rows = ws.empty("st_rows", (p_count, b, half))
+            st_rows[...] = st_b[:, d, None]
+            st_maps = [(st_w[q, d].T, st_rows[q]) for q in range(p_count)]
             state = zero
             for step in steps:
-                p = step % p_count
-                w, w_b = in_maps[p]
-                u, u_b = st_maps[(p + feed) % p_count]
+                u, u_b = st_maps[(step + feed) % p_count]
                 z = pre[step, d]
-                np.matmul(r[step], w, out=z)
-                z += w_b
                 np.matmul(state, u, out=fed)
                 z += fed
                 z += u_b

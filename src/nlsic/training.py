@@ -163,17 +163,19 @@ def backward(model: RnnModel, batch: Batch, ws: Optional[Workspace] = None):
     t_steps = batch.inputs.shape[1]
     p_count = shape.phases
     phases = np.arange(t_steps) % p_count
-    d_read = np.matmul(dlogits, model.out_w, out=ws.empty("d_read", (b, n_out, width)))
-    dh = [ws.zeros("dh_zero", (b, width))] * t_steps
-    dh[::p_count] = d_read.swapaxes(0, 1)
+    dh = ws.empty("dh_top", (t_steps, b, width))
+    np.matmul(dlogits, model.out_w, out=dh[::p_count].swapaxes(0, 1))
+    for p in range(1, p_count):
+        dh[p::p_count] = 0.0
 
     for i in range(shape.n_recurrent - 1, -1, -1):
         in_w, _, st_w, _ = model.layers[i]
         g_in_w, g_in_b, g_st_w, g_st_b = grads.layers[i]
         half, d_in = in_w.shape[2:]
         r_in, h = cache.inputs[i], cache.h[i]
-        active = np.greater(cache.pre[i], 0.0,
-                            out=ws.empty("active", cache.pre[i].shape, bool))
+        # the pre-activations are read only here: they become 1.0 and 0.0,
+        # whose products equal those with True and False
+        active = np.greater(cache.pre[i], 0.0, out=cache.pre[i])
         dz = ws.empty("dz", (t_steps, b, half))
         carry = ws.empty("carry", (b, half))
         zero = ws.zeros("zero", (b, half))
@@ -187,10 +189,13 @@ def backward(model: RnnModel, batch: Batch, ws: Optional[Workspace] = None):
         for d, steps, feed in _directions(t_steps):
             cols = slice(d * half, (d + 1) * half)
             st_maps = [st_w[q, d] for q in range(p_count)]
+            # each step's gradient from above, to which its loop step adds
+            # the state's: the operands, in the order, of one add per step
+            np.copyto(dz, dh[:, :, cols])
             state_grad = zero
             for step in reversed(steps):
                 dz_step = dz[step]
-                np.add(dh[step][:, cols], state_grad, out=dz_step)
+                dz_step += state_grad
                 dz_step *= active[step, d]
                 state_grad = np.matmul(dz_step, st_maps[(step + feed) % p_count],
                                        out=carry)

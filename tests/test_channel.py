@@ -254,6 +254,18 @@ class TestSimulateBlock:
         with pytest.raises(ValueError, match=ch.Blocks.SHAPE_ERROR):
             ch.simulate_batch(toy_linear_channel(0.0), np.zeros((1, 0)))
 
+    @pytest.mark.parametrize("k_h", [1, 9])
+    def test_zero_row_batch_is_empty(self, k_h):
+        """A batch of no rows is an empty batch, on the output-rate and the
+        fine-grid noise paths alike, and draws nothing from the generator."""
+        cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(4), n_os=2, n_sim=4,
+                               nonlinearity=ch.SquareLaw(), noise_variance=1.0)
+        chan = ch.make_channel(cfg, k_g=7, k_h=k_h)
+        rng = np.random.default_rng(1)
+        blk = ch.simulate_batch(chan, np.zeros((0, 16)), rng)
+        assert (blk.x.shape, blk.y.shape, blk.p_tx.shape) == ((0, 16), (0, 32), (0,))
+        assert rng.random() == np.random.default_rng(1).random()
+
     def test_batch_matches_single(self):
         """Batch rows equal single blocks bit for bit, noise included: real
         noise is drawn row after row, so a batch consumes the generator as
@@ -311,6 +323,56 @@ class TestSimulateBlock:
                              text=True, check=True,
                              env={**os.environ, "PYTHONPATH": path})
         assert out.stdout.strip() == "[]"
+
+
+def per_row_apply_same(fir, rows):
+    """FirFilter.apply_same one np.convolve call per row: the reference the
+    batched convolution must reproduce where the simulator reads it."""
+    lo = fir.half_len
+    return np.array([np.convolve(r, fir.taps)[lo:lo + rows.shape[1]]
+                     for r in rows])
+
+
+class TestPerRowOracle:
+    """simulate_batch's observations and powers are byte-equal to those of
+    per-row convolutions, over pulse and receiver lengths, oversampling
+    factors, both noise paths, a real and a complex pulse and two block
+    lengths."""
+
+    @pytest.mark.parametrize("k", [1, 3, 7, 33, 303])
+    def test_batched_convolution_keeps_rows_apart(self, k):
+        """On dense rows, real and complex, the batched convolution equals
+        the per-row one: byte for byte inside, and to rounding on the
+        half_len outputs at each end, where its dot products are longer."""
+        rng = np.random.default_rng(k)
+        taps = rng.normal(size=k) + 1j * rng.normal(size=k)
+        for fir, rows in [(ch.FirFilter(taps=taps.real), rng.normal(size=(4, 400))),
+                          (ch.FirFilter(taps=taps), rng.normal(size=(4, 400)) + 0j)]:
+            got, ref = fir.apply_same(rows), per_row_apply_same(fir, rows)
+            lo = fir.half_len
+            assert got.dtype == ref.dtype
+            assert got[:, lo:400 - lo].tobytes() == ref[:, lo:400 - lo].tobytes()
+            assert np.allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n_sim,kind", [
+        (1, "identity"), (2, "identity"), (2, "square-law"), (2, "fiber"),
+        (4, "identity"), (4, "square-law"), (4, "fiber")])
+    def test_equal_to_per_row_convolutions(self, monkeypatch, n_sim, kind):
+        fiber = ch.FiberParams(length_km=20.0, beta2_s2_per_km=-1e-2)
+        cfg = ch.ChannelConfig(
+            alphabet=ch.Alphabet.bipolar_ask(4), n_os=min(n_sim, 2), n_sim=n_sim,
+            nonlinearity=ch.Identity() if kind == "identity" else ch.SquareLaw(),
+            fiber=fiber if kind == "fiber" else None, noise_variance=0.5)
+        for k_g, k_h, n in itertools.product(range(1, 16, 2), (1, 3, 9), (16, 96)):
+            chan = ch.make_channel(cfg, k_g=k_g, k_h=k_h).with_transmit_power_db(2.0)
+            rows = ch.draw_symbols(chan, (5, n), np.random.default_rng(k_g))
+            batched = ch.simulate_batch(chan, rows, np.random.default_rng(k_h))
+            with monkeypatch.context() as patch:
+                patch.setattr(ch.FirFilter, "apply_same", per_row_apply_same)
+                ref = ch.simulate_batch(chan, rows, np.random.default_rng(k_h))
+            case = (k_g, k_h, n)
+            assert batched.y.tobytes() == ref.y.tobytes(), case
+            assert batched.p_tx.tobytes() == ref.p_tx.tobytes(), case
 
 
 class TestSamplingExactness:

@@ -4,13 +4,14 @@ checkpoint format."""
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nlsic import channel as ch
-from nlsic import rnn, sic
+from nlsic import apps, rnn, sic
 from nlsic.apps import MultCounter
 
 DATA = Path(__file__).with_name("data")
@@ -413,3 +414,34 @@ class TestDetectorApi:
         assert np.array_equal(app.positions, view.targets)
         assert app.probs.shape == (1, 6, 4)
         assert np.abs(app.probs.sum(axis=2) - 1.0).max() < 1e-12
+
+
+class TestByteEstimate:
+    def test_formula_matches_the_peak_of_one_call(self, monkeypatch):
+        """The per-block bytes that size rnn_apps' slices lie between one
+        call's peak and 1.25 times it, at n = 2,000 on the rnn-sweep
+        shape's first stage, one block in one slice."""
+        cfg = ch.ChannelConfig(alphabet=ch.Alphabet.bipolar_ask(4), n_os=2, n_sim=2,
+                               nonlinearity=ch.SquareLaw(), noise_variance=1.0,
+                               precoding="differential-phase")
+        chan = ch.make_channel(cfg, k_g=7).with_transmit_power_db(4.0)
+        n = 2000
+        shape = make_shape((20, 32), l_y=16, l_ic=4, n_stages=2, s=1)
+        model = rnn.init_model(shape, np.random.default_rng(1))
+        blk = ch.random_block(chan, n, np.random.default_rng(2))
+        view = sic.stage_view(sic.SicPlan(2, n), 1, blk.x)
+        seen = []
+
+        def spy(n_blocks, bytes_per_block):
+            seen.append(bytes_per_block)
+            return apps.block_slices(n_blocks, bytes_per_block)
+        monkeypatch.setattr(rnn, "block_slices", spy)
+        tracemalloc.start()
+        try:
+            rnn.rnn_apps(model, blk.y, view)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        [estimate] = seen
+        assert estimate <= apps.SLICE_BYTES
+        assert peak <= estimate <= 1.25 * peak, (peak, estimate)
