@@ -15,6 +15,11 @@ one process per usable CPU (see nlsic.parallel); the Gibbs sampler splits
 its chains over the CPUs a sweep point has to itself.  Every unit draws from
 its own seed, so the artifacts do not depend on the number of processes.
 
+A command imports only the modules its work runs: the Gibbs and RNN
+detectors and the trainer are imported by the step that uses them, in the
+main process before it forks, so the workers inherit them compiled and an
+fba evaluate never loads them.
+
 Exit codes: 0 ok, 2 configuration error, 3 numeric failure.
 """
 
@@ -23,6 +28,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import platform
 import shutil
 import sys
 import time
@@ -33,7 +40,7 @@ import yaml
 
 from . import channel as ch
 from . import config as cfgmod
-from . import fba, gibbs, parallel, rates, rnn, sic, training
+from . import fba, parallel, rates, sic
 from .config import ConfigError
 
 
@@ -44,6 +51,24 @@ def _code_hash() -> str:
         digest.update(path.name.encode())
         digest.update(path.read_bytes())
     return digest.hexdigest()[:12]
+
+
+def _environment() -> dict:
+    """What a run's numbers and start-up time depend on besides the code;
+    an interpreter that writes no bytecode compiles the package again in
+    every process."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a numpy without build information
+        blas = {}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {key: blas.get(key) for key in ("name", "version")},
+        "threads": {var: os.environ.get(var) for var in (
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+        "dont_write_bytecode": sys.dont_write_bytecode,
+    }
 
 
 def _run_path(cfg) -> Path:
@@ -82,6 +107,7 @@ def _run(cfg, *steps) -> int:
         "workers": workers,
         "usable_cpus": parallel.usable_cpus(),
         "artifacts": sorted(str(p.relative_to(run_dir)) for p in artifacts),
+        "environment": _environment(),
     }
     with open(run_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -155,6 +181,8 @@ def _train_chain(cfg, base, run_dir: Path, sweep, s: int) -> list:
     warm-started from the network this chain trained at the previous one.
     Returns one (message, artifacts) record per point and prints nothing,
     so chains of different stages can run in different processes."""
+    from . import rnn, training
+
     plan = sic.SicPlan(cfg.stages, cfg.eval_n)
     shape = cfgmod.rnn_shape(cfg, s, base.config.alphabet.size)
     records, model = [], None
@@ -186,6 +214,9 @@ def _train_chain(cfg, base, run_dir: Path, sweep, s: int) -> list:
 
 
 def _train(cfg, run_dir: Path):
+    # imported before the chains fork, so no worker compiles its own copy
+    from . import rnn, training  # noqa: F401
+
     (run_dir / "models").mkdir(exist_ok=True)
     base = cfgmod.build_channel(cfg)
     sweep = sorted(cfg.sweep_p_tx_db)
@@ -223,6 +254,8 @@ def _detector_for(cfg, chan, run_dir, p_tx_db):
         return (lambda ys, views, rng: fba.fba_point_apps(aux, ys, views),
                 aux, dict.fromkeys(stages, count))
     if cfg.detector_kind == "gibbs":
+        from . import gibbs
+
         aux = fba.build_aux_channel(chan, cfg.gibbs.memory, build_table=False)
         count = gibbs.count_gs_multiplications(aux, cfg.gibbs, cfg.eval_n)
         return (rates.stage_by_stage(lambda y, view, rng:
@@ -230,6 +263,8 @@ def _detector_for(cfg, chan, run_dir, p_tx_db):
                                                       rng)),
                 None, dict.fromkeys(stages, count))
     if cfg.detector_kind == "rnn":
+        from . import rnn
+
         models, counts = {}, {}
         for s in stages:
             stem = _model_stem(run_dir, s, p_tx_db)
@@ -283,6 +318,10 @@ RATES_HEADER = ("detector,p_tx_db,stage,rate,stderr,clamp_fraction,flagged,"
 
 
 def _evaluate(cfg, run_dir: Path):
+    # the detector's module is imported before the sweep points fork, so no
+    # worker compiles its own copy
+    if cfg.detector_kind in ("gibbs", "rnn"):
+        __import__(f"{__package__}.{cfg.detector_kind}")
     base = cfgmod.build_channel(cfg)
     points = list(enumerate(cfg.sweep_p_tx_db))
     results, workers = parallel.parallel_map(
@@ -382,7 +421,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (FloatingPointError, training.TrainDivergence, RuntimeError) as exc:
+    except (FloatingPointError, RuntimeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import make_dataclass
+from dataclasses import dataclass, make_dataclass
 from functools import partial
 from typing import Optional
 
@@ -23,12 +23,26 @@ import yaml
 
 from . import channel as ch
 from .fba import check_table_size
-from .gibbs import GibbsConfig
-from .rnn import RnnShape
 
 
 class ConfigError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class GibbsConfig:
+    """The Gibbs sampler's settings, the config's gibbs section."""
+
+    memory: int
+    n_iter: int
+    n_par: int
+    burn_in: int = 25
+
+    def __post_init__(self):
+        if not self.n_iter > self.burn_in >= 0:
+            raise ValueError("need n_iter > burn_in >= 0")
+        if self.n_par < 1:
+            raise ValueError("need at least one chain")
 
 
 # Every key of the schema: dotted YAML key -> (type, default, least allowed
@@ -99,8 +113,8 @@ def _place(key: str):
 def _config_classes() -> dict:
     """ExperimentConfig, under None, and its section dataclasses by
     attribute, their fields in _SCHEMA order and typed from it.  A section
-    sits where its first key does; the gibbs section is the sampler's own
-    GibbsConfig."""
+    sits where its first key does; the gibbs section is GibbsConfig, which
+    the sampler takes as it is."""
     fields = {attr: [] for attr in (None, *_SECTIONS)}
     for key, (kind, default, least) in _SCHEMA.items():
         if least == (default,):
@@ -247,7 +261,10 @@ def _domain_check(key: str, build):
 
 
 def rnn_shape(cfg: ExperimentConfig, s: int, m_symbols: int) -> RnnShape:
-    """Shape of the network for stage s; ValueError if cfg cannot build it."""
+    """Shape of the network for stage s; ValueError if cfg cannot build it.
+    nlsic.rnn is imported here, so only an rnn run loads it."""
+    from .rnn import RnnShape
+
     r = cfg.rnn
     return RnnShape(dims=(r.l_y + r.l_ic,) + r.hidden, l_y=r.l_y, l_ic=r.l_ic,
                     n_stages=cfg.stages, s=s, m_symbols=m_symbols,

@@ -51,13 +51,13 @@ chain can need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import parallel
 from .apps import AppMatrix, MultCounter, block_slices
+from .config import GibbsConfig
 from .fba import AuxChannel, _sum_in_numpy_order
 from .sic import StageView
 
@@ -82,20 +82,6 @@ DRAW_CHAINS = 16
 # count: a fork costs 5-20 ms, and half of each step's time does not shrink
 # with fewer chains.
 FORK_UPDATES = 1 << 19
-
-
-@dataclass(frozen=True)
-class GibbsConfig:
-    memory: int
-    n_iter: int
-    n_par: int
-    burn_in: int = 25
-
-    def __post_init__(self):
-        if not self.n_iter > self.burn_in >= 0:
-            raise ValueError("need n_iter > burn_in >= 0")
-        if self.n_par < 1:
-            raise ValueError("need at least one chain")
 
 
 def gray_labels(m_symbols: int) -> np.ndarray:

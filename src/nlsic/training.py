@@ -233,8 +233,16 @@ def backward(model: RnnModel, batch: Batch, ws: Optional[Workspace] = None):
 
 
 def grad_global_norm(grads: RnnModel) -> float:
-    # per-tensor sums in canonical order: the trainlog records this value
-    return float(np.sqrt(sum(float(np.sum(g * g)) for _, g in grads.parameters())))
+    """The trainlog's gradient norm: each tensor's sum of squares, added in
+    canonical order.  The tensors are contiguous segments of the flat
+    buffer, so one square serves them all, and np.add.reduce over a
+    segment sums it as np.sum over the tensor does."""
+    squares = grads.flat * grads.flat
+    total, offset = 0.0, 0
+    for _, g in grads.parameters():
+        total += float(np.add.reduce(squares[offset:offset + g.size]))
+        offset += g.size
+    return float(np.sqrt(total))
 
 
 class Adam:

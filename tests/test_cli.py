@@ -566,7 +566,14 @@ class TestManifest:
         manifest = json.loads((run_dir_for(path) / "manifest.json").read_text())
         assert set(manifest) == {"config_hash", "code_hash", "seed",
                                  "wall_seconds", "workers", "usable_cpus",
-                                 "artifacts"}
+                                 "artifacts", "environment"}
+        env = manifest["environment"]
+        assert set(env) == {"python", "numpy", "blas", "threads",
+                            "dont_write_bytecode"}
+        assert env["numpy"] == np.__version__
+        assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS",
+                                       "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+        assert env["dont_write_bytecode"] is sys.dont_write_bytecode
         # one sweep point: nothing to run in parallel
         assert manifest["workers"] == 1
         assert manifest["usable_cpus"] >= 1

@@ -297,6 +297,27 @@ class TestMakeBatch:
             assert np.array_equal(batch.targets, targets)
 
 
+class TestGradGlobalNorm:
+    @pytest.mark.parametrize("dims,n_stages,s", [
+        ((20, 32), 2, 1), ((20, 32), 2, 2),   # the rnn-sweep benchmark's
+        ((6, 8), 1, 1), ((9, 12, 10), 3, 1)])
+    def test_equal_to_per_tensor_sums(self, dims, n_stages, s):
+        """The norm the trainlog records has the bits of each tensor's own
+        np.sum(g * g), added in canonical order, on gradients whose
+        magnitudes span eight decades."""
+        shape = rnn.RnnShape(dims=dims, l_y=dims[0] - 2, l_ic=2,
+                             n_stages=n_stages, s=s, m_symbols=4, n_os=2)
+        grads = rnn.RnnModel(shape)
+        rng = np.random.default_rng(sum(dims) + s)
+        for _ in range(30):
+            size = grads.flat.size
+            grads.flat[...] = rng.standard_normal(size) * \
+                10.0 ** rng.uniform(-6, 2, size)
+            expected = float(np.sqrt(sum(float(np.sum(g * g))
+                                         for _, g in grads.parameters())))
+            assert training.grad_global_norm(grads) == expected
+
+
 def binary_conditional_entropy(level, sigma2=1.0):
     """H(X | Y) of +-level through a real Gaussian channel, by quadrature."""
     def phi(y, mu):
