@@ -2,7 +2,9 @@
 
 Every detector (forward-backward, Gibbs sampler, recurrent network) returns
 an :class:`AppMatrix`: one PMF over the symbol alphabet per target position
-of each block of a SIC stage.
+of each block of a SIC stage.  The numeric helpers that more than one
+detector or the rate estimates use live here too, so a command loads no
+detector module it does not run.
 """
 
 from __future__ import annotations
@@ -26,6 +28,48 @@ def block_slices(n_blocks: int, bytes_per_block: int, shared: int = 0) -> list:
     which the call holds `shared` bytes whatever its slices."""
     step = max(1, (SLICE_BYTES - shared) // bytes_per_block)
     return [(lo, min(lo + step, n_blocks)) for lo in range(0, n_blocks, step)]
+
+
+def _sum_in_numpy_order(parts) -> np.ndarray:
+    """Elementwise sum of equal-shape terms, rounded as numpy's sum along a
+    contiguous axis of these terms rounds: sequential below 8 terms, eight
+    interleaved accumulators combined pairwise up to 128 (the rest added
+    after them), and two halves split at a multiple of 8 beyond.
+
+    parts: a list of arrays, or one array (any strides) whose leading axis
+    holds the terms.  From 8 terms on the accumulators are one array, so
+    the pairwise tree is three strided adds."""
+    n = len(parts)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _sum_in_numpy_order(parts[:half]) + _sum_in_numpy_order(parts[half:])
+    if n < 8:
+        total = parts[0]
+        for p in parts[1:]:
+            total = total + p
+        return total
+    parts = np.asarray(parts)
+    tail = n - n % 8
+    acc = parts[:8]
+    for i in range(8, tail, 8):
+        acc = acc + parts[i:i + 8]
+    while len(acc) > 1:
+        acc = acc[0::2] + acc[1::2]
+    total = acc[0]
+    for p in parts[tail:]:
+        total = total + p
+    return total
+
+
+def jackknife_stderr(values: np.ndarray) -> float:
+    """Leave-one-out jackknife standard error of the sample mean."""
+    values = np.asarray(values, dtype=np.float64)
+    k = len(values)
+    if k < 2:
+        return float("nan")
+    total = values.sum()
+    loo = (total - values) / (k - 1)
+    return float(np.sqrt((k - 1) / k * np.sum((loo - loo.mean()) ** 2)))
 
 
 @dataclass

@@ -112,11 +112,13 @@ class FirFilter:
         makes its edge outputs sums of zero products, exact in any order.
         (At n_sim = 1 they hold the end symbols' tails, and a last-bit change
         there could reach p_tx.)  A one-tap filter, or a batch of no rows,
-        is a product by the tap.
+        is a product by the tap, skipped for a real tap of exactly 1.0.
         """
         b, n = rows.shape
         lo = self.half_len
         if lo == 0 or b == 0:
+            if self.taps.dtype.kind == "f" and self.taps[0] == 1.0:
+                return rows
             return rows * self.taps[0]
         # the padding takes the rows' dtype, so complex rows stay complex
         laid = np.zeros((b, n + lo), dtype=rows.dtype)
@@ -488,7 +490,9 @@ def simulate_batch(chan: DiscreteChannel, x_rows: np.ndarray,
     y = np.zeros((b, len(idx)), dtype=z.dtype)
     y[:, ok] = z[:, idx[ok]]
     if noisy and direct:
-        y = y + w * np.abs(chan.h.taps[0])
+        # the receiver's tap is 1.0 unless the configured filter is scaled
+        tap = np.abs(chan.h.taps[0])
+        y += w if tap == 1.0 else w * tap
     p_tx = np.sum(np.abs(shaped) ** 2, axis=1) / (n * cfg.n_sim)
     return Blocks(x=x_emit, y=y, p_tx=p_tx)
 

@@ -8,17 +8,20 @@ and training logs, rates.csv and complexity.csv the evaluation results, and
 manifest.json the bookkeeping needed to re-run bit-identically (timing
 and worker counts live only there, never in the CSVs).  A command writes
 one manifest for all of its work: sweep's lists what train and evaluate
-made, with the wall time of both.
+made, with the wall time of both.  train's and sweep's add a `training`
+list, one entry per (stage, power): iterations, seconds, iterations/s,
+final and best loss in bits, and clamp events.
 
 train runs its per-stage chains and evaluate its sweep points in parallel,
 one process per usable CPU (see nlsic.parallel); the Gibbs sampler splits
 its chains over the CPUs a sweep point has to itself.  Every unit draws from
 its own seed, so the artifacts do not depend on the number of processes.
 
-A command imports only the modules its work runs: the Gibbs and RNN
-detectors and the trainer are imported by the step that uses them, in the
-main process before it forks, so the workers inherit them compiled and an
-fba evaluate never loads them.
+A command imports only the modules its work runs: the detectors, the
+trainer and the rate estimates are imported by the step that uses them, in
+the main process before it forks, so the workers inherit them compiled.  An
+fba evaluate never loads the Gibbs or RNN modules, and train never loads
+the trellis or the rate estimates.
 
 Exit codes: 0 ok, 2 configuration error, 3 numeric failure.
 """
@@ -40,7 +43,7 @@ import yaml
 
 from . import channel as ch
 from . import config as cfgmod
-from . import fba, parallel, rates, sic
+from . import parallel, sic
 from .config import ConfigError
 
 
@@ -79,22 +82,24 @@ def _run_path(cfg) -> Path:
 def _run(cfg, *steps) -> int:
     """Make the run directory, write its config.json, run the steps in it
     and write one manifest for them all: their artifacts, the wall time of
-    the whole run and the most processes any step ran at once.  Each
-    step(cfg, run_dir) returns (artifacts, workers).  When a step raises,
-    a run directory this call made is removed before the error goes on."""
+    the whole run, the most processes any step ran at once and the entries
+    the steps add.  Each step(cfg, run_dir) returns (artifacts, workers,
+    manifest entries).  When a step raises, a run directory this call made
+    is removed before the error goes on."""
     t0 = time.perf_counter()
     run_dir = _run_path(cfg)
     made = not run_dir.exists()
     run_dir.mkdir(parents=True, exist_ok=True)
-    artifacts, workers = [], 1
+    artifacts, workers, entries = [], 1, {}
     try:
         with open(run_dir / "config.json", "w") as fh:
             json.dump(cfgmod.resolved_dict(cfg), fh, indent=2, sort_keys=True)
             fh.write("\n")
         for step in steps:
-            paths, step_workers = step(cfg, run_dir)
+            paths, step_workers, step_entries = step(cfg, run_dir)
             artifacts += paths
             workers = max(workers, step_workers)
+            entries.update(step_entries)
     except BaseException:
         if made:
             shutil.rmtree(run_dir, ignore_errors=True)
@@ -108,6 +113,7 @@ def _run(cfg, *steps) -> int:
         "usable_cpus": parallel.usable_cpus(),
         "artifacts": sorted(str(p.relative_to(run_dir)) for p in artifacts),
         "environment": _environment(),
+        **entries,
     }
     with open(run_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -165,7 +171,7 @@ def _simulate(cfg, run_dir: Path):
                 fh.write("\n")
             artifacts += [stem.with_suffix(".bin"), stem.with_suffix(".json")]
     print(f"wrote {len(artifacts) // 2} blocks under {block_dir}")
-    return artifacts, 1
+    return artifacts, 1, {}
 
 
 def cmd_simulate(cfg) -> int:
@@ -179,8 +185,9 @@ def cmd_simulate(cfg) -> int:
 def _train_chain(cfg, base, run_dir: Path, sweep, s: int) -> list:
     """Train stage s at every sweep point in ascending order, each point
     warm-started from the network this chain trained at the previous one.
-    Returns one (message, artifacts) record per point and prints nothing,
-    so chains of different stages can run in different processes."""
+    Returns one (message, artifacts, manifest training entry) record per
+    point and prints nothing, so chains of different stages can run in
+    different processes."""
     from . import rnn, training
 
     plan = sic.SicPlan(cfg.stages, cfg.eval_n)
@@ -193,8 +200,10 @@ def _train_chain(cfg, base, run_dir: Path, sweep, s: int) -> list:
             learn_rate=cfg.rnn.learn_rate, n_iter=cfg.rnn.n_iter,
             n_batch=cfg.rnn.n_batch, t_rnn=cfg.rnn.t_rnn,
             seed=_train_seed(cfg, sweep_idx, s))
+        t0 = time.perf_counter()
         model, log = training.train_stage(chan, plan, s, shape, tcfg,
                                           warm_model=warm)
+        seconds = time.perf_counter() - t0
         model.provenance.update({
             "p_tx_db": p_tx_db,
             "warm_start_from": None if warm is None else sweep[sweep_idx - 1],
@@ -208,8 +217,18 @@ def _train_chain(cfg, base, run_dir: Path, sweep, s: int) -> list:
                    f"final loss {log.loss_bits[-1]:.4f} bits"
                    if log.loss_bits else
                    f"initialized stage {s} at {p_tx_db:+.2f} dB (0 iterations)")
+        iterations = len(log.loss_bits)
+        entry = {
+            "stage": s, "p_tx_db": p_tx_db, "iterations": iterations,
+            "seconds": seconds,
+            "iterations_per_s": iterations / seconds if seconds > 0 else None,
+            "final_loss_bits": log.loss_bits[-1] if iterations else None,
+            "best_loss_bits": min(log.loss_bits) if iterations else None,
+            "clamp_events": log.clamp_events,
+        }
         records.append((message, [
-            stem.with_suffix(".bin"), stem.with_suffix(".json"), log_path]))
+            stem.with_suffix(".bin"), stem.with_suffix(".json"), log_path],
+            entry))
     return records
 
 
@@ -226,12 +245,15 @@ def _train(cfg, run_dir: Path):
     stages = range(1, cfg.stages + 1)
     chains, workers = parallel.parallel_map(
         lambda s: _train_chain(cfg, base, run_dir, sweep, s), stages)
-    artifacts = []
+    artifacts, summary = [], []
     for point in zip(*chains):
-        for message, paths in point:
+        for message, paths, entry in point:
             print(message)
             artifacts += paths
-    return artifacts, workers
+            summary.append(entry)
+    # timing stays out of the trainlogs: the manifest is the run's only
+    # nondeterministic file
+    return artifacts, workers, {"training": summary}
 
 
 def cmd_train(cfg) -> int:
@@ -247,14 +269,18 @@ def cmd_train(cfg) -> int:
 def _detector_for(cfg, chan, run_dir, p_tx_db):
     """The sweep point's detector apps(ys, views, rng), the trellis it runs
     on (None for the others), and its multiplications per APP by stage."""
+    from . import rates
+
     stages = range(1, cfg.stages + 1)
     if cfg.detector_kind == "fba":
+        from . import fba
+
         aux = fba.build_aux_channel(chan, cfg.fba.memory, future=cfg.fba.future)
         count = fba.count_fba_multiplications(aux, cfg.eval_n, cfg.stages)
         return (lambda ys, views, rng: fba.fba_point_apps(aux, ys, views),
                 aux, dict.fromkeys(stages, count))
     if cfg.detector_kind == "gibbs":
-        from . import gibbs
+        from . import fba, gibbs
 
         aux = fba.build_aux_channel(chan, cfg.gibbs.memory, build_table=False)
         count = gibbs.count_gs_multiplications(aux, cfg.gibbs, cfg.eval_n)
@@ -286,10 +312,14 @@ def _detector_for(cfg, chan, run_dir, p_tx_db):
 
 
 def _evaluate_point(cfg, base, run_dir, sweep_idx, p_tx_db):
+    from . import rates
+
     chan = base.with_transmit_power_db(p_tx_db)
     apps, ub_aux, counts = _detector_for(cfg, chan, run_dir, p_tx_db)
     # the bound runs on the detector's trellis unless it has its own memory
     if cfg.ub_memory is not None:
+        from . import fba
+
         ub_aux = fba.build_aux_channel(chan, cfg.ub_memory)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 3, sweep_idx]))
     plan = sic.SicPlan(cfg.stages, cfg.eval_n)
@@ -318,10 +348,15 @@ RATES_HEADER = ("detector,p_tx_db,stage,rate,stderr,clamp_fraction,flagged,"
 
 
 def _evaluate(cfg, run_dir: Path):
-    # the detector's module is imported before the sweep points fork, so no
-    # worker compiles its own copy
-    if cfg.detector_kind in ("gibbs", "rnn"):
+    # the modules the sweep points run are imported before they fork, so no
+    # worker compiles its own copy: the trellis only for a detector or a
+    # bound that runs on it
+    from . import rates  # noqa: F401
+
+    if cfg.detector_kind in ("fba", "gibbs", "rnn"):
         __import__(f"{__package__}.{cfg.detector_kind}")
+    if cfg.ub_memory is not None:
+        from . import fba  # noqa: F401
     base = cfgmod.build_channel(cfg)
     points = list(enumerate(cfg.sweep_p_tx_db))
     results, workers = parallel.parallel_map(
@@ -358,7 +393,7 @@ def _evaluate(cfg, run_dir: Path):
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote {rates_path}")
-    return [rates_path, complexity_path, summary_path], workers
+    return [rates_path, complexity_path, summary_path], workers, {}
 
 
 def cmd_evaluate(cfg) -> int:

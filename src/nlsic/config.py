@@ -22,7 +22,6 @@ from typing import Optional
 import yaml
 
 from . import channel as ch
-from .fba import check_table_size
 
 
 class ConfigError(ValueError):
@@ -279,6 +278,9 @@ def _check_run_objects(cfg: ExperimentConfig) -> None:
                               lambda: ch.Alphabet.from_name(alphabet).size)
     build_channel(cfg)
     n_os = cfg.channel.n_os
+    if cfg.detector_kind == "fba" or cfg.ub_memory is not None:
+        # only a run that builds a trellis table loads the trellis module
+        from .fba import check_table_size
     if cfg.detector_kind == "fba":
         _domain_check("detector.fba.memory", lambda: check_table_size(
             m_symbols, cfg.fba.memory, n_os))

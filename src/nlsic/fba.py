@@ -26,41 +26,11 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .apps import AppMatrix, MultCounter, block_slices
+from .apps import (AppMatrix, MultCounter, _sum_in_numpy_order, block_slices,
+                   jackknife_stderr)
 from .channel import Blocks, DiscreteChannel
 
 LOG2PI = np.log(2.0 * np.pi)
-
-
-def _sum_in_numpy_order(parts) -> np.ndarray:
-    """Elementwise sum of equal-shape terms, rounded as numpy's sum along a
-    contiguous axis of these terms rounds: sequential below 8 terms, eight
-    interleaved accumulators combined pairwise up to 128 (the rest added
-    after them), and two halves split at a multiple of 8 beyond.
-
-    parts: a list of arrays, or one array (any strides) whose leading axis
-    holds the terms.  From 8 terms on the accumulators are one array, so
-    the pairwise tree is three strided adds."""
-    n = len(parts)
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        return _sum_in_numpy_order(parts[:half]) + _sum_in_numpy_order(parts[half:])
-    if n < 8:
-        total = parts[0]
-        for p in parts[1:]:
-            total = total + p
-        return total
-    parts = np.asarray(parts)
-    tail = n - n % 8
-    acc = parts[:8]
-    for i in range(8, tail, 8):
-        acc = acc + parts[i:i + 8]
-    while len(acc) > 1:
-        acc = acc[0::2] + acc[1::2]
-    total = acc[0]
-    for p in parts[tail:]:
-        total = total + p
-    return total
 
 
 def _sum_over_inputs(e: np.ndarray, axis: int) -> np.ndarray:
@@ -553,17 +523,6 @@ def fba_ub(aux: AuxChannel, blocks: Blocks,
                              counter)
         per_block[lo:hi] = (log_qx - log_q) / (n * np.log(2.0))
     return float(np.mean(per_block)), jackknife_stderr(per_block)
-
-
-def jackknife_stderr(values: np.ndarray) -> float:
-    """Leave-one-out jackknife standard error of the sample mean."""
-    values = np.asarray(values, dtype=np.float64)
-    k = len(values)
-    if k < 2:
-        return float("nan")
-    total = values.sum()
-    loo = (total - values) / (k - 1)
-    return float(np.sqrt((k - 1) / k * np.sum((loo - loo.mean()) ** 2)))
 
 
 def count_fba_multiplications(aux: AuxChannel, n: int, n_stages: int) -> float:

@@ -56,9 +56,9 @@ from typing import Optional
 import numpy as np
 
 from . import parallel
-from .apps import AppMatrix, MultCounter, block_slices
+from .apps import AppMatrix, MultCounter, _sum_in_numpy_order, block_slices
 from .config import GibbsConfig
-from .fba import AuxChannel, _sum_in_numpy_order
+from .fba import AuxChannel
 from .sic import StageView
 
 # Chain windows (chains x chunks) per colour step: the columns of each of

@@ -23,14 +23,16 @@ blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from . import channel as ch
-from .apps import CLAMP_FLOOR, AppMatrix
-from .fba import AuxChannel, fba_ub, jackknife_stderr
+from .apps import CLAMP_FLOOR, AppMatrix, jackknife_stderr
 from .sic import SicPlan, stage_view
+
+if TYPE_CHECKING:
+    from .fba import AuxChannel
 
 
 def uniform_apps(m_symbols: int):
@@ -123,6 +125,9 @@ def estimate_sic(apps, chan: ch.DiscreteChannel, plan: SicPlan, n_blk: int,
                      / plan.n_stages)
     ub = ub_se = None
     if ub_aux is not None:
+        # the trellis module loads only for the bound
+        from .fba import fba_ub
+
         ub, ub_se = fba_ub(ub_aux, simulate_eval_blocks(chan, n_blk, plan.n,
                                                         rng))
     return RateReport(stage_rates=stage_rates, i_sic_stderr=i_sic_se, ub=ub,

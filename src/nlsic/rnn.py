@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .apps import AppMatrix, MultCounter, block_slices
+from .apps import AppMatrix, MultCounter, _sum_in_numpy_order, block_slices
 from .sic import SicPlan, StageView, ic_window_indices
 
 _MAGIC = b"NLSICRNN"
@@ -290,12 +290,21 @@ def forward(model: RnnModel, inputs: np.ndarray,
     given), laid out as ForwardCache describes, so a caller that passes the
     same workspace to every call allocates no activations after the first.
     Before a direction's recursion, each phase's input products run as one
-    stacked product, (T/P, B, dims[i]) @ (dims[i], half), plus in_b; the
-    recursion then makes one (B, half) @ (half, half) state product per step
-    and adds ((x@W + in_b) + s@U) + st_b.  A row's bits depend on the shape
-    of the product that computes it, and a stacked product gives each of its
-    matrices the bits of that matrix's own product, so these shapes and this
-    order keep the results of the step-by-step computation bit for bit.
+    stacked product, (T/P, B, dims[i]) @ (dims[i], half); the recursion then
+    makes one (B, half) @ (half, half) state product per step and adds
+    ((x@W + in_b) + s@U) + st_b, the biases as whole (B, half) blocks.  A
+    row's bits depend on the shape of the product that computes it, and a
+    stacked product gives each of its matrices the bits of that matrix's
+    own product, so these shapes and this order keep the results of the
+    step-by-step computation bit for bit.
+
+    The softmax runs on the M columns of the (B, N, M) logits: the max as
+    np.maximum over columns 0, 1, ..., M-1, and the sum of the exponentials
+    by _sum_in_numpy_order over the columns, in numpy's order for a sum
+    along the last axis: sequential below 8 symbols, 8 interleaved
+    accumulators combined pairwise from 8.  So logp and probs carry the
+    bits of the reductions along axis 2, which cost more on 4 columns than
+    the arithmetic does.
     """
     if ws is None:
         ws = Workspace()
@@ -316,23 +325,29 @@ def forward(model: RnnModel, inputs: np.ndarray,
         fed = ws.empty("fed", (b, half))
         for d, steps, feed in _directions(t_steps):
             h_d = h[:, :, d * half:(d + 1) * half]
+            # the biases as whole (B, half) blocks: a same-shape add takes
+            # less time than a broadcast one, with the same sums
+            in_rows, st_rows = ws.empty("bias_rows", (2, p_count, b, half))
+            in_rows[...] = in_b[:, d, None]
+            st_rows[...] = st_b[:, d, None]
             for p in range(p_count):
                 np.matmul(r[p::p_count], in_w[p, d].T, out=pre[p::p_count, d])
-                pre[p::p_count, d] += in_b[p, d]
-            # the state biases as whole (B, half) blocks: a same-shape add
-            # takes less time than a broadcast one, with the same sums
-            st_rows = ws.empty("st_rows", (p_count, b, half))
-            st_rows[...] = st_b[:, d, None]
-            st_maps = [(st_w[q, d].T, st_rows[q]) for q in range(p_count)]
+            # by the step's phase p: its input bias, and the state map of
+            # the phase q = p + feed that produced the incoming state
+            maps = [(in_rows[p], st_w[(p + feed) % p_count, d].T,
+                     st_rows[(p + feed) % p_count]) for p in range(p_count)]
             state = zero
             for step in steps:
-                u, u_b = st_maps[(step + feed) % p_count]
+                in_row, u, u_b = maps[step % p_count]
                 z = pre[step, d]
+                z += in_row
                 np.matmul(state, u, out=fed)
                 z += fed
                 z += u_b
-                state = np.maximum(z, 0.0, out=h_d[step])
-            _check_finite(pre[:, d], steps, i, ("forward", "backward")[d])
+                state = np.maximum(z, zero, out=h_d[step])
+        if not np.isfinite(pre).all():
+            for d, steps, _ in _directions(t_steps):
+                _check_finite(pre[:, d], steps, i, ("forward", "backward")[d])
 
         if counter is not None:
             d_in = shape.dims[i]
@@ -345,17 +360,25 @@ def forward(model: RnnModel, inputs: np.ndarray,
         r = h
 
     read_steps = np.arange(0, t_steps, p_count)
-    readout = ws.empty("readout", (b, len(read_steps), shape.dims[-1]))
-    # np.take writes straight into `readout` only when it need not check the
-    # indices; mode="clip" skips the check, and these lie in 0..T-1
-    np.take(r.swapaxes(0, 1), read_steps, axis=1, out=readout, mode="clip")
+    if p_count == 1:
+        # every step reads out: the states' block-major buffer is the readout
+        readout = r.swapaxes(0, 1)
+    else:
+        readout = ws.empty("readout", (b, len(read_steps), shape.dims[-1]))
+        # np.take writes straight into `readout` only when it need not check
+        # the indices; mode="clip" skips the check, and these lie in 0..T-1
+        np.take(r.swapaxes(0, 1), read_steps, axis=1, out=readout, mode="clip")
     logits = readout @ model.out_w.T + model.out_b
     if counter is not None:
         counter.add("out", b * len(read_steps) * shape.m_symbols * shape.dims[-1])
-    mx = logits.max(axis=2, keepdims=True)
-    z = np.exp(logits - mx)
-    denom = z.sum(axis=2, keepdims=True)
-    logp = (logits - mx) - np.log(denom)
+    cols = logits.transpose(2, 0, 1)
+    mx = cols[0].copy()
+    for col in cols[1:]:
+        np.maximum(mx, col, out=mx)
+    shifted = logits - mx[:, :, None]
+    z = np.exp(shifted)
+    denom = _sum_in_numpy_order(z.transpose(2, 0, 1))[:, :, None]
+    logp = shifted - np.log(denom)
     if want_cache:
         cache.readout = readout
         cache.probs = z / denom

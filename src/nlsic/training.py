@@ -93,9 +93,18 @@ def loss(model: RnnModel, batch: Batch):
     return _nll_bits(logp, batch.targets)
 
 
+def _target_index(logp: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """(B, N) flat indices into logp, (B, N, M), of each row's target."""
+    b, n, m = logp.shape
+    return targets + np.arange(0, b * n * m, m).reshape(b, n)
+
+
 def _nll_bits(logp: np.ndarray, targets: np.ndarray):
-    b, n, _ = logp.shape
-    picked = np.take_along_axis(logp, targets[:, :, None], axis=2)[:, :, 0]
+    return _bits_of(np.take(logp, _target_index(logp, targets)))
+
+
+def _bits_of(picked: np.ndarray):
+    """(loss bits, clamp count) of the targets' log-probabilities."""
     floor_nats = np.log(CLAMP_FLOOR)
     clamped = picked < floor_nats
     picked = np.maximum(picked, floor_nats)
@@ -106,15 +115,18 @@ def _nll_bits(logp: np.ndarray, targets: np.ndarray):
 def _add_by_label(g: np.ndarray, labels: np.ndarray, rows: np.ndarray):
     """Add rows[k] to g[labels[k]] for k = 0, 1, ... in turn, g being zero,
     with the bits of that loop: per label, 0 + ((x0 + x1) + ...) equals
-    ((0 + x0) + x1) + ... bit for bit.  np.add.reduce sums along axis 0 row
-    after row when a row has more than one element but pairwise when it has
-    one, so 1-element rows go through np.add.accumulate, which always keeps
-    the order.  (np.add.at keeps it too, but at rnn-sweep's shapes it took
-    longer than the products whose sums it forms.)"""
-    for label in range(len(g)):
-        picked = rows[labels == label]
-        if len(picked) == 0:
-            continue
+    ((0 + x0) + x1) + ... bit for bit.
+
+    The labels follow the phase schedule, period len(g), so the rows of the
+    label labels[k], k < len(g), are the strided view rows[k::len(g)], in
+    the loop's order.  np.add.reduce sums along axis 0 row after row when a
+    row has more than one element but pairwise when it has one, so 1-element
+    rows go through np.add.accumulate, which always keeps the order.
+    (np.add.at keeps it too, but at rnn-sweep's shapes it took longer than
+    the products whose sums it forms.)"""
+    p_count = len(g)
+    for k, label in enumerate(labels[:p_count]):
+        picked = rows[k::p_count]
         if picked[0].size > 1:
             g[label] += np.add.reduce(picked, axis=0)
         else:
@@ -139,18 +151,21 @@ def backward(model: RnnModel, batch: Batch, ws: Optional[Workspace] = None):
         ws = Workspace()
     shape = model.shape
     logp, cache = forward(model, batch.inputs, want_cache=True, ws=ws)
-    bits, clamps = _nll_bits(logp, batch.targets)
+    target = _target_index(logp, batch.targets)
+    picked = np.take(logp, target)
+    bits, clamps = _bits_of(picked)
 
     b, n_out, m = logp.shape
     scale = 1.0 / (b * n_out * LN2)
-    dlogits = cache.probs.copy()
-    np.put_along_axis(
-        dlogits, batch.targets[:, :, None],
-        np.take_along_axis(dlogits, batch.targets[:, :, None], axis=2) - 1.0, axis=2)
+    # the probabilities, less 1 at each target: the forward pass's probs
+    # are read only here
+    dlogits = cache.probs
+    flat = dlogits.reshape(-1)
+    flat[target] -= 1.0
     dlogits *= scale
-    # clamped rows contribute a constant to the loss: no gradient
-    picked = np.take_along_axis(logp, batch.targets[:, :, None], axis=2)[:, :, 0]
-    dlogits[picked < np.log(CLAMP_FLOOR)] = 0.0
+    if clamps:
+        # clamped rows contribute a constant to the loss: no gradient
+        dlogits[picked < np.log(CLAMP_FLOOR)] = 0.0
 
     grads = ws.zero_model(shape)
     width = shape.dims[-1]
@@ -207,7 +222,14 @@ def backward(model: RnnModel, batch: Batch, ws: Optional[Workspace] = None):
             dz_t = dz.transpose(0, 2, 1)
             np.matmul(dz_t, r_in, out=in_prod)
             _add_by_label(g_in_w[:, d], p_back, in_prod[back])
-            np.sum(dz, axis=1, out=sums)
+            if half > 1:
+                # summed block after block, as np.sum over axis 1 sums rows
+                # of more than one element, but in rows of T*half elements;
+                # the B-major copy is a temporary, so it adds to no peak
+                np.add.reduce(np.ascontiguousarray(dz.swapaxes(0, 1)),
+                              axis=0, out=sums)
+            else:
+                np.sum(dz, axis=1, out=sums)
             _add_by_label(g_in_b[:, d], p_back, sums[back])
             _add_by_label(g_st_b[:, d], q_back, sums[back])
             # each step's state came from step + feed; the edge step's from zeros
@@ -264,8 +286,14 @@ class Adam:
         c1 = 1.0 - self.BETA1 ** self.t
         c2 = 1.0 - self.BETA2 ** self.t
         g = grads.flat
-        self.m = self.BETA1 * self.m + (1 - self.BETA1) * g
-        self.v = self.BETA2 * self.v + (1 - self.BETA2) * g * g
+        # in place, with the roundings of m = b1*m + (1-b1)*g and
+        # v = b2*v + ((1-b2)*g)*g
+        self.m *= self.BETA1
+        self.m += (1 - self.BETA1) * g
+        self.v *= self.BETA2
+        gg = (1 - self.BETA2) * g
+        gg *= g
+        self.v += gg
         model.flat -= self.lr * (self.m / c1) / (np.sqrt(self.v / c2) + self.EPS)
 
 

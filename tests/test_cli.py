@@ -608,6 +608,24 @@ class TestManifest:
         # train ran its two stage chains at once, evaluate its one point alone
         assert manifest["workers"] == 2
         assert manifest["wall_seconds"] >= 0.25
+        # one training entry per (stage, power), as the trainlogs report it
+        entries = manifest["training"]
+        assert [(e["stage"], e["p_tx_db"]) for e in entries] == [(1, 4.0), (2, 4.0)]
+        for entry in entries:
+            assert set(entry) == {"stage", "p_tx_db", "iterations", "seconds",
+                                  "iterations_per_s", "final_loss_bits",
+                                  "best_loss_bits", "clamp_events"}
+            log = (run_dir / "models" /
+                   f"trainlog_stage{entry['stage']}_ptx+0004000mdb.csv")
+            losses = [float(line.split(",")[1])
+                      for line in log.read_text().splitlines()[1:]]
+            assert entry["iterations"] == len(losses) > 0
+            assert entry["seconds"] >= 0.25
+            assert entry["iterations_per_s"] == pytest.approx(
+                entry["iterations"] / entry["seconds"])
+            assert entry["final_loss_bits"] == pytest.approx(losses[-1], abs=1e-9)
+            assert entry["best_loss_bits"] == pytest.approx(min(losses), abs=1e-9)
+            assert entry["clamp_events"] >= 0
 
 
 def artifact_bytes(run_dir):

@@ -24,9 +24,10 @@ print(" ".join(sorted(m for m in sys.modules if m.startswith("nlsic."))))
 sys.exit(status)
 """
 
-# what an fba evaluate runs; the other detectors add their own modules
-FBA_EVALUATE = {"apps", "channel", "cli", "config", "fba", "parallel",
-                "rates", "sic"}
+# what every command runs; the trainer, the detectors and the rate
+# estimates add their own modules, and only a trellis run loads fba
+BASE = {"apps", "channel", "cli", "config", "parallel", "sic"}
+EVALUATE = BASE | {"rates"}
 
 
 def loaded_modules(*argv, script=LOADED):
@@ -63,16 +64,16 @@ class TestImportSets:
         assert loaded_modules(script=script) == set()
 
     @pytest.mark.parametrize("detector,extra", [
-        ("fba", set()), ("gibbs", {"gibbs"}), ("uniform", set())])
+        ("fba", {"fba"}), ("gibbs", {"fba", "gibbs"}), ("uniform", set())])
     def test_evaluate(self, tmp_path, detector, extra):
         path = tiny_config(tmp_path, detector)
-        assert loaded_modules("evaluate", "-c", path) == FBA_EVALUATE | extra
+        assert loaded_modules("evaluate", "-c", path) == EVALUATE | extra
 
     def test_rnn_train_then_evaluate(self, tmp_path):
         path = tiny_config(tmp_path, "rnn")
         assert loaded_modules("train", "-c", path) == \
-            FBA_EVALUATE | {"rnn", "training"}
-        assert loaded_modules("evaluate", "-c", path) == FBA_EVALUATE | {"rnn"}
+            BASE | {"rnn", "training"}
+        assert loaded_modules("evaluate", "-c", path) == EVALUATE | {"rnn"}
 
 
 class TestNamespace:

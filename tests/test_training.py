@@ -219,23 +219,27 @@ class TestPerStepOracle:
     and on deeper, multi-phase and odd-sized batches."""
 
     CASES = {
-        # name: (dims, l_y, l_ic, n_stages, s, n_per, batch size)
-        "sweep-P2": ((20, 32), 16, 4, 2, 1, 16, 64),
-        "sweep-P1": ((20, 32), 16, 4, 2, 2, 32, 64),
-        "criterion4": ((16, 32), 16, 0, 1, 1, 32, 64),
-        "two-layers-three-phases": ((8, 12, 8), 6, 2, 3, 1, 4, 5),
-        "three-layers": ((6, 8, 10, 6), 4, 2, 2, 1, 5, 3),
-        "B1": ((20, 32), 16, 4, 2, 1, 16, 1),
-        "B7": ((8, 12, 8), 4, 4, 2, 1, 6, 7),
+        # name: (dims, l_y, l_ic, n_stages, s, n_per, batch size, m_symbols)
+        "sweep-P2": ((20, 32), 16, 4, 2, 1, 16, 64, 4),
+        "sweep-P1": ((20, 32), 16, 4, 2, 2, 32, 64, 4),
+        "criterion4": ((16, 32), 16, 0, 1, 1, 32, 64, 4),
+        "two-layers-three-phases": ((8, 12, 8), 6, 2, 3, 1, 4, 5, 4),
+        "three-layers": ((6, 8, 10, 6), 4, 2, 2, 1, 5, 3, 4),
+        "B1": ((20, 32), 16, 4, 2, 1, 16, 1, 4),
+        "B7": ((8, 12, 8), 4, 4, 2, 1, 6, 7, 4),
         # one-unit half-states: the sums over blocks and steps have 1-element rows
-        "half1": ((3, 2, 2), 2, 1, 2, 1, 9, 9),
+        "half1": ((3, 2, 2), 2, 1, 2, 1, 9, 9, 4),
+        # the softmax sums M columns, sequentially below 8 and pairwise from 8
+        "M2": ((8, 12), 6, 2, 2, 1, 8, 9, 2),
+        "M8": ((8, 12), 6, 2, 2, 1, 8, 9, 8),
+        "M16": ((8, 12, 8), 6, 2, 3, 2, 5, 6, 16),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_equal_to_reference(self, case):
-        dims, l_y, l_ic, n_stages, s, n_per, b = self.CASES[case]
+        dims, l_y, l_ic, n_stages, s, n_per, b, m_symbols = self.CASES[case]
         shape = rnn.RnnShape(dims=dims, l_y=l_y, l_ic=l_ic, n_stages=n_stages,
-                             s=s, m_symbols=4, n_os=2)
+                             s=s, m_symbols=m_symbols, n_os=2)
         rng = np.random.default_rng(len(case))
         ws = rnn.Workspace()
         for _ in range(3):
@@ -266,6 +270,39 @@ class TestPerStepOracle:
         assert model.flat.tobytes() == ref_model.flat.tobytes()
         assert (log.loss_bits, log.grad_norm, log.clamp_events) == \
             (ref_log.loss_bits, ref_log.grad_norm, ref_log.clamp_events)
+
+
+class TestLabelSums:
+    """_add_by_label sums each label's rows as a strided view with the bits
+    of the boolean-mask selection it replaces, whichever way the steps run
+    and whatever a row's size."""
+
+    @staticmethod
+    def masked_sums(g, labels, rows):
+        for label in range(len(g)):
+            picked = rows[labels == label]
+            if len(picked) == 0:
+                continue
+            if picked[0].size > 1:
+                g[label] += np.add.reduce(picked, axis=0)
+            else:
+                g[label] += np.add.accumulate(picked, axis=0)[-1]
+
+    @pytest.mark.parametrize("p_count", [1, 2, 3, 4])
+    @pytest.mark.parametrize("row_shape", [(1,), (5,), (3, 7), (1, 1)])
+    @pytest.mark.parametrize("feed", [-1, 1])
+    def test_equal_to_masked_sums(self, p_count, row_shape, feed):
+        rng = np.random.default_rng(p_count)
+        for t_steps in (p_count, 7 * p_count, 40 * p_count):
+            phases = np.arange(t_steps) % p_count
+            back = slice(None, None, feed)
+            rows = rng.normal(size=(t_steps,) + row_shape)
+            for labels in (phases[back], (phases[back] + feed) % p_count):
+                got = np.zeros((p_count,) + row_shape)
+                want = np.zeros_like(got)
+                training._add_by_label(got, labels, rows[back])
+                self.masked_sums(want, labels, rows[back])
+                assert np.array_equal(got, want)
 
 
 class TestMakeBatch:
